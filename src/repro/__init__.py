@@ -38,7 +38,6 @@ from repro.detection import (
     Verdict,
 )
 from repro.ingress import (
-    AsyncIngress,
     IngressConfig,
     IngressPipeline,
     MicroBatchConfig,
@@ -83,7 +82,6 @@ __version__ = "1.3.0"
 __all__ = [
     "ATTRIBUTE_NAMES",
     "AdaBoostClassifier",
-    "AsyncIngress",
     "BatchScorer",
     "BurstArrival",
     "CODEEN_WEEK",

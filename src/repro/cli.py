@@ -782,7 +782,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--shed", choices=("block", "shed", "adaptive"), default="block",
         help="admission policy at the front door (default block: "
-             "queue on the node lane)",
+             "admit everything, unread sockets are the queue)",
     )
     parser.add_argument(
         "--delay-budget", type=float, default=0.05,

@@ -1,4 +1,4 @@
-"""Ingress subsystem: async admission, per-lane queues, micro-batched
+"""Ingress subsystem: admission, per-lane queues, micro-batched
 scoring, and true parallel lane executors.
 
 The detection pipeline (PR 2) can batch and shard, but until now every
@@ -16,8 +16,7 @@ web-scale detectors (BOTracle, BotGraph) stage explicitly:
   :class:`~repro.ml.batch.BatchScorer`);
 * :mod:`repro.ingress.workers` — the replay and workload lane workers;
 * :mod:`repro.ingress.pipeline` — admission, hash routing, and the
-  deterministic merge;
-* :mod:`repro.ingress.frontend` — asyncio and thread admission drivers.
+  deterministic merge.
 
 Everything is deterministic by construction: lanes partition mutable
 state totally, each lane consumes its events in admission order, and
@@ -34,7 +33,6 @@ from repro.ingress.executors import (
     ThreadLaneExecutor,
     build_executor,
 )
-from repro.ingress.frontend import AsyncIngress, ThreadedDriver
 from repro.ingress.pipeline import (
     IngressConfig,
     IngressPipeline,
@@ -49,7 +47,6 @@ from repro.ingress.workers import (
 )
 
 __all__ = [
-    "AsyncIngress",
     "CLOSED",
     "EXECUTOR_KINDS",
     "IngressConfig",
@@ -65,7 +62,6 @@ __all__ = [
     "SerialLaneExecutor",
     "ShedPolicy",
     "ThreadLaneExecutor",
-    "ThreadedDriver",
     "WorkloadLaneWorker",
     "build_executor",
     "replay_workers",

@@ -196,8 +196,7 @@ class IngressPipeline:
     One lane per proxy node; build workers with
     :func:`replay_workers` / the workload engine's session workers and
     feed events through :meth:`submit` from a single admission driver
-    (the calling thread, :class:`~repro.ingress.frontend.ThreadedDriver`,
-    or :class:`~repro.ingress.frontend.AsyncIngress`).
+    (the calling thread).
     """
 
     def __init__(

@@ -32,8 +32,8 @@ class ServeMetrics:
     """Get-or-create bundle of the ``repro_serve_*`` instruments.
 
     One instance per :class:`~repro.serve.server.DetectorServer`; all
-    writes happen on the event loop or under per-node serialization, so
-    the plain instruments need no extra locking.
+    writes happen on the event loop, so the plain instruments need no
+    locking.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
@@ -52,6 +52,9 @@ class ServeMetrics:
             "repro_serve_timeouts_total", wall=True
         )
         self.shed: Counter = r.counter("repro_serve_shed_total", wall=True)
+        self.handler_errors: Counter = r.counter(
+            "repro_serve_handler_errors_total", wall=True
+        )
         self._stages: dict[str, Histogram] = {
             stage: r.histogram(
                 "repro_serve_stage_seconds",

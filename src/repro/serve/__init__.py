@@ -5,7 +5,8 @@ puts the repo's pipeline in the same position.  :mod:`repro.serve.http11`
 frames raw bytes into the existing :class:`~repro.http.message.Request`
 and :class:`~repro.http.message.Response` models,
 :mod:`repro.serve.server` mounts a :class:`~repro.proxy.network.ProxyNetwork`
-behind ``asyncio.start_server`` with live CLF logging, and
+behind an ``asyncio.Protocol`` per connection, handling each request
+inline on the event loop with live CLF logging, and
 :mod:`repro.serve.swarm` drives the existing agent classes over real
 sockets so a live run can be load-tested and replayed.
 """
@@ -14,6 +15,7 @@ from repro.serve.http11 import (
     Http11Limits,
     HttpParseError,
     ParsedRequest,
+    parse_request,
     read_request,
     read_response,
     render_response,
@@ -30,6 +32,7 @@ __all__ = [
     "SwarmConfig",
     "SwarmResult",
     "drive_swarm",
+    "parse_request",
     "read_request",
     "read_response",
     "render_response",

@@ -1,8 +1,9 @@
 """Byte-level HTTP/1.1 framing for the live front door.
 
 The bridge between raw sockets and the repo's message models: a
-streaming request parser that produces :class:`~repro.http.message.Method`
-/ :class:`~repro.http.uri.Url` / :class:`~repro.http.headers.Headers`
+synchronous request parser that frames one request from the head of a
+receive buffer into :class:`~repro.http.message.Method` /
+:class:`~repro.http.uri.Url` / :class:`~repro.http.headers.Headers`
 values, and a response writer that renders a
 :class:`~repro.http.message.Response` back to wire bytes.
 
@@ -95,8 +96,8 @@ class ParsedRequest:
     version: str
     keep_alive: bool
     body: bytes = b""
-    #: Wall seconds spent framing after the request line arrived
-    #: (excludes keep-alive idle time between requests).
+    #: Wall seconds of the ``parse_request`` pass that framed it
+    #: (excludes every wait for bytes).
     parse_seconds: float = 0.0
     #: Raw header entries including hop-by-hop fields, for callers that
     #: need connection semantics (the pipeline view in ``headers`` has
@@ -104,52 +105,72 @@ class ParsedRequest:
     raw_headers: Headers = field(default_factory=Headers)
 
 
-async def _read_line(
-    reader: asyncio.StreamReader, max_bytes: int, status: int, what: str
-) -> str | None:
-    """One CRLF/LF-terminated line, or None on clean EOF."""
-    try:
-        line = await reader.readuntil(b"\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise HttpParseError(
-            400, f"connection closed mid-{what}"
-        ) from None
-    except asyncio.LimitOverrunError:
-        raise HttpParseError(status, f"{what} too long") from None
-    if len(line) > max_bytes:
-        raise HttpParseError(status, f"{what} too long")
-    return line.decode("latin-1").rstrip("\r\n")
+_DEFAULT_LIMITS = Http11Limits()
 
 
-async def read_request(
-    reader: asyncio.StreamReader,
+def _line_end(text: str, pos: int, max_bytes: int, what: str, eof: bool) -> int:
+    """Index of the LF ending the line at ``pos``, or -1 if not there yet.
+
+    A line longer than ``max_bytes`` (terminator included) is refused
+    with 431 as soon as that many bytes are buffered without an LF; a
+    partial line at EOF is a 400.  -1 with ``eof`` set means the stream
+    ended cleanly on a line boundary.
+    """
+    end = text.find("\n", pos, pos + max_bytes)
+    if end < 0:
+        if len(text) - pos >= max_bytes:
+            raise HttpParseError(431, f"{what} too long")
+        if eof and len(text) > pos:
+            raise HttpParseError(400, f"connection closed mid-{what}")
+    return end
+
+
+def _split_field(line: str) -> tuple[str, str]:
+    name, sep, value = line.partition(":")
+    name = name.strip()
+    if not sep or not name:
+        raise HttpParseError(400, f"malformed header field: {line[:120]}")
+    return name, value.strip()
+
+
+def parse_request(
+    buffer: bytearray,
     default_host: str | None = None,
     limits: Http11Limits | None = None,
-) -> ParsedRequest | None:
-    """Frame one request off the stream.
+    eof: bool = False,
+) -> tuple[ParsedRequest, int] | None:
+    """Frame the request at the head of ``buffer`` in one synchronous pass.
 
-    Returns ``None`` on clean EOF before any bytes (the peer closed a
-    keep-alive connection); raises :class:`HttpParseError` on anything
-    malformed.  The returned ``headers`` are the pipeline view (hop-by-
-    hop fields stripped); connection semantics are already folded into
-    ``keep_alive``.
+    Returns ``(request, consumed)`` — the caller drops ``consumed`` bytes
+    — or ``None`` when the buffer does not hold a whole request yet
+    (with ``eof``: the peer closed cleanly between requests).  Raises
+    :class:`HttpParseError` at the first malformed or over-limit line,
+    without waiting for the rest of the request, and for a request cut
+    short by ``eof``.  Stateless: every call starts from the head of the
+    buffer, so the outcome depends on the bytes alone, never on how they
+    were chunked.  The returned ``headers`` are the pipeline view (hop-
+    by-hop fields stripped); connection semantics are already folded
+    into ``keep_alive``.
     """
-    limits = limits or Http11Limits()
-    line = await _read_line(
-        reader, limits.max_request_line, 431, "request line"
-    )
-    if line is None:
-        return None
-    # Tolerate a stray CRLF between pipelined requests (RFC 9112 §2.2).
-    if not line:
-        line = await _read_line(
-            reader, limits.max_request_line, 431, "request line"
-        )
-        if line is None:
-            return None
     started = time.perf_counter()
+    limits = limits or _DEFAULT_LIMITS
+    # Latin-1 maps bytes to characters one to one, so offsets into the
+    # text are offsets into the buffer.  A CRLF-terminated head is
+    # decoded alone; anything else (incomplete, bare LFs) as a whole.
+    stop = buffer.find(b"\r\n\r\n")
+    text = (buffer[: stop + 4] if stop >= 0 else buffer).decode("latin-1")
+
+    end = -1
+    # Twice: one stray CRLF between pipelined requests is tolerated
+    # (RFC 9112 §2.2).
+    for _ in range(2):
+        pos = end + 1
+        end = _line_end(text, pos, limits.max_request_line, "request line", eof)
+        if end < 0:
+            return None
+        line = text[pos:end].rstrip("\r")
+        if line:
+            break
 
     parts = line.split(" ")
     if len(parts) != 3 or not parts[0] or not parts[1]:
@@ -165,50 +186,78 @@ async def read_request(
         ) from None
 
     raw_headers = Headers()
+    headers = Headers()
     header_bytes = 0
+    fields_left = limits.max_headers
+    max_block = limits.max_header_bytes
     while True:
-        header_line = await _read_line(
-            reader, limits.max_header_bytes, 431, "header line"
-        )
-        if header_line is None:
-            raise HttpParseError(400, "connection closed inside headers")
+        pos = end + 1
+        end = _line_end(text, pos, max_block, "header line", eof)
+        if end < 0:
+            if eof:
+                raise HttpParseError(400, "connection closed inside headers")
+            return None
+        header_line = text[pos:end].rstrip("\r")
         if not header_line:
             break
         header_bytes += len(header_line) + 2
-        if header_bytes > limits.max_header_bytes:
+        if header_bytes > max_block:
             raise HttpParseError(431, "header block too large")
-        if len(raw_headers) >= limits.max_headers:
+        if not fields_left:
             raise HttpParseError(431, "too many header fields")
+        fields_left -= 1
         if header_line[0] in " \t":
             # Obsolete line folding: deliberately refused (RFC 9112 §5.2).
             raise HttpParseError(400, "folded header field")
-        name, sep, value = header_line.partition(":")
-        name = name.strip()
-        if not sep or not name:
-            raise HttpParseError(
-                400, f"malformed header field: {header_line[:120]}"
-            )
-        raw_headers.add(name, value.strip())
+        name, value = _split_field(header_line)
+        raw_headers.add(name, value)
+        if name.lower() not in _FRAMING_HEADERS:
+            headers.add(name, value)
 
     url = _resolve_target(target, raw_headers, default_host)
-    body = await _read_body(reader, raw_headers, limits)
-    keep_alive = _keep_alive(version, raw_headers)
+    body_start = end + 1
+    consumed = body_start + _body_length(raw_headers, limits)
+    if len(buffer) < consumed:
+        if eof:
+            raise HttpParseError(400, "truncated request body")
+        return None
 
-    headers = Headers(
-        (name, value)
-        for name, value in raw_headers
-        if name.lower() not in _FRAMING_HEADERS
-    )
-    return ParsedRequest(
+    parsed = ParsedRequest(
         method=method,
         url=url,
         headers=headers,
         version=version,
-        keep_alive=keep_alive,
-        body=body,
+        keep_alive=_keep_alive(version, raw_headers),
+        body=bytes(buffer[body_start:consumed]),
         parse_seconds=time.perf_counter() - started,
         raw_headers=raw_headers,
     )
+    return parsed, consumed
+
+
+async def read_request(
+    connection,
+    default_host: str | None = None,
+    limits: Http11Limits | None = None,
+) -> ParsedRequest | None:
+    """Next request off a connection's receive buffer.
+
+    ``connection`` holds the bytes received so far in ``buffer``, sets
+    ``eof`` once the peer has finished sending, and ``more()`` sleeps
+    until either changes, answering False when the connection is to be
+    given up instead.  Returns ``None`` when no further request will
+    come; raises :class:`HttpParseError` on anything malformed.
+    """
+    while True:
+        framed = parse_request(
+            connection.buffer, default_host, limits, connection.eof
+        )
+        if framed is not None:
+            parsed, consumed = framed
+            del connection.buffer[:consumed]
+            return parsed
+        if connection.eof or not await connection.more():
+            return None
 
 
 def _resolve_target(
@@ -227,16 +276,14 @@ def _resolve_target(
         raise HttpParseError(400, f"bad request target: {exc}") from None
 
 
-async def _read_body(
-    reader: asyncio.StreamReader, headers: Headers, limits: Http11Limits
-) -> bytes:
+def _body_length(headers: Headers, limits: Http11Limits) -> int:
     if "Transfer-Encoding" in headers:
         raise HttpParseError(
             501, "transfer codings are not implemented"
         )
     declared = headers.get("Content-Length")
     if declared is None:
-        return b""
+        return 0
     try:
         length = int(declared)
     except ValueError:
@@ -247,12 +294,7 @@ async def _read_body(
         raise HttpParseError(400, "negative Content-Length")
     if length > limits.max_body_bytes:
         raise HttpParseError(413, "request body too large")
-    if length == 0:
-        return b""
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise HttpParseError(400, "truncated request body") from None
+    return length
 
 
 def _keep_alive(version: str, headers: Headers) -> bool:
@@ -290,6 +332,25 @@ def render_response(
     return wire
 
 
+async def _read_line(
+    reader: asyncio.StreamReader, max_bytes: int, status: int, what: str
+) -> str | None:
+    """One CRLF/LF-terminated line, or None on clean EOF."""
+    try:
+        line = await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as exc:
+        if not exc.partial:
+            return None
+        raise HttpParseError(
+            400, f"connection closed mid-{what}"
+        ) from None
+    except asyncio.LimitOverrunError:
+        raise HttpParseError(status, f"{what} too long") from None
+    if len(line) > max_bytes:
+        raise HttpParseError(status, f"{what} too long")
+    return line.decode("latin-1").rstrip("\r\n")
+
+
 async def read_response(
     reader: asyncio.StreamReader, head: bool = False
 ) -> tuple[int, Headers, bytes, bool]:
@@ -319,12 +380,7 @@ async def read_response(
             raise HttpParseError(400, "connection closed inside headers")
         if not header_line:
             break
-        name, sep, value = header_line.partition(":")
-        if not sep or not name.strip():
-            raise HttpParseError(
-                400, f"malformed header field: {header_line[:120]}"
-            )
-        headers.add(name.strip(), value.strip())
+        headers.add(*_split_field(header_line))
 
     body = b""
     declared = headers.get("Content-Length")

@@ -1,24 +1,32 @@
-"""The live front door: a proxy network behind ``asyncio.start_server``.
+"""The live front door: a proxy network behind an ``asyncio.Protocol``.
 
 :class:`DetectorServer` mounts an existing
 :class:`~repro.proxy.network.ProxyNetwork` — instrumentation rewriter,
 admission, sharded detection, CAPTCHA policy and all — on a real
-listening socket.  Each connection is framed by
-:mod:`repro.serve.http11`; each admitted request is stamped onto the
-server's virtual clock and handled by its sticky node on a thread
-executor, serialized per node by an asyncio lock so node state needs no
-extra synchronisation (the lane-per-shard discipline, transplanted to
-sockets).
+listening socket.  There is one request path and it runs on the event
+loop: a connection appends received bytes to its buffer,
+:func:`~repro.serve.http11.parse_request` frames a request from it, the
+request is stamped onto the server's virtual clock, admitted, handled by
+its sticky node *inline* and answered with one ``transport.write``.
+Nothing is allocated per request beyond the wake-up future: each
+connection has one serving task, one idle timer and one buffer.  Node
+state needs no synchronisation because only the loop thread touches it.
 
 Determinism across the socket boundary: timestamps are strictly
-increasing microseconds assigned on the event loop, so sorting the live
-CLF log reproduces exactly the per-node handling order the live run
-used — replaying the log through a fresh network yields the same
-census and verdict set (the record→replay invariance, now bridged over
-TCP).  To keep that bridge intact the trace logs only requests that
-reached a node: admission sheds and the server-local CAPTCHA endpoints
-never entered detection, so they are counted in metrics but stay out
-of the log (the same out-of-band funnel the record CLI documents).
+increasing microseconds, and stamping and handling a request are one
+synchronous call, so stamp order *is* handling order — sorting the live
+CLF log reproduces exactly the per-node order the live run used, and
+replaying the log through a fresh network yields the same census and
+verdict set (the record→replay invariance, now bridged over TCP).  To
+keep that bridge intact the trace logs only requests that reached a
+node: admission sheds, handler failures and the server-local CAPTCHA
+endpoints are counted in metrics but stay out of the log (the same
+out-of-band funnel the record CLI documents).
+
+Admission: nothing ever waits *inside* a node, so the backlog ``shed``
+and ``adaptive`` act on is what waits in front of the loop: connections
+whose bytes have arrived (one ``select`` can return many) and whose
+request has not been dispatched yet.
 
 Client identity: every socket shows the peer address, so the server can
 trust ``X-Forwarded-For`` (on by default — the swarm and any fronting
@@ -29,8 +37,8 @@ untrusted peers directly.
 from __future__ import annotations
 
 import asyncio
+import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -81,6 +89,12 @@ _CHALLENGE_PAGE = f"""<html><body>
 </form>
 </body></html>"""
 
+#: Bytes a connection buffers behind a stalled response before it stops
+#: reading the socket (reading resumes once the parser asks for more).
+_READ_AHEAD = 1 << 16
+
+_logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -99,12 +113,10 @@ class ServeConfig:
     trace_path: str | None = None
     #: Probe journal written at close; None skips it.
     probes_path: str | None = None
-    #: Handler threads; per-node locks serialize each node, so this
-    #: bounds cross-node parallelism.
-    handler_threads: int = 4
-    #: Admission policy: "block" queues on the node lock, "shed"
-    #: refuses (503) once a node's backlog hits ``max_pending_per_node``,
-    #: "adaptive" runs the delay-budget controller per node lane.
+    #: Admission policy: "block" admits everything (the queue is the
+    #: kernel's: unread sockets), "shed" refuses (503) once a node's
+    #: backlog hits ``max_pending_per_node``, "adaptive" runs the
+    #: delay-budget controller per node lane.
     policy: str = "block"
     max_pending_per_node: int = 64
     adaptive: "AdaptiveConfig | None" = None
@@ -121,8 +133,10 @@ class ServeConfig:
             raise ValueError(
                 f"policy must be block/shed/adaptive, got {self.policy!r}"
             )
-        if self.policy == "adaptive" and self.adaptive is None:
-            object.__setattr__(self, "policy", "adaptive")
+        if self.adaptive is not None and self.policy != "adaptive":
+            raise ValueError(
+                "adaptive admission tuning requires policy='adaptive'"
+            )
         if self.keep_alive_timeout <= 0:
             raise ValueError("keep_alive_timeout must be positive")
         if self.max_requests_per_connection < 1:
@@ -131,6 +145,131 @@ class ServeConfig:
             raise ValueError("max_pending_per_node must be >= 1")
         if self.housekeeping_interval < 0:
             raise ValueError("housekeeping_interval must be non-negative")
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: receive buffer, wake-up future, idle timer.
+
+    The transport's callbacks only record what happened and wake the
+    connection's serving task (:meth:`DetectorServer._serve`), which
+    sleeps in :meth:`more` or :meth:`drained`; everything else runs in
+    that task.
+    """
+
+    def __init__(self, server: "DetectorServer") -> None:
+        self._server = server
+        self._loop = server._loop
+        self.buffer = bytearray()
+        #: The peer has finished sending (or the connection is gone).
+        self.eof = False
+        #: The idle deadline passed with no response written.
+        self.expired = False
+        self._queued = False
+        self._waiter: asyncio.Future | None = None
+        self._writable = True
+
+    # -- transport callbacks ------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.accepted = time.perf_counter()
+        peer = transport.get_extra_info("peername")
+        self.peer_ip = peer[0] if peer else "0.0.0.0"
+        server = self._server
+        #: Admission lane: the node of the previous request (the peer's
+        #: own until a request says otherwise).
+        self.lane = server._network.node_index_for(self.peer_ip)
+        timeout = server._config.keep_alive_timeout
+        self.deadline = self._loop.time() + timeout
+        self._timer = self._loop.call_later(timeout, self._check_idle)
+        self.task = self._loop.create_task(server._serve(self))
+        server._connections.add(self)
+        server.metrics.connections.inc()
+        server.metrics.open_connections.set(len(server._connections))
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if not self._writable:
+            # The task is behind a stalled response: bound the read-ahead.
+            if len(self.buffer) > _READ_AHEAD:
+                self.transport.pause_reading()
+        elif self._waiter is not None:
+            if not self._queued:
+                self._queued = True
+                self._server._pending[self.lane] += 1
+            self._wake()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        self._wake()
+        # Half-close: keep the write side open for the pending response.
+        return True
+
+    def connection_lost(self, exc) -> None:
+        self.eof = True
+        self._wake()
+        self._timer.cancel()
+        server = self._server
+        server._connections.discard(self)
+        server.metrics.open_connections.set(len(server._connections))
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self.transport.resume_reading()
+        self._wake()
+
+    # -- the serving task's side --------------------------------------------
+
+    async def more(self) -> bool:
+        """Sleep until bytes arrive or the stream ends.
+
+        False once the idle deadline has passed: give the connection up.
+        """
+        if not (self.eof or self.expired):
+            await self._sleep()
+        return not self.expired
+
+    async def drained(self) -> bool:
+        """Back-pressure: sleep while the transport's write buffer is
+        over its high-water mark.  False if the peer never drained it."""
+        while not self._writable:
+            if self.transport.is_closing():
+                return False
+            await self._sleep()
+        return True
+
+    async def _sleep(self) -> None:
+        self._waiter = self._loop.create_future()
+        try:
+            await self._waiter
+        finally:
+            self._waiter = None
+            if self._queued:
+                # Running again: no longer waiting in front of the loop.
+                self._queued = False
+                self._server._pending[self.lane] -= 1
+
+    def _wake(self) -> None:
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _check_idle(self) -> None:
+        # One timer per connection, armed until the transport is gone:
+        # re-armed to the deadline each response pushed forward, never
+        # per request.  It cuts an idle connection, a trickled request
+        # and a response (or closing flush) the peer stopped reading.
+        remaining = self.deadline - self._loop.time()
+        if remaining > 0:
+            self._timer = self._loop.call_later(remaining, self._check_idle)
+        else:
+            self.expired = True
+            self._server.metrics.timeouts.inc()
+            self._wake()
+            self.transport.abort()
 
 
 class DetectorServer:
@@ -147,8 +286,8 @@ class DetectorServer:
         self._config = config or ServeConfig()
         self.metrics = ServeMetrics()
         self._server: asyncio.base_events.Server | None = None
-        self._pool: ThreadPoolExecutor | None = None
-        self._locks = [asyncio.Lock() for _ in network.nodes]
+        self._connections: set[_Connection] = set()
+        #: Per node: connections woken by bytes, not yet dispatched.
         self._pending = [0] * len(network.nodes)
         #: EWMA of per-node handle seconds, seeding the adaptive
         #: controller's predicted queue delay.
@@ -165,11 +304,10 @@ class DetectorServer:
                 lanes=len(network.nodes),
                 metrics=self.metrics.registry,
             )
-        self._epoch: float | None = None
+        self._epoch = time.monotonic()
         self._last_us = 0
-        self._open_connections = 0
         self._trace_handle = None
-        self._housekeeper: asyncio.Task | None = None
+        self._housekeeper: asyncio.TimerHandle | None = None
         #: Every exchange that reached a node, in completion order
         #: (the live log holds the same lines, streamed).
         self.records: list[TraceRecord] = []
@@ -186,11 +324,6 @@ class DetectorServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         cfg = self._config
-        self._epoch = time.monotonic()
-        self._pool = ThreadPoolExecutor(
-            max_workers=cfg.handler_threads,
-            thread_name_prefix="repro-serve",
-        )
         if cfg.ladder is not None:
             for node in self._network.nodes:
                 node.enable_ladder(cfg.ladder)
@@ -198,12 +331,13 @@ class DetectorServer:
             node.detection.registry.add_listener(self._observe_probe)
         if cfg.trace_path is not None:
             self._trace_handle = open_trace_file(cfg.trace_path, "wt")
-        self._server = await asyncio.start_server(
-            self._on_connection, cfg.host, cfg.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), cfg.host, cfg.port
         )
         if cfg.housekeeping_interval:
-            self._housekeeper = asyncio.get_running_loop().create_task(
-                self._housekeeping_loop()
+            self._housekeeper = self._loop.call_later(
+                cfg.housekeeping_interval, self._housekeeping
             )
 
     @property
@@ -225,21 +359,23 @@ class DetectorServer:
         await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting, flush the trace, write the probe journal."""
+        """Stop accepting, end open connections, flush the trace and
+        write the probe journal."""
         if self._housekeeper is not None:
             self._housekeeper.cancel()
-            try:
-                await self._housekeeper
-            except asyncio.CancelledError:
-                pass
             self._housekeeper = None
         if self._server is not None:
             self._server.close()
+            # Whatever is still open is an idle keep-alive connection or
+            # a response its peer is slow to read; ``wait_closed`` (3.12+)
+            # would wait out the idle timeout of either.
+            open_now = list(self._connections)
+            for connection in open_now:
+                connection.transport.abort()
+            if open_now:
+                await asyncio.wait([c.task for c in open_now])
             await self._server.wait_closed()
             self._server = None
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         for node in self._network.nodes:
             node.detection.registry.remove_listener(self._observe_probe)
         if self._trace_handle is not None:
@@ -305,100 +441,90 @@ class DetectorServer:
 
     # -- connection handling ------------------------------------------------
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve(self, connection: _Connection) -> None:
+        """A connection's one task: frame, dispatch, answer, repeat."""
+        cfg = self._config
         m = self.metrics
-        m.connections.inc()
-        self._open_connections += 1
-        m.open_connections.set(self._open_connections)
-        peer = writer.get_extra_info("peername")
-        peer_ip = peer[0] if peer else "0.0.0.0"
-        accepted = time.perf_counter()
         served = 0
         try:
             while True:
                 try:
-                    parsed = await asyncio.wait_for(
-                        read_request(
-                            reader,
-                            default_host=self._default_host,
-                            limits=self._config.limits,
-                        ),
-                        timeout=self._config.keep_alive_timeout,
+                    parsed = await read_request(
+                        connection,
+                        default_host=self._default_host,
+                        limits=cfg.limits,
                     )
-                except asyncio.TimeoutError:
-                    m.timeouts.inc()
-                    break
                 except HttpParseError as exc:
                     self.parse_errors += 1
                     m.note_parse_error(exc.status)
-                    await self._write(
-                        writer,
-                        error_response(exc.status, exc.message),
-                        head=False,
-                        keep_alive=False,
+                    self._write(
+                        connection, error_response(exc.status, exc.message)
                     )
-                    break
-                except (ConnectionResetError, OSError):
                     break
                 if parsed is None:
                     break
                 served += 1
                 if served == 1:
                     m.observe_stage(
-                        "accept", time.perf_counter() - accepted
+                        "accept", time.perf_counter() - connection.accepted
                     )
                 else:
                     m.keepalive_reuses.inc()
                 m.observe_stage("parse", parsed.parse_seconds)
                 keep_alive = (
                     parsed.keep_alive
-                    and served < self._config.max_requests_per_connection
+                    and served < cfg.max_requests_per_connection
                 )
-                response, head = await self._dispatch(parsed, peer_ip)
                 try:
-                    await self._write(
-                        writer, response, head=head, keep_alive=keep_alive
-                    )
-                except (ConnectionResetError, BrokenPipeError, OSError):
-                    break
-                if not keep_alive:
+                    response = self._dispatch(parsed, connection)
+                except Exception:
+                    # The boundary that must keep serving: a failure in
+                    # the pipeline costs this connection, not the server.
+                    _logger.exception("handler failed: %s", parsed.url)
+                    m.handler_errors.inc()
+                    response = error_response(500, "handler failed")
+                    keep_alive = False
+                m.note_request(response.status)
+                self._write(
+                    connection,
+                    response,
+                    head=parsed.method is Method.HEAD,
+                    keep_alive=keep_alive,
+                )
+                if not (keep_alive and await connection.drained()):
                     break
         finally:
-            self._open_connections -= 1
-            m.open_connections.set(self._open_connections)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, OSError):
-                pass
+            # Flushes what is buffered; the idle timer bounds the wait.
+            connection.transport.close()
 
-    async def _write(
+    def _write(
         self,
-        writer: asyncio.StreamWriter,
+        connection: _Connection,
         response: Response,
-        head: bool,
-        keep_alive: bool,
+        head: bool = False,
+        keep_alive: bool = False,
     ) -> None:
         started = time.perf_counter()
-        writer.write(render_response(response, head=head, keep_alive=keep_alive))
-        await writer.drain()
+        connection.transport.write(
+            render_response(response, head=head, keep_alive=keep_alive)
+        )
         self.metrics.observe_stage("write", time.perf_counter() - started)
+        connection.deadline = (
+            self._loop.time() + self._config.keep_alive_timeout
+        )
 
     # -- request dispatch ---------------------------------------------------
 
-    async def _dispatch(
-        self, parsed: ParsedRequest, peer_ip: str
-    ) -> tuple[Response, bool]:
+    def _dispatch(
+        self, parsed: ParsedRequest, connection: _Connection
+    ) -> Response:
+        """Stamp, admit and handle one request, synchronously."""
         cfg = self._config
-        m = self.metrics
-        head = parsed.method is Method.HEAD
-        client_ip = peer_ip
+        client_ip = connection.peer_ip
         if cfg.trust_forwarded_for:
             forwarded = parsed.headers.get("X-Forwarded-For")
             if forwarded:
-                client_ip = forwarded.split(",")[0].strip() or peer_ip
+                client_ip = forwarded.split(",")[0].strip() or client_ip
                 # Consumed as addressing metadata; the pipeline sees the
                 # same header set a replayed trace record will rebuild.
                 parsed.headers.remove("X-Forwarded-For")
@@ -411,44 +537,31 @@ class DetectorServer:
         )
 
         if request.url.path.startswith("/__captcha__"):
-            response = self._captcha(request, parsed.body)
-            m.note_request(response.status)
-            return response, head
+            return self._captcha(request, parsed.body)
 
-        index = self._network.node_index_for(client_ip)
+        index = connection.lane = self._network.node_index_for(client_ip)
         if not self._admit(index, client_ip):
             self.shed_count += 1
-            m.shed.inc()
+            self.metrics.shed.inc()
             response = error_response(
                 503, "overloaded: request shed at admission"
             )
             response.headers.set("Retry-After", "1")
-            m.note_request(response.status)
-            return response, head
+            return response
 
-        node = self._network.nodes[index]
-        self._pending[index] += 1
-        try:
-            async with self._locks[index]:
-                started = time.perf_counter()
-                response = await asyncio.get_running_loop().run_in_executor(
-                    self._pool, self._handle_on_node, node, request
-                )
-                elapsed = time.perf_counter() - started
-        finally:
-            self._pending[index] -= 1
+        started = time.perf_counter()
+        response = self._handle_on_node(self._network.nodes[index], request)
+        elapsed = time.perf_counter() - started
         self._ewma[index] += 0.2 * (elapsed - self._ewma[index])
-        m.observe_stage("handle", elapsed)
+        self.metrics.observe_stage("handle", elapsed)
 
         for tap in self._network.taps:
             tap(request, response)
         self._log(request, response)
         self.requests_handled += 1
-        m.note_request(response.status)
-        return response, head
+        return response
 
     def _handle_on_node(self, node, request: Request) -> Response:
-        """Runs on the handler pool, serialized by the node's lock."""
         response, outcome = node.handle_traced(request)
         if self._config.ladder is not None and outcome is not None:
             verdict = outcome.verdict
@@ -485,11 +598,13 @@ class DetectorServer:
         if request.url.path == CHALLENGE_PATH:
             return html_response(_CHALLENGE_PAGE, uncacheable=True)
         if request.url.path == VERIFY_PATH:
-            answer = _form_field(
+            from urllib.parse import parse_qs
+
+            form = parse_qs(
                 body.decode("latin-1") if body else request.url.query,
-                "answer",
+                encoding="latin-1",
             )
-            passed = answer == _CHALLENGE_TOKEN
+            passed = form.get("answer", [""])[0] == _CHALLENGE_TOKEN
             node = self._network.node_for(request.client_ip)
             ladder = node.ladder_for(request.client_ip)
             if ladder is not None:
@@ -497,10 +612,9 @@ class DetectorServer:
                     request.client_ip, passed, request.timestamp
                 )
             if passed:
-                response = Response(
+                return Response(
                     status=302, headers=Headers([("Location", "/")])
                 )
-                return response
             return error_response(403, "challenge failed")
         return error_response(404)
 
@@ -509,11 +623,10 @@ class DetectorServer:
     def _stamp(self) -> float:
         """Next virtual timestamp: strictly increasing microseconds.
 
-        Assigned on the event loop, so stamp order is exactly the order
-        requests enter their per-node locks — which makes the sorted
-        trace replay in the same per-node order the live run handled.
+        A request is stamped and handled in one synchronous call, so
+        stamp order is handling order — which makes the sorted trace
+        replay in the same per-node order the live run handled.
         """
-        assert self._epoch is not None
         now_us = int((time.monotonic() - self._epoch) * 1_000_000)
         if now_us <= self._last_us:
             now_us = self._last_us + 1
@@ -524,49 +637,15 @@ class DetectorServer:
         record = TraceRecord.from_exchange(request, response)
         self.records.append(record)
         if self._trace_handle is not None:
-            self._trace_handle.write(format_clf_line(record))
-            self._trace_handle.write("\n")
+            self._trace_handle.write(format_clf_line(record) + "\n")
 
     def _observe_probe(self, probe) -> None:
-        # Registry listener; fires on handler threads (list.append is
-        # atomic under the GIL).
+        # Registry listener; fires inside the node's handling, on the loop.
         self.probes.append(ProbeRecord.from_probe(probe))
 
-    async def _housekeeping_loop(self) -> None:
-        interval = self._config.housekeeping_interval
-        loop = asyncio.get_running_loop()
-        while True:
-            await asyncio.sleep(interval)
-            for index, node in enumerate(self._network.nodes):
-                async with self._locks[index]:
-                    await loop.run_in_executor(
-                        self._pool, node.housekeeping, self._stamp()
-                    )
-
-
-def _form_field(encoded: str, name: str) -> str | None:
-    """Minimal ``application/x-www-form-urlencoded`` field lookup."""
-    for pair in encoded.split("&"):
-        key, sep, value = pair.partition("=")
-        if sep and key == name:
-            return _unquote_plus(value)
-    return None
-
-
-def _unquote_plus(value: str) -> str:
-    value = value.replace("+", " ")
-    out = []
-    index = 0
-    while index < len(value):
-        char = value[index]
-        if char == "%" and index + 2 < len(value) + 1:
-            hex_part = value[index + 1 : index + 3]
-            try:
-                out.append(chr(int(hex_part, 16)))
-                index += 3
-                continue
-            except ValueError:
-                pass
-        out.append(char)
-        index += 1
-    return "".join(out)
+    def _housekeeping(self) -> None:
+        for node in self._network.nodes:
+            node.housekeeping(self._stamp())
+        self._housekeeper = self._loop.call_later(
+            self._config.housekeeping_interval, self._housekeeping
+        )

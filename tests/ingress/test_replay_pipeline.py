@@ -9,7 +9,6 @@ shedding must be visible in the stats, never silent.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import pickle
 
@@ -18,13 +17,11 @@ import pytest
 
 from repro.detection.online import OnlineClassifier
 from repro.ingress.batcher import MicroBatchConfig
-from repro.ingress.frontend import AsyncIngress, ThreadedDriver
 from repro.ingress.pipeline import (
     IngressConfig,
     IngressPipeline,
     replay_workers,
 )
-from repro.ingress.workers import PROBE_EVENT, REQUEST_EVENT
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.stump import DecisionStump
 from repro.proxy.network import ProxyNetwork
@@ -412,74 +409,6 @@ class TestFrontends:
         return IngressPipeline(
             network, replay_workers(network, config), config
         )
-
-    @staticmethod
-    def _events(recorded):
-        """Timestamp-interleaved event stream (probes before requests
-        at equal times), the order the replay engine admits in."""
-        records, probes = recorded
-        merged = [
-            (probe.issued_at, 0, (PROBE_EVENT, probe), probe.client_ip)
-            for probe in probes
-        ] + [
-            (record.timestamp, 1, (REQUEST_EVENT, record), record.client_ip)
-            for record in records
-        ]
-        merged.sort(key=lambda entry: (entry[0], entry[1]))
-        for _time, _priority, event, client_ip in merged:
-            yield event, client_ip
-
-    def test_async_frontend_matches_synchronous(self, recorded):
-        baseline = _replay(recorded)
-
-        async def drive():
-            ingress = await AsyncIngress(self._pipeline()).start()
-            for event, client_ip in self._events(recorded):
-                await ingress.submit(event, client_ip)
-            return await ingress.close()
-
-        result = asyncio.run(drive())
-        assert result.session_sets().summary() == baseline.summary
-        assert result.handled == baseline.requests_replayed
-        assert result.probes_loaded == baseline.probes_loaded
-
-    def test_threaded_driver_matches_synchronous(self, recorded):
-        baseline = _replay(recorded)
-        driver = ThreadedDriver(self._pipeline(executor="serial"))
-        result = driver.start(self._events(recorded)).join()
-        assert result.session_sets().summary() == baseline.summary
-        assert result.handled == baseline.requests_replayed
-
-    def test_async_frontend_surfaces_worker_failure(self):
-        """A pump-task death must raise, never strand producers on a
-        full hand-off queue."""
-
-        class ExplodingWorker:
-            def process(self, event):
-                raise RuntimeError("lane blew up")
-
-            def finish(self):
-                return None
-
-        network = ProxyNetwork(
-            origins={},
-            rng=RngStream(0, "replay"),
-            n_nodes=1,
-            instrument_enabled=False,
-        )
-        config = IngressConfig(executor="serial")
-        pipeline = IngressPipeline(network, [ExplodingWorker()], config)
-
-        async def drive():
-            ingress = await AsyncIngress(
-                pipeline, max_pending=4
-            ).start()
-            for index in range(64):  # far beyond max_pending
-                await ingress.submit(("request", index), "10.0.0.1")
-            return await ingress.close()
-
-        with pytest.raises(RuntimeError, match="admission failed"):
-            asyncio.run(drive())
 
     def test_pipeline_rejects_double_close(self):
         pipeline = self._pipeline(executor="serial")
