@@ -13,23 +13,22 @@ import itertools
 
 from repro.experiments.overhead import OverheadResult
 from repro.instrument.js_beacon import build_beacon_script
-from repro.instrument.obfuscator import obfuscate_beacon
+from repro.instrument.rewriter import InstrumentConfig
 from repro.util.rng import RngStream
 
 
 def test_bench_beacon_generation(benchmark, codeen_week):
     rng = RngStream(99, "bench-overhead")
     counter = itertools.count()
+    config = InstrumentConfig()
 
     def generate_one():
-        i = next(counter)
-        script = build_beacon_script(
-            rng.split(f"s{i}"), "www.example.com", decoys=4
-        )
-        source, _ = obfuscate_beacon(
-            script.source, script.handler_expression, rng.split(f"o{i}")
-        )
-        return source
+        # As PageInstrumenter does: one stream per script, one emitter call.
+        return build_beacon_script(
+            rng.split(f"s{next(counter)}"), "www.example.com",
+            decoys=config.decoys, key_bits=config.key_bits,
+            junk_statements=config.junk_statements,
+        ).source
 
     source = benchmark(generate_one)
     size = len(source.encode("utf-8"))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.experiments.table1 import run_codeen_week_cached
 from repro.instrument.js_beacon import build_beacon_script
-from repro.instrument.obfuscator import obfuscate_beacon
+from repro.instrument.rewriter import InstrumentConfig
 from repro.util.rng import RngStream
 
 
@@ -46,20 +46,23 @@ class OverheadResult:
 def measure_generation(
     samples: int = 200, decoys: int = 4, seed: int = 99
 ) -> tuple[float, float]:
-    """Mean (seconds, bytes) to build + obfuscate one beacon script."""
+    """Mean (seconds, bytes) to emit one obfuscated beacon script.
+
+    What the proxy runs per page: one stream split, one emitter call at
+    the default junk level.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = RngStream(seed, "overhead")
+    junk_statements = InstrumentConfig().junk_statements
     total_bytes = 0
     start = time.perf_counter()
     for i in range(samples):
         script = build_beacon_script(
-            rng.split(f"s{i}"), "www.example.com", decoys=decoys
+            rng.split(f"s{i}"), "www.example.com", decoys=decoys,
+            junk_statements=junk_statements,
         )
-        source, _ = obfuscate_beacon(
-            script.source, script.handler_expression, rng.split(f"o{i}")
-        )
-        total_bytes += len(source.encode("utf-8"))
+        total_bytes += script.size
     elapsed = time.perf_counter() - start
     return elapsed / samples, total_bytes / samples
 

@@ -1,12 +1,36 @@
 """Mouse-movement beacon JavaScript (§2.1, Figure 1 of the paper).
 
-``build_beacon_script`` generates the external ``.js`` file the rewritten
-page references: ``m + 1`` look-alike functions, each guarded by a
-``do_once`` flag and fetching a fake image whose URL embeds a key.  Exactly
-one function — the one wired to the page's ``onmousemove`` handler —
-carries the real key ``k``; the other ``m`` are decoys with random wrong
-keys, so a robot that blindly fetches a URL out of the script picks a
-wrong key with probability ``m / (m + 1)``.
+:func:`build_beacon_script` is the one emitter of the external ``.js``
+file the rewritten page references: ``m + 1`` look-alike functions, each
+guarded by a ``do_once`` flag and fetching a fake image whose URL embeds a
+key.  Exactly one function — the one wired to the page's ``onmousemove``
+handler — carries the real key ``k``; the other ``m`` are decoys with
+random wrong keys, so a robot that blindly fetches a URL out of the script
+picks a wrong key with probability ``m / (m + 1)``.
+
+The emitter also applies §2.1's lexical obfuscation when asked to
+(``junk_statements`` given): identifiers become hex-soup names
+(``_0x3fa2c1``) and junk declarations, arithmetic and misleading comments
+go between the top-level constructs.  It does so while it emits — names
+come from a dict as the blocks are walked, junk goes into the list of
+pieces, and the text is joined once — not by rewriting finished text.
+URLs stay literal: the scheme's security comes from the decoys, and a
+findable URL is what lets us model the blind-fetching robot.
+
+**The draw order is part of the contract.**  Every key, name and junk
+statement is a draw on the caller's stream, recorded traces depend on all
+of them, and the repo benchmark cannot notice a change (it re-records its
+script from the tree under test).  In order: the real key, then the decoy
+keys (``getrandbits(key_bits)``, a duplicate is redrawn); the ``m + 1``
+function names ``f_%06x``, handler first; the shuffle of the functions;
+per shuffled function its guard ``g_%06x`` then its image variable
+``i_%06x``; when obfuscating, the new names ``_0x%06x`` in order of first
+appearance in the text — per function: guard, function, image variable —
+where a name already seen draws nothing (24-bit names can collide); then
+per junk statement the insertion point, the kind, and the kind's own
+numbers.  :mod:`repro.instrument.obfuscator` keeps the string-level
+transformation this replaces; ``tests/instrument/test_identity.py`` holds
+the two equal on cloned streams.
 
 The module also provides the two *client-side* readings of that script:
 
@@ -22,17 +46,28 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.util.ids import random_hex_key
 from repro.util.rng import RngStream
 
 _HANDLER_EXPR_RE = re.compile(r"return\s+([A-Za-z_$][\w$]*)\s*\(\s*\)")
 _URL_RE = re.compile(r"['\"](https?://[^'\"]+)['\"]")
 _FUNCTION_RE = re.compile(r"function\s+([A-Za-z_$][\w$]*)\s*\(\s*\)")
 
+JUNK_COMMENTS = (
+    "/* cache warm-up */",
+    "/* layout metrics */",
+    "/* preload hints */",
+    "/* compat shim */",
+)
+
 
 @dataclass(frozen=True)
 class BeaconScript:
-    """A generated beacon script and the bookkeeping the server records."""
+    """A generated beacon script and the bookkeeping the server records.
+
+    ``handler_function`` is the ``f_…`` name drawn for the real function;
+    an obfuscated ``source`` spells it differently, and
+    ``handler_expression`` always calls it by the name ``source`` uses.
+    """
 
     source: str
     handler_function: str
@@ -53,25 +88,29 @@ class BeaconScript:
         return len(self.source.encode("utf-8"))
 
 
-def _identifier(rng: RngStream, prefix: str) -> str:
-    return f"{prefix}_{random_hex_key(rng, 24)}"
+def check_script_parameters(
+    decoys: int, key_bits: int, junk_statements: int | None
+) -> None:
+    """Reject parameters no script can be generated for.
 
-
-def _beacon_function(name: str, guard: str, image_var: str, url: str) -> str:
-    """One beacon function in the shape of the paper's Figure 1."""
-    return (
-        f"var {guard} = false;\n"
-        f"function {name}()\n"
-        "{\n"
-        f"  if ({guard} == false) {{\n"
-        f"    var {image_var} = new Image();\n"
-        f"    {guard} = true;\n"
-        f"    {image_var}.src = '{url}';\n"
-        "    return true;\n"
-        "  }\n"
-        "  return false;\n"
-        "}\n"
-    )
+    ``decoys + 1`` distinct keys must exist in the key space, or the
+    emitter would redraw duplicates forever.
+    """
+    if decoys < 0:
+        raise ValueError(f"decoys must be non-negative, got {decoys}")
+    if key_bits <= 0 or key_bits % 4 != 0:
+        raise ValueError(
+            f"key_bits must be a positive multiple of 4, got {key_bits}"
+        )
+    if decoys >= 1 << key_bits:
+        raise ValueError(
+            f"{decoys} decoys plus the real key need more than the "
+            f"{1 << key_bits} distinct keys of {key_bits} bits"
+        )
+    if junk_statements is not None and junk_statements < 0:
+        raise ValueError(
+            f"junk_statements must be non-negative, got {junk_statements}"
+        )
 
 
 def build_beacon_script(
@@ -79,56 +118,122 @@ def build_beacon_script(
     host: str,
     decoys: int = 4,
     key_bits: int = 128,
+    junk_statements: int | None = None,
 ) -> BeaconScript:
     """Generate a beacon script for one page served to one client.
 
     Parameters
     ----------
     rng:
-        Randomness source (keys, decoys, identifier names, ordering).
+        Randomness source (keys, decoys, identifier names, ordering,
+        obfuscation), drawn from in the order the module docstring fixes.
     host:
         The site host the fake image URLs live on.
     decoys:
         ``m`` — the number of wrong-key look-alike functions.
     key_bits:
         Size of the random key space (the paper uses 2^128).
+    junk_statements:
+        ``None`` emits the plain script in the shape of the paper's
+        Figure 1.  A number obfuscates it: identifiers are renamed and
+        that many junk statements are interleaved (``0`` renames only).
     """
-    if decoys < 0:
-        raise ValueError(f"decoys must be non-negative, got {decoys}")
+    check_script_parameters(decoys, key_bits, junk_statements)
+    bits = rng.getrandbits
+    key_width = key_bits // 4
 
-    real_key = random_hex_key(rng, key_bits)
-    decoy_keys: list[str] = []
-    seen = {real_key}
-    while len(decoy_keys) < decoys:
-        candidate = random_hex_key(rng, key_bits)
-        if candidate not in seen:
-            seen.add(candidate)
-            decoy_keys.append(candidate)
+    # Insertion-ordered and duplicate-free: a key drawn twice is drawn again.
+    keys: dict[str, None] = {}
+    while len(keys) <= decoys:
+        keys[f"{bits(key_bits):0{key_width}x}"] = None
+    real_key, *decoy_keys = keys
 
     real_path = f"/{real_key}.jpg"
-    decoy_paths = [f"/{k}.jpg" for k in decoy_keys]
+    decoy_paths = [f"/{key}.jpg" for key in decoy_keys]
 
-    handler_function = _identifier(rng, "f")
-    entries = [(handler_function, f"http://{host}{real_path}")]
+    handler = f"f_{bits(24):06x}"
+    entries = [(handler, f"http://{host}{real_path}")]
     for path in decoy_paths:
-        entries.append((_identifier(rng, "f"), f"http://{host}{path}"))
+        entries.append((f"f_{bits(24):06x}", f"http://{host}{path}"))
     entries = rng.shuffled(entries)
 
-    parts = []
+    blocks = []
     for name, url in entries:
-        guard = _identifier(rng, "g")
-        image_var = _identifier(rng, "i")
-        parts.append(_beacon_function(name, guard, image_var, url))
+        guard = f"g_{bits(24):06x}"
+        image_var = f"i_{bits(24):06x}"
+        blocks.append((guard, name, image_var, url))
+
+    # Two pieces per function — its guard declaration and the function
+    # itself — which are also the only places junk may go in front of.
+    obfuscate = junk_statements is not None
+    renamed: dict[str, str] = {}
+    pieces = []
+    for guard, name, image_var, url in blocks:
+        if obfuscate:
+            # New names in order of first appearance in the text.  A name
+            # seen before (24-bit names can collide) keeps its new name
+            # and draws nothing.
+            for old in (guard, name, image_var):
+                if old not in renamed:
+                    renamed[old] = f"_0x{bits(24):06x}"
+            guard, name, image_var = (
+                renamed[guard], renamed[name], renamed[image_var]
+            )
+        pieces.append(f"var {guard} = false;")
+        pieces.append(
+            f"function {name}()\n"
+            "{\n"
+            f"  if ({guard} == false) {{\n"
+            f"    var {image_var} = new Image();\n"
+            f"    {guard} = true;\n"
+            f"    {image_var}.src = '{url}';\n"
+            "    return true;\n"
+            "  }\n"
+            "  return false;\n"
+            "}"
+        )
+    if junk_statements:
+        pieces = _with_junk(pieces, rng, junk_statements)
 
     return BeaconScript(
-        source="".join(parts),
-        handler_function=handler_function,
-        handler_expression=f"return {handler_function}();",
+        source="\n".join(pieces) + "\n",
+        handler_function=handler,
+        handler_expression=f"return {renamed.get(handler, handler)}();",
         real_key=real_key,
         real_image_path=real_path,
         decoy_keys=tuple(decoy_keys),
         decoy_image_paths=tuple(decoy_paths),
     )
+
+
+def _with_junk(pieces: list[str], rng: RngStream, count: int) -> list[str]:
+    """``pieces`` with ``count`` junk lines, each in front of a drawn piece.
+
+    A junk line goes directly in front of its piece, behind any junk put
+    there earlier, and never becomes an insertion point itself.
+    """
+    bits = rng.getrandbits
+    randint = rng.randint
+    ahead: list[list[str]] = [[] for _ in pieces]
+    slots = range(len(pieces))
+    for _ in range(count):
+        slot = rng.choice(slots)
+        kind = randint(0, 2)
+        if kind == 0:
+            junk = f"var _0x{bits(24):06x} = {randint(0, 1 << 30)};"
+        elif kind == 1:
+            junk = (
+                f"var _0x{bits(24):06x} = ({randint(1, 999)} * "
+                f"{randint(1, 999)}) % {randint(2, 97)};"
+            )
+        else:
+            junk = rng.choice(JUNK_COMMENTS)
+        ahead[slot].append(junk)
+    return [
+        line
+        for junk, piece in zip(ahead, pieces)
+        for line in (*junk, piece)
+    ]
 
 
 def find_handler_fetch_url(script_source: str, handler_expression: str) -> str | None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from repro.http.message import Request
 
@@ -35,13 +35,15 @@ class BeaconKind(Enum):
     UA_PROBE = "ua_probe"
 
 
-@dataclass(frozen=True)
-class RegisteredProbe:
+class RegisteredProbe(NamedTuple):
     """One outstanding injected object for one client IP.
 
     ``path`` is the exact URL path, except for ``UA_PROBE`` entries where
     it is a directory prefix (the echoed User-Agent completes the path).
     ``is_real_key`` distinguishes the genuine mouse-image key from decoys.
+
+    A named tuple, not a dataclass: a page registers ten of these, and a
+    tuple is immutable and hashable at C construction cost.
     """
 
     kind: BeaconKind
@@ -116,11 +118,18 @@ class InstrumentationRegistry:
         if listener in self._listeners:
             self._listeners.remove(listener)
 
+    def register_page(self, probes: Sequence[RegisteredProbe]) -> None:
+        """Add the probes of one page, all issued to one client IP.
+
+        Equivalent to :meth:`register`-ing them one by one in order —
+        same table, same eviction, each listener called once per probe
+        in probe order — at one table lookup and one trim per page.
+        """
+        self._insert(probes, self._listeners)
+
     def register(self, probe: RegisteredProbe) -> None:
         """Add a probe; evicts the oldest entries past the per-IP cap."""
-        for listener in self._listeners:
-            listener(probe)
-        self.load(probe)
+        self._insert((probe,), self._listeners)
 
     def load(self, probe: RegisteredProbe) -> None:
         """Insert a probe without notifying listeners.
@@ -130,19 +139,51 @@ class InstrumentationRegistry:
         journaled when first registered, so re-firing listeners would
         duplicate them in the recording.
         """
-        table = self._by_ip.setdefault(probe.client_ip, OrderedDict())
-        table[probe.path] = probe
-        table.move_to_end(probe.path)
-        if probe.kind is BeaconKind.UA_PROBE:
-            prefixes = self._ua_prefixes.setdefault(probe.client_ip, OrderedDict())
-            prefixes[probe.path] = probe
-            prefixes.move_to_end(probe.path)
-        while len(table) > self._per_ip_cap:
-            evicted_path, evicted = table.popitem(last=False)
-            if evicted.kind is BeaconKind.UA_PROBE:
-                self._ua_prefixes.get(probe.client_ip, OrderedDict()).pop(
-                    evicted_path, None
+        self._insert((probe,), ())
+
+    def _insert(
+        self,
+        probes: Sequence[RegisteredProbe],
+        listeners: Sequence[Callable[[RegisteredProbe], None]],
+    ) -> None:
+        """The one insertion routine: notify, insert in order, trim once.
+
+        Trimming once is the same as trimming after every insert: either
+        way an IP keeps its ``per_ip_cap`` most recently inserted or
+        refreshed paths in recency order, and its UA-prefix table holds
+        exactly the ``UA_PROBE`` entries among them, in the same order.
+        """
+        if not probes:
+            return
+        client_ip = probes[0].client_ip
+        table = self._by_ip.get(client_ip)
+        if table is None:
+            table = self._by_ip[client_ip] = OrderedDict()
+        prefixes = self._ua_prefixes.get(client_ip)
+        for probe in probes:
+            if probe.client_ip != client_ip:
+                raise ValueError(
+                    "probes inserted together must share one client IP: "
+                    f"{probe.client_ip!r} among those of {client_ip!r}"
                 )
+            for listener in listeners:
+                listener(probe)
+            path = probe.path
+            table[path] = probe
+            table.move_to_end(path)
+            if probe.kind is BeaconKind.UA_PROBE:
+                if prefixes is None:
+                    prefixes = self._ua_prefixes[client_ip] = OrderedDict()
+                prefixes[path] = probe
+                prefixes.move_to_end(path)
+            elif prefixes and path in prefixes:
+                # The path stopped being a prefix; an evicted-and-reissued
+                # one would have lost its entry at eviction.
+                del prefixes[path]
+        for _ in range(len(table) - self._per_ip_cap):
+            evicted_path, evicted = table.popitem(last=False)
+            if evicted.kind is BeaconKind.UA_PROBE and prefixes:
+                prefixes.pop(evicted_path, None)
 
     # -- lookup -----------------------------------------------------------
 

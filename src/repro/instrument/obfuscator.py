@@ -13,22 +13,24 @@ URLs are left literal — the scheme's security comes from the decoys, not
 from hiding URLs, and leaving them findable is exactly what lets us model
 the blind-fetching robot the paper analyses (caught with probability
 ``m/(m+1)``).
+
+This is the string-level form of the transformation: it takes finished
+script text, renames by regular expression and re-splits the lines to
+place junk.  Pages are not served through it —
+:func:`repro.instrument.js_beacon.build_beacon_script` obfuscates while
+it emits, with the same draws in the same order — and it stays as the
+reference the emitter is tested against, and for obfuscating script text
+that came from somewhere else.
 """
 
 from __future__ import annotations
 
 import re
 
+from repro.instrument.js_beacon import JUNK_COMMENTS as _JUNK_COMMENTS
 from repro.util.rng import RngStream
 
 _IDENTIFIER_RE = re.compile(r"\b([fgi]_[0-9a-f]{6})\b")
-
-_JUNK_COMMENTS = (
-    "/* cache warm-up */",
-    "/* layout metrics */",
-    "/* preload hints */",
-    "/* compat shim */",
-)
 
 
 def _hex_name(rng: RngStream) -> str:

@@ -6,12 +6,21 @@ document, registers them in the per-IP table, and marks the page
 uncacheable ("the server marks it uncacheable by adding the response
 header line Cache-Control: no-cache, no-store").
 
-Injection has two code paths: well-formed pages (a ``</head>``, a
-``<body ...>`` and a ``</body>`` — everything the origin emits) are
-rewritten with direct string splices, which keeps per-page cost in the
-tens of microseconds; anything else goes through the HTML parser, which
-synthesises the missing structure first.  Both paths produce the same
-probes.
+The work for a page is one pass.  ``_build_plan`` derives the page's
+stream from ``(client_ip, per-client sequence)``, draws each probe from
+it in a fixed order — CSS beacon, beacon script, script file name, UA
+probe, hidden link; the order is part of the contract, because every key
+in a recorded trace depends on it — and hands the page's probes to the
+registry in one call.  The beacon script has one path:
+:func:`repro.instrument.js_beacon.build_beacon_script` emits it, plain or
+obfuscated, in final form.
+
+The splice has two: well-formed pages (a ``</head>``, a ``<body ...>``
+and a ``</body>`` — everything the origin emits) are rewritten with
+direct string splices, about five microseconds a page, which is why no
+page template is cached; anything else goes through the HTML parser,
+which synthesises the missing structure first.  Both paths carry the
+same probes.
 
 :func:`beacon_response` is the serving half: when a later request matches
 a registered probe, the proxy answers it directly (empty CSS, any JPEG,
@@ -31,14 +40,17 @@ from repro.http.message import Response
 from repro.http.uri import Url
 from repro.instrument.css_beacon import make_css_beacon
 from repro.instrument.hidden_link import make_hidden_link
-from repro.instrument.js_beacon import BeaconScript, build_beacon_script
+from repro.instrument.js_beacon import (
+    BeaconScript,
+    build_beacon_script,
+    check_script_parameters,
+)
 from repro.instrument.keys import (
     BeaconHit,
     BeaconKind,
     InstrumentationRegistry,
     RegisteredProbe,
 )
-from repro.instrument.obfuscator import obfuscate_beacon
 from repro.instrument.ua_probe import make_ua_probe_script
 from repro.util.ids import random_numeric_key
 from repro.util.rng import RngStream
@@ -75,8 +87,9 @@ class InstrumentConfig:
     ua_probe: bool = True
 
     def __post_init__(self) -> None:
-        if self.decoys < 0:
-            raise ValueError("decoys must be non-negative")
+        check_script_parameters(
+            self.decoys, self.key_bits, self.junk_statements
+        )
 
 
 @dataclass
@@ -173,9 +186,25 @@ class PageInstrumenter:
         self._ip_seq[client_ip] = seq + 1
         rng = self._rng.split(f"page|{client_ip}|{seq}")
         host = page_url.host
+        page_path = page_url.path
         plan = _ProbePlan()
         head_parts: list[str] = []
         tail_parts: list[str] = []
+        probes = result.probes
+
+        def issue(
+            kind: BeaconKind,
+            path: str,
+            key: str | None = None,
+            is_real_key: bool = False,
+            payload: bytes = b"",
+        ) -> None:
+            probes.append(
+                RegisteredProbe(
+                    kind, client_ip, host, path, page_path, now,
+                    key, is_real_key, payload,
+                )
+            )
 
         if cfg.css_beacon:
             beacon = make_css_beacon(rng)
@@ -183,63 +212,38 @@ class PageInstrumenter:
                 '<link rel="stylesheet" type="text/css" '
                 f'href="http://{host}{beacon.path}">'
             )
-            self._register(
-                result, BeaconKind.CSS_BEACON, client_ip, host,
-                beacon.path, page_url.path, now,
-            )
+            issue(BeaconKind.CSS_BEACON, beacon.path)
 
         if cfg.mouse_beacon:
             script = build_beacon_script(
-                rng, host, decoys=cfg.decoys, key_bits=cfg.key_bits
+                rng, host, decoys=cfg.decoys, key_bits=cfg.key_bits,
+                junk_statements=cfg.junk_statements if cfg.obfuscate else None,
             )
-            handler_expression = script.handler_expression
-            source = script.source
-            if cfg.obfuscate:
-                source, handler_expression = obfuscate_beacon(
-                    source, handler_expression, rng, cfg.junk_statements
-                )
             # The script file is named like a sibling of the page, as in
             # the paper's "./index_0729395150.js".
             stem = page_url.filename.rsplit(".", 1)[0] or "index"
             js_name = f"{stem}_{random_numeric_key(rng, 10)}.js"
-            js_url = page_url.sibling(js_name)
             head_parts.append(
                 f'<script language="javascript" src="./{js_name}"></script>'
             )
-            plan.body_attribute = handler_expression
+            plan.body_attribute = script.handler_expression
+            result.beacon_script = script
 
-            self._register(
-                result, BeaconKind.BEACON_JS, client_ip, host,
-                js_url.path, page_url.path, now,
-                payload=source.encode("utf-8"),
+            issue(
+                BeaconKind.BEACON_JS, page_url.sibling(js_name).path,
+                payload=script.source.encode("utf-8"),
             )
-            self._register(
-                result, BeaconKind.MOUSE_IMAGE, client_ip, host,
-                script.real_image_path, page_url.path, now,
-                key=script.real_key, is_real_key=True,
+            issue(
+                BeaconKind.MOUSE_IMAGE, script.real_image_path,
+                script.real_key, True,
             )
             for key, path in zip(script.decoy_keys, script.decoy_image_paths):
-                self._register(
-                    result, BeaconKind.MOUSE_IMAGE, client_ip, host,
-                    path, page_url.path, now, key=key, is_real_key=False,
-                )
-            result.beacon_script = BeaconScript(
-                source=source,
-                handler_function=script.handler_function,
-                handler_expression=handler_expression,
-                real_key=script.real_key,
-                real_image_path=script.real_image_path,
-                decoy_keys=script.decoy_keys,
-                decoy_image_paths=script.decoy_image_paths,
-            )
+                issue(BeaconKind.MOUSE_IMAGE, path, key)
 
         if cfg.ua_probe:
             probe = make_ua_probe_script(rng)
             tail_parts.append(f"<script>{probe.script_source(host)}</script>")
-            self._register(
-                result, BeaconKind.UA_PROBE, client_ip, host,
-                probe.prefix_path, page_url.path, now,
-            )
+            issue(BeaconKind.UA_PROBE, probe.prefix_path)
 
         if cfg.hidden_link:
             trap = make_hidden_link(rng)
@@ -248,15 +252,10 @@ class PageInstrumenter:
                 f'<img src="http://{host}{trap.image_path}" width="1" '
                 'height="1" border="0" alt=""></a>'
             )
-            self._register(
-                result, BeaconKind.TRAP_PAGE, client_ip, host,
-                trap.page_path, page_url.path, now,
-            )
-            self._register(
-                result, BeaconKind.TRAP_IMAGE, client_ip, host,
-                trap.image_path, page_url.path, now,
-            )
+            issue(BeaconKind.TRAP_PAGE, trap.page_path)
+            issue(BeaconKind.TRAP_IMAGE, trap.image_path)
 
+        self._registry.register_page(probes)
         plan.head_fragment = "".join(head_parts)
         plan.tail_fragment = "".join(tail_parts)
         return plan
@@ -318,33 +317,6 @@ class PageInstrumenter:
             for node in fragment.find("body").children:
                 body.append(node)
         return serialize(root)
-
-    def _register(
-        self,
-        result: InstrumentedPage,
-        kind: BeaconKind,
-        client_ip: str,
-        host: str,
-        path: str,
-        page_path: str,
-        now: float,
-        key: str | None = None,
-        is_real_key: bool = False,
-        payload: bytes = b"",
-    ) -> None:
-        probe = RegisteredProbe(
-            kind=kind,
-            client_ip=client_ip,
-            host=host,
-            path=path,
-            page_path=page_path,
-            issued_at=now,
-            key=key,
-            is_real_key=is_real_key,
-            payload=payload,
-        )
-        self._registry.register(probe)
-        result.probes.append(probe)
 
 
 def mark_uncacheable(headers: Headers) -> None:

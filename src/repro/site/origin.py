@@ -14,6 +14,7 @@ so replaying a workload reproduces identical status streams:
 from __future__ import annotations
 
 import hashlib
+from itertools import islice
 
 from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response, error_response
@@ -97,15 +98,18 @@ class OriginServer:
         links = [paths[(seed + i * 7) % len(paths)] for i in range(5)]
         # De-duplicate while keeping order.
         links = list(dict.fromkeys(links))
+        # The site's first stylesheet; the scan stops there (shared
+        # stylesheets are generated first, ahead of thousands of images).
+        stylesheets = (
+            r.path
+            for r in self._site.resources.values()
+            if r.kind is ResourceKind.STYLESHEET
+        )
         return PageSpec(
             path=f"{_RESULTS_PREFIX}{token.rsplit('/', 1)[-1]}",
             title="Search results",
             links=links,
-            stylesheets=[
-                r.path
-                for r in self._site.resources.values()
-                if r.kind is ResourceKind.STYLESHEET
-            ][:1],
+            stylesheets=list(islice(stylesheets, 1)),
             images=[],
             paragraphs=1,
         )

@@ -22,7 +22,7 @@ executor ships partitions to child interpreters inside lane state).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.state.partition import PartitionMap
 
@@ -136,6 +136,11 @@ class PartitionedRegistry:
     ) -> None:
         for p in self._partitions:
             p.remove_listener(listener)
+
+    def register_page(self, probes: Sequence[RegisteredProbe]) -> None:
+        if probes:  # one page, one client IP, one owning partition
+            owner = self.index_for(probes[0].client_ip)
+            self._partitions[owner].register_page(probes)
 
     def register(self, probe: RegisteredProbe) -> None:
         self._partitions[self.index_for(probe.client_ip)].register(probe)

@@ -24,8 +24,7 @@ stream them with a bounded heap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from repro.http.message import Request, Response
 from repro.instrument.keys import BeaconKind, RegisteredProbe
@@ -40,9 +39,12 @@ from repro.trace.clf import (
 from repro.workload.session_run import SessionRecord
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
-    """One probe-table registration, as journalled by the recorder."""
+class ProbeRecord(NamedTuple):
+    """One probe-table registration, as journalled by the recorder.
+
+    A named tuple for the same reason :class:`RegisteredProbe` is one:
+    every registration builds one, ten to a page.
+    """
 
     issued_at: float
     kind: str
@@ -62,14 +64,14 @@ class ProbeRecord:
         exactly through the file format.
         """
         return cls(
-            issued_at=round(probe.issued_at, 6),
-            kind=probe.kind.value,
-            client_ip=probe.client_ip,
-            host=probe.host,
-            path=probe.path,
-            page_path=probe.page_path,
-            key=probe.key,
-            is_real_key=probe.is_real_key,
+            round(probe.issued_at, 6),
+            probe.kind.value,
+            probe.client_ip,
+            probe.host,
+            probe.path,
+            probe.page_path,
+            probe.key,
+            probe.is_real_key,
         )
 
     def to_probe(self) -> RegisteredProbe:

@@ -45,6 +45,18 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_beacon_script(rng, "h.com", decoys=-1)
 
+    @pytest.mark.parametrize(
+        "parameters,complaint",
+        [
+            ({"decoys": 16, "key_bits": 4}, "distinct keys"),
+            ({"key_bits": 6}, "multiple of 4"),
+            ({"junk_statements": -1}, "junk_statements"),
+        ],
+    )
+    def test_impossible_parameters_rejected(self, rng, parameters, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            build_beacon_script(rng, "h.com", **parameters)
+
     def test_handler_expression_names_real_function(self, rng):
         script = build_beacon_script(rng, "h.com")
         assert script.handler_function in script.handler_expression

@@ -122,6 +122,31 @@ class TestConfigToggles:
         assert b"_0x" not in js.payload
 
 
+class TestConfigValidation:
+    """A config no script can be generated for is refused when it is
+    made, not on the first page served (or never: 17 distinct 4-bit keys
+    do not exist, and the emitter used to look for them forever)."""
+
+    @pytest.mark.parametrize(
+        "fields,complaint",
+        [
+            ({"decoys": 16, "key_bits": 4}, "distinct keys"),
+            ({"key_bits": 6}, "multiple of 4"),
+            ({"key_bits": 0}, "multiple of 4"),
+            ({"junk_statements": -1}, "junk_statements"),
+            ({"decoys": -1}, "decoys"),
+        ],
+    )
+    def test_rejected_at_construction(self, fields, complaint):
+        with pytest.raises(ValueError, match=complaint):
+            InstrumentConfig(**fields)
+
+    def test_whole_key_space_is_allowed(self):
+        result, _ = _instrument(config=InstrumentConfig(decoys=15, key_bits=4))
+        mouse = [p for p in result.probes if p.kind is BeaconKind.MOUSE_IMAGE]
+        assert sorted(p.key for p in mouse) == [f"{k:x}" for k in range(16)]
+
+
 class TestTreePath:
     def test_fragment_without_head_body(self):
         result, registry = _instrument(html="<p>bare fragment</p>")

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from repro.http.content import ContentKind
 from repro.http.headers import Headers
 from repro.http.message import Method, Request
 from repro.http.uri import Url
+from repro.site.generator import SiteConfig, SiteGenerator
+from repro.site.origin import OriginServer
+from repro.util.rng import RngStream
 
 
 def _request(site, path_and_query, method=Method.GET):
@@ -127,6 +132,29 @@ class TestCgi:
         assert resp.status == 200
         body = resp.text
         assert any(path in body for path in small_site.page_paths)
+
+    def test_results_page_bytes_unchanged(self, small_origin, small_site):
+        """The page links the site's first stylesheet and nothing else;
+        the digest was taken before the scan for it stopped at the first
+        match (commit 7ea6c80)."""
+        resp = small_origin.handle(
+            _request(small_site, "/cgi-bin/results/r04242.html")
+        )
+        assert b'href="/static/site0.css"' in resp.body
+        assert b"site1.css" not in resp.body
+        assert hashlib.sha256(resp.body).hexdigest() == (
+            "a1e43a5324a51adb99bc18ce3f4ee57123d5d9a55d8ecf7a2935d906211f8141"
+        )
+
+    def test_results_page_of_a_site_without_stylesheets(self):
+        site = SiteGenerator(
+            SiteConfig(n_pages=14, shared_stylesheets=0, max_images=6)
+        ).generate(RngStream(5, "site"))
+        resp = OriginServer(site).handle(
+            _request(site, "/cgi-bin/results/r04242.html")
+        )
+        assert resp.status == 200
+        assert b"stylesheet" not in resp.body
 
     def test_post_is_cgi(self, small_origin, small_site):
         endpoint = small_site.cgi_paths[0]
