@@ -11,6 +11,7 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import ClassVar
 
 from repro.http.content import (
     ContentKind,
@@ -44,6 +45,8 @@ class Request:
     headers: Headers = field(default_factory=Headers)
     timestamp: float = 0.0
 
+    _path_kind: ClassVar[ContentKind | None] = None
+
     def __post_init__(self) -> None:
         if not self.client_ip:
             raise ValueError("client_ip must be non-empty")
@@ -60,8 +63,17 @@ class Request:
 
     @property
     def path_kind(self) -> ContentKind:
-        """What kind of object the URL *requests* (pre-response)."""
-        return classify_path(self.url)
+        """What kind of object the URL *requests* (pre-response).
+
+        Kept once computed: it depends on ``url`` alone, which cannot
+        change.  (Nothing read from ``headers`` may be kept this way —
+        the front door and the response ladder edit them in place.)
+        """
+        kind = self._path_kind
+        if kind is None:
+            kind = classify_path(self.url)
+            object.__setattr__(self, "_path_kind", kind)
+        return kind
 
     def describe(self) -> str:
         """One-line log form: ``GET http://host/path``."""

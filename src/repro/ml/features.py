@@ -80,20 +80,23 @@ class FeatureAccumulator:
     _visited: set[str] = field(default_factory=set, repr=False)
     _known_embedded: set[str] = field(default_factory=set, repr=False)
     _known_links: set[str] = field(default_factory=set, repr=False)
+    #: The last Referer seen and its comparison form: the objects of
+    #: one page all name that page, so most requests repeat it.
+    _last_referer: tuple[str, str] = field(
+        default=("", ""), repr=False, compare=False
+    )
 
     def observe(self, request: Request, response: Response) -> None:
         """Account one exchange (call in arrival order)."""
         self.total += 1
-        url_text = str(request.url)
         kind = request.path_kind
 
         if request.method is Method.HEAD:
             self.head += 1
-        if kind is ContentKind.HTML or kind is ContentKind.CGI:
-            # The paper's HTML% counts page requests; CGI responses are
-            # HTML too but are broken out separately below.
-            if kind is ContentKind.HTML:
-                self.html += 1
+        # The paper's HTML% counts page requests; CGI responses are
+        # HTML too but are broken out separately.
+        if kind is ContentKind.HTML:
+            self.html += 1
         if kind is ContentKind.CGI:
             self.cgi += 1
         if kind is ContentKind.FAVICON:
@@ -104,10 +107,14 @@ class FeatureAccumulator:
         referer = request.referer
         if referer:
             self.with_referrer += 1
-            if _normalize(referer) not in self._visited:
+            if referer != self._last_referer[0]:
+                self._last_referer = (referer, _normalize(referer))
+            if self._last_referer[1] not in self._visited:
                 self.unseen_referrer += 1
 
-        normalized = _normalize(url_text)
+        # A Url is canonical by construction (repro.http.uri), so its
+        # string is already the comparison form.
+        normalized = str(request.url)
         if normalized in self._known_embedded:
             self.embedded_obj += 1
         if normalized in self._known_links:
@@ -157,16 +164,18 @@ class FeatureAccumulator:
     def _index_page(self, page_url: Url, response: Response) -> None:
         """Remember what a fetched page links to / embeds."""
         refs = extract_references(response.text)
-        for reference in refs.embedded_objects:
-            self._remember(
-                self._known_embedded,
-                _normalize(str(resolve_url(page_url, reference))),
-            )
-        for reference in refs.all_links:
-            self._remember(
-                self._known_links,
-                _normalize(str(resolve_url(page_url, reference))),
-            )
+        for bucket, references in (
+            (self._known_embedded, refs.embedded_objects),
+            (self._known_links, refs.all_links),
+        ):
+            for reference in references:
+                try:
+                    target = resolve_url(page_url, reference)
+                except ValueError:
+                    # Not a URL the front door admits (a space, port 0):
+                    # no request can name it, so there is nothing to match.
+                    continue
+                self._remember(bucket, str(target))
 
     def _remember(self, bucket: set[str], value: str) -> None:
         if len(bucket) < self.max_tracked_urls:

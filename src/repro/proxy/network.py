@@ -8,7 +8,6 @@ reporting (Table 1 sums sessions across all nodes).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,6 +19,7 @@ from repro.instrument.rewriter import InstrumentConfig
 from repro.proxy.node import NodeStats, ProxyNode
 from repro.proxy.ratelimit import RateLimitConfig
 from repro.site.origin import OriginServer
+from repro.state.partition import stable_hash
 from repro.util.rng import RngStream
 
 
@@ -154,10 +154,7 @@ class ProxyNetwork:
         cache, rate buckets), so partitioning arrivals by node index is
         what lets lanes run on threads or processes without sharing.
         """
-        digest = hashlib.blake2b(
-            client_ip.encode("utf-8"), digest_size=4
-        ).digest()
-        return int.from_bytes(digest, "little") % len(self.nodes)
+        return stable_hash(client_ip, 4) % len(self.nodes)
 
     def node_for(self, client_ip: str) -> ProxyNode:
         """Sticky node assignment by stable hash of the client IP."""

@@ -524,7 +524,11 @@ class DetectorServer:
         if cfg.trust_forwarded_for:
             forwarded = parsed.headers.get("X-Forwarded-For")
             if forwarded:
-                client_ip = forwarded.split(",")[0].strip() or client_ip
+                # The first hop names the client only if it is one token:
+                # the address is a whitespace-delimited access-log field.
+                hop = forwarded.split(",")[0].split()
+                if len(hop) == 1:
+                    client_ip = hop[0]
                 # Consumed as addressing metadata; the pipeline sees the
                 # same header set a replayed trace record will rebuild.
                 parsed.headers.remove("X-Forwarded-For")

@@ -1,4 +1,4 @@
-"""Common/Combined Log Format traces: the interchange format of the
+r"""Common/Combined Log Format traces: the interchange format of the
 trace subsystem.
 
 A :class:`TraceRecord` is one access-log line — exactly the fields a
@@ -23,14 +23,34 @@ Two deliberate extensions, both backward compatible with real logs:
 Reading is streaming (constant memory) and gzip-transparent; malformed
 lines are counted and skipped rather than aborting a multi-gigabyte
 replay (set ``strict=True`` to raise instead).
+
+One pattern, :data:`_LINE_RE`, matches a whole line, and it must stay
+linear on hostile input: access logs are written by the clients they
+describe.  Its quoted fields are the unrolled loop
+``[^"\\]*(?:\\.[^"\\]*)*`` — a run of plain characters, then any number
+of (escape pair, run of plain characters).  The obvious
+``(?:[^"\\]|\\.)*`` matches the same strings at one alternation step a
+character (five times slower on a real line), and the tempting
+``(?:[^"\\]+|\\.)*`` is exponential: a run of plain characters can be
+split between iterations in 2^n ways, so a 30-character unterminated
+field takes a minute to refuse.  (Possessive quantifiers would fix
+that form, but need Python 3.11.)
+
+The log is injective — every request the front door answers is exactly
+one line that parses back to the record that was logged.  Quoted fields
+escape ``"`` and ``\`` with a backslash and C0 controls and DEL as
+``\xHH`` (what Apache writes), so a header value holding a bare CR
+cannot split the line; files are read with ``newline="\n"`` so that
+nothing but LF ends one.
 """
 
 from __future__ import annotations
 
 import gzip
 import re
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass, field
+from datetime import date
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response
@@ -41,20 +61,16 @@ from repro.http.uri import Url
 #: arbitrary because replays only use differences between timestamps.
 TRACE_EPOCH = "06/Feb/2006:00:00:00"
 
-_EPOCH_YEAR = 2006
-_EPOCH_MONTH = 2
-_EPOCH_DAY = 6
+_EPOCH_ORDINAL = date(2006, 2, 6).toordinal()
 
 _MONTHS = (
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
     "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
 )
 _MONTH_INDEX = {name: i + 1 for i, name in enumerate(_MONTHS)}
+_METHODS = {method.value: method for method in Method}
 
-#: Days in each month of a non-leap year (index 1..12).
-_MONTH_DAYS = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-_QUOTED = r'"((?:[^"\\]|\\.)*)"'
+_QUOTED = r'"([^"\\]*(?:\\.[^"\\]*)*)"'
 _LINE_RE = re.compile(
     r"^(?P<ip>\S+)\s+(?P<ident>\S+)\s+(?P<user>\S+)\s+"
     r"\[(?P<time>[^\]]+)\]\s+"
@@ -93,12 +109,13 @@ class ParseStats:
             self.samples.append(line.rstrip("\n")[:200])
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One access-log line: a request and what was answered.
 
     ``agent_kind``/``true_label`` round-trip through the CLF
     ``ident``/``authuser`` fields; empty strings render as ``-``.
+    A named tuple because one is built for every line read and every
+    exchange logged.
     """
 
     client_ip: str
@@ -118,34 +135,34 @@ class TraceRecord:
     ) -> "TraceRecord":
         """Capture one request/response pair flowing through a proxy."""
         return cls(
-            client_ip=request.client_ip,
-            timestamp=request.timestamp,
-            method=request.method,
-            url=request.url,
-            status=response.status,
-            size=response.size,
-            user_agent=request.user_agent,
-            referer=request.referer,
+            request.client_ip,
+            request.timestamp,
+            request.method,
+            request.url,
+            response.status,
+            response.size,
+            request.user_agent,
+            request.referer,
         )
 
     def to_request(self) -> Request:
         """Rebuild the proxy-side request this line describes."""
-        headers = Headers()
+        entries = []
         if self.user_agent:
-            headers.set("User-Agent", self.user_agent)
+            entries.append(("User-Agent", self.user_agent))
         if self.referer:
-            headers.set("Referer", self.referer)
+            entries.append(("Referer", self.referer))
         return Request(
             method=self.method,
             url=self.url,
             client_ip=self.client_ip,
-            headers=headers,
+            headers=Headers(entries),
             timestamp=self.timestamp,
         )
 
     def with_ground_truth(self, kind: str, label: str) -> "TraceRecord":
         """Copy of this record annotated with synthetic ground truth."""
-        return replace(self, agent_kind=kind, true_label=label)
+        return self._replace(agent_kind=kind, true_label=label)
 
 
 # -- timestamp rendering ----------------------------------------------------
@@ -165,20 +182,13 @@ def format_clf_time(timestamp: float) -> str:
         whole += 1
         micros = 0
 
-    day = _EPOCH_DAY - 1 + whole // 86_400
-    month = _EPOCH_MONTH
-    year = _EPOCH_YEAR
-    while day >= _days_in_month(year, month):
-        day -= _days_in_month(year, month)
-        month += 1
-        if month > 12:
-            month = 1
-            year += 1
-    rem = whole % 86_400
+    days, rem = divmod(whole, 86_400)
+    day = date.fromordinal(_EPOCH_ORDINAL + days)
     hh, rem = divmod(rem, 3600)
     mm, ss = divmod(rem, 60)
     base = (
-        f"{day + 1:02d}/{_MONTHS[month - 1]}/{year}:{hh:02d}:{mm:02d}:{ss:02d}"
+        f"{day.day:02d}/{_MONTHS[day.month - 1]}/{day.year}"
+        f":{hh:02d}:{mm:02d}:{ss:02d}"
     )
     if micros:
         base += f".{micros:06d}"
@@ -190,29 +200,34 @@ def parse_clf_time(text: str) -> float:
 
     Any absolute date parses; the result is seconds since
     :data:`TRACE_EPOCH` (UTC), so real logs land on the same virtual
-    clock the simulator uses.  Dates before the epoch are rejected.
+    clock the simulator uses.  Dates before the epoch are rejected, and
+    so is a time of day no clock shows (``23:59:60``, a leap second, is
+    one a clock shows).
     """
     match = _TIME_RE.match(text.strip())
     if match is None:
         raise TraceParseError(f"unparseable CLF timestamp: {text!r}")
-    month = _MONTH_INDEX.get(match.group("month").title())
+    (
+        day, month_name, year, hour, minute, second, fraction, sign, zh, zm
+    ) = match.groups()
+    month = _MONTH_INDEX.get(month_name.title())
     if month is None:
         raise TraceParseError(f"unknown month in timestamp: {text!r}")
-    year = int(match.group("year"))
-    day = int(match.group("day"))
-    days = _days_since_epoch(year, month, day)
-    seconds = (
-        days * 86_400.0
-        + int(match.group("hour")) * 3600
-        + int(match.group("minute")) * 60
-        + int(match.group("second"))
-    )
-    fraction = match.group("fraction")
+    try:
+        days = date(int(year), month, int(day)).toordinal() - _EPOCH_ORDINAL
+    except ValueError:
+        raise TraceParseError(
+            f"invalid date: {int(year)}-{month}-{int(day)}"
+        ) from None
+    hour, minute, second = int(hour), int(minute), int(second)
+    if hour > 23 or minute > 59 or second > 60:
+        raise TraceParseError(f"invalid time of day in timestamp: {text!r}")
+    seconds = days * 86_400.0 + hour * 3600 + minute * 60 + second
     if fraction:
         seconds += int(fraction.ljust(6, "0")) / 1_000_000
-    if match.group("sign"):
-        offset = int(match.group("zh")) * 3600 + int(match.group("zm")) * 60
-        if match.group("sign") == "+":
+    if sign:
+        offset = int(zh) * 3600 + int(zm) * 60
+        if sign == "+":
             seconds -= offset
         else:
             seconds += offset
@@ -223,39 +238,42 @@ def parse_clf_time(text: str) -> float:
     return seconds
 
 
-def _is_leap(year: int) -> bool:
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-
-
-def _days_in_month(year: int, month: int) -> int:
-    if month == 2 and _is_leap(year):
-        return 29
-    return _MONTH_DAYS[month]
-
-
-def _days_since_epoch(year: int, month: int, day: int) -> int:
-    if not 1 <= month <= 12 or not 1 <= day <= _days_in_month(year, month):
-        raise TraceParseError(f"invalid date: {year}-{month}-{day}")
-    days = 0
-    for y in range(_EPOCH_YEAR, year):
-        days += 366 if _is_leap(y) else 365
-    for m in range(1, month):
-        days += _days_in_month(year, m)
-    days += day - 1
-    # Anchor at Feb 6 rather than Jan 1.
-    days -= _MONTH_DAYS[1] + _EPOCH_DAY - 1
-    return days
-
-
 # -- line rendering ---------------------------------------------------------
 
 
+_CONTROL_RE = re.compile(r"[\x00-\x1f\x7f]")
+_ESCAPE_RE = re.compile(r'\\(?:x([0-9a-fA-F]{2})|(["\\]))')
+
+
+def _hex_escape(match: re.Match) -> str:
+    return f"\\x{ord(match.group()):02x}"
+
+
+def _unescape(match: re.Match) -> str:
+    code, char = match.groups()
+    return char if code is None else chr(int(code, 16))
+
+
 def _quote(value: str) -> str:
-    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    value = value.replace("\\", "\\\\").replace('"', '\\"')
+    if not value.isprintable():
+        value = _CONTROL_RE.sub(_hex_escape, value)
+    return '"' + value + '"'
+
+
+def _quote_optional(value: str | None) -> str:
+    # ``"-"`` stands for an absent field, so a literal dash goes escaped.
+    if not value:
+        return '"-"'
+    return '"\\x2d"' if value == "-" else _quote(value)
 
 
 def _unquote(value: str) -> str:
-    return value.replace('\\"', '"').replace("\\\\", "\\")
+    if "\\" not in value:
+        return value
+    # One left-to-right pass, so that an escaped backslash in front of
+    # "x41" stays a backslash and "x41".
+    return _ESCAPE_RE.sub(_unescape, value)
 
 
 def format_clf_line(record: TraceRecord) -> str:
@@ -263,12 +281,12 @@ def format_clf_line(record: TraceRecord) -> str:
     ident = record.agent_kind or "-"
     user = record.true_label or "-"
     request = f"{record.method.value} {record.url} HTTP/1.1"
-    referer = record.referer or "-"
     return (
         f"{record.client_ip} {ident} {user} "
         f"[{format_clf_time(record.timestamp)}] "
         f"{_quote(request)} {record.status} {record.size} "
-        f"{_quote(referer)} {_quote(record.user_agent or '-')}"
+        f"{_quote_optional(record.referer)} "
+        f"{_quote_optional(record.user_agent)}"
     )
 
 
@@ -284,8 +302,12 @@ def parse_clf_line(
     match = _LINE_RE.match(line)
     if match is None:
         raise TraceParseError(f"unparseable CLF line: {line!r}")
+    (
+        ip, ident, user, time_text, _, request_field, status, size_text,
+        _, referer, _, agent,
+    ) = match.groups()
 
-    request_line = _unquote(match.group("request")[1:-1])
+    request_line = _unquote(request_field)
     parts = request_line.split()
     if len(parts) == 3:
         method_text, target, _protocol = parts
@@ -293,10 +315,9 @@ def parse_clf_line(
         method_text, target = parts
     else:
         raise TraceParseError(f"unparseable request field: {request_line!r}")
-    try:
-        method = Method(method_text.upper())
-    except ValueError:
-        raise TraceParseError(f"unsupported method: {method_text!r}") from None
+    method = _METHODS.get(method_text.upper())
+    if method is None:
+        raise TraceParseError(f"unsupported method: {method_text!r}")
 
     if target.startswith("/"):
         if default_host is None:
@@ -309,24 +330,18 @@ def parse_clf_line(
     except ValueError as exc:
         raise TraceParseError(str(exc)) from None
 
-    size_text = match.group("size")
-    referer_group = match.group("referer")
-    referer = _unquote(referer_group[1:-1]) if referer_group else "-"
-    agent_group = match.group("agent")
-    agent = _unquote(agent_group[1:-1]) if agent_group else "-"
-    ident = match.group("ident")
-    user = match.group("user")
+    # Absent from the line (the common format) or ``"-"``: not sent.
     return TraceRecord(
-        client_ip=match.group("ip"),
-        timestamp=parse_clf_time(match.group("time")),
-        method=method,
-        url=url,
-        status=int(match.group("status")),
-        size=0 if size_text == "-" else int(size_text),
-        user_agent="" if agent == "-" else agent,
-        referer=None if referer == "-" else referer,
-        agent_kind="" if ident == "-" else ident,
-        true_label="" if user == "-" else user,
+        ip,
+        parse_clf_time(time_text),
+        method,
+        url,
+        int(status),
+        0 if size_text == "-" else int(size_text),
+        "" if agent is None or agent == "-" else _unquote(agent),
+        None if referer is None or referer == "-" else _unquote(referer),
+        "" if ident == "-" else ident,
+        "" if user == "-" else user,
     )
 
 
@@ -342,9 +357,11 @@ def open_trace_file(path: str, mode: str = "rt") -> IO[str]:
     if "r" in mode:
         with open(path, "rb") as probe:
             magic = probe.read(2)
+        # Only LF ends a line: universal newlines would cut a record in
+        # two at a CR or CRLF a foreign writer left inside a field.
         if magic == b"\x1f\x8b":
-            return gzip.open(path, "rt", encoding="utf-8")
-        return open(path, "r", encoding="utf-8")
+            return gzip.open(path, "rt", encoding="utf-8", newline="\n")
+        return open(path, "r", encoding="utf-8", newline="\n")
     if path.endswith(".gz"):
         return gzip.open(path, mode if "t" in mode else mode + "t",
                          encoding="utf-8")

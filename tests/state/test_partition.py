@@ -9,10 +9,15 @@ and throughput (balanced partitions).
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.proxy.network import ProxyNetwork
-from repro.state.partition import PartitionMap, partition_index
+from repro.state import partition
+from repro.state.partition import PartitionMap, partition_index, stable_hash
 from repro.util.rng import RngStream
 
 N_IPS = 10_000
@@ -128,3 +133,61 @@ class TestLaneAssignment:
             assert partition_index(ip, 4) == node.shard_index_for(ip)
             shard = node.shard_for(ip)
             assert shard.shard_id == partition_index(ip, 4)
+
+
+def _digest(key: str, size: int) -> int:
+    """The hash with nothing remembered, spelled out."""
+    raw = hashlib.blake2b(key.encode("utf-8"), digest_size=size).digest()
+    return int.from_bytes(raw, "little")
+
+
+class TestHashMemo:
+    """The remembered hash is the hash: equal to the plain digest for
+    any key, whatever was asked before, and never past its bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.ip_addresses().map(str),
+                    st.text(max_size=8),
+                    st.text(min_size=60, max_size=70),
+                ),
+                st.sampled_from([4, 8]),
+            ),
+            max_size=30,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_equal_to_the_plain_digest_in_any_order(self, asks, shuffler):
+        first = [stable_hash(key, size) for key, size in asks]
+        assert first == [_digest(key, size) for key, size in asks]
+        again = list(asks)
+        shuffler.shuffle(again)
+        for key, size in again:
+            assert stable_hash(key, size) == _digest(key, size)
+            assert partition_index(key, 5) == _digest(key, 8) % 5
+
+    def test_node_assignment_is_the_four_byte_digest(self):
+        network = ProxyNetwork(
+            origins={}, rng=RngStream(0, "net"), n_nodes=3,
+            instrument_enabled=False,
+        )
+        for ip in _ips(300):
+            assert network.node_index_for(ip) == _digest(ip, 4) % 3
+
+    def test_never_holds_more_than_its_bound(self):
+        bound = partition._MEMO_ENTRIES
+        for ip in _ips(3 * bound):
+            partition_index(ip, 4)
+        info = partition._remembered.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound
+
+    def test_oversized_keys_are_hashed_but_not_kept(self):
+        partition._remembered.cache_clear()
+        forged = "9" * (partition._MEMO_KEY_CHARS + 1)
+        assert stable_hash(forged, 8) == _digest(forged, 8)
+        assert stable_hash(forged, 8) == _digest(forged, 8)
+        assert partition._remembered.cache_info().currsize == 0

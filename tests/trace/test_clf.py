@@ -72,6 +72,36 @@ class TestTime:
         with pytest.raises(TraceParseError):
             parse_clf_time("05/Feb/2006:00:00:00 +0000")  # pre-epoch
 
+    @pytest.mark.parametrize(
+        "clock", ["24:00:00", "99:00:00", "00:60:00", "00:99:00",
+                  "00:00:61", "00:00:99", "99:99:99", "24:00:60"],
+    )
+    def test_rejects_a_time_no_clock_shows(self, clock):
+        """Each used to parse (99:99:99 as 362439 s), so a corrupt line
+        was replayed at a made-up time instead of counted malformed."""
+        with pytest.raises(TraceParseError, match="time of day"):
+            parse_clf_time(f"06/Feb/2006:{clock} +0000")
+        line = (
+            f'1.2.3.4 - - [06/Feb/2006:{clock} +0000] '
+            '"GET http://h/ HTTP/1.1" 200 1 "-" "-"'
+        )
+        stats = ParseStats()
+        assert list(read_trace([line], stats=stats)) == []
+        assert stats.malformed == 1
+
+    def test_accepts_the_last_second_and_a_leap_second(self):
+        assert parse_clf_time("06/Feb/2006:23:59:59 +0000") == 86_399.0
+        assert parse_clf_time("06/Feb/2006:23:59:60 +0000") == 86_400.0
+
+    def test_rejects_dates_in_years_before_the_epoch(self):
+        """The year-by-year walk never went backwards, so 10 Mar 1999
+        used to parse as 10 Mar 2006."""
+        for text in ("10/Mar/1999:00:00:00 +0000", "31/Dec/2005:23:59:59 +0000"):
+            with pytest.raises(TraceParseError, match="predates"):
+                parse_clf_time(text)
+        with pytest.raises(TraceParseError):
+            parse_clf_time("01/Jan/0000:00:00:00 +0000")
+
 
 class TestLineRoundTrip:
     def test_full_record(self):

@@ -1,0 +1,83 @@
+"""Golden identity of the offline replay.
+
+One fixed smoke workload is recorded, then replayed twice — through the
+pipelined ingress (``executor="serial"``, four shards, micro-batched
+scoring) and through the synchronous loop — and everything observable
+about both replays goes into one sha256: set-algebra summary, census,
+network stats, detection latencies, every ensemble verdict with its
+margin bit for bit, and the deterministic metrics snapshot.
+
+The constant was computed by this file, unchanged, at the commit
+*before* PR 19 (the parse/normalise/route-once change), so it pins the
+replay to what that commit produced.  The repo benchmark cannot: it
+re-records its trace from the tree under test, so a change that shifts
+recording and replay together passes it.  A PR that means to change
+what a replay returns (new probe keys, another metric) re-derives the
+constant at its own parent first, to show it starts from here (the
+failed assertion shows the digest a run got).
+"""
+
+from __future__ import annotations
+
+from hashlib import sha256
+
+from repro.ml.adaboost import demo_ensemble
+from repro.obs.export import to_json
+from repro.proxy.network import ProxyNetwork
+from repro.trace.recorder import record_workload
+from repro.trace.replay import ReplayConfig, ReplayResult, replay_trace
+from repro.util.rng import RngStream
+from repro.workload.engine import WorkloadConfig, WorkloadEngine
+from repro.workload.mixes import SMOKE
+
+GOLDEN = "6488365e17a5fb956b7141bbba92606da0f9f9329e9f807d6bbb5dd8ac056b72"
+
+
+def _observables(result: ReplayResult) -> list[str]:
+    return [
+        repr(result.summary),
+        repr(sorted(result.kind_census().items())),
+        repr(result.stats),
+        repr(result.latencies),
+        repr([(v.session_id, v.margin.hex()) for v in result.ml_verdicts]),
+        repr((result.requests_replayed, result.probes_loaded)),
+        repr((result.parse_stats, result.probe_parse_stats)),
+        to_json(result.metrics.deterministic()),
+    ]
+
+
+def test_replay_of_a_fixed_trace_is_what_it_was(
+    tmp_path, small_site, small_origin
+):
+    trace, journal = str(tmp_path / "t.log.gz"), str(tmp_path / "t.keys.gz")
+    engine = WorkloadEngine(
+        ProxyNetwork(
+            origins={small_site.host: small_origin},
+            rng=RngStream(19, "net"),
+            n_nodes=2,
+        ),
+        SMOKE,
+        f"http://{small_site.host}{small_site.home_path}",
+        RngStream(19, "wl"),
+        WorkloadConfig(n_sessions=60, captcha_enabled=False),
+    )
+    record_workload(engine, trace, journal)
+
+    digest = sha256()
+    for config in (
+        ReplayConfig(
+            assume_sorted=True, strict=True, executor="serial", shards=4,
+            scorer_model=demo_ensemble(8, seed=2006),
+        ),
+        ReplayConfig(assume_sorted=True, strict=True),
+    ):
+        network = ProxyNetwork(
+            origins={}, rng=RngStream(0, "replay"), n_nodes=2,
+            instrument_enabled=False,
+        )
+        result = replay_trace(network, trace, probes=journal, config=config)
+        assert result.requests_replayed > 1000 and result.probes_loaded > 1000
+        assert result.parse_stats.malformed == 0
+        for part in _observables(result):
+            digest.update(part.encode("utf-8") + b"\0")
+    assert digest.hexdigest() == GOLDEN
