@@ -1,15 +1,15 @@
 #!/usr/bin/env python
-"""Record a workload, then replay it through the pipelined ingress.
+"""Record a workload, then replay it on every ingress executor.
 
 Demonstrates the ingress subsystem end to end:
 
 1. build a deployment, drive a diurnal time-interleaved workload
    through it, and export the traffic as a CLF trace + probe journal;
-2. replay the log through the **pipelined ingress**: events stream onto
+2. replay the log through the **ingress lanes**: events stream onto
    bounded per-lane queues (one lane per proxy node, routed by the
    stable client-IP hash) consumed by serial, thread and true-parallel
    process executors — and the census comes out byte-identical on every
-   executor, at every queue depth, and to the synchronous loop;
+   executor and at every queue depth;
 3. replay once more with a tiny queue and the load-shedding policy to
    show overload handling: shed requests are *counted* in the network
    stats, never silently dropped;
@@ -78,7 +78,6 @@ def main() -> None:
         WorkloadConfig(
             n_sessions=300,
             duration=DAY,
-            mode="interleaved",
             arrival=DiurnalArrival(peak_ratio=5.0),
             captcha_enabled=False,  # out-of-band; leaves no log footprint
         ),
@@ -94,20 +93,21 @@ def main() -> None:
         )
         print(f"live census: {sorted(recorded.kind_census().items())}")
 
-        # The synchronous loop is the reference ...
+        # The default replay — lanes inline on the serial executor — is
+        # the reference, and every executor matches it.
         baseline = replay(trace, probes)
+        assert baseline.kind_census() == recorded.kind_census()
         print(
-            f"\nsynchronous replay: {baseline.requests_replayed} requests, "
+            f"\nreplayed {baseline.requests_replayed} requests, "
             f"{baseline.analyzable_count} analyzable sessions"
         )
-
-        # ... and the ingress matches it on every executor.
-        for executor in ("serial", "thread", "process"):
+        for executor in ("thread", "process"):
             result = replay(
                 trace, probes, executor=executor, queue_depth=256
             )
             assert result.summary == baseline.summary
             assert result.kind_census() == baseline.kind_census()
+            assert result.stats == baseline.stats
             print(
                 f"  executor={executor:7s} queued={result.stats.queued:6d} "
                 f"census identical: True"
@@ -134,7 +134,7 @@ def main() -> None:
         assert stats.queued + stats.shed == total
 
         print(
-            f"\nhuman bounds from the pipelined replay: "
+            f"\nhuman bounds from the replay: "
             f"{baseline.summary.lower_bound:.1%} .. "
             f"{baseline.summary.upper_bound:.1%}"
         )

@@ -43,8 +43,8 @@ def main() -> None:
     entry = f"http://{website.host}{website.home_path}"
 
     # A flash crowd: half the day's sessions land in a ~30-minute spike.
-    # Only the interleaved engine can express this — sessions overlap, so
-    # the network sees requests in true global timestamp order.
+    # Sessions overlap — every node steps its live sessions by next-event
+    # time — so each node sees its requests in true timestamp order.
     engine = WorkloadEngine(
         network,
         CODEEN_WEEK,
@@ -53,7 +53,6 @@ def main() -> None:
         WorkloadConfig(
             n_sessions=300,
             duration=DAY,
-            mode="interleaved",
             arrival=BurstArrival(burst_share=0.5, burst_width=0.02),
             captcha_enabled=False,  # out-of-band; leaves no log footprint
         ),

@@ -21,7 +21,7 @@ Examples::
         --metrics-out metrics.json --flight-interval 3600
     python -m repro all --sessions 1000 --ml-sessions 800
     python -m repro record --out week.log.gz --probes week.keys.gz \
-        --sessions 500 --mode interleaved --arrival diurnal
+        --sessions 500 --arrival diurnal
     python -m repro replay --trace week.log.gz --probes week.keys.gz \
         --metrics-out metrics.json --flight-interval 3600 \
         --trace-out spans.json
@@ -122,14 +122,25 @@ def build_record_parser() -> argparse.ArgumentParser:
         help="experiment window, e.g. 90s / 1.5h / 1w (default 1w)",
     )
     parser.add_argument(
-        "--mode", choices=("sequential", "interleaved", "pipelined"),
-        default="sequential",
+        "--mode", choices=("interleaved", "pipelined"),
+        default="interleaved",
+        help="where the ingress lanes run: 'interleaved' in the calling "
+             "thread, 'pipelined' on --executor (never changes results)",
     )
     parser.add_argument(
         "--arrival", choices=("uniform", "diurnal", "burst"),
         default="uniform",
-        help="session arrival profile (non-uniform needs --mode interleaved)",
+        help="session arrival profile",
     )
+    _add_lane_options(parser, unit="whole sessions", clock="workload")
+    _add_trace_out_options(parser)
+    return parser
+
+
+def _add_lane_options(
+    parser: argparse.ArgumentParser, unit: str, clock: str
+) -> None:
+    """The ingress-lane and telemetry options record and replay share."""
     parser.add_argument(
         "--shards", type=int, default=0,
         help="hash-partition detection state into N shards per node "
@@ -137,33 +148,36 @@ def build_record_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--executor", choices=("serial", "thread", "process"),
-        default="serial",
-        help="ingress lane executor for --mode pipelined "
-             "(executor choice never changes results)",
+        default=None,
+        help="ingress lane executor (default serial: lanes run inline; "
+             "'process' runs them truly in parallel; executor choice "
+             "never changes results)",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=0,
-        help="per-lane ingress queue bound in events for --mode "
-             "pipelined (0 = unbounded)",
+        help="per-lane ingress queue bound in events (0 = unbounded)",
     )
     parser.add_argument(
         "--shed", nargs="?", const="shed", default=None,
         choices=("shed", "adaptive"), metavar="POLICY",
-        help="for --mode pipelined: 'shed' drops (and counts) whole "
-             "sessions when a lane queue is full (needs --queue-depth); "
-             "'adaptive' sheds at the front door once the predicted "
-             "lane delay exceeds --delay-budget, with per-IP fairness",
+        help="load-shedding policy: 'shed' (the default when the flag "
+             f"is given bare) drops and counts {unit} when a lane queue "
+             "is full (needs --queue-depth); 'adaptive' sheds at the "
+             "front door once a lane's predicted queue delay exceeds "
+             "--delay-budget, with hysteresis and per-IP fairness (needs "
+             "--executor thread|process)",
     )
     parser.add_argument(
         "--delay-budget", type=float, default=1.0, metavar="SECONDS",
-        help="predicted per-lane queue delay that triggers adaptive "
-             "shedding (default 1.0; only with --shed adaptive)",
+        help="predicted per-lane queue delay in wall seconds that "
+             "triggers adaptive shedding (default 1.0; only with --shed "
+             "adaptive)",
     )
     parser.add_argument(
         "--lanes-per-node", type=int, default=1,
-        help="ingress lanes per node for --mode pipelined: 1 runs the "
-             "whole node per lane; the detection shard count runs one "
-             "lane per state shard (lane count never changes results)",
+        help="ingress lanes per node: 1 runs the whole node per lane; "
+             "the detection shard count runs one lane per state shard "
+             "(lane count never changes results)",
     )
     parser.add_argument(
         "--metrics-out", default=None,
@@ -173,21 +187,34 @@ def build_record_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--flight-interval", type=float, default=0,
         help="flight recorder: sample a metrics frame every N virtual "
-             "seconds of workload time (0 disables)",
+             f"seconds of {clock} time (0 disables)",
     )
-    _add_trace_out_options(parser, needs="--mode pipelined")
-    return parser
 
 
-def _add_trace_out_options(
-    parser: argparse.ArgumentParser, needs: str | None = None
-) -> None:
+def _lane_config(args) -> dict:
+    """Engine-config keywords for the :func:`_add_lane_options` flags."""
+    adaptive = None
+    if args.shed == "adaptive":
+        from repro.overload.admission import AdaptiveConfig
+
+        adaptive = AdaptiveConfig(delay_budget=args.delay_budget)
+    return dict(
+        shards=args.shards,
+        executor=args.executor or "serial",
+        queue_depth=args.queue_depth or None,
+        shed=args.shed == "shed",
+        adaptive=adaptive,
+        lanes_per_node=args.lanes_per_node,
+        flight_interval=args.flight_interval or None,
+    )
+
+
+def _add_trace_out_options(parser: argparse.ArgumentParser) -> None:
     """The shared ``--trace-out`` / ``--trace-sample`` / ``--trace-clock``."""
-    suffix = f" (needs {needs})" if needs else ""
     parser.add_argument(
         "--trace-out", default=None,
         help="tail-sample span traces and write them as Chrome "
-             f"trace-event JSON for Perfetto / 'repro profile'{suffix}",
+             "trace-event JSON for Perfetto / 'repro profile'",
     )
     parser.add_argument(
         "--trace-sample", type=int, default=None, metavar="N",
@@ -239,67 +266,18 @@ def build_replay_parser() -> argparse.ArgumentParser:
         help="abort on the first malformed line instead of skipping",
     )
     parser.add_argument(
-        "--shards", type=int, default=0,
-        help="hash-partition detection state into N shards per node "
-             "(0 = unsharded; shard count never changes results)",
-    )
-    parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"),
-        default=None,
-        help="stream events through the pipelined ingress on this lane "
-             "executor instead of the synchronous loop (results are "
-             "identical; 'process' runs nodes truly in parallel)",
-    )
-    parser.add_argument(
-        "--queue-depth", type=int, default=0,
-        help="per-lane ingress queue bound in events (0 = unbounded; "
-             "needs --executor)",
-    )
-    parser.add_argument(
-        "--shed", nargs="?", const="shed", choices=("shed", "adaptive"),
-        default=None, metavar="POLICY",
-        help="load-shedding policy: 'shed' (the default when the flag "
-             "is given bare) sheds and counts when a lane queue is "
-             "full (needs --executor and --queue-depth); 'adaptive' "
-             "sheds at the front door when a lane's predicted queue "
-             "delay exceeds --delay-budget, with hysteresis and "
-             "per-IP fairness (needs --executor thread|process)",
-    )
-    parser.add_argument(
-        "--delay-budget", type=float, default=1.0,
-        help="adaptive shedding: predicted per-lane queue delay budget "
-             "in wall seconds (default 1.0; needs --shed adaptive)",
-    )
-    parser.add_argument(
         "--ladder", action="store_true",
         help="graduated response ladder (throttle -> CAPTCHA -> "
              "block), escalated live from micro-batch checkpoint "
-             "verdicts per client IP (needs --executor and "
-             "--score-rounds)",
-    )
-    parser.add_argument(
-        "--lanes-per-node", type=int, default=1,
-        help="ingress lanes per node: 1 runs the whole node per lane; "
-             "the detection shard count runs one lane per state shard "
-             "(needs --executor; lane count never changes results)",
+             "verdicts per client IP (needs --score-rounds)",
     )
     parser.add_argument(
         "--score-rounds", type=int, default=0,
         help="micro-batch ensemble scoring per lane with a seeded "
-             "demonstration model of N stumps (0 disables; needs "
-             "--executor; verdicts exercise the pipeline, they are "
-             "not trained judgements)",
+             "demonstration model of N stumps (0 disables; verdicts "
+             "exercise the pipeline, they are not trained judgements)",
     )
-    parser.add_argument(
-        "--metrics-out", default=None,
-        help="write the run's metrics snapshot (and any flight-recorder "
-             "frames) as repro.obs JSON",
-    )
-    parser.add_argument(
-        "--flight-interval", type=float, default=0,
-        help="flight recorder: sample a metrics frame every N virtual "
-             "seconds of trace time (0 disables)",
-    )
+    _add_lane_options(parser, unit="events", clock="trace")
     _add_trace_out_options(parser)
     return parser
 
@@ -420,30 +398,17 @@ def run_record(argv: list[str]) -> int:
     rng = RngStream(args.seed, "record")
     network, entry_url = experiment.build_network(rng)
     try:
-        from repro.overload.admission import AdaptiveConfig
-
         workload_config = WorkloadConfig(
             n_sessions=args.sessions,
             duration=duration,
             captcha_enabled=False,
             mode=args.mode,
             arrival=profile_by_name(args.arrival),
-            shards=args.shards,
-            executor=args.executor,
-            queue_depth=args.queue_depth or None,
-            shed=args.shed == "shed",
-            adaptive=(
-                AdaptiveConfig(delay_budget=args.delay_budget)
-                if args.shed == "adaptive"
-                else None
-            ),
-            lanes_per_node=args.lanes_per_node,
-            flight_interval=args.flight_interval or None,
             spans=spans,
+            **_lane_config(args),
         )
     except ValueError as exc:
-        # e.g. --trace-out without --mode pipelined: span tracing rides
-        # the ingress lanes.
+        # e.g. --shed adaptive on lanes that run inline: nothing queues.
         print(f"repro record: {exc}", file=sys.stderr)
         return 2
     engine = WorkloadEngine(
@@ -490,13 +455,13 @@ def _write_metrics(path: str, snapshot, flight=()) -> None:
     print(f"wrote metrics snapshot{suffix} -> {path}")
 
 
-def _print_ingress_summary(metrics) -> None:
+def _print_ingress_summary(metrics, lanes: bool) -> None:
     """Surface per-lane admission balance and cache-expiry telemetry."""
-    admitted = {
-        dict(p.labels).get("lane", "?"): p.value
-        for p in metrics.series("repro_ingress_admitted_total")
-    }
-    if admitted:
+    if lanes:
+        admitted = {
+            dict(p.labels).get("lane", "?"): p.value
+            for p in metrics.series("repro_ingress_admitted_total")
+        }
         shed = {
             dict(p.labels).get("lane", "?"): p.value
             for p in metrics.series("repro_ingress_shed_total")
@@ -532,13 +497,6 @@ def run_replay(argv: list[str]) -> int:
     from repro.util.timeutil import format_duration
 
     args = build_replay_parser().parse_args(argv)
-    if args.score_rounds and args.executor is None:
-        print(
-            "repro replay: --score-rounds needs --executor (micro-batch "
-            "scoring runs on the pipelined ingress lanes)",
-            file=sys.stderr,
-        )
-        return 2
     if args.ladder and not args.score_rounds:
         print(
             "repro replay: --ladder needs --score-rounds (checkpoint "
@@ -554,11 +512,6 @@ def run_replay(argv: list[str]) -> int:
     )
     try:
         spans = _span_config(args)
-        adaptive = None
-        if args.shed == "adaptive":
-            from repro.overload.admission import AdaptiveConfig
-
-            adaptive = AdaptiveConfig(delay_budget=args.delay_budget)
         ladder = None
         if args.ladder:
             from repro.overload.ladder import LadderConfig
@@ -569,19 +522,13 @@ def run_replay(argv: list[str]) -> int:
             assume_sorted=args.assume_sorted,
             default_host=args.default_host,
             strict=args.strict,
-            shards=args.shards,
-            executor=args.executor,
-            queue_depth=args.queue_depth or None,
-            shed=args.shed == "shed",
-            adaptive=adaptive,
             ladder=ladder,
-            lanes_per_node=args.lanes_per_node,
             scorer_model=(
                 _demo_model(args.score_rounds) if args.score_rounds
                 else None
             ),
-            flight_interval=args.flight_interval or None,
             spans=spans,
+            **_lane_config(args),
         )
     except ValueError as exc:
         print(f"repro replay: {exc}", file=sys.stderr)
@@ -664,7 +611,9 @@ def run_replay(argv: list[str]) -> int:
     print(f"human lower bound:   {summary.lower_bound:6.1%}")
     print(f"human upper bound:   {summary.upper_bound:6.1%}")
     print(f"max false positives: {summary.max_false_positive_rate:6.1%}")
-    _print_ingress_summary(result.metrics)
+    # Per-lane admission lines only when lanes were asked for by name:
+    # the default run's output stays the census.
+    _print_ingress_summary(result.metrics, lanes=args.executor is not None)
     if args.metrics_out:
         _write_metrics(args.metrics_out, result.metrics, result.flight)
     if args.trace_out:

@@ -346,12 +346,10 @@ class ShardedDetectionService:
         Requests are partitioned by owning shard; each shard consumes its
         sub-sequence in the original arrival order, so per-session state
         evolves exactly as under one-at-a-time handling.  With an
-        executor configured, shards run concurrently.  This is the batch
-        entry point for replay-scale ingestion; note that
-        :class:`~repro.trace.replay.TraceReplayEngine` itself still
-        feeds the network one request at a time (batched ingestion is a
-        ROADMAP item), so today's callers are direct users of this
-        service, tests and benchmarks.
+        executor configured, shards run concurrently.  Note that the
+        ingress lanes behind :class:`~repro.trace.replay.TraceReplayEngine`
+        hand their node one request at a time, so today's callers are
+        direct users of this service, tests and benchmarks.
         """
         requests = list(requests)
         groups: dict[int, list[int]] = {}

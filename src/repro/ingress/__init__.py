@@ -1,10 +1,10 @@
 """Ingress subsystem: admission, per-lane queues, micro-batched
 scoring, and true parallel lane executors.
 
-The detection pipeline (PR 2) can batch and shard, but until now every
-request reached it through a synchronous one-at-a-time call.  This
-package adds the missing stage between *arrival* and *shard* that
-web-scale detectors (BOTracle, BotGraph) stage explicitly:
+This package is the stage between *arrival* and *shard* that web-scale
+detectors (BOTracle, BotGraph) stage explicitly, and the one path both
+engines — trace replay and synthetic workloads — drive every run
+through:
 
 * :mod:`repro.ingress.queues` — bounded per-lane FIFOs with
   backpressure and counted load shedding;

@@ -18,8 +18,12 @@ Because lanes are total partitions of mutable state and each lane is
 consumed in admission order, the final reductions are a pure function
 of the admitted event sequence: executor choice and queue depth change
 wall-clock behaviour, never results.  The merge step reassembles lane
-results in lane order (the same order the synchronous code iterates
-nodes), so even list layouts match the one-thread path.
+results in lane order (the order the network lists its nodes).
+
+Both engines (:mod:`repro.trace.replay`, :mod:`repro.workload.engine`)
+drive every run through this pipeline, and :class:`IngressConfig` is the
+one place their executor / queue / shedding / lane / tracing options are
+checked.
 """
 
 from __future__ import annotations
@@ -153,6 +157,19 @@ class IngressConfig:
                 "the graduated response ladder is driven by micro-batch "
                 "checkpoint verdicts: set scorer_model to enable it"
             )
+
+
+def shed_policy(
+    shed: bool, adaptive: AdaptiveConfig | None
+) -> ShedPolicy:
+    """The policy an engine config's ``shed`` / ``adaptive`` pair names."""
+    if shed and adaptive is not None:
+        raise ValueError(
+            "shed and adaptive are mutually exclusive shedding policies"
+        )
+    if adaptive is not None:
+        return ShedPolicy.ADAPTIVE
+    return ShedPolicy.SHED if shed else ShedPolicy.BLOCK
 
 
 @dataclass
@@ -381,15 +398,41 @@ class IngressPipeline:
         # this virtual-time boundary — identical on every executor.
         self._executor.flush_pending()
         depths = self._executor.lane_depths()
-        adaptive_shed = self._adaptive_lane_shed()
-        for counters in self._executor.telemetry_now():
+        self._publish_admission(self._executor.telemetry_now())
+        for lane, depth in enumerate(depths):
+            self.metrics.gauge(
+                "repro_ingress_queue_depth", {"lane": str(lane)}, wall=True
+            ).set(depth)
+        # A lane that fully drained since the last tick() must not keep
+        # reporting its last (pre-drain) delay prediction: a stale
+        # non-zero series would tell the adaptive controller — and any
+        # flight-recorder frame — that an empty lane is still slow.
+        for lane, predicted in list(self._predicted_delays.items()):
+            if predicted and depths[lane] == 0:
+                self._set_predicted(lane, 0.0)
+
+    def _publish_admission(self, telemetry) -> list[int]:
+        """Set the per-lane admission series from delivery counters.
+
+        Idempotent ``set()``s, so the final accounting at close agrees
+        with whatever a flight frame already collected.  Returns each
+        lane's total shed count (queue-full plus delay-budget).
+        """
+        adaptive_shed = (
+            self._adaptive.lane_shed_counts()
+            if self._adaptive is not None
+            else [0] * self._executor.n_lanes
+        )
+        shed = []
+        for counters in telemetry:
             labels = {"lane": str(counters.lane)}
+            shed.append(counters.shed + adaptive_shed[counters.lane])
             self.metrics.counter(
                 "repro_ingress_admitted_total", labels
             ).set(counters.enqueued)
             self.metrics.counter(
                 "repro_ingress_shed_total", labels
-            ).set(counters.shed + adaptive_shed[counters.lane])
+            ).set(shed[-1])
             if counters.shed:
                 self.metrics.counter(
                     "repro_ingress_shed_reason_total",
@@ -402,16 +445,7 @@ class IngressPipeline:
                 wall=True,
                 agg="max",
             ).set_max(counters.high_watermark)
-            self.metrics.gauge(
-                "repro_ingress_queue_depth", labels, wall=True
-            ).set(depths[counters.lane])
-        # A lane that fully drained since the last tick() must not keep
-        # reporting its last (pre-drain) delay prediction: a stale
-        # non-zero series would tell the adaptive controller — and any
-        # flight-recorder frame — that an empty lane is still slow.
-        for lane, predicted in list(self._predicted_delays.items()):
-            if predicted and depths[lane] == 0:
-                self._set_predicted(lane, 0.0)
+        return shed
 
     def _set_predicted(self, lane: int, predicted: float) -> None:
         self._predicted_delays[lane] = predicted
@@ -420,11 +454,6 @@ class IngressPipeline:
             {"lane": str(lane)},
             wall=True,
         ).set(predicted)
-
-    def _adaptive_lane_shed(self) -> list[int]:
-        if self._adaptive is None:
-            return [0] * self._executor.n_lanes
-        return self._adaptive.lane_shed_counts()
 
     def close(self) -> IngressResult:
         """Drain every lane, collect lane results, merge deterministically."""
@@ -436,7 +465,9 @@ class IngressPipeline:
 
     def _merge(self, lane_results, telemetry) -> IngressResult:
         result = IngressResult(lanes=list(lane_results))
-        adaptive_shed = self._adaptive_lane_shed()
+        # Final admission accounting, before the registry is snapshot
+        # into the deployment-wide merge below.
+        shed = self._publish_admission(telemetry)
         firsts: list[float] = []
         lasts: list[float] = []
         for lane in lane_results:
@@ -447,7 +478,7 @@ class IngressPipeline:
             # whether the queue refused it or the delay-budget
             # controller did.
             lane.stats.queued += counters.enqueued
-            lane.stats.shed += counters.shed + adaptive_shed[lane.lane]
+            lane.stats.shed += shed[lane.lane]
             result.ml_verdicts.extend(lane.ml_verdicts)
             result.stats.absorb(lane.stats)
             result.handled += lane.handled
@@ -482,30 +513,6 @@ class IngressPipeline:
         result.shed = result.stats.shed
         result.first_timestamp = min(firsts) if firsts else 0.0
         result.last_timestamp = max(lasts) if lasts else 0.0
-        # Final admission accounting (idempotent set(), so it agrees
-        # with whatever the flight recorder already collected), then the
-        # deployment-wide merge: admission registry first, lane
-        # snapshots in lane order.
-        for counters in telemetry:
-            labels = {"lane": str(counters.lane)}
-            self.metrics.counter(
-                "repro_ingress_admitted_total", labels
-            ).set(counters.enqueued)
-            self.metrics.counter(
-                "repro_ingress_shed_total", labels
-            ).set(counters.shed + adaptive_shed[counters.lane])
-            if counters.shed:
-                self.metrics.counter(
-                    "repro_ingress_shed_reason_total",
-                    {**labels, "reason": "queue_full"},
-                    wall=True,
-                ).set(counters.shed)
-            self.metrics.gauge(
-                "repro_ingress_queue_high_watermark",
-                labels,
-                wall=True,
-                agg="max",
-            ).set_max(counters.high_watermark)
         # Every queue is drained at close: clear any still-published
         # delay prediction so the final snapshot cannot carry a stale
         # non-zero series for an empty lane.

@@ -21,12 +21,14 @@ Two worker flavours:
 * :class:`WorkloadLaneWorker` consumes *session* events (agent + start
   time), then drives them through the node with the interleaved
   event-time scheduler at finish, annotating ground truth and running
-  the CAPTCHA funnel exactly like the synchronous engine — per-IP RNG
-  splits make those outcomes independent of which lane a session
-  landed on.
+  the CAPTCHA funnel — per-IP RNG splits make those outcomes
+  independent of which lane a session landed on.
 
 Both return a picklable :class:`LaneResult`, so the same worker code
-runs inline, on a thread, or inside a process-pool child.
+runs inline, on a thread, or inside a process-pool child — and these
+two workers are the only code that drives a request into a node for
+:class:`~repro.trace.replay.TraceReplayEngine` and
+:class:`~repro.workload.engine.WorkloadEngine`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from repro.detection.verdict import Label
 from repro.ingress.batcher import MicroBatchConfig, MicroBatcher
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.batch import BatchVerdict
-from repro.ml.dataset import SessionExample
 from repro.obs.flight import FlightFrame, FlightRecorder
 from repro.obs.registry import (
     EVENT_SECONDS_BUCKETS,
@@ -80,10 +81,9 @@ class LaneResult:
     probes_loaded: int = 0
     first_timestamp: float | None = None
     last_timestamp: float | None = None
-    #: Workload lanes only: (original index, record/example) pairs and
-    #: the lane's CAPTCHA funnel counters.
+    #: Workload lanes only: (submission index, record) pairs and the
+    #: lane's CAPTCHA funnel counters.
     records: list[tuple[int, SessionRecord]] | None = None
-    examples: list[tuple[int, SessionExample]] | None = None
     captcha_stats: CaptchaStats | None = None
     #: The lane registry's final snapshot and its flight-recorder frames
     #: (both picklable, so they ship back from process-executor lanes).
@@ -127,7 +127,104 @@ def export_captcha_stats(metrics, stats: CaptchaStats) -> None:
         )
 
 
-class ReplayLaneWorker:
+class _LaneWorker:
+    """What both worker flavours hang on their lane's state.
+
+    Lane metrics live on the node's registry — the node is the lane's
+    state, so one registry rides wherever the lane runs — next to the
+    lane's optional span tracer and flight recorder.
+    """
+
+    def __init__(
+        self,
+        lane: int,
+        node: ProxyNode | NodeShard,
+        taps,
+        flight_interval: float | None,
+        spans: SpanConfig | None,
+    ) -> None:
+        self.lane = lane
+        self.node = node
+        self._taps = tuple(taps)
+        self._lane_labels = {"lane": str(lane)}
+        self._queue_wait_wall = node.metrics.histogram(
+            "repro_ingress_queue_wait_seconds",
+            WALL_SECONDS_BUCKETS,
+            self._lane_labels,
+            wall=True,
+        )
+        #: Live EWMA of this lane's queue delay, mirrored onto gauges so
+        #: snapshots / flight frames carry it.
+        self.delay_estimator = QueueDelayEstimator()
+        self._delay_wall_gauge = node.metrics.gauge(
+            "repro_ingress_queue_delay_ewma_seconds",
+            self._lane_labels,
+            wall=True,
+        )
+        #: Wall seconds the most recent admitted event sat queued (0 on
+        #: the serial executor, which never queues).
+        self._last_wait = 0.0
+        self._tracer = (
+            SpanTracer(lane, TailSampler(spans))
+            if spans is not None
+            else None
+        )
+        if self._tracer is not None:
+            node.attach_tracer(self._tracer)
+        self._flight = (
+            FlightRecorder(
+                flight_interval,
+                node.metrics,
+                snapshot=node.metrics_snapshot,
+            )
+            if flight_interval
+            else None
+        )
+
+    def note_queue_wait(self, seconds: float) -> None:
+        """Record wall-clock time an admitted event sat in the lane queue."""
+        self._queue_wait_wall.observe(seconds)
+        self._last_wait = seconds
+        self.delay_estimator.observe_wall(seconds)
+        self._delay_wall_gauge.set(self.delay_estimator.wall_seconds)
+
+    def _finalize(self, end: float, close_batcher=None) -> None:
+        """Finalize the lane's detection state.
+
+        With tracing on, the work lands in one always-retained
+        end-of-run trace per lane (``close_batcher``, the replay lanes'
+        final scoring flush, as its own span).
+        """
+        tracer = self._tracer
+        if tracer is None:
+            if close_batcher is not None:
+                close_batcher()
+            self.node.detection.finalize()
+            return
+        tracer.begin("finish", end)
+        if close_batcher is not None:
+            with tracer.span("batch_close", end):
+                close_batcher()
+        with tracer.span("finalize", end):
+            self.node.detection.finalize()
+        tracer.end(flags=("finish",))
+
+    def _lane_result(self, **fields) -> LaneResult:
+        """The reductions every lane reports, plus the flavour's own."""
+        tracer = self._tracer
+        return LaneResult(
+            lane=self.lane,
+            stats=self.node.stats,
+            sessions=self.node.detection.tracker.analyzable(),
+            latencies=self.node.detection.detection_latencies(),
+            metrics=self.node.metrics_snapshot(),
+            flight=self._flight.frames if self._flight is not None else [],
+            spans=tracer.traces() if tracer is not None else [],
+            **fields,
+        )
+
+
+class ReplayLaneWorker(_LaneWorker):
     """Streams one lane's trace events through its proxy node."""
 
     def __init__(
@@ -142,8 +239,7 @@ class ReplayLaneWorker:
         spans: SpanConfig | None = None,
         ladder: LadderConfig | None = None,
     ) -> None:
-        self.lane = lane
-        self.node = node
+        super().__init__(lane, node, taps, flight_interval, spans)
         self._interval = housekeeping_interval or None
         self._next_sweep: float | None = None
         if batch is not None:
@@ -162,65 +258,25 @@ class ReplayLaneWorker:
             self._batcher.attach_ladder(
                 self._ladder_router, ladder.checkpoint_base
             )
-        self._taps = tuple(taps)
         self._handled = 0
         self._probes_loaded = 0
         self._first: float | None = None
         self._last: float | None = None
-        # Lane metrics live on the node's registry: the node is the
-        # lane's state, so one registry rides wherever the lane runs.
-        lane_labels = {"lane": str(lane)}
-        self._batcher.attach_metrics(node.metrics, lane_labels)
-        self._queue_wait_wall = node.metrics.histogram(
-            "repro_ingress_queue_wait_seconds",
-            WALL_SECONDS_BUCKETS,
-            lane_labels,
-            wall=True,
-        )
+        self._batcher.attach_metrics(node.metrics, self._lane_labels)
+        if self._tracer is not None:
+            self._batcher.attach_tracer(self._tracer)
+        # The event-time domain of the queue wait: how far behind the
+        # lane's own clock an event is when it reaches the worker.
         self._queue_wait_event = node.metrics.histogram(
             "repro_ingress_queue_wait_event_seconds",
             EVENT_SECONDS_BUCKETS,
-            lane_labels,
-        )
-        #: Live EWMA of this lane's queue delay in both clock domains,
-        #: mirrored onto gauges so snapshots / flight frames carry it.
-        self.delay_estimator = QueueDelayEstimator()
-        self._delay_wall_gauge = node.metrics.gauge(
-            "repro_ingress_queue_delay_ewma_seconds",
-            lane_labels,
-            wall=True,
+            self._lane_labels,
         )
         self._delay_event_gauge = node.metrics.gauge(
-            "repro_ingress_queue_delay_ewma_event_seconds", lane_labels
+            "repro_ingress_queue_delay_ewma_event_seconds",
+            self._lane_labels,
         )
         self._lane_clock: float | None = None
-        #: Wall seconds the most recent admitted event sat queued (0 on
-        #: the serial executor, which never queues).
-        self._last_wait = 0.0
-        self._tracer = (
-            SpanTracer(lane, TailSampler(spans))
-            if spans is not None
-            else None
-        )
-        if self._tracer is not None:
-            node.attach_tracer(self._tracer)
-            self._batcher.attach_tracer(self._tracer)
-        self._flight = (
-            FlightRecorder(
-                flight_interval,
-                node.metrics,
-                snapshot=node.metrics_snapshot,
-            )
-            if flight_interval
-            else None
-        )
-
-    def note_queue_wait(self, seconds: float) -> None:
-        """Record wall-clock time an admitted event sat in the lane queue."""
-        self._queue_wait_wall.observe(seconds)
-        self._last_wait = seconds
-        self.delay_estimator.observe_wall(seconds)
-        self._delay_wall_gauge.set(self.delay_estimator.wall_seconds)
 
     def process(self, event) -> None:
         """Consume one admitted ``(kind, record)`` event."""
@@ -289,36 +345,17 @@ class ReplayLaneWorker:
 
     def finish(self) -> LaneResult:
         """Flush scoring, finalize detection, reduce to a LaneResult."""
-        tracer = self._tracer
-        if tracer is not None:
-            # One always-retained end-of-run trace per lane, covering
-            # the final batch flush and session finalization.
-            end = self._lane_clock if self._lane_clock is not None else 0.0
-            tracer.begin("finish", end)
-            if self._batcher.enabled:
-                with tracer.span("batch_close", end):
-                    self._batcher.close()
-            else:
-                self._batcher.close()
-            with tracer.span("finalize", end):
-                self.node.detection.finalize()
-            tracer.end(flags=("finish",))
-        else:
-            self._batcher.close()
-            self.node.detection.finalize()
-        return LaneResult(
-            lane=self.lane,
-            stats=self.node.stats,
-            sessions=self.node.detection.tracker.analyzable(),
-            latencies=self.node.detection.detection_latencies(),
-            ml_verdicts=self._batcher.verdicts,
+        batcher = self._batcher
+        self._finalize(
+            self._lane_clock if self._lane_clock is not None else 0.0,
+            close_batcher=batcher.close if batcher.enabled else None,
+        )
+        return self._lane_result(
+            ml_verdicts=batcher.verdicts,
             handled=self._handled,
             probes_loaded=self._probes_loaded,
             first_timestamp=self._first,
             last_timestamp=self._last,
-            metrics=self.node.metrics_snapshot(),
-            flight=self._flight.frames if self._flight is not None else [],
-            spans=tracer.traces() if tracer is not None else [],
             ladder=(
                 self._ladder_router.export_state()
                 if self._ladder_router is not None
@@ -343,12 +380,14 @@ class ReplayLaneWorker:
         return skew
 
     def _sweep(self, timestamp: float) -> None:
-        # Same anchoring as the synchronous replay loop, but on this
-        # lane's own event clock: the first event arms the timer, and a
-        # sweep at the end of an idle gap subsumes the boundary sweeps
-        # inside it.  Sweep timing is behaviour-neutral (idle rotation,
-        # cache TTL and bucket eviction are all re-checked on access),
-        # so lane-local clocks keep results identical to the global one.
+        # Sweeps follow this lane's own event clock, anchored at its
+        # first event: real logs carry absolute dates (years past the
+        # virtual epoch), so counting boundaries from zero would spin
+        # through hundreds of thousands of no-op sweeps before the first
+        # request, and one sweep at the end of an idle gap subsumes the
+        # boundary sweeps inside it.  Sweep timing is behaviour-neutral
+        # (idle rotation, cache TTL and bucket eviction are all
+        # re-checked on access), so lane layout never changes results.
         if self._interval is None:
             return
         if self._next_sweep is None:
@@ -358,14 +397,14 @@ class ReplayLaneWorker:
             self._next_sweep = timestamp + self._interval
 
 
-class WorkloadLaneWorker:
+class WorkloadLaneWorker(_LaneWorker):
     """Buffers one lane's sessions, then drives them in event-time order.
 
     Admission streams ``(SESSION_EVENT, index, agent, start)`` tuples;
     the actual driving happens at :meth:`finish` so the lane can heap-
-    order *all* its sessions by next-event time — the same discipline
-    (and therefore the same per-node request order, byte for byte) as
-    the global interleaved scheduler restricted to this node's clients.
+    order *all* its sessions by next-event time: the node sees its own
+    clients' requests in timestamp order, which is the only order any
+    state depends on.
     """
 
     def __init__(
@@ -382,56 +421,19 @@ class WorkloadLaneWorker:
         flight_interval: float | None = None,
         spans: SpanConfig | None = None,
     ) -> None:
-        self.lane = lane
-        self.node = node
+        # Sessions are buffered and driven at finish, so only the wall
+        # domain of the queue wait (admission, not event skew) is
+        # meaningful here — the base's instruments are all there is.
+        super().__init__(lane, node, taps, flight_interval, spans)
         self._budget = budget
         self._collect_features = collect_features
         self._interval = housekeeping_interval
         self._captcha_enabled = captcha_enabled
         self._captcha = CaptchaService(captcha_config)
         self._captcha_rng = captcha_rng
-        self._taps = tuple(taps)
         self._indices: list[int] = []
         self._agents: list = []
         self._starts: list[float] = []
-        lane_labels = {"lane": str(lane)}
-        self._queue_wait_wall = node.metrics.histogram(
-            "repro_ingress_queue_wait_seconds",
-            WALL_SECONDS_BUCKETS,
-            lane_labels,
-            wall=True,
-        )
-        # Workload lanes buffer their sessions and drive them at
-        # finish, so only the wall domain of the delay estimate is
-        # meaningful (admission wait, not event skew).
-        self.delay_estimator = QueueDelayEstimator()
-        self._delay_wall_gauge = node.metrics.gauge(
-            "repro_ingress_queue_delay_ewma_seconds",
-            lane_labels,
-            wall=True,
-        )
-        self._tracer = (
-            SpanTracer(lane, TailSampler(spans))
-            if spans is not None
-            else None
-        )
-        if self._tracer is not None:
-            node.attach_tracer(self._tracer)
-        self._flight = (
-            FlightRecorder(
-                flight_interval,
-                node.metrics,
-                snapshot=node.metrics_snapshot,
-            )
-            if flight_interval
-            else None
-        )
-
-    def note_queue_wait(self, seconds: float) -> None:
-        """Record wall-clock time an admitted event sat in the lane queue."""
-        self._queue_wait_wall.observe(seconds)
-        self.delay_estimator.observe_wall(seconds)
-        self._delay_wall_gauge.set(self.delay_estimator.wall_seconds)
 
     def process(self, event) -> None:
         """Accept one admitted session assignment."""
@@ -446,11 +448,6 @@ class WorkloadLaneWorker:
         # machinery through the workload engine, so a module-level
         # import would be circular through the package __init__ chain.
         from repro.trace.interleave import InterleavedScheduler
-
-        examples: list[tuple[int, SessionExample]] = []
-
-        def session_done(record: SessionRecord) -> None:
-            self._annotate(record)
 
         handler = self.node.handle
         if self._taps or self._flight is not None or self._tracer is not None:
@@ -483,44 +480,24 @@ class WorkloadLaneWorker:
             housekeeping_interval=self._interval,
         )
         records = scheduler.run(
-            self._agents, self._starts, on_session_end=session_done
+            self._agents, self._starts, on_session_end=self._annotate
         )
-        indexed_records = list(zip(self._indices, records))
-        for index, record in indexed_records:
-            if record.example is not None:
-                examples.append((index, record.example))
 
-        tracer = self._tracer
-        if tracer is not None:
-            end = max(
-                (record.ended_at for record in records), default=0.0
-            )
-            tracer.begin("finish", end)
-            with tracer.span("finalize", end):
-                self.node.detection.finalize()
-            tracer.end(flags=("finish",))
-        else:
-            self.node.detection.finalize()
+        self._finalize(
+            max((record.ended_at for record in records), default=0.0)
+        )
         export_captcha_stats(self.node.metrics, self._captcha.stats)
-        return LaneResult(
-            lane=self.lane,
-            stats=self.node.stats,
-            sessions=self.node.detection.tracker.analyzable(),
-            latencies=self.node.detection.detection_latencies(),
+        return self._lane_result(
             handled=sum(record.requests for record in records),
-            records=indexed_records,
-            examples=examples,
+            records=list(zip(self._indices, records)),
             captcha_stats=self._captcha.stats,
-            metrics=self.node.metrics_snapshot(),
-            flight=self._flight.frames if self._flight is not None else [],
-            spans=tracer.traces() if tracer is not None else [],
         )
 
     def _annotate(self, record: SessionRecord) -> None:
-        # Mirror of WorkloadEngine._annotate_session, node-local.  The
-        # CAPTCHA stream is split per client IP from the engine's base
-        # stream, so outcomes are identical whichever lane (or process)
-        # the session ran in.
+        # Ground truth and the CAPTCHA funnel, the moment a session ends
+        # (its tracker state is still live then).  The CAPTCHA stream is
+        # split per client IP from the engine's base stream, so outcomes
+        # are identical whichever lane (or process) the session ran in.
         state = self.node.detection.tracker.get(
             record.client_ip, record.user_agent
         )

@@ -9,7 +9,7 @@ boundary ``b`` therefore never includes events with ``ts >= b``.
 
 Because the grid is absolute and per-lane event order is pinned by the
 admission contract, a lane's frame sequence is identical whether the lane
-ran inline (sync replay loop) or behind a queue in a thread/process
+ran inline (serial executor) or behind a queue in a thread/process
 executor — which is what lets :func:`merge_flight` reconstruct a global
 timeline from per-lane recordings deterministically.
 """

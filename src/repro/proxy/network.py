@@ -167,8 +167,8 @@ class ProxyNetwork:
     def handle_traced(self, request: Request):
         """Route a request to its node, exposing the detection outcome.
 
-        Returns ``(response, outcome)`` — what the sync replay loop's
-        tracing needs to flag robot/error traces; taps fire either way.
+        Returns ``(response, outcome)`` — what a tracing caller needs
+        to flag robot/error traces; taps fire either way.
         """
         response, outcome = self.node_for(
             request.client_ip
@@ -194,9 +194,9 @@ class ProxyNetwork:
     def metrics_snapshot(self, include_wall: bool = True):
         """Deployment-wide metrics: node registries merged in node order.
 
-        Node order is the same order the ingress merges lanes in, so a
-        synchronous run and a pipelined run reduce their deterministic
-        metrics identically.
+        Node order is the same order the ingress merges lanes in, so
+        this and a run's merged lane snapshots reduce their
+        deterministic metrics identically.
         """
         from repro.obs.registry import merge_snapshots
 

@@ -600,10 +600,10 @@ class ProxyNode:
     def attach_tracer(self, tracer) -> None:
         """Attach one span tracer to every state shard (``None`` detaches).
 
-        Node-as-lane layouts (the sync replay loop, ``lanes_per_node=1``)
-        share a single tracer across the node's shards: requests are
-        handled one at a time, so stage spans still nest correctly under
-        the caller's open trace.
+        Node-as-lane layouts (``lanes_per_node=1``) share a single
+        tracer across the node's shards: requests are handled one at a
+        time, so stage spans still nest correctly under the caller's
+        open trace.
         """
         for shard in self._shards:
             shard.attach_tracer(tracer)

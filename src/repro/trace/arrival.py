@@ -1,11 +1,11 @@
 """Arrival profiles: when sessions start within the experiment window.
 
-The seed engine spread session starts uniformly over the window — the
-only arrival process a sequential, one-session-at-a-time replay can
-express.  With the interleaved scheduler (:mod:`repro.trace.interleave`)
-the start-time *distribution* becomes a real workload knob, so diurnal
-cycles and flash crowds — the load shapes a production CoDeeN node
-actually sees — are now first-class scenarios.
+The seed engine spread session starts uniformly over the window.
+Because every lane steps its live sessions by next-event time
+(:mod:`repro.trace.interleave`), sessions overlap and the start-time
+*distribution* is a real workload knob: diurnal cycles and flash crowds
+— the load shapes a production CoDeeN node actually sees — are
+first-class scenarios.
 
 Profiles draw from the workload's own RNG stream, so a workload remains
 fully described by (mix, size, seed, profile).

@@ -21,8 +21,12 @@ Two deliberate extensions, both backward compatible with real logs:
   read.  Real logs have ``-`` there and simply replay unlabelled.
 
 Reading is streaming (constant memory) and gzip-transparent; malformed
-lines are counted and skipped rather than aborting a multi-gigabyte
-replay (set ``strict=True`` to raise instead).
+lines — a line holding a byte that is not UTF-8 included — are counted
+and skipped rather than aborting a multi-gigabyte replay (set
+``strict=True`` to raise instead).  :func:`read_records` is the one
+reader; the access log and the probe journal
+(:mod:`repro.trace.recorder`) differ only in the line parser they hand
+it.
 
 One pattern, :data:`_LINE_RE`, matches a whole line, and it must stay
 linear on hostile input: access logs are written by the clients they
@@ -50,7 +54,8 @@ import gzip
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from typing import IO, Iterable, Iterator, NamedTuple
+from functools import partial
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response
@@ -106,7 +111,13 @@ class ParseStats:
         """Count one bad line, keeping a short sample for the report."""
         self.malformed += 1
         if len(self.samples) < self._MAX_SAMPLES:
-            self.samples.append(line.rstrip("\n")[:200])
+            # An undecodable byte is a lone surrogate here, which no
+            # output stream will print: show it as ``\xHH`` instead.
+            self.samples.append(
+                line.rstrip("\n")[:200]
+                .encode("utf-8", "surrogateescape")
+                .decode("utf-8", "backslashreplace")
+            )
 
 
 class TraceRecord(NamedTuple):
@@ -358,27 +369,39 @@ def open_trace_file(path: str, mode: str = "rt") -> IO[str]:
         with open(path, "rb") as probe:
             magic = probe.read(2)
         # Only LF ends a line: universal newlines would cut a record in
-        # two at a CR or CRLF a foreign writer left inside a field.
-        if magic == b"\x1f\x8b":
-            return gzip.open(path, "rt", encoding="utf-8", newline="\n")
-        return open(path, "r", encoding="utf-8", newline="\n")
+        # two at a CR or CRLF a foreign writer left inside a field.  A
+        # byte that is not UTF-8 must not stop the decoder (it reads
+        # ahead, so the error would take the good lines around it too):
+        # it comes through as a lone surrogate for read_records to find.
+        opener = gzip.open if magic == b"\x1f\x8b" else open
+        return opener(
+            path, "rt", encoding="utf-8", errors="surrogateescape",
+            newline="\n",
+        )
     if path.endswith(".gz"):
         return gzip.open(path, mode if "t" in mode else mode + "t",
                          encoding="utf-8")
     return open(path, mode.replace("t", ""), encoding="utf-8")
 
 
-def read_trace(
+_Record = TypeVar("_Record")
+
+#: What ``errors="surrogateescape"`` turns an undecodable byte into.
+_UNDECODABLE_RE = re.compile("[\udc80-\udcff]")
+
+
+def read_records(
     source: str | IO[str] | Iterable[str],
-    default_host: str | None = None,
+    parse: Callable[[str], _Record],
     stats: ParseStats | None = None,
     strict: bool = False,
-) -> Iterator[TraceRecord]:
-    """Stream records from a trace file, path or line iterable.
+) -> Iterator[_Record]:
+    """Stream ``parse(line)`` over a file, path or line iterable.
 
-    Malformed lines (and blank lines / ``#`` comments) are skipped and
-    counted in ``stats``; with ``strict=True`` the first malformed line
-    raises :class:`TraceParseError` instead.
+    Blank lines and ``#`` comments are skipped; a line ``parse`` refuses
+    with :class:`TraceParseError`, or one holding an undecodable byte,
+    is skipped and counted in ``stats`` — with ``strict=True`` the first
+    such line raises :class:`TraceParseError` instead.
     """
     stats = stats if stats is not None else ParseStats()
     close_after = False
@@ -394,7 +417,15 @@ def read_trace(
             if not stripped or stripped.startswith("#"):
                 continue
             try:
-                record = parse_clf_line(stripped, default_host=default_host)
+                # isascii() reads a flag, so a clean line pays for no
+                # scan; the decoder stays in C either way.
+                if not stripped.isascii() and _UNDECODABLE_RE.search(
+                    stripped
+                ):
+                    raise TraceParseError(
+                        f"undecodable byte in line: {stripped!r}"
+                    )
+                record = parse(stripped)
             except TraceParseError:
                 if strict:
                     raise
@@ -405,6 +436,24 @@ def read_trace(
     finally:
         if close_after:
             lines.close()  # type: ignore[union-attr]
+
+
+def read_trace(
+    source: str | IO[str] | Iterable[str],
+    default_host: str | None = None,
+    stats: ParseStats | None = None,
+    strict: bool = False,
+) -> Iterator[TraceRecord]:
+    """Stream records from a trace file, path or line iterable.
+
+    Malformed lines (and blank lines / ``#`` comments) are skipped and
+    counted in ``stats``; with ``strict=True`` the first malformed line
+    raises :class:`TraceParseError` instead.
+    """
+    parse = parse_clf_line
+    if default_host is not None:
+        parse = partial(parse, default_host=default_host)
+    return read_records(source, parse, stats, strict)
 
 
 def write_trace(path: str, records: Iterable[TraceRecord]) -> int:

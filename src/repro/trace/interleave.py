@@ -1,23 +1,24 @@
-"""Time-interleaved session scheduling.
+"""Time-interleaved session scheduling: the one session driver.
 
-The sequential engine drives sessions one at a time — fine for census
-arithmetic (the tracker keys state by <IP, User-Agent>), but incapable of
-expressing load shape: every request of session A hits the proxy before
-any request of session B, no matter what their timestamps say.
+Driving sessions one at a time is fine for census arithmetic (the
+tracker keys state by <IP, User-Agent>) but incapable of expressing load
+shape: every request of session A would hit the proxy before any request
+of session B, no matter what their timestamps say.
 
 :class:`InterleavedScheduler` instead keeps every live session as a
 :class:`~repro.workload.session_run.SessionCursor` in a min-heap ordered
-by next-event time and always performs the globally earliest fetch, so
-the proxy network sees requests in true timestamp order.  That is what
-makes flash-crowd and diurnal arrival profiles
-(:mod:`repro.trace.arrival`) meaningful, and it is the same event loop
-the trace replay engine uses — one discipline for synthetic and recorded
-traffic.
+by next-event time and always performs the earliest fetch, so its
+handler sees requests in true timestamp order.  That is what makes
+flash-crowd and diurnal arrival profiles (:mod:`repro.trace.arrival`)
+meaningful.  Each ingress lane runs one scheduler over its own node's
+sessions (:class:`~repro.ingress.workers.WorkloadLaneWorker`), which is
+the same discipline trace replay applies to recorded events — one lane,
+one event clock — for synthetic and recorded traffic alike.
 
-For the default uniform profile, per-session results are identical to
-the sequential engine: cursors own all per-session state, and the only
-shared state (caches, probe tables, trackers) is keyed or content-
-equivalent under reordering.
+Per-session results do not depend on how sessions are grouped into
+lanes: cursors own all per-session state, and the only shared state
+(caches, probe tables, trackers) is keyed or content-equivalent under
+reordering.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ class InterleavedScheduler:
         starts: Iterable[float],
         on_session_end: Callable[[SessionRecord], None] | None = None,
     ) -> list[SessionRecord]:
-        """Drive all sessions to completion in global event order.
+        """Drive all sessions to completion in event order.
 
         ``on_session_end`` fires the moment each session finishes — at
         that point its tracker state is still live, so callers can attach
-        ground truth exactly like the sequential engine does.  Records
-        are returned in the agents' original order.
+        ground truth.  Records are returned in the agents' original
+        order.
         """
         cursors: list[SessionCursor] = []
         heap: list[tuple[float, int, int]] = []

@@ -34,6 +34,7 @@ from repro.trace.clf import (
     TraceParseError,
     TraceRecord,
     open_trace_file,
+    read_records,
     write_trace,
 )
 from repro.workload.session_run import SessionRecord
@@ -151,31 +152,7 @@ def read_probe_journal(
     strict: bool = False,
 ) -> Iterator[ProbeRecord]:
     """Stream a probe journal, skipping (and counting) malformed lines."""
-    stats = stats if stats is not None else ParseStats()
-    close_after = False
-    if isinstance(source, str):
-        lines: Iterable[str] = open_trace_file(source)
-        close_after = True
-    else:
-        lines = source
-    try:
-        for line in lines:
-            stats.lines += 1
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                record = parse_probe_line(stripped)
-            except TraceParseError:
-                if strict:
-                    raise
-                stats.note_malformed(line)
-                continue
-            stats.parsed += 1
-            yield record
-    finally:
-        if close_after:
-            lines.close()  # type: ignore[union-attr]
+    return read_records(source, parse_probe_line, stats, strict)
 
 
 class TraceRecorder:

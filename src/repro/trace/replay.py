@@ -1,15 +1,21 @@
 """Streaming trace replay: feed an access log through the detection
-pipeline in global timestamp order.
+pipeline in timestamp order.
 
 This is how BOTracle/BotGraph-style evaluations work — the classifier is
 judged on a recorded request log rather than on scripted clients.  The
 engine heap-merges any number of trace sources (plus an optional probe
-journal) into one time-ordered event stream, pushes every request
-through :meth:`ProxyNetwork.handle`, runs periodic
-:meth:`ProxyNetwork.housekeeping` sweeps, and reduces the outcome to the
-same census/set-algebra/latency shape the synthetic engine produces
-(:class:`~repro.workload.results.SessionCensus`), so every analysis and
-reporting consumer works unchanged.
+journal) into one time-ordered event stream and admits every event to
+the ingress pipeline (:mod:`repro.ingress`): each event is routed by its
+client IP to the lane that owns that client's state, and the lane's
+:class:`~repro.ingress.workers.ReplayLaneWorker` handles requests,
+registers probes and sweeps housekeeping on its own event clock.  All
+detection state is keyed on the ``<IP, User-Agent>`` session at the node
+serving the client, so a lane consuming its events in order *is* the
+whole computation; ``executor`` only chooses where the lanes run (the
+default ``serial`` runs them inline in the calling thread).  The outcome
+is reduced to the same census/set-algebra/latency shape the synthetic
+engine produces (:class:`~repro.workload.results.SessionCensus`), so
+every analysis and reporting consumer works unchanged.
 
 Replay networks should be built with ``instrument_enabled=False``: the
 pages were already instrumented when the trace was recorded, and the
@@ -24,21 +30,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
 from repro.detection.set_algebra import SetAlgebraSummary
 from repro.ml.batch import BatchVerdict
-from repro.obs.flight import FlightFrame, FlightRecorder, merge_flight
+from repro.obs.flight import FlightFrame
 from repro.obs.registry import MetricsSnapshot
-from repro.obs.spans import (
-    SpanConfig,
-    SpanTracer,
-    SpanTree,
-    TailSampler,
-    merge_traces,
-)
+from repro.obs.spans import SpanConfig, SpanTree
 from repro.proxy.network import NetworkStats, ProxyNetwork
 from repro.trace.clf import ParseStats, TraceRecord, read_trace
 from repro.trace.recorder import ProbeRecord, read_probe_journal
@@ -46,6 +46,7 @@ from repro.workload.results import SessionCensus, apply_session_identities
 
 if TYPE_CHECKING:  # imported lazily at run time (package-cycle-free)
     from repro.ingress.batcher import MicroBatchConfig
+    from repro.ingress.pipeline import IngressConfig
     from repro.ml.adaboost import AdaBoostModel
     from repro.overload.admission import AdaptiveConfig, OverloadReport
     from repro.overload.ladder import LadderConfig
@@ -71,14 +72,14 @@ class ReplayConfig:
     ``shard_workers`` sizes the optional executor behind the shards'
     batch and housekeeping paths.
 
-    ``executor`` switches the replay from the synchronous one-request-
-    at-a-time loop to the pipelined ingress: events stream onto bounded
-    per-lane queues (one lane per node, ``queue_depth`` events each,
-    None = unbounded) consumed by ``serial``/``thread``/``process`` lane
-    executors.  Results are bit-identical to the synchronous loop unless
-    ``shed`` opts the full-queue behaviour into counted load shedding.
-    ``scorer_model`` additionally micro-batches §4.2 ensemble scoring
-    per lane under the ``batch`` count/latency budgets.
+    Events stream onto per-lane queues (``queue_depth`` events each,
+    None = unbounded) consumed by the ``serial``/``thread``/``process``
+    lane ``executor``.  Results are bit-identical across executors,
+    depths and lane layouts unless ``shed`` / ``adaptive`` opt into
+    load shedding.  ``scorer_model`` additionally micro-batches §4.2
+    ensemble scoring per lane under the ``batch`` count/latency budgets.
+    Which combinations make sense is :class:`IngressConfig`'s call: one
+    is built (and so checked) at construction.
     """
 
     housekeeping_interval: float = 600.0
@@ -87,93 +88,58 @@ class ReplayConfig:
     strict: bool = False
     shards: int = 0
     shard_workers: int | None = None
-    executor: str | None = None
+    executor: str = "serial"
     queue_depth: int | None = None
+    #: Binary full-queue shedding (``ShedPolicy.SHED``).
     shed: bool = False
     #: Delay-budget admission (``ShedPolicy.ADAPTIVE``): shed at the
     #: front door when the lane's predicted queue delay exceeds the
     #: budget, with hysteresis and per-IP fairness.  Mutually exclusive
-    #: with ``shed`` (which is the binary full-queue policy).
+    #: with ``shed``.
     adaptive: "AdaptiveConfig | None" = None
     #: Graduated response ladder (throttle -> CAPTCHA -> block) driven
-    #: live from micro-batch checkpoint verdicts; needs
-    #: ``scorer_model`` and a pipelined executor.
+    #: live from micro-batch checkpoint verdicts; needs ``scorer_model``.
     ladder: "LadderConfig | None" = None
-    #: Lane granularity for the pipelined path: 1 = one lane per node;
-    #: the node's detection shard count = one lane per
-    #: :class:`~repro.proxy.node.NodeShard`, so process lanes scale
-    #: with cores instead of node count.  Results are invariant.
+    #: Lane granularity: 1 = one lane per node; the node's detection
+    #: shard count = one lane per :class:`~repro.proxy.node.NodeShard`,
+    #: so process lanes scale with cores instead of node count.
     lanes_per_node: int = 1
     scorer_model: "AdaBoostModel | None" = None
     batch: "MicroBatchConfig | None" = None
-    #: Virtual-time flight-recorder sampling interval (None = off).
-    #: Works on both the synchronous loop (per-node recorders) and the
-    #: pipelined ingress (per-lane + admission-side recorders) — the
-    #: sampling grid is absolute, so both produce the same frames.
+    #: Virtual-time flight-recorder sampling interval (None = off):
+    #: every lane and the admission side sample on one absolute grid.
     flight_interval: float | None = None
-    #: Tail-sampling budgets for causal span tracing (None = off).
-    #: Works on both paths: the synchronous loop runs one tracer per
-    #: node, the pipelined ingress one per lane — the virtual view of
-    #: the retained trees is identical either way.
+    #: Tail-sampling budgets for causal span tracing (None = off); one
+    #: tracer per lane.
     spans: SpanConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.housekeeping_interval < 0:
-            raise ValueError("housekeeping_interval must be non-negative")
-        if self.flight_interval is not None and self.flight_interval <= 0:
-            raise ValueError(
-                "flight_interval must be positive (or None to disable)"
-            )
         if self.shards < 0:
             raise ValueError("shards must be non-negative")
         if self.shard_workers is not None and self.shard_workers < 1:
             raise ValueError("shard_workers must be >= 1 when given")
-        if self.executor is not None:
-            from repro.ingress.executors import EXECUTOR_KINDS
+        self.ingress()
 
-            if self.executor not in EXECUTOR_KINDS:
-                raise ValueError(
-                    f"executor must be one of {EXECUTOR_KINDS}, "
-                    f"got {self.executor!r}"
-                )
-        if self.queue_depth is not None and self.queue_depth < 1:
-            raise ValueError(
-                "queue_depth must be >= 1 (or None for unbounded)"
-            )
-        if self.shed and self.executor is None:
-            raise ValueError("shed requires a pipelined executor")
-        if self.shed and self.queue_depth is None:
-            raise ValueError(
-                "shed with queue_depth=None can never shed (an "
-                "unbounded queue never refuses): set a queue_depth"
-            )
-        if self.adaptive is not None:
-            if self.shed:
-                raise ValueError(
-                    "shed and adaptive are mutually exclusive shedding "
-                    "policies"
-                )
-            if self.executor not in ("thread", "process"):
-                raise ValueError(
-                    "adaptive admission needs a queued executor "
-                    "(thread or process)"
-                )
-        if self.ladder is not None:
-            if self.executor is None:
-                raise ValueError(
-                    "ladder requires a pipelined executor"
-                )
-            if self.scorer_model is None:
-                raise ValueError(
-                    "ladder requires scorer_model (checkpoint verdicts "
-                    "drive the escalation)"
-                )
-        if self.lanes_per_node < 1:
-            raise ValueError("lanes_per_node must be >= 1")
-        if self.lanes_per_node > 1 and self.executor is None:
-            raise ValueError(
-                "lanes_per_node > 1 requires a pipelined executor"
-            )
+    def ingress(self) -> "IngressConfig":
+        """The admission-and-dispatch half of these parameters."""
+        # Deferred import: repro.trace's package init imports this
+        # module, and the ingress package imports trace machinery.
+        from repro.ingress.batcher import MicroBatchConfig
+        from repro.ingress.pipeline import IngressConfig, shed_policy
+
+        return IngressConfig(
+            executor=self.executor,
+            queue_depth=self.queue_depth,
+            policy=shed_policy(self.shed, self.adaptive),
+            housekeeping_interval=self.housekeeping_interval,
+            lanes_per_node=self.lanes_per_node,
+            batch=self.batch or MicroBatchConfig(),
+            scorer_model=self.scorer_model,
+            flight_interval=self.flight_interval,
+            spans=self.spans,
+            adaptive=self.adaptive,
+            ladder=self.ladder,
+        )
 
 
 @dataclass
@@ -188,8 +154,8 @@ class ReplayResult(SessionCensus):
     probes_loaded: int = 0
     first_timestamp: float = 0.0
     last_timestamp: float = 0.0
-    #: Micro-batched ensemble verdicts, when the pipelined replay ran
-    #: with a scorer model attached (empty otherwise).
+    #: Micro-batched ensemble verdicts, when the replay ran with a
+    #: scorer model attached (empty otherwise).
     ml_verdicts: list[BatchVerdict] = field(default_factory=list)
     #: Trace-file and probe-journal parse accounting, kept separate so
     #: journal corruption is never misreported as access-log damage.
@@ -215,7 +181,7 @@ class ReplayResult(SessionCensus):
 
 
 class TraceReplayEngine:
-    """Replays trace records through a proxy network in event order."""
+    """Replays trace records through a proxy network's ingress lanes."""
 
     def __init__(
         self,
@@ -261,200 +227,16 @@ class TraceReplayEngine:
         *sources: TraceSource,
         probes: ProbeSource | None = None,
     ) -> ReplayResult:
-        if self._config.executor is not None:
-            return self._replay_pipelined(*sources, probes=probes)
-        cfg = self._config
-        parse_stats = ParseStats()
-        probe_parse_stats = ParseStats()
+        """Stream the merged events onto the ingress lanes.
 
-        streams = [
-            self._events(
-                self._trace_records(src, parse_stats), _REQUEST_EVENT, index
-            )
-            for index, src in enumerate(sources)
-        ]
-        if probes is not None:
-            streams.append(
-                self._events(
-                    self._probe_records(probes, probe_parse_stats),
-                    _PROBE_EVENT,
-                    len(streams),
-                )
-            )
-
-        result = ReplayResult(
-            sessions=[],
-            summary=SetAlgebraSummary(0, 0, 0, 0, 0, 0, 0, 0),
-            stats=NetworkStats(),
-            latencies=[],
-            parse_stats=parse_stats,
-            probe_parse_stats=probe_parse_stats,
-        )
-        identities: dict[tuple[str, str], tuple[str, str]] = {}
-        # Sweeps follow event time, anchored at the first event: real
-        # logs carry absolute dates (years past the virtual epoch), so
-        # counting boundaries from zero would spin through hundreds of
-        # thousands of no-op sweeps before the first request, and a
-        # single sweep at the end of a long idle gap subsumes all the
-        # boundary sweeps inside it.
-        interval = cfg.housekeeping_interval or None
-        next_sweep = None
-        first = last = None
-        # Per-node flight recorders, ticked on each node's own event
-        # stream — identical frame sequences to what pipelined lanes
-        # record, because the sampling grid is absolute and a node sees
-        # the same events in the same order either way.
-        recorders = (
-            [
-                FlightRecorder(
-                    cfg.flight_interval, node.metrics,
-                    snapshot=node.metrics_snapshot,
-                )
-                for node in self._network.nodes
-            ]
-            if cfg.flight_interval
-            else None
-        )
-        # Per-node tracers mirror the pipelined lanes exactly: lane =
-        # node index, one begun-trace sequence per node, queue_wait
-        # recorded (zero — there is no queue here) so tree shapes match
-        # the ingress path span for span.
-        tracers: list[SpanTracer] | None = None
-        lane_clocks: list[float | None] = []
-        if cfg.spans is not None:
-            tracers = [
-                SpanTracer(index, TailSampler(cfg.spans))
-                for index in range(len(self._network.nodes))
-            ]
-            lane_clocks = [None] * len(self._network.nodes)
-            for index, node in enumerate(self._network.nodes):
-                node.attach_tracer(tracers[index])
-        # Deferred for the same package-cycle reason as the pipelined
-        # imports below.
-        if tracers is not None:
-            from repro.ingress.workers import _request_flags
-
-        for timestamp, priority, _stream, _seq, item in heapq.merge(*streams):
-            if interval is not None:
-                if next_sweep is None:
-                    next_sweep = timestamp + interval
-                elif timestamp >= next_sweep:
-                    self._network.housekeeping(timestamp)
-                    next_sweep = timestamp + interval
-            index = (
-                self._network.node_index_for(item.client_ip)
-                if recorders is not None or tracers is not None
-                else 0
-            )
-            if recorders is not None:
-                recorders[index].tick(timestamp)
-            tracer = None
-            if tracers is not None:
-                tracer = tracers[index]
-                clock = lane_clocks[index]
-                skew = (
-                    0.0 if clock is None else max(0.0, clock - timestamp)
-                )
-                if clock is None or timestamp > clock:
-                    lane_clocks[index] = timestamp
-            if priority == _PROBE_EVENT:
-                node = self._network.node_for(item.client_ip)
-                if tracer is not None:
-                    tracer.begin("probe", timestamp)
-                    tracer.record(
-                        "queue_wait", timestamp, timestamp + skew
-                    )
-                    with tracer.span("register", timestamp):
-                        node.detection.registry.register(item.to_probe())
-                    tracer.end()
-                else:
-                    node.detection.registry.register(item.to_probe())
-                result.probes_loaded += 1
-                continue
-
-            if item.agent_kind or item.true_label:
-                identities[(item.client_ip, item.user_agent)] = (
-                    item.agent_kind,
-                    item.true_label,
-                )
-            if tracer is not None:
-                tracer.begin("request", timestamp)
-                tracer.record("queue_wait", timestamp, timestamp + skew)
-                with tracer.span("handle", timestamp):
-                    response, outcome = self._network.handle_traced(
-                        item.to_request()
-                    )
-                    flags = _request_flags(response, outcome)
-                tracer.end(flags=flags)
-            else:
-                self._network.handle(item.to_request())
-            result.requests_replayed += 1
-            if first is None:
-                first = timestamp
-            last = timestamp
-
-        if tracers is None:
-            sessions = self._network.finalize_sessions()
-        else:
-            # finalize_sessions(), inlined so each node's finalization
-            # lands in an always-retained finish trace (one per lane,
-            # exactly like the pipelined workers emit).
-            sessions = []
-            for index, node in enumerate(self._network.nodes):
-                tracer = tracers[index]
-                end = lane_clocks[index]
-                end = 0.0 if end is None else end
-                tracer.begin("finish", end)
-                with tracer.span("finalize", end):
-                    node.detection.finalize()
-                tracer.end(flags=("finish",))
-                sessions.extend(node.detection.tracker.analyzable())
-                node.attach_tracer(None)
-            result.spans = merge_traces(
-                tracer.traces() for tracer in tracers
-            )
-        apply_session_identities(sessions, identities)
-
-        result.sessions = sessions
-        result.summary = self._network.session_sets().summary()
-        result.stats = self._network.stats()
-        result.latencies = self._network.detection_latencies()
-        result.first_timestamp = first or 0.0
-        result.last_timestamp = last or 0.0
-        result.metrics = self._network.metrics_snapshot()
-        if recorders is not None:
-            result.flight = merge_flight(
-                [recorder.frames for recorder in recorders],
-                [
-                    node.metrics_snapshot()
-                    for node in self._network.nodes
-                ],
-            )
-        return result
-
-    def _replay_pipelined(
-        self,
-        *sources: TraceSource,
-        probes: ProbeSource | None = None,
-    ) -> ReplayResult:
-        """The ingress path: stream events onto per-lane queues.
-
-        Same heap-merged event order as the synchronous loop — but the
-        loop only *admits*; per-node processing happens on the lanes'
-        executors.  Probe-journal registrations are admitted with
+        This loop only *admits*; per-lane processing happens on the
+        lanes' executor.  Probe-journal registrations are admitted with
         ``force`` (key material is never shed) and ride the same lane
         queue as their IP's requests, which preserves the registration-
         before-fetch ordering the probe table depends on.
         """
-        # Deferred import: repro.trace's package init imports this
-        # module, and the ingress package imports trace machinery.
-        from repro.ingress.batcher import MicroBatchConfig
-        from repro.ingress.pipeline import (
-            IngressConfig,
-            IngressPipeline,
-            replay_workers,
-        )
-        from repro.ingress.queues import ShedPolicy
+        # Deferred import: see ReplayConfig.ingress().
+        from repro.ingress.pipeline import IngressPipeline, replay_workers
         from repro.ingress.workers import PROBE_EVENT, REQUEST_EVENT
 
         cfg = self._config
@@ -476,25 +258,7 @@ class TraceReplayEngine:
                 )
             )
 
-        if cfg.adaptive is not None:
-            policy = ShedPolicy.ADAPTIVE
-        elif cfg.shed:
-            policy = ShedPolicy.SHED
-        else:
-            policy = ShedPolicy.BLOCK
-        ingress_config = IngressConfig(
-            executor=cfg.executor or "serial",
-            queue_depth=cfg.queue_depth,
-            policy=policy,
-            housekeeping_interval=cfg.housekeeping_interval,
-            lanes_per_node=cfg.lanes_per_node,
-            batch=cfg.batch or MicroBatchConfig(),
-            scorer_model=cfg.scorer_model,
-            flight_interval=cfg.flight_interval,
-            spans=cfg.spans,
-            adaptive=cfg.adaptive,
-            ladder=cfg.ladder,
-        )
+        ingress_config = cfg.ingress()
         pipeline = IngressPipeline(
             self._network,
             replay_workers(self._network, ingress_config),
@@ -502,8 +266,8 @@ class TraceReplayEngine:
         )
 
         identities: dict[tuple[str, str], tuple[str, str]] = {}
-        for _time, priority, _stream, _seq, item in heapq.merge(*streams):
-            pipeline.tick(_time)
+        for timestamp, priority, _stream, _seq, item in heapq.merge(*streams):
+            pipeline.tick(timestamp)
             if priority == _PROBE_EVENT:
                 pipeline.submit(
                     (PROBE_EVENT, item), item.client_ip, force=True
@@ -542,36 +306,30 @@ class TraceReplayEngine:
 
     def _trace_records(
         self, source: TraceSource, stats: ParseStats
-    ) -> Iterator[TraceRecord]:
+    ) -> Iterable[TraceRecord]:
         cfg = self._config
         if isinstance(source, str):
-            records: Iterable[TraceRecord] = read_trace(
+            source = read_trace(
                 source,
                 default_host=cfg.default_host,
                 stats=stats,
                 strict=cfg.strict,
             )
-        else:
-            records = source
         if cfg.assume_sorted:
-            yield from records
-        else:
-            yield from sorted(records, key=lambda r: r.timestamp)
+            return source
+        return sorted(source, key=lambda r: r.timestamp)
 
     def _probe_records(
         self, source: ProbeSource, stats: ParseStats
-    ) -> Iterator[ProbeRecord]:
+    ) -> Iterable[ProbeRecord]:
         cfg = self._config
         if isinstance(source, str):
-            records: Iterable[ProbeRecord] = read_probe_journal(
+            source = read_probe_journal(
                 source, stats=stats, strict=cfg.strict
             )
-        else:
-            records = source
         if cfg.assume_sorted:
-            yield from records
-        else:
-            yield from sorted(records, key=lambda p: p.issued_at)
+            return source
+        return sorted(source, key=lambda p: p.issued_at)
 
     @staticmethod
     def _events(records: Iterable, priority: int, stream: int):

@@ -5,8 +5,8 @@ against a proxy handler on a virtual clock
 (:class:`~repro.workload.session_run.SessionCursor` exposes the same
 session one fetch at a time for the interleaved scheduler);
 :class:`~repro.workload.engine.WorkloadEngine` replays a whole population
-mix through a proxy network — sequentially or interleaved by global
-event time — labelling sessions with ground truth and
+mix through a proxy network's ingress lanes — each node's sessions
+interleaved by event time — labelling sessions with ground truth and
 running the optional CAPTCHA funnel; :mod:`repro.workload.mixes` holds the
 calibrated populations (most importantly ``CODEEN_WEEK``, the Table 1
 census); :mod:`repro.workload.codeen` and

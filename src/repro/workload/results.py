@@ -87,14 +87,13 @@ class WorkloadResult(SessionCensus):
     latencies: list[DetectionLatency]
     dataset: Dataset
     captcha: CaptchaService
-    #: Deployment-wide metrics (node registries merged in node order;
-    #: in pipelined mode, the ingress-merged snapshot).
+    #: Deployment-wide metrics: the ingress-merged snapshot (admission
+    #: registry, then lane registries in lane order).
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: Merged flight-recorder timeline (empty unless a flight interval
     #: was configured) and tail-sampled span trees (empty unless span
-    #: tracing was configured; pipelined mode only).
+    #: tracing was configured).
     flight: list[FlightFrame] = field(default_factory=list)
     spans: list[SpanTree] = field(default_factory=list)
-    #: Adaptive admission ledger (pipelined mode with adaptive
-    #: shedding only; None otherwise).
+    #: Adaptive admission ledger (None unless adaptive shedding was on).
     overload: object | None = None

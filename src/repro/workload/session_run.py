@@ -10,12 +10,13 @@ standard checkpoints, producing a ready
 
 Two drivers share one stepping core:
 
-* :class:`SessionRunner` runs one agent to completion (the sequential
-  engine and the unit tests);
+* :class:`SessionRunner` runs one agent to completion — the one-agent
+  helper the examples and the unit tests use;
 * :class:`SessionCursor` exposes the same session one fetch at a time —
   ``next_time`` says when the pending fetch hits the proxy — so the
-  interleaved scheduler (:mod:`repro.trace.interleave`) can heap-order
-  many live sessions by their next event.
+  interleaved scheduler (:mod:`repro.trace.interleave`), the session
+  driver behind :class:`~repro.workload.engine.WorkloadEngine`, can
+  heap-order many live sessions by their next event.
 """
 
 from __future__ import annotations

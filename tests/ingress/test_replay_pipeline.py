@@ -3,13 +3,17 @@
 The acceptance matrix: census, set-algebra summary, per-session verdicts
 and network stats must be byte-identical across ``{serial, thread,
 process}`` executors × queue depths ``{1, 16, unbounded}`` on the same
-recorded trace — and identical to the synchronous replay loop.  Load
-shedding must be visible in the stats, never silent.
+recorded trace.  The reference is the loop that runs synchronously in
+the calling thread — the serial executor, one lane per node — and that
+reference is itself held against :func:`_oracle`, a replay that knows
+nothing of lanes or pipelines.  Load shedding must be visible in the
+stats, never silent.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import pickle
 
 import numpy as np
@@ -30,6 +34,11 @@ from repro.trace.replay import ReplayConfig, TraceReplayEngine
 from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import SMOKE
+from repro.workload.results import (
+    SessionCensus,
+    apply_session_identities,
+    session_identities,
+)
 
 N_SESSIONS = 50
 SEED = 71
@@ -46,10 +55,6 @@ def _verdicts(result):
         )
         for s in result.sessions
     }
-
-
-def _without_admission(stats):
-    return dataclasses.replace(stats, queued=0, shed=0)
 
 
 def _scorer_model() -> AdaBoostModel:
@@ -104,10 +109,42 @@ def _replay(recorded, **config_kwargs):
     return engine.replay(list(records), probes=list(probes))
 
 
+def _oracle(recorded) -> SessionCensus:
+    """An independent replay: merge, register / handle in order, finalize."""
+    records, probes = recorded
+    network = ProxyNetwork(
+        origins={}, rng=RngStream(0, "replay"), n_nodes=3,
+        instrument_enabled=False,
+    )
+    for _time, is_request, _seq, item in heapq.merge(
+        ((p.issued_at, False, i, p) for i, p in enumerate(probes)),
+        ((r.timestamp, True, i, r) for i, r in enumerate(records)),
+    ):
+        if is_request:
+            network.handle(item.to_request())
+        else:
+            registry = network.node_for(item.client_ip).detection.registry
+            registry.register(item.to_probe())
+    result = SessionCensus()
+    result.sessions = network.finalize_sessions()
+    apply_session_identities(result.sessions, session_identities(records))
+    result.summary = network.session_sets().summary()
+    result.stats = network.stats()
+    return result
+
+
 class TestExecutorDeterminism:
     @pytest.fixture(scope="class")
     def baseline(self, recorded):
-        return _replay(recorded)
+        return _replay(recorded, executor="serial", lanes_per_node=1)
+
+    def test_serial_reference_matches_the_oracle(self, recorded, baseline):
+        oracle = _oracle(recorded)
+        assert oracle.summary == baseline.summary
+        assert oracle.kind_census() == baseline.kind_census()
+        assert _verdicts(oracle) == _verdicts(baseline)
+        # The oracle admits nothing, so it queues nothing.
+        assert oracle.stats == dataclasses.replace(baseline.stats, queued=0)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     @pytest.mark.parametrize("depth", [1, 16, None])
@@ -122,9 +159,7 @@ class TestExecutorDeterminism:
         assert result.probes_loaded == baseline.probes_loaded
         assert result.first_timestamp == baseline.first_timestamp
         assert result.last_timestamp == baseline.last_timestamp
-        # Stats are byte-identical apart from the admission counters
-        # the synchronous loop does not have.
-        assert _without_admission(result.stats) == baseline.stats
+        assert result.stats == baseline.stats
         records, probes = recorded
         assert result.stats.queued == len(records) + len(probes)
         assert result.stats.shed == 0
@@ -272,8 +307,6 @@ class TestLaneGranularity:
     def test_lane_count_validation(self, recorded):
         with pytest.raises(ValueError):
             ReplayConfig(lanes_per_node=0)
-        with pytest.raises(ValueError):  # needs a pipelined executor
-            ReplayConfig(lanes_per_node=4)
         # Anything that is not 1 or the shard count cannot be a total
         # partition of a node's state.
         with pytest.raises(ValueError, match="lanes_per_node"):
@@ -342,19 +375,6 @@ class TestMetricsDeterminism:
         assert snap.total("repro_captcha_offered_total") == 0  # replay
         assert reference.flight  # the recorder actually sampled
 
-    def test_sync_loop_metrics_embed_in_pipelined(
-        self, recorded, reference
-    ):
-        # The synchronous loop has no ingress/batch instruments, but
-        # every deterministic point it does produce must appear with
-        # the same value in the pipelined run's merged snapshot.
-        sync = _replay(recorded)
-        pipelined = {
-            p.key: p for p in reference.metrics.deterministic().points
-        }
-        for point in sync.metrics.deterministic().points:
-            assert pipelined[point.key] == point
-
     def test_process_lanes_refuse_metrics_listeners(self, recorded):
         records, probes = recorded
         network = ProxyNetwork(
@@ -385,10 +405,6 @@ class TestLoadShedding:
         assert result.requests_replayed + result.probes_loaded == stats.queued
         # Probe-journal key material is never shed.
         assert result.probes_loaded == len(probes)
-
-    def test_shed_requires_pipelined_executor(self):
-        with pytest.raises(ValueError):
-            ReplayConfig(shed=True)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

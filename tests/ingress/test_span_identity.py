@@ -2,10 +2,11 @@
 
 The acceptance matrix for causal tracing: the virtual-domain trace
 export must be byte-identical across ``{serial, thread, process}``
-executors × lane counts on the same recorded trace — and identical to
-the synchronous replay loop.  Wall-domain traces are non-deterministic
-by nature but must parse, profile, and attribute the bulk of
-end-to-end time to named stages.
+executors × lane counts on the same recorded trace.  The baseline is
+the default replay — the serial executor, one lane per node: the loop
+that runs synchronously in the calling thread.  Wall-domain traces are
+non-deterministic by nature but must parse, profile, and attribute the
+bulk of end-to-end time to named stages.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _replay(recorded, **config_kwargs):
 class TestVirtualTraceIdentity:
     @pytest.fixture(scope="class")
     def baseline(self, recorded):
-        """The synchronous loop's virtual trace export."""
+        """The default (serial, per-node lanes) virtual trace export."""
         result = _replay(recorded)
         assert result.spans
         return to_trace_events(result.spans, clock="virtual")

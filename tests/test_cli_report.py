@@ -74,8 +74,34 @@ class TestTraceCommands:
 
         args = build_record_parser().parse_args(["--out", "x.log"])
         assert args.mix == "codeen_week"
-        assert args.mode == "sequential"
+        assert args.mode == "interleaved"
         assert args.arrival == "uniform"
+        with pytest.raises(SystemExit):
+            build_record_parser().parse_args(
+                ["--out", "x.log", "--mode", "sequential"]
+            )
+
+    def test_record_and_replay_share_the_lane_options(self):
+        from repro.cli import build_record_parser, build_replay_parser
+
+        lane_flags = [
+            "--shards", "2", "--executor", "thread", "--queue-depth", "8",
+            "--shed", "adaptive", "--delay-budget", "0.5",
+            "--lanes-per-node", "2", "--metrics-out", "m.json",
+            "--flight-interval", "60",
+        ]
+        shared = (
+            "shards", "executor", "queue_depth", "shed", "delay_budget",
+            "lanes_per_node", "metrics_out", "flight_interval",
+        )
+        record = build_record_parser().parse_args(
+            ["--out", "x.log", *lane_flags]
+        )
+        replay = build_replay_parser().parse_args(
+            ["--trace", "x.log", *lane_flags]
+        )
+        for name in shared:
+            assert getattr(record, name) == getattr(replay, name)
 
     def test_replay_parser_merges_multiple_traces(self):
         from repro.cli import build_replay_parser
@@ -86,11 +112,23 @@ class TestTraceCommands:
         assert args.trace == ["a.log", "b.log"]
         assert args.strict
 
-    def test_score_rounds_requires_executor(self, capsys):
+    def test_score_rounds_runs_on_the_default_executor(
+        self, capsys, tmp_path
+    ):
+        trace = str(tmp_path / "t.log.gz")
         assert main([
-            "replay", "--trace", "x.log", "--score-rounds", "8",
-        ]) == 2
-        assert "--executor" in capsys.readouterr().err
+            "record", "--out", trace, "--mix", "smoke",
+            "--sessions", "20", "--seed", "61", "--nodes", "2",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "replay", "--trace", trace, "--nodes", "2", "--sorted",
+            "--score-rounds", "8",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "micro-batch scoring:" in out
+        # Per-lane admission lines stay tied to an explicit --executor.
+        assert "ingress lanes:" not in out
 
 
 class TestMetricsCommands:
@@ -250,13 +288,16 @@ class TestTraceProfileCommands:
         ]) == 2
         assert "--trace-out" in capsys.readouterr().err
 
-    def test_record_trace_out_needs_pipelined_mode(self, tmp_path, capsys):
+    def test_record_trace_out_works_without_a_mode(self, tmp_path, capsys):
+        spans = tmp_path / "s.json"
         assert main([
             "record", "--out", str(tmp_path / "t.log"),
-            "--trace-out", str(tmp_path / "s.json"),
+            "--trace-out", str(spans),
             "--mix", "smoke", "--sessions", "10",
-        ]) == 2
-        assert "pipelined" in capsys.readouterr().err
+        ]) == 0
+        assert "sampled span trace(s)" in capsys.readouterr().out
+        assert main(["profile", str(spans)]) == 0
+        assert "handle" in capsys.readouterr().out
 
 
 class TestExperimentMetricsOut:

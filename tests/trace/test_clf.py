@@ -206,6 +206,37 @@ class TestFileIo:
         with pytest.raises(TraceParseError):
             list(read_trace(path, strict=True))
 
+    @pytest.mark.parametrize(
+        "opener", [open, gzip.open], ids=["plain", "gzip"]
+    )
+    def test_undecodable_byte_costs_one_line_not_the_file(
+        self, tmp_path, opener
+    ):
+        """A foreign log need not be UTF-8.  The bad line is counted as
+        malformed and the lines around it — before it too: the decoder
+        reads ahead — still parse."""
+        path = str(tmp_path / "foreign.log")
+        good = format_clf_line(make_record()).encode("utf-8")
+        bad = good.replace(b"MSIE", b"MS\xffIE")
+        assert bad != good
+        with opener(path, "wb") as handle:
+            handle.write(good + b"\n" + bad + b"\n" + good + b"\n")
+        stats = ParseStats()
+        records = list(read_trace(path, stats=stats))
+        assert records == [make_record(), make_record()]
+        assert (stats.lines, stats.parsed, stats.malformed) == (3, 2, 1)
+        # The sample shows the byte, in a form any stream can print.
+        assert "MS\\xffIE" in stats.samples[0]
+        stats.samples[0].encode("utf-8")
+        with pytest.raises(TraceParseError, match="undecodable"):
+            list(read_trace(path, strict=True))
+
+    def test_valid_non_ascii_lines_still_parse(self, tmp_path):
+        path = str(tmp_path / "trace.log")
+        record = make_record(user_agent="Mozilla/5.0 (Nœud; ü)")
+        write_trace(path, [record])
+        assert list(read_trace(path, strict=True)) == [record]
+
     def test_reads_from_iterable(self):
         lines = [format_clf_line(make_record(timestamp=float(i)))
                  for i in range(3)]

@@ -1,20 +1,26 @@
 """Golden identity of the offline replay.
 
-One fixed smoke workload is recorded, then replayed twice — through the
-pipelined ingress (``executor="serial"``, four shards, micro-batched
-scoring) and through the synchronous loop — and everything observable
-about both replays goes into one sha256: set-algebra summary, census,
-network stats, detection latencies, every ensemble verdict with its
-margin bit for bit, and the deterministic metrics snapshot.
+One fixed smoke workload is recorded, then replayed through the ingress
+lanes (``executor="serial"``, four shards, micro-batched scoring), and
+everything observable about the replay goes into one sha256:
+set-algebra summary, census, network stats, detection latencies, every
+ensemble verdict with its margin bit for bit, and the deterministic
+metrics snapshot.
 
-The constant was computed by this file, unchanged, at the commit
-*before* PR 19 (the parse/normalise/route-once change), so it pins the
-replay to what that commit produced.  The repo benchmark cannot: it
-re-records its trace from the tree under test, so a change that shifts
-recording and replay together passes it.  A PR that means to change
-what a replay returns (new probe keys, another metric) re-derives the
-constant at its own parent first, to show it starts from here (the
-failed assertion shows the digest a run got).
+The repo benchmark cannot pin this: it re-records its trace from the
+tree under test, so a change that shifts recording and replay together
+passes it.  A PR that means to change what a replay returns (new probe
+keys, another metric) re-derives the constant at its own parent first,
+to show it starts from here (the failed assertion shows the digest a
+run got).
+
+History of the constant.  PR 19 computed ``6488365e…`` with this file
+at the commit before it, over two replays: this one and the synchronous
+loop (``executor=None``).  PR 20 deleted that loop, so the second replay
+no longer exists; the constant below was re-derived at PR 20's parent
+(93a912c) by this file with only the second config removed, with the
+trace recorded under each of the three workload modes that commit had —
+and is unchanged by the deletion.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import SMOKE
 
-GOLDEN = "6488365e17a5fb956b7141bbba92606da0f9f9329e9f807d6bbb5dd8ac056b72"
+GOLDEN = "758fdbe3effbafcd9d0ed8480c955587a1aeb8141c73685cd56c203d2681e0ad"
 
 
 def _observables(result: ReplayResult) -> list[str]:
@@ -63,21 +69,18 @@ def test_replay_of_a_fixed_trace_is_what_it_was(
     )
     record_workload(engine, trace, journal)
 
+    config = ReplayConfig(
+        assume_sorted=True, strict=True, executor="serial", shards=4,
+        scorer_model=demo_ensemble(8, seed=2006),
+    )
+    network = ProxyNetwork(
+        origins={}, rng=RngStream(0, "replay"), n_nodes=2,
+        instrument_enabled=False,
+    )
+    result = replay_trace(network, trace, probes=journal, config=config)
+    assert result.requests_replayed > 1000 and result.probes_loaded > 1000
+    assert result.parse_stats.malformed == 0
     digest = sha256()
-    for config in (
-        ReplayConfig(
-            assume_sorted=True, strict=True, executor="serial", shards=4,
-            scorer_model=demo_ensemble(8, seed=2006),
-        ),
-        ReplayConfig(assume_sorted=True, strict=True),
-    ):
-        network = ProxyNetwork(
-            origins={}, rng=RngStream(0, "replay"), n_nodes=2,
-            instrument_enabled=False,
-        )
-        result = replay_trace(network, trace, probes=journal, config=config)
-        assert result.requests_replayed > 1000 and result.probes_loaded > 1000
-        assert result.parse_stats.malformed == 0
-        for part in _observables(result):
-            digest.update(part.encode("utf-8") + b"\0")
+    for part in _observables(result):
+        digest.update(part.encode("utf-8") + b"\0")
     assert digest.hexdigest() == GOLDEN

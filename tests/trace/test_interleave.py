@@ -1,9 +1,13 @@
 """Interleaved scheduling and arrival profiles.
 
-The key regression: for the default uniform arrival profile, interleaved
-mode must produce per-session results identical to sequential mode —
-per-session state is cursor-owned, and shared network state is keyed so
-reordering cannot leak between sessions.
+The key regression: the engine — every lane stepping its own node's
+sessions by next-event time — must produce per-session results identical
+to driving the same sessions one at a time, each to completion before
+the next starts.  Per-session state is cursor-owned, and shared network
+state is keyed so reordering cannot leak between sessions.  The
+one-at-a-time discipline lives on here as the oracle
+(:func:`run_one_at_a_time`): a :class:`SessionRunner` straight through
+:meth:`ProxyNetwork.handle`, no lanes, no pipeline.
 """
 
 from __future__ import annotations
@@ -21,6 +25,12 @@ from repro.util.rng import RngStream
 from repro.util.timeutil import DAY, WEEK
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import CODEEN_WEEK, SMOKE
+from repro.workload.results import (
+    SessionCensus,
+    apply_session_identities,
+    session_identities,
+)
+from repro.workload.session_run import SessionRunner
 
 
 def run_mode(make_network, entry_url, mode, seed=21, n=60, **config_kwargs):
@@ -35,14 +45,33 @@ def run_mode(make_network, entry_url, mode, seed=21, n=60, **config_kwargs):
     return engine.run()
 
 
-def per_session_view(result):
-    """Order-independent per-session evidence, excluding byte counters.
+class OneAtATime(SessionCensus):
+    """What :func:`run_one_at_a_time` returns (census-compatible)."""
 
-    Byte counts are excluded deliberately: instrumentation key material
-    is drawn per served page in network arrival order, so the obfuscated
-    beacon markup can differ in *length* between modes even though every
-    probe and fetch is structurally identical.
-    """
+    def __init__(self, network, records):
+        self.records = records
+        self.sessions = network.finalize_sessions()
+        apply_session_identities(self.sessions, session_identities(records))
+        self.summary = network.session_sets().summary()
+
+
+def run_one_at_a_time(
+    make_network, entry_url, seed=21, n=60, collect_features=False
+):
+    """The oracle: the engine's population, one whole session at a time."""
+    network = make_network(n_nodes=2, seed=seed)
+    rng = RngStream(seed, "wl")
+    agents = CODEEN_WEEK.sample_many(rng.split("population"), entry_url, n)
+    starts = UniformArrival().sample(rng.split("starts"), n, WEEK)
+    runner = SessionRunner(network.handle, collect_features=collect_features)
+    return OneAtATime(
+        network,
+        [runner.run(agent, start) for agent, start in zip(agents, starts)],
+    )
+
+
+def per_session_view(result):
+    """Order-independent per-session evidence, excluding byte counters."""
     return sorted(
         (
             s.key.client_ip,
@@ -66,14 +95,20 @@ class TestModeEquivalence:
     def test_uniform_interleaved_matches_sequential(
         self, make_network, entry_url
     ):
-        sequential = run_mode(make_network, entry_url, "sequential")
-        interleaved = run_mode(make_network, entry_url, "interleaved")
+        sequential = run_one_at_a_time(make_network, entry_url)
+        interleaved = run_mode(
+            make_network, entry_url, "interleaved", captcha_enabled=False
+        )
         assert per_session_view(sequential) == per_session_view(interleaved)
         assert sequential.summary == interleaved.summary
         assert sequential.kind_census() == interleaved.kind_census()
 
+    def test_sequential_mode_is_gone_and_says_what_replaces_it(self):
+        with pytest.raises(ValueError, match="interleaved"):
+            WorkloadConfig(mode="sequential")
+
     def test_session_records_match(self, make_network, entry_url):
-        sequential = run_mode(make_network, entry_url, "sequential", n=40)
+        sequential = run_one_at_a_time(make_network, entry_url, n=40)
         interleaved = run_mode(make_network, entry_url, "interleaved", n=40)
         a = [(r.client_ip, r.requests, r.started_at, r.ended_at)
              for r in sequential.records]
@@ -84,37 +119,54 @@ class TestModeEquivalence:
     def test_captcha_outcomes_mode_independent(
         self, make_network, entry_url
     ):
-        sequential = run_mode(
-            make_network, entry_url, "sequential", captcha_enabled=True
-        )
+        # The funnel runs inside the lanes on per-IP RNG splits, so
+        # where the lanes run and how a node is cut into lanes cannot
+        # move an outcome.
         interleaved = run_mode(
             make_network, entry_url, "interleaved", captcha_enabled=True
         )
+        pipelined = run_mode(
+            make_network, entry_url, "pipelined", captcha_enabled=True,
+            executor="thread", shards=2, lanes_per_node=2,
+        )
+        assert interleaved.summary.captcha_passes > 0
         assert (
-            sequential.summary.captcha_passes
+            pipelined.summary.captcha_passes
             == interleaved.summary.captcha_passes
         )
+        assert pipelined.captcha.stats == interleaved.captcha.stats
 
     def test_feature_datasets_match(self, make_network, entry_url):
-        sequential = run_mode(
-            make_network, entry_url, "sequential", n=20,
-            collect_features=True,
+        sequential = run_one_at_a_time(
+            make_network, entry_url, n=20, collect_features=True
         )
         interleaved = run_mode(
             make_network, entry_url, "interleaved", n=20,
             collect_features=True,
         )
-        ids = lambda result: sorted(
-            (e.session_id, e.request_count) for e in result.dataset.examples
-        )
-        assert ids(sequential) == ids(interleaved)
+        examples = [
+            r.example for r in sequential.records if r.example is not None
+        ]
+        ids = lambda examples: [
+            (e.session_id, e.request_count) for e in examples
+        ]
+        # Same examples in the same (session index) order: Figure 4
+        # trains on this list as it comes.
+        assert ids(examples) == ids(interleaved.dataset.examples)
 
     def test_requests_arrive_in_timestamp_order(
         self, make_network, entry_url
     ):
+        # At each node, that is: a node is a lane, and lanes run one
+        # after another, so the network-wide tap stream is each node's
+        # sorted stream in turn (TraceRecorder sorts on save).
         network = make_network(n_nodes=2, seed=9)
-        seen: list[float] = []
-        network.add_tap(lambda req, resp: seen.append(req.timestamp))
+        seen: dict[int, list[float]] = {0: [], 1: []}
+        network.add_tap(
+            lambda req, resp: seen[
+                network.node_index_for(req.client_ip)
+            ].append(req.timestamp)
+        )
         engine = WorkloadEngine(
             network,
             SMOKE,
@@ -123,16 +175,20 @@ class TestModeEquivalence:
             WorkloadConfig(n_sessions=30, mode="interleaved"),
         )
         engine.run()
-        assert seen == sorted(seen)
-        # The sequential engine cannot make this guarantee: sessions
-        # overlap in virtual time but run back to back.
+        for stamps in seen.values():
+            assert stamps and stamps == sorted(stamps)
 
     def test_housekeeping_runs_during_replay(self, make_network, entry_url):
+        # Sweeps are lane-local: each lane calls its own node's
+        # housekeeping on its own event clock.
         network = make_network(n_nodes=2, seed=9)
-        calls: list[float] = []
-        original = network.housekeeping
-        network.housekeeping = lambda now: (
-            calls.append(now), original(now))[-1]
+        calls: dict[str, list[float]] = {}
+        for node in network.nodes:
+            def sweep(now, node=node, original=node.housekeeping):
+                calls.setdefault(node.node_id, []).append(now)
+                return original(now)
+
+            node.housekeeping = sweep
         engine = WorkloadEngine(
             network,
             SMOKE,
@@ -144,26 +200,9 @@ class TestModeEquivalence:
             ),
         )
         engine.run()
-        assert calls, "housekeeping never ran during the replay"
-        assert calls == sorted(calls)
-
-    def test_housekeeping_runs_in_sequential_mode(
-        self, make_network, entry_url
-    ):
-        network = make_network(n_nodes=2, seed=9)
-        calls: list[float] = []
-        original = network.housekeeping
-        network.housekeeping = lambda now: (
-            calls.append(now), original(now))[-1]
-        engine = WorkloadEngine(
-            network,
-            SMOKE,
-            entry_url,
-            RngStream(9, "wl"),
-            WorkloadConfig(n_sessions=30, housekeeping_interval=3600.0),
-        )
-        engine.run()
-        assert calls, "housekeeping never ran during the replay"
+        assert len(calls) == 2, "a node never swept during the run"
+        for stamps in calls.values():
+            assert stamps == sorted(stamps)
 
 
 class TestScheduler:

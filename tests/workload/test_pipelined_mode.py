@@ -1,9 +1,7 @@
-"""``mode="pipelined"``: ingress-driven workloads match the interleaved
-engine, on every executor and queue depth."""
+"""``mode="pipelined"``: lanes on an executor match lanes in the calling
+thread (``mode="interleaved"``), on every executor and queue depth."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -76,12 +74,9 @@ class TestPipelinedMode:
         assert _verdicts(result) == _verdicts(interleaved)
         assert result.captcha.stats == interleaved.captcha.stats
         assert len(result.records) == len(interleaved.records)
-        # Byte-identical node counters; only the admission counters are
-        # new (one queued entry per admitted session).
-        assert (
-            dataclasses.replace(result.stats, queued=0, shed=0)
-            == interleaved.stats
-        )
+        # Byte-identical counters, admission included: one queued entry
+        # per admitted session, nothing shed.
+        assert result.stats == interleaved.stats
         assert result.stats.queued == N_SESSIONS
         assert result.stats.shed == 0
 
@@ -89,29 +84,19 @@ class TestPipelinedMode:
     def test_metrics_match_interleaved_engine(
         self, make_network, entry_url, interleaved, executor
     ):
-        # Every deterministic point the interleaved engine produces —
-        # node counters, cache/limiter totals, the CAPTCHA funnel —
-        # must come back with the same value from pipelined lanes.
-        # Sweep-schedule bookkeeping is the one exception: interleaved
-        # housekeeping runs on the global clock, lanes sweep on their
-        # own event clocks, so *when* an expired entry is noticed (not
-        # whether traffic hits or misses) differs by mode.
-        sweep_dependent = {
-            "repro_cache_expired_total",
-            "repro_ratelimit_evicted_total",
-        }
+        # The whole deterministic snapshot — node counters, cache and
+        # limiter totals, sweep bookkeeping, admission counts, the
+        # CAPTCHA funnel — comes back byte-identical from lanes that
+        # ran somewhere else.
+        from repro.obs.export import to_json
+
         result = _run(
             make_network, entry_url, "pipelined", executor=executor
         )
-        assert result.metrics.points  # the snapshot actually shipped
-        pipelined = {
-            p.key: p for p in result.metrics.deterministic().points
-        }
-        for point in interleaved.metrics.deterministic().points:
-            if point.name in sweep_dependent:
-                assert point.key in pipelined
-                continue
-            assert pipelined[point.key] == point
+        assert result.metrics.deterministic().points
+        assert to_json(result.metrics.deterministic()) == to_json(
+            interleaved.metrics.deterministic()
+        )
         funnel = result.metrics.get("repro_captcha_offered_total")
         assert funnel is not None
         assert funnel.value == interleaved.captcha.stats.offered
@@ -166,10 +151,28 @@ class TestPipelinedMode:
         assert _verdicts(result) == _verdicts(baseline)
 
     def test_config_validation(self):
+        # IngressConfig's checks, reached at construction — in either
+        # mode, for the executor that is named and the one that runs.
         with pytest.raises(ValueError):
             WorkloadConfig(executor="fiber")
         with pytest.raises(ValueError):
             WorkloadConfig(queue_depth=0)
+        with pytest.raises(ValueError):
+            WorkloadConfig(lanes_per_node=0)
+        with pytest.raises(ValueError):
+            WorkloadConfig(flight_interval=0.0)
+        # Per-shard lanes, span tracing and (bounded) shedding no longer
+        # need mode="pipelined": they need what IngressConfig needs.
+        from repro.obs.spans import SpanConfig
+
+        config = WorkloadConfig(
+            lanes_per_node=4, spans=SpanConfig(), shed=True, queue_depth=8
+        )
+        assert config.ingress().executor == "serial"
+        assert WorkloadConfig(
+            mode="pipelined", executor="thread"
+        ).ingress().executor == "thread"
+        assert WorkloadConfig(executor="thread").ingress().executor == "serial"
 
 
 class TestPipelinedRecording:
@@ -216,6 +219,32 @@ class TestPipelinedRecording:
             key = (record.client_ip, record.user_agent)
             census[key] = census.get(key, 0) + 1
         assert sum(census.values()) == reference.stats.requests
+
+    @pytest.mark.parametrize("lanes", [1, 4])
+    def test_recorded_bytes_do_not_depend_on_mode(
+        self, make_network, entry_url, tmp_path, lanes
+    ):
+        """Taps see each node's requests in timestamp order, one node
+        (or shard) after another; the recorder sorts on save, so the
+        files come out byte for byte the same wherever lanes ran and
+        however a node is cut into them."""
+        files = {}
+        for mode, layout in (
+            ("interleaved", 1),
+            ("pipelined", lanes),
+        ):
+            _, recorder = self._record(
+                make_network, entry_url, mode,
+                shards=4, lanes_per_node=layout,
+            )
+            paths = [
+                str(tmp_path / f"{mode}-{layout}.{suffix}")
+                for suffix in ("log", "keys")
+            ]
+            recorder.save(*paths)
+            files[mode] = [open(path, "rb").read() for path in paths]
+            assert all(files[mode])
+        assert files["interleaved"] == files["pipelined"]
 
     def test_process_lanes_refuse_observers(self, make_network, entry_url):
         from repro.trace.recorder import TraceRecorder

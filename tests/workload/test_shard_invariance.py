@@ -3,8 +3,8 @@ behaviour knob.
 
 The same workload must produce identical set-algebra summaries, censuses,
 network stats and per-session verdicts whether detection state lives in
-one tracker or is hash-partitioned across 2 or 8 shards — in the
-sequential driver, the interleaved scheduler, and trace replay.
+one tracker or is hash-partitioned across 2 or 8 shards — for synthetic
+workloads (both values ``mode`` still takes) and for trace replay.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _latency_multiset(result):
 
 
 class TestWorkloadShardInvariance:
-    @pytest.mark.parametrize("mode", ["sequential", "interleaved"])
+    @pytest.mark.parametrize("mode", ["interleaved", "pipelined"])
     def test_shard_counts_agree(self, make_network, entry_url, mode):
         baseline = _run(make_network, entry_url, shards=0, mode=mode)
         reference_summary = baseline.summary
@@ -100,13 +100,13 @@ class TestWorkloadShardInvariance:
 
     def test_executor_path_agrees(self, make_network, entry_url):
         baseline = _run(
-            make_network, entry_url, shards=0, mode="sequential"
+            make_network, entry_url, shards=0, mode="interleaved"
         )
         threaded = _run(
             make_network,
             entry_url,
             shards=4,
-            mode="sequential",
+            mode="interleaved",
             shard_workers=2,
         )
         assert threaded.summary == baseline.summary
