@@ -82,15 +82,26 @@ class Request:
 
 @dataclass(frozen=True)
 class Response:
-    """One HTTP response paired with its request."""
+    """One HTTP response paired with its request.
+
+    ``body`` is bytes-like: ``bytes``, or a read-only ``memoryview`` of
+    a buffer many responses share (an origin's static objects).  Read it
+    with ``bytes()``, ``str(body, encoding)`` or ``len``; it has no
+    ``decode``.
+    """
 
     status: int
     headers: Headers = field(default_factory=Headers)
-    body: bytes = b""
+    body: bytes | memoryview = b""
     served_from_cache: bool = False
 
     def __post_init__(self) -> None:
         status_class(self.status)  # validates the code range
+
+    def __getstate__(self) -> dict:
+        # A view cannot pickle; its bytes can (``bytes`` of bytes is
+        # the same object, not a copy).
+        return {**self.__dict__, "body": bytes(self.body)}
 
     @property
     def status_class(self) -> StatusClass:
@@ -115,7 +126,7 @@ class Response:
     @property
     def text(self) -> str:
         """Body decoded as UTF-8 (replacement on errors)."""
-        return self.body.decode("utf-8", errors="replace")
+        return str(self.body, "utf-8", "replace")
 
     def describe(self) -> str:
         """One-line log form: ``200 OK text/html (1234 bytes)``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.site.page import PageSpec
-from repro.site.resources import Resource, ResourceKind, synthetic_body
+from repro.site.resources import Resource, ResourceKind
 from repro.util.rng import RngStream
 
 
@@ -98,17 +98,14 @@ class SiteGenerator:
         resources: dict[str, Resource] = {}
         for path in shared_css:
             resources[path] = Resource(
-                path, ResourceKind.STYLESHEET,
-                synthetic_body(ResourceKind.STYLESHEET, cfg.stylesheet_bytes),
+                path, ResourceKind.STYLESHEET, filler=cfg.stylesheet_bytes
             )
         for path in shared_js:
             resources[path] = Resource(
-                path, ResourceKind.SCRIPT,
-                synthetic_body(ResourceKind.SCRIPT, cfg.script_bytes),
+                path, ResourceKind.SCRIPT, filler=cfg.script_bytes
             )
         resources["/favicon.ico"] = Resource(
-            "/favicon.ico", ResourceKind.FAVICON,
-            synthetic_body(ResourceKind.FAVICON, 1150),
+            "/favicon.ico", ResourceKind.FAVICON, filler=1150
         )
         robots_body = (
             "User-agent: *\n"
@@ -149,8 +146,14 @@ class SiteGenerator:
         # The home page fans out more than interior pages.
         max_links = cfg.max_links * 2 if index == 0 else cfg.max_links
         n_links = rng.randint(cfg.min_links, max_links)
-        candidates = [p for p in paths if p != path]
-        links = rng.sample(candidates, min(n_links, len(candidates)))
+        # Every page but this one, drawn by position: a sample depends
+        # only on how many there are to draw from, so no per-page copy
+        # of the site's paths is needed to draw the same links.
+        others = len(paths) - 1
+        links = [
+            paths[i + (i >= index)]
+            for i in rng.sample(range(others), min(n_links, others))
+        ]
 
         n_images = rng.randint(cfg.min_images, cfg.max_images)
         images = []
@@ -160,8 +163,7 @@ class SiteGenerator:
             if img_path not in resources:
                 size = int(cfg.image_bytes * rng.uniform(0.4, 1.8))
                 resources[img_path] = Resource(
-                    img_path, ResourceKind.IMAGE,
-                    synthetic_body(ResourceKind.IMAGE, size),
+                    img_path, ResourceKind.IMAGE, filler=size
                 )
 
         cgi_links: list[str] = []

@@ -20,10 +20,15 @@ from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response, error_response
 from repro.site.generator import Website
 from repro.site.page import PageSpec
-from repro.site.resources import Resource, ResourceKind, synthetic_body
+from repro.site.resources import CONTENT_TYPES, Resource, ResourceKind
 
 _REDIRECT_PERCENT = 35
 _RESULTS_PREFIX = "/cgi-bin/results/"
+#: The one header of a static response, built once per kind.
+_CONTENT_TYPE_ENTRIES = {
+    kind: [("Content-Type", content_type)]
+    for kind, content_type in CONTENT_TYPES.items()
+}
 
 
 class OriginServer:
@@ -125,11 +130,10 @@ def _page_response(page: PageSpec) -> Response:
 
 
 def _resource_response(resource: Resource) -> Response:
-    body = resource.body or synthetic_body(resource.kind, 256)
     return Response(
         status=200,
-        headers=Headers([("Content-Type", resource.content_type)]),
-        body=body,
+        headers=Headers(_CONTENT_TYPE_ENTRIES[resource.kind]),
+        body=resource.body,
     )
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 from repro.http.content import ContentKind
 from repro.http.headers import Headers
 from repro.http.message import Method, Request
@@ -58,6 +60,22 @@ class TestNodeServing:
         resp = node.handle(_request(small_site, css_path, t=1.0))
         assert resp.served_from_cache
         assert node.stats.cache_hits == 1
+
+    def test_pickled_node_serves_identical_bytes(self, make_node, small_site):
+        """A node is shipped to lane processes by pickle; its origin's
+        static bodies are views of a shared buffer and its cache holds
+        them — neither may stop it pickling or change a served byte."""
+        cached, fresh = [p for p in small_site.resources if p.endswith(".jpg")][:2]
+        node = make_node()
+        first = node.handle(_request(small_site, cached))
+        assert isinstance(first.body, memoryview)
+        clone = pickle.loads(pickle.dumps(node))
+        hit = clone.handle(_request(small_site, cached, t=1.0))
+        assert hit.served_from_cache
+        assert hit.body == first.body == small_site.resource(cached).body
+        miss = clone.handle(_request(small_site, fresh, t=1.0))
+        assert not miss.served_from_cache
+        assert miss.body == node.handle(_request(small_site, fresh, t=1.0)).body
 
     def test_unknown_host_502(self, make_node):
         node = make_node()

@@ -190,6 +190,51 @@ class TestConnectionHandling:
         assert b"content-length:" in header.lower()
 
 
+    def test_static_body_from_origin_from_cache_and_by_head(
+        self, make_network, small_site
+    ):
+        """An origin image is a view of a shared filler buffer from the
+        origin through the cache to ``render_response``; what reaches
+        the peer is the same bytes either way, framed by their length."""
+        resource = next(
+            r for r in small_site.resources.values() if r.path.endswith(".jpg")
+        )
+
+        async def go():
+            network = make_network(n_nodes=1)
+            server = await start_server(network, small_site.host)
+            try:
+                replies = [
+                    await raw_exchange(
+                        server.port,
+                        (
+                            f"{method} {resource.path} HTTP/1.1\r\n"
+                            f"Host: {small_site.host}\r\nUser-Agent: UA\r\n"
+                            "Connection: close\r\n\r\n"
+                        ).encode(),
+                    )
+                    for method in ("GET", "GET", "HEAD")
+                ]
+            finally:
+                await server.close()
+            return network.stats(), replies
+
+        stats, replies = asyncio.run(go())
+        assert (stats.origin_requests, stats.cache_hits) == (2, 1)
+        expected = bytes(resource.body)
+        assert len(expected) == resource.size > 1000
+        # (A HEAD is never answered from cache, hence two origin requests.)
+        for reply in replies[:2]:
+            header, _, received = reply.partition(b"\r\n\r\n")
+            assert header.startswith(b"HTTP/1.1 200 ")
+            assert f"\r\nContent-Length: {resource.size}\r\n".encode() in header
+            assert received == expected
+        header, _, received = replies[2].partition(b"\r\n\r\n")
+        assert header.startswith(b"HTTP/1.1 200 ")
+        assert b"\r\nContent-Length: " in header
+        assert received == b""
+
+
 class TestCaptchaFunnel:
     @staticmethod
     def _verify_payload(body: str) -> bytes:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -122,3 +124,19 @@ def test_property_reachability(seed, n_pages):
                 reachable.add(target)
                 frontier.append(target)
     assert reachable == set(site.pages)
+
+
+def test_a_benchmark_sized_site_is_held_in_four_mib():
+    """The footprint gate: 400 pages and ~3,400 images cost their page
+    specs and sizes, not their bytes.  When every image was its own
+    copy of the filler pattern this peak was 94.8 MiB — two thirds of
+    the live benchmark's ``peak_rss_mib``."""
+    generator = SiteGenerator(SiteConfig(n_pages=400))
+    tracemalloc.start()
+    try:
+        site = generator.generate(RngStream(7, "e2e-site"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(site.resources) > 3000
+    assert peak <= 4 * 1024 * 1024

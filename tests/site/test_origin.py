@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 from repro.http.content import ContentKind
 from repro.http.headers import Headers
 from repro.http.message import Method, Request
 from repro.http.uri import Url
-from repro.site.generator import SiteConfig, SiteGenerator
+from repro.serve.http11 import render_response
+from repro.site.generator import SiteConfig, SiteGenerator, Website
 from repro.site.origin import OriginServer
+from repro.site.resources import Resource, ResourceKind
 from repro.util.rng import RngStream
 
 
@@ -61,6 +64,41 @@ class TestPages:
             client_ip="10.0.0.9",
         )
         assert small_origin.handle(req).status == 502
+
+
+class TestStaticBodies:
+    def test_served_length_is_the_resources_size(
+        self, small_origin, small_site
+    ):
+        for resource in small_site.resources.values():
+            resp = small_origin.handle(_request(small_site, resource.path))
+            assert len(resp.body) == resp.size == resource.size > 0
+            assert resp.body == resource.body
+
+    def test_zero_size_resource_is_served_empty(self):
+        # It used to go out as 256 bytes of filler while ``size`` said 0.
+        site = Website(
+            host="h.test",
+            pages={},
+            resources={"/e.css": Resource("/e.css", ResourceKind.STYLESHEET)},
+            cgi_paths=[],
+        )
+        resp = OriginServer(site).handle(_request(site, "/e.css"))
+        assert resp.status == 200
+        assert resp.content_type == "text/css"
+        assert resp.body == b"" and resp.size == 0
+        assert b"\r\nContent-Length: 0\r\n" in render_response(resp)
+
+    def test_site_round_trips_through_pickle(self, small_site):
+        wire = pickle.dumps(small_site)
+        # Sizes travel, not bodies.
+        assert len(wire) < sum(r.size for r in small_site.resources.values()) / 10
+        again = pickle.loads(wire)
+        assert again == small_site
+        origin, clone = OriginServer(small_site), OriginServer(again)
+        for path in [*small_site.resources, small_site.home_path]:
+            request = _request(small_site, path)
+            assert clone.handle(request) == origin.handle(request)
 
 
 class TestHead:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.html.links import extract_references
+from repro.site import resources
 from repro.site.page import PageSpec
 from repro.site.resources import Resource, ResourceKind, synthetic_body
 
@@ -60,13 +65,78 @@ class TestResource:
     def test_size(self):
         r = Resource("/a.css", ResourceKind.STYLESHEET, b"abc")
         assert r.size == 3
+        assert r.body == b"abc"
+
+    def test_filler_is_a_view_of_the_kinds_synthetic_body(self):
+        r = Resource("/a.jpg", ResourceKind.IMAGE, filler=3000)
+        assert r.size == len(r.body) == 3000
+        assert isinstance(r.body, memoryview)
+        assert r.body == reference_body(ResourceKind.IMAGE, 3000)
+
+    def test_pickles_as_its_size_not_its_bytes(self):
+        r = Resource("/a.jpg", ResourceKind.IMAGE, filler=30000)
+        wire = pickle.dumps(r)
+        assert len(wire) < 300
+        again = pickle.loads(wire)
+        assert again == r
+        assert again.body == r.body
 
     def test_invalid_path(self):
         with pytest.raises(ValueError):
             Resource("a.css", ResourceKind.STYLESHEET)
 
 
+def reference_body(kind: ResourceKind, size: int) -> bytes:
+    """``synthetic_body`` as it was when every body was its own copy.
+
+    Kept here as the reference the shared-buffer version must equal,
+    byte for byte: recorded scripts check every response's length and
+    the site digest hashes every body.
+    """
+    if kind is ResourceKind.STYLESHEET:
+        unit = b"body { margin: 0; } .c { color: #336699; }\n"
+    elif kind is ResourceKind.SCRIPT:
+        unit = b"function noop() { return 0; }\n"
+    elif kind is ResourceKind.IMAGE or kind is ResourceKind.FAVICON:
+        unit = b"\xff\xd8\xff\xe0JFIF\x00" * 4
+    elif kind is ResourceKind.AUDIO:
+        unit = b"RIFF\x00\x00WAVE" * 4
+    else:
+        unit = b"0123456789abcdef"
+    if size == 0:
+        return b""
+    repeats = size // len(unit) + 1
+    return (unit * repeats)[:size]
+
+
 class TestSyntheticBody:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ResourceKind),
+                st.integers(min_value=0, max_value=200_000),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_equals_reference_in_any_order_of_sizes(self, asks):
+        # A later, larger ask replaces the kind's buffer; the views
+        # handed out before it must still read what they read.  Every
+        # example starts from no buffer, so that growth is exercised.
+        resources._FILLERS.clear()
+        views = [synthetic_body(kind, size) for kind, size in asks]
+        for view, (kind, size) in zip(views, asks):
+            assert bytes(view) == reference_body(kind, size)
+            assert len(view) == size
+            assert view == reference_body(kind, size)
+
+    def test_view_is_read_only(self):
+        view = synthetic_body(ResourceKind.SCRIPT, 64)
+        assert view.readonly
+        with pytest.raises(TypeError):
+            view[0] = 0
+
     @pytest.mark.parametrize(
         "kind",
         [
