@@ -4,7 +4,8 @@ Paper: a ~1KB obfuscated beacon script generated in ~144µs on a 2GHz P4;
 fake JavaScript and CSS files are ~0.3% of CoDeeN's total bandwidth.
 
 Unlike the workload benches, script generation is a true hot-path
-microbenchmark: the proxy runs it for every HTML page it serves.
+microbenchmark: the proxy draws the keys for every HTML page it serves
+and emits the text for every script a client then fetches.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def test_bench_beacon_generation(benchmark, codeen_week):
     config = InstrumentConfig()
 
     def generate_one():
-        # As PageInstrumenter does: one stream per script, one emitter call.
+        # The page's draws, then — as a fetch of the .js does — the emitter.
         return build_beacon_script(
             rng.split(f"s{next(counter)}"), "www.example.com",
             decoys=config.decoys, key_bits=config.key_bits,

@@ -46,10 +46,11 @@ class OverheadResult:
 def measure_generation(
     samples: int = 200, decoys: int = 4, seed: int = 99
 ) -> tuple[float, float]:
-    """Mean (seconds, bytes) to emit one obfuscated beacon script.
+    """Mean (seconds, bytes) to make one obfuscated beacon script.
 
-    What the proxy runs per page: one stream split, one emitter call at
-    the default junk level.
+    What the proxy runs for a page whose script is fetched: the page's
+    draws (keys, handler name) and, through ``size``, the one emitter at
+    the default junk level.  The paper's server did both at page time.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -37,7 +37,6 @@ from repro.instrument.keys import (
     InstrumentationRegistry,
     RegisteredProbe,
 )
-from repro.instrument.obfuscator import obfuscate_script
 from repro.instrument.rewriter import (
     InstrumentConfig,
     InstrumentedPage,
@@ -68,6 +67,5 @@ __all__ = [
     "make_css_beacon",
     "make_hidden_link",
     "make_ua_probe_script",
-    "obfuscate_script",
     "sanitize_user_agent",
 ]

@@ -1,12 +1,15 @@
 """Mouse-movement beacon JavaScript (§2.1, Figure 1 of the paper).
 
-:func:`build_beacon_script` is the one emitter of the external ``.js``
-file the rewritten page references: ``m + 1`` look-alike functions, each
-guarded by a ``do_once`` flag and fetching a fake image whose URL embeds a
-key.  Exactly one function — the one wired to the page's ``onmousemove``
-handler — carries the real key ``k``; the other ``m`` are decoys with
-random wrong keys, so a robot that blindly fetches a URL out of the script
-picks a wrong key with probability ``m / (m + 1)``.
+:func:`build_beacon_script` draws, and :attr:`BeaconScript.source` emits,
+the external ``.js`` file the rewritten page references: ``m + 1``
+look-alike functions, each guarded by a ``do_once`` flag and fetching a
+fake image whose URL embeds a key.  Exactly one function — the one wired
+to the page's ``onmousemove`` handler — carries the real key ``k``; the
+other ``m`` are decoys with random wrong keys, so a robot that blindly
+fetches a URL out of the script picks a wrong key with probability
+``m / (m + 1)``.  The two are apart because a page is rewritten for every
+client and its script fetched by few: the page pays for the keys, the
+fetch for the text.
 
 The emitter also applies §2.1's lexical obfuscation when asked to
 (``junk_statements`` given): identifiers become hex-soup names
@@ -17,20 +20,38 @@ pieces, and the text is joined once — not by rewriting finished text.
 URLs stay literal: the scheme's security comes from the decoys, and a
 findable URL is what lets us model the blind-fetching robot.
 
-**The draw order is part of the contract.**  Every key, name and junk
-statement is a draw on the caller's stream, recorded traces depend on all
-of them, and the repo benchmark cannot notice a change (it re-records its
-script from the tree under test).  In order: the real key, then the decoy
-keys (``getrandbits(key_bits)``, a duplicate is redrawn); the ``m + 1``
-function names ``f_%06x``, handler first; the shuffle of the functions;
-per shuffled function its guard ``g_%06x`` then its image variable
+**The draw order is part of the contract**, and there are two streams.
+Recorded traces depend on every key, and the repo benchmark cannot notice
+a change (it re-records its script from the tree under test).
+
+*The page stream* is the caller's, and :func:`build_beacon_script` draws
+from it only what the page and the probe table need: the real key, then
+the decoy keys (``getrandbits(key_bits)``, a duplicate is redrawn), then
+the name the handler is served under — ``_0x%06x`` when obfuscating,
+``f_%06x`` otherwise.  What it returns is the script's *recipe*, plain
+data a probe can carry; no text exists yet.
+
+*The script stream* is seeded with ``rng.child_seed("script")`` (a split
+consumes no draw), and the text is emitted from it when somebody asks —
+:attr:`BeaconScript.source`, byte-identical on every access.  In order:
+the ``m`` decoy function names ``f_%06x`` (the handler's is ``f_`` plus
+the six digits of its served name); the shuffle of the functions; per
+shuffled function its guard ``g_%06x`` then its image variable
 ``i_%06x``; when obfuscating, the new names ``_0x%06x`` in order of first
 appearance in the text — per function: guard, function, image variable —
-where a name already seen draws nothing (24-bit names can collide); then
-per junk statement the insertion point, the kind, and the kind's own
-numbers.  :mod:`repro.instrument.obfuscator` keeps the string-level
-transformation this replaces; ``tests/instrument/test_identity.py`` holds
-the two equal on cloned streams.
+where the handler and a name already seen draw nothing (24-bit names can
+collide); then per junk statement the insertion point, the kind, and the
+kind's own numbers.  ``tests/instrument/reference_obfuscator.py`` keeps
+the string-level transformation this replaces;
+``tests/instrument/test_identity.py`` holds the two equal on cloned
+streams.
+
+Until PR 22 everything was drawn from the page stream, text included,
+while the page was rewritten.  Traces recorded before then replay
+unchanged — a replay rebuilds the probe table from the journal, which
+never carried script text — but recording one again yields the same CSS
+and mouse keys and different names after them: the script file, the
+UA-probe directory, the hidden link, and the order of the functions.
 
 The module also provides the two *client-side* readings of that script:
 
@@ -44,7 +65,7 @@ The module also provides the two *client-side* readings of that script:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.util.rng import RngStream
 
@@ -60,27 +81,57 @@ JUNK_COMMENTS = (
 )
 
 
-@dataclass(frozen=True)
-class BeaconScript:
-    """A generated beacon script and the bookkeeping the server records.
+class BeaconScript(NamedTuple):
+    """The recipe of one page's beacon script; the text is :attr:`source`.
 
-    ``handler_function`` is the ``f_…`` name drawn for the real function;
-    an obfuscated ``source`` spells it differently, and
-    ``handler_expression`` always calls it by the name ``source`` uses.
+    Plain data — ints, strings and a tuple of strings — so the page's
+    ``BEACON_JS`` probe carries it as it is: hashable, picklable to a
+    process lane, a couple of hundred bytes where the text is 1.4 KB.
+    ``keys`` holds the real key first; ``handler`` is the name the real
+    function has in :attr:`source`; ``junk_statements`` is what
+    :func:`build_beacon_script` was given.
     """
 
-    source: str
-    handler_function: str
-    handler_expression: str
-    real_key: str
-    real_image_path: str
-    decoy_keys: tuple[str, ...]
-    decoy_image_paths: tuple[str, ...]
+    seed: int
+    host: str
+    keys: tuple[str, ...]
+    handler: str
+    junk_statements: int | None
+
+    @property
+    def source(self) -> str:
+        """The script text, emitted anew — and the same — on every access."""
+        return _emit(self)
+
+    @property
+    def handler_expression(self) -> str:
+        """What the page's ``onmousemove`` attribute says."""
+        return f"return {self.handler}();"
+
+    @property
+    def real_key(self) -> str:
+        """The key ``k`` whose image fetch proves a mouse moved."""
+        return self.keys[0]
+
+    @property
+    def decoy_keys(self) -> tuple[str, ...]:
+        """The ``m`` wrong keys."""
+        return self.keys[1:]
 
     @property
     def all_image_paths(self) -> tuple[str, ...]:
         """Real plus decoy image paths (order: real first)."""
-        return (self.real_image_path, *self.decoy_image_paths)
+        return tuple(f"/{key}.jpg" for key in self.keys)
+
+    @property
+    def real_image_path(self) -> str:
+        """Path of the image the handler fetches."""
+        return self.all_image_paths[0]
+
+    @property
+    def decoy_image_paths(self) -> tuple[str, ...]:
+        """Paths of the images the decoy functions fetch."""
+        return self.all_image_paths[1:]
 
     @property
     def size(self) -> int:
@@ -120,13 +171,14 @@ def build_beacon_script(
     key_bits: int = 128,
     junk_statements: int | None = None,
 ) -> BeaconScript:
-    """Generate a beacon script for one page served to one client.
+    """Draw the beacon script of one page served to one client.
 
     Parameters
     ----------
     rng:
-        Randomness source (keys, decoys, identifier names, ordering,
-        obfuscation), drawn from in the order the module docstring fixes.
+        The page stream: keys and the handler's name are drawn from it,
+        in the order the module docstring fixes, and the script stream
+        is split off it.
     host:
         The site host the fake image URLs live on.
     decoys:
@@ -134,7 +186,7 @@ def build_beacon_script(
     key_bits:
         Size of the random key space (the paper uses 2^128).
     junk_statements:
-        ``None`` emits the plain script in the shape of the paper's
+        ``None`` makes the plain script in the shape of the paper's
         Figure 1.  A number obfuscates it: identifiers are renamed and
         that many junk statements are interleaved (``0`` renames only).
     """
@@ -146,15 +198,28 @@ def build_beacon_script(
     keys: dict[str, None] = {}
     while len(keys) <= decoys:
         keys[f"{bits(key_bits):0{key_width}x}"] = None
-    real_key, *decoy_keys = keys
+    prefix = "f_" if junk_statements is None else "_0x"
+    return BeaconScript(
+        rng.child_seed("script"), host, tuple(keys),
+        f"{prefix}{bits(24):06x}", junk_statements,
+    )
 
-    real_path = f"/{real_key}.jpg"
-    decoy_paths = [f"/{key}.jpg" for key in decoy_keys]
 
-    handler = f"f_{bits(24):06x}"
-    entries = [(handler, f"http://{host}{real_path}")]
-    for path in decoy_paths:
-        entries.append((f"f_{bits(24):06x}", f"http://{host}{path}"))
+def _emit(script: BeaconScript) -> str:
+    """The one emitter: a recipe's text, drawn from its script stream."""
+    rng = RngStream(script.seed, "script")
+    bits = rng.getrandbits
+    handler = script.handler
+    real_url, *decoy_urls = [
+        f"http://{script.host}{path}" for path in script.all_image_paths
+    ]
+
+    # Before renaming every function is an ``f_`` name; the handler's
+    # shares its digits with the name it is served under.
+    plain_handler = f"f_{handler[-6:]}"
+    entries = [(plain_handler, real_url)]
+    for url in decoy_urls:
+        entries.append((f"f_{bits(24):06x}", url))
     entries = rng.shuffled(entries)
 
     blocks = []
@@ -165,8 +230,8 @@ def build_beacon_script(
 
     # Two pieces per function — its guard declaration and the function
     # itself — which are also the only places junk may go in front of.
-    obfuscate = junk_statements is not None
-    renamed: dict[str, str] = {}
+    obfuscate = script.junk_statements is not None
+    renamed = {plain_handler: handler}
     pieces = []
     for guard, name, image_var, url in blocks:
         if obfuscate:
@@ -192,18 +257,9 @@ def build_beacon_script(
             "  return false;\n"
             "}"
         )
-    if junk_statements:
-        pieces = _with_junk(pieces, rng, junk_statements)
-
-    return BeaconScript(
-        source="\n".join(pieces) + "\n",
-        handler_function=handler,
-        handler_expression=f"return {renamed.get(handler, handler)}();",
-        real_key=real_key,
-        real_image_path=real_path,
-        decoy_keys=tuple(decoy_keys),
-        decoy_image_paths=tuple(decoy_paths),
-    )
+    if script.junk_statements:
+        pieces = _with_junk(pieces, rng, script.junk_statements)
+    return "\n".join(pieces) + "\n"
 
 
 def _with_junk(pieces: list[str], rng: RngStream, count: int) -> list[str]:

@@ -22,6 +22,7 @@ from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
 from repro.http.message import Request
+from repro.instrument.js_beacon import BeaconScript
 
 
 class BeaconKind(Enum):
@@ -41,6 +42,9 @@ class RegisteredProbe(NamedTuple):
     ``path`` is the exact URL path, except for ``UA_PROBE`` entries where
     it is a directory prefix (the echoed User-Agent completes the path).
     ``is_real_key`` distinguishes the genuine mouse-image key from decoys.
+    ``script`` is a ``BEACON_JS`` entry's recipe, which the file is emitted
+    from when it is fetched; an entry rebuilt from a probe journal has
+    none and serves an empty file.
 
     A named tuple, not a dataclass: a page registers ten of these, and a
     tuple is immutable and hashable at C construction cost.
@@ -54,7 +58,7 @@ class RegisteredProbe(NamedTuple):
     issued_at: float
     key: str | None = None
     is_real_key: bool = False
-    payload: bytes = b""
+    script: BeaconScript | None = None
 
 
 @dataclass(frozen=True)

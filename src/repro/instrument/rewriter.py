@@ -6,21 +6,29 @@ document, registers them in the per-IP table, and marks the page
 uncacheable ("the server marks it uncacheable by adding the response
 header line Cache-Control: no-cache, no-store").
 
-The work for a page is one pass.  ``_build_plan`` derives the page's
-stream from ``(client_ip, per-client sequence)``, draws each probe from
-it in a fixed order — CSS beacon, beacon script, script file name, UA
-probe, hidden link; the order is part of the contract, because every key
-in a recorded trace depends on it — and hands the page's probes to the
-registry in one call.  The beacon script has one path:
-:func:`repro.instrument.js_beacon.build_beacon_script` emits it, plain or
-obfuscated, in final form.
+The work for a page is one pass over two streams.  ``_build_plan``
+derives the *page stream* from ``(client_ip, per-client sequence)`` and
+draws from it, in a fixed order, only what the page and the probe table
+need — the CSS beacon's key; the beacon script's real and decoy keys and
+the name its handler is served under; the script file name; the UA probe;
+the hidden link — then hands the page's probes to the registry in one
+call.  The order is part of the contract, because every key in a recorded
+trace depends on it.  The beacon script's *text* is not made here: its
+``BEACON_JS`` probe carries the recipe
+(:class:`repro.instrument.js_beacon.BeaconScript`, seeded with a split of
+the page stream — the *script stream*), and the text is emitted from it,
+plain or obfuscated and the same every time, when the file is fetched —
+which few clients that are sent a page ever do.  Traces recorded before
+the two streams were parted replay unchanged (a replay rebuilds the table
+from the probe journal); recording one again yields the same CSS and
+mouse keys but different names for everything drawn after them.
 
-The splice has two: well-formed pages (a ``</head>``, a ``<body ...>``
-and a ``</body>`` — everything the origin emits) are rewritten with
-direct string splices, about five microseconds a page, which is why no
-page template is cached; anything else goes through the HTML parser,
-which synthesises the missing structure first.  Both paths carry the
-same probes.
+The splice has two paths: well-formed pages (a ``</head>``, a
+``<body ...>`` and a ``</body>``, none inside another — everything the
+origin emits) are located once and joined once, a few microseconds a
+page, which is why no page template is cached; anything else goes through
+the HTML parser, which synthesises the missing structure first.  Both
+paths carry the same probes.
 
 :func:`beacon_response` is the serving half: when a later request matches
 a registered probe, the proxy answers it directly (empty CSS, any JPEG,
@@ -67,7 +75,8 @@ _TRAP_PAGE_BODY = (
     b"<body><p>nothing to see</p></body></html>"
 )
 
-_BODY_TAG_RE = re.compile(r"<body([^>]*)>", re.IGNORECASE)
+# ``<body`` then whitespace, ``/`` or ``>``: not ``<bodyguard>`` or ``<body-x>``.
+_BODY_TAG_RE = re.compile(r"<body(?=[\s/>])([^>]*)>", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -197,12 +206,12 @@ class PageInstrumenter:
             path: str,
             key: str | None = None,
             is_real_key: bool = False,
-            payload: bytes = b"",
+            script: BeaconScript | None = None,
         ) -> None:
             probes.append(
                 RegisteredProbe(
                     kind, client_ip, host, path, page_path, now,
-                    key, is_real_key, payload,
+                    key, is_real_key, script,
                 )
             )
 
@@ -221,7 +230,8 @@ class PageInstrumenter:
             )
             # The script file is named like a sibling of the page, as in
             # the paper's "./index_0729395150.js".
-            stem = page_url.filename.rsplit(".", 1)[0] or "index"
+            directory, _, filename = page_path.rpartition("/")
+            stem = filename.rsplit(".", 1)[0] or "index"
             js_name = f"{stem}_{random_numeric_key(rng, 10)}.js"
             head_parts.append(
                 f'<script language="javascript" src="./{js_name}"></script>'
@@ -230,15 +240,11 @@ class PageInstrumenter:
             result.beacon_script = script
 
             issue(
-                BeaconKind.BEACON_JS, page_url.sibling(js_name).path,
-                payload=script.source.encode("utf-8"),
+                BeaconKind.BEACON_JS, f"{directory}/{js_name}", script=script
             )
-            issue(
-                BeaconKind.MOUSE_IMAGE, script.real_image_path,
-                script.real_key, True,
-            )
-            for key, path in zip(script.decoy_keys, script.decoy_image_paths):
-                issue(BeaconKind.MOUSE_IMAGE, path, key)
+            real_key = script.real_key
+            for key, path in zip(script.keys, script.all_image_paths):
+                issue(BeaconKind.MOUSE_IMAGE, path, key, key == real_key)
 
         if cfg.ua_probe:
             probe = make_ua_probe_script(rng)
@@ -263,35 +269,39 @@ class PageInstrumenter:
     # -- injection --------------------------------------------------------------
 
     def _inject(self, html: str, plan: _ProbePlan) -> str:
-        if (
-            "</head>" in html
-            and "</body>" in html
-            and _BODY_TAG_RE.search(html) is not None
-        ):
-            return self._inject_fast(html, plan)
-        return self._inject_tree(html, plan)
+        """Splice the plan into a well-formed page, or go through the parser.
 
-    @staticmethod
-    def _inject_fast(html: str, plan: _ProbePlan) -> str:
-        """String-splice injection for well-formed pages."""
-        if plan.head_fragment:
-            html = html.replace(
-                "</head>", plan.head_fragment + "</head>", 1
+        Well-formed is: the first ``</head>``, the first body tag and the
+        first ``</body>`` all exist and neither closing tag sits inside
+        the body tag (``<body title="</head>">``).  The three are located
+        once and the page is joined once around them, whatever order they
+        come in.  A body tag given a handler is re-spelt ``<body``.
+        """
+        head_at = html.find("</head>")
+        tail_at = html.find("</body>")
+        tag = _BODY_TAG_RE.search(html)
+        if head_at < 0 or tail_at < 0 or tag is None:
+            return self._inject_tree(html, plan)
+        tag_at, tag_end = tag.span()
+        if tag_at < head_at < tag_end or tag_at < tail_at < tag_end:
+            return self._inject_tree(html, plan)
+        if plan.body_attribute is None:
+            new_tag = tag.group()
+        else:
+            new_tag = f'<body{tag.group(1)} onmousemove="{plan.body_attribute}">'
+        pieces = []
+        at = 0
+        for start, end, text in sorted(
+            (
+                (head_at, head_at, plan.head_fragment),
+                (tag_at, tag_end, new_tag),
+                (tail_at, tail_at, plan.tail_fragment),
             )
-        if plan.body_attribute is not None:
-            html = _BODY_TAG_RE.sub(
-                lambda m: (
-                    f'<body{m.group(1)} '
-                    f'onmousemove="{plan.body_attribute}">'
-                ),
-                html,
-                count=1,
-            )
-        if plan.tail_fragment:
-            html = html.replace(
-                "</body>", plan.tail_fragment + "</body>", 1
-            )
-        return html
+        ):
+            pieces += (html[at:start], text)
+            at = end
+        pieces.append(html[at:])
+        return "".join(pieces)
 
     @staticmethod
     def _inject_tree(html: str, plan: _ProbePlan) -> str:
@@ -330,7 +340,9 @@ def beacon_response(hit: BeaconHit) -> Response:
     if kind is BeaconKind.BEACON_JS:
         headers = Headers([("Content-Type", "application/javascript")])
         mark_uncacheable(headers)
-        return Response(status=200, headers=headers, body=hit.probe.payload)
+        script = hit.probe.script
+        body = script.source.encode("utf-8") if script is not None else b""
+        return Response(status=200, headers=headers, body=body)
     if kind is BeaconKind.MOUSE_IMAGE:
         # "The server can respond with any JPEG image because the picture
         # is not used."

@@ -335,18 +335,24 @@ class NodeShard:
         return origin.handle(request)
 
     def _instrument(self, request: Request, response: Response) -> Response:
+        """Rewrite an origin page; count its growth as markup bytes.
+
+        Growth is the rewritten body's length minus the origin body's.
+        For an origin body that is not valid UTF-8 the figure also holds
+        what decoding cost: each undecodable sequence comes back as the
+        three bytes of U+FFFD.
+        """
         result = self.instrumenter.instrument(
             response.text, request.url, request.client_ip, request.timestamp
         )
+        body = result.html.encode("utf-8")
         self.stats.pages_instrumented += 1
-        self.stats.instrumentation_markup_bytes += max(0, result.added_bytes)
+        self.stats.instrumentation_markup_bytes += max(
+            0, len(body) - len(response.body)
+        )
         headers = response.headers.copy()
         mark_uncacheable(headers)
-        return Response(
-            status=response.status,
-            headers=headers,
-            body=result.html.encode("utf-8"),
-        )
+        return Response(status=response.status, headers=headers, body=body)
 
     def _account(
         self,

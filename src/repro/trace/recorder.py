@@ -78,9 +78,9 @@ class ProbeRecord(NamedTuple):
     def to_probe(self) -> RegisteredProbe:
         """Rebuild the registration for a replay network's table.
 
-        The beacon-JS payload is not journalled (it is bandwidth
-        bookkeeping, not detection state), so replayed script probes
-        serve an empty body.
+        The beacon script's recipe is not journalled (its text is
+        bandwidth bookkeeping, not detection state), so replayed script
+        probes serve an empty body.
         """
         return RegisteredProbe(
             kind=BeaconKind(self.kind),

@@ -68,7 +68,11 @@ class RngStream:
         Splitting does not consume randomness from the parent and does not
         depend on how many draws the parent has made.
         """
-        return RngStream(_derive_seed(self._seed, label), f"{self._label}/{label}")
+        return RngStream(self.child_seed(label), f"{self._label}/{label}")
+
+    def child_seed(self, label: str) -> int:
+        """The seed of ``split(label)``, for a child to be built later."""
+        return _derive_seed(self._seed, label)
 
     # -- scalar draws ----------------------------------------------------
 

@@ -16,11 +16,11 @@ the blind-fetching robot the paper analyses (caught with probability
 
 This is the string-level form of the transformation: it takes finished
 script text, renames by regular expression and re-splits the lines to
-place junk.  Pages are not served through it —
-:func:`repro.instrument.js_beacon.build_beacon_script` obfuscates while
-it emits, with the same draws in the same order — and it stays as the
-reference the emitter is tested against, and for obfuscating script text
-that came from somewhere else.
+place junk.  It lived in ``src/repro/instrument/obfuscator.py`` until
+nothing under ``src/`` called it; pages are not served through it —
+:attr:`repro.instrument.js_beacon.BeaconScript.source` obfuscates while
+it emits, with the same draws in the same order — and it stays here as
+the reference the emitter is tested against (``test_identity.py``).
 """
 
 from __future__ import annotations
@@ -51,8 +51,9 @@ def obfuscate_script(source: str, rng: RngStream, junk_statements: int = 6) -> s
     """
     if junk_statements < 0:
         raise ValueError("junk_statements must be non-negative")
-    renamed, _ = _rename_identifiers(source, rng)
-    return _inject_junk(renamed, rng, junk_statements)
+    return _inject_junk(
+        _rename_identifiers(source, rng, {}), rng, junk_statements
+    )
 
 
 def obfuscate_beacon(
@@ -60,22 +61,31 @@ def obfuscate_beacon(
     handler_expression: str,
     rng: RngStream,
     junk_statements: int = 6,
+    served_handler: str | None = None,
 ) -> tuple[str, str]:
     """Obfuscate a beacon script and its page-side handler expression.
 
     Returns ``(obfuscated_source, rewritten_handler_expression)`` with a
     consistent renaming, so the page's ``onmousemove`` attribute still
-    calls the (renamed) real function.
+    calls the (renamed) real function.  ``served_handler`` is that
+    function's new name when the page has already been told it (the page
+    is written before the script is): it is used, not drawn.
     """
-    renamed, mapping = _rename_identifiers(source, rng)
+    mapping = {}
+    if served_handler is not None:
+        name = _IDENTIFIER_RE.search(handler_expression).group(1)
+        mapping[name] = served_handler
+    renamed = _rename_identifiers(source, rng, mapping)
     new_expression = _IDENTIFIER_RE.sub(
         lambda m: mapping.get(m.group(1), m.group(1)), handler_expression
     )
     return _inject_junk(renamed, rng, junk_statements), new_expression
 
 
-def _rename_identifiers(source: str, rng: RngStream) -> tuple[str, dict[str, str]]:
-    mapping: dict[str, str] = {}
+def _rename_identifiers(
+    source: str, rng: RngStream, mapping: dict[str, str]
+) -> str:
+    """``source`` renamed; ``mapping`` gains every name it did not hold."""
 
     def replace(match: re.Match[str]) -> str:
         name = match.group(1)
@@ -83,7 +93,7 @@ def _rename_identifiers(source: str, rng: RngStream) -> tuple[str, dict[str, str
             mapping[name] = _hex_name(rng)
         return mapping[name]
 
-    return _IDENTIFIER_RE.sub(replace, source), mapping
+    return _IDENTIFIER_RE.sub(replace, source)
 
 
 def _inject_junk(source: str, rng: RngStream, junk_statements: int) -> str:

@@ -1,15 +1,15 @@
-"""Byte-identity of the one-pass beacon emitter.
+"""Byte-identity of the beacon emitter and of the probes a page carries.
 
 The probes a page carries are a pure function of ``(seed, client_ip,
 per-client sequence, page, config)``, and recorded traces depend on every
-key in them, so the emitter's draw order is part of its contract.  Three
-oracles pin it:
+key in them, so the draw order — of the page stream and of the script
+stream split off it — is part of the contract.  Three oracles pin it:
 
-* a golden digest computed at the commit *before* the emitter was made
-  one pass (f-strings, then ``re.sub`` renaming, then line re-splitting);
-* the string-level reference kept in :mod:`repro.instrument.obfuscator`,
-  compared on cloned streams — including the stream position afterwards,
-  so no draw is gained or lost;
+* a golden digest over everything instrumentation makes observable,
+  the served script text included;
+* the string-level reference kept in ``reference_obfuscator.py`` beside
+  this file, compared on cloned script streams — including the stream
+  position afterwards, so no draw is gained or lost;
 * a host label shaped like a beacon identifier, which must stay literal.
 
 These tests are unmarked on purpose: the CI matrix runs them on every
@@ -21,25 +21,48 @@ from __future__ import annotations
 
 import hashlib
 import re
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from repro.http.uri import Url
+from reference_obfuscator import obfuscate_beacon
+from repro.instrument import js_beacon
 from repro.instrument.js_beacon import (
+    BeaconScript,
     build_beacon_script,
     extract_all_script_urls,
     find_handler_fetch_url,
 )
-from repro.instrument.keys import InstrumentationRegistry
-from repro.instrument.obfuscator import obfuscate_beacon
-from repro.instrument.rewriter import InstrumentConfig, PageInstrumenter
+from repro.instrument.keys import BeaconHit, BeaconKind, InstrumentationRegistry
+from repro.instrument.rewriter import (
+    InstrumentConfig,
+    PageInstrumenter,
+    beacon_response,
+)
 from repro.site.generator import SiteConfig, SiteGenerator
 from repro.util.rng import RngStream
 
-# sha256 of the scenario below at the parent commit (7ea6c80), computed
-# there with this same function.
+# sha256 of the scenario below.  It is meant to differ from the parent's:
+# PR 22 parted the page stream from the script stream, so the script's
+# text is no longer drawn while the page is rewritten, and every draw
+# after the mouse keys moved — the handler's served name is now the
+# page stream's own draw, and the script file name, UA probe and hidden
+# link follow it directly.  This function, unchanged, gives
+# ``24912efa…c5506ec`` at PR 22's parent (127211a), where it was
+# run first to show the scenario starts from there; the digest PR 16
+# pinned (``f9f31d6b…``, at 7ea6c80) was over the probes' ``payload``
+# bytes and ``handler_function``, which no longer exist — what is hashed
+# in their place is the script as ``beacon_response`` serves it.
 GOLDEN_DIGEST = (
-    "f9f31d6babb5d74576444664c2eaae8532eff970a807a7a73f14212efb9d94fe"
+    "6a6e8057c7941bb52dc0ae4899045a5090a60ec835473dd372330fd1d39b01f6"
+)
+# What did not move: the page streams themselves and their first draws,
+# the CSS beacon's key and the real and decoy mouse keys.  The same at
+# 127211a and here.
+_UNMOVED_KINDS = (BeaconKind.CSS_BEACON, BeaconKind.MOUSE_IMAGE)
+UNMOVED_DIGEST = (
+    "335fa44c45fa1b533e4a0447333ff249e795a04077dbc6d6061bf916bea6a741"
 )
 
 _CONFIGS = (
@@ -62,6 +85,9 @@ _TREE_PAGES = (
 
 
 def _probe_fields(probe) -> tuple:
+    served = b""
+    if probe.kind is BeaconKind.BEACON_JS:
+        served = bytes(beacon_response(BeaconHit(probe)).body)
     return (
         probe.kind.value,
         probe.client_ip,
@@ -71,7 +97,7 @@ def _probe_fields(probe) -> tuple:
         repr(probe.issued_at),
         probe.key,
         probe.is_real_key,
-        probe.payload,
+        served,
     )
 
 
@@ -80,7 +106,6 @@ def _script_fields(script) -> tuple | None:
         return None
     return (
         script.source,
-        script.handler_function,
         script.handler_expression,
         script.real_key,
         script.real_image_path,
@@ -89,8 +114,9 @@ def _script_fields(script) -> tuple | None:
     )
 
 
-def scenario_digest() -> str:
-    """sha256 over everything instrumentation makes observable."""
+def scenario_digests() -> tuple[str, str]:
+    """sha256 over everything instrumentation makes observable, and over
+    the CSS and mouse-image paths alone (each page stream's first draws)."""
     site = SiteGenerator(SiteConfig(n_pages=120)).generate(
         RngStream(2006, "golden-site")
     )
@@ -104,6 +130,7 @@ def scenario_digest() -> str:
     ]
     ips = [f"10.7.{i}.{i + 1}" for i in range(21)]
     digest = hashlib.sha256()
+    unmoved_digest = hashlib.sha256()
 
     def feed(*values) -> None:
         digest.update(repr(values).encode("utf-8"))
@@ -130,9 +157,12 @@ def scenario_digest() -> str:
                     [_probe_fields(p) for p in result.probes],
                     _script_fields(result.beacon_script),
                 )
+                for probe in result.probes:
+                    if probe.kind in _UNMOVED_KINDS:
+                        unmoved_digest.update(probe.path.encode("utf-8"))
         feed(heard)
         feed([_probe_fields(p) for p in registry.iter_probes()], len(registry))
-    return digest.hexdigest()
+    return digest.hexdigest(), unmoved_digest.hexdigest()
 
 
 def test_tree_pages_take_the_parser_path(monkeypatch):
@@ -151,8 +181,8 @@ def test_tree_pages_take_the_parser_path(monkeypatch):
     assert taken == list(_TREE_PAGES)
 
 
-def test_golden_digest_matches_the_parent_commit():
-    assert scenario_digest() == GOLDEN_DIGEST
+def test_golden_digest():
+    assert scenario_digests() == (GOLDEN_DIGEST, UNMOVED_DIGEST)
 
 
 # Host labels may hold letters, digits, '-' and '_' here — wider than
@@ -169,6 +199,20 @@ _HOST = (
 )
 
 
+def _emitted(script: BeaconScript) -> tuple[str, RngStream]:
+    """``script.source`` and the script stream, where emitting left it."""
+    streams = []
+
+    def capture(seed, label):
+        streams.append(RngStream(seed, label))
+        return streams[-1]
+
+    with mock.patch.object(js_beacon, "RngStream", capture):
+        source = script.source
+    (stream,) = streams
+    return source, stream
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**64),
@@ -181,28 +225,54 @@ def test_emitter_equals_the_string_level_reference(
     seed, decoys, key_bits, junk, host
 ):
     decoys = min(decoys, 2**key_bits - 1)  # 4-bit keys: at most 15 decoys
-    reference_rng = RngStream(seed, "identity")
-    plain = build_beacon_script(
-        reference_rng, host, decoys=decoys, key_bits=key_bits
-    )
-    expected_source, expected_expression = obfuscate_beacon(
-        plain.source, plain.handler_expression, reference_rng, junk
-    )
-
-    emitter_rng = RngStream(seed, "identity")
-    emitted = build_beacon_script(
-        emitter_rng, host, decoys=decoys, key_bits=key_bits,
+    script = build_beacon_script(
+        RngStream(seed, "identity"), host, decoys=decoys, key_bits=key_bits,
         junk_statements=junk,
     )
+    # The reference works on finished text: the plain script of the same
+    # script stream, whose handler is the ``f_`` spelling of the served name.
+    plain = script._replace(
+        handler=f"f_{script.handler[-6:]}", junk_statements=None
+    )
+    plain_source, reference_rng = _emitted(plain)
+    expected_source, expected_expression = obfuscate_beacon(
+        plain_source, plain.handler_expression, reference_rng, junk,
+        served_handler=script.handler,
+    )
 
-    assert emitted.source == expected_source
-    assert emitted.handler_expression == expected_expression
-    assert emitted.handler_function == plain.handler_function
-    assert emitted.real_key == plain.real_key
-    assert emitted.decoy_keys == plain.decoy_keys
-    assert emitted.all_image_paths == plain.all_image_paths
+    source, emitter_rng = _emitted(script)
+
+    assert source == expected_source
+    assert script.handler_expression == expected_expression
     # Same position in the stream: no draw gained, none lost.
     assert emitter_rng.getrandbits(64) == reference_rng.getrandbits(64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    decoys=st.integers(min_value=0, max_value=12),
+    key_bits=st.sampled_from([4, 8, 128]),
+    junk=st.none() | st.integers(min_value=0, max_value=14),
+)
+def test_page_stream_draws_keys_then_the_handler_and_nothing_else(
+    seed, decoys, key_bits, junk
+):
+    decoys = min(decoys, 2**key_bits - 1)
+    rng, clone = RngStream(seed, "page"), RngStream(seed, "page")
+    script = build_beacon_script(
+        rng, "h.com", decoys=decoys, key_bits=key_bits, junk_statements=junk
+    )
+    keys: list[str] = []
+    while len(keys) <= decoys:
+        key = f"{clone.getrandbits(key_bits):0{key_bits // 4}x}"
+        if key not in keys:
+            keys.append(key)
+    name = f"{clone.getrandbits(24):06x}"
+    assert script.keys == tuple(keys)
+    assert script.handler == ("f_" if junk is None else "_0x") + name
+    assert script.seed == clone.split("script").seed
+    assert rng.getrandbits(64) == clone.getrandbits(64)
 
 
 def test_identifier_shaped_host_label_stays_literal():

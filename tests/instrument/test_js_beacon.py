@@ -59,7 +59,7 @@ class TestBuild:
 
     def test_handler_expression_names_real_function(self, rng):
         script = build_beacon_script(rng, "h.com")
-        assert script.handler_function in script.handler_expression
+        assert script.handler in script.handler_expression
 
 
 class TestHandlerResolution:

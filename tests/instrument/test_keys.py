@@ -24,7 +24,7 @@ def _probe(path="/k.jpg", ip="1.2.3.4", kind=BeaconKind.MOUSE_IMAGE, **kw):
         issued_at=kw.pop("issued_at", 0.0),
         key=kw.pop("key", "abc"),
         is_real_key=kw.pop("is_real_key", True),
-        payload=kw.pop("payload", b""),
+        script=kw.pop("script", None),
     )
 
 

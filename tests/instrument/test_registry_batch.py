@@ -229,14 +229,14 @@ class TestRecordTypes:
         issued_at=1155000000.1234567,
         key="0123abcd",
         is_real_key=True,
-        payload=b"",
+        script=None,
     )
 
     def test_defaults(self):
         probe = RegisteredProbe(
             BeaconKind.CSS_BEACON, "10.0.0.1", "h.com", "/1.css", "/p.html", 0.0
         )
-        assert (probe.key, probe.is_real_key, probe.payload) == (None, False, b"")
+        assert (probe.key, probe.is_real_key, probe.script) == (None, False, None)
         record = ProbeRecord(0.0, "css_beacon", "10.0.0.1", "h.com", "/1.css", "/p.html")
         assert (record.key, record.is_real_key) == (None, False)
 

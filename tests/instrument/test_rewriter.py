@@ -80,7 +80,7 @@ class TestInjection:
         js_probe = next(
             p for p in result.probes if p.kind is BeaconKind.BEACON_JS
         )
-        url = find_handler_fetch_url(js_probe.payload.decode(), handler)
+        url = find_handler_fetch_url(js_probe.script.source, handler)
         real = next(
             p
             for p in result.probes
@@ -119,7 +119,7 @@ class TestConfigToggles:
     def test_no_obfuscation(self):
         result, _ = _instrument(config=InstrumentConfig(obfuscate=False))
         js = next(p for p in result.probes if p.kind is BeaconKind.BEACON_JS)
-        assert b"_0x" not in js.payload
+        assert "_0x" not in js.script.source
 
 
 class TestConfigValidation:

@@ -163,3 +163,66 @@ class TestNetwork:
         stats = network.stats()
         assert 0.0 <= stats.beacon_bandwidth_fraction <= 1.0
         assert stats.markup_bandwidth_fraction > 0.0
+
+
+class TestMarkupBytes:
+    """``instrumentation_markup_bytes`` is the rewritten body's length
+    minus the origin body's.  Until PR 22 it was
+    ``InstrumentedPage.added_bytes``, which encodes both documents again
+    to subtract their lengths; on UTF-8 pages the two are one number."""
+
+    def test_a_workload_counts_what_added_bytes_counted(
+        self, make_network, entry_url, monkeypatch
+    ):
+        from repro.instrument.rewriter import PageInstrumenter
+        from repro.util.rng import RngStream
+        from repro.workload.engine import WorkloadConfig, WorkloadEngine
+        from repro.workload.mixes import SMOKE
+
+        instrument = PageInstrumenter.instrument
+        added = []
+
+        def spy(self, *args):
+            result = instrument(self, *args)
+            added.append(max(0, result.added_bytes))
+            return result
+
+        monkeypatch.setattr(PageInstrumenter, "instrument", spy)
+        network = make_network(n_nodes=2)
+        WorkloadEngine(
+            network, SMOKE, entry_url, RngStream(22, "wl"),
+            WorkloadConfig(n_sessions=40, captcha_enabled=False),
+        ).run()
+        stats = network.stats()
+        assert stats.pages_instrumented == len(added) > 100
+        assert stats.instrumentation_markup_bytes == sum(added)
+
+    def test_a_non_utf8_origin_body_also_counts_its_replacement_characters(
+        self, small_site
+    ):
+        from repro.http.message import Response
+        from repro.proxy.node import ProxyNode
+        from repro.util.rng import RngStream
+
+        class FixedOrigin:
+            def __init__(self, body):
+                self.body = body
+
+            def handle(self, request):
+                headers = Headers([("Content-Type", "text/html")])
+                return Response(status=200, headers=headers, body=self.body)
+
+        def counted(body):
+            node = ProxyNode(
+                node_id="n", origins={small_site.host: FixedOrigin(body)},
+                rng=RngStream(1, "node"),
+            )
+            response = node.handle(_request(small_site, "/p.html"))
+            growth = node.stats.instrumentation_markup_bytes
+            assert growth == len(response.body) - len(body)
+            return growth
+
+        latin1 = b"<html><head></head><body>caf\xe9 \xff</body></html>"
+        ascii_only = latin1.replace(b"\xe9", b"e").replace(b"\xff", b"y")
+        # Each of the two undecodable bytes comes back as U+FFFD: 3 bytes.
+        assert counted(latin1) == counted(ascii_only) + 2 * 2

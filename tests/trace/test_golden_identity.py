@@ -20,7 +20,22 @@ loop (``executor=None``).  PR 20 deleted that loop, so the second replay
 no longer exists; the constant below was re-derived at PR 20's parent
 (93a912c) by this file with only the second config removed, with the
 trace recorded under each of the three workload modes that commit had —
-and is unchanged by the deletion.
+and was unchanged by the deletion.
+
+PR 22 changed it on purpose.  The trace this test replays is recorded
+here, from the tree under test, and PR 22 moved the beacon script's text
+out of the page stream (it is emitted from a stream of its own when the
+``.js`` is fetched), so every draw after a page's mouse keys moved: the
+script file name, the UA-probe directory, the hidden link, and the order
+of the functions inside the script.  The population is the same and so
+are its CSS and mouse keys, but the two ``blind_fetcher`` robots pick
+their URL by position in the script and now happen to hit the real key
+on their first page and a decoy on the second, where they used to hit a
+decoy on the first — they are blocked one page later, pass the
+ten-request census floor, and the census has 60 sessions where it had
+58.  ``758fdbe3…`` (PR 20's constant) was re-derived with this file at
+PR 22's parent (127211a) first; a trace *recorded* there still replays
+to it here, because a replay rebuilds the probe table from the journal.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import SMOKE
 
-GOLDEN = "758fdbe3effbafcd9d0ed8480c955587a1aeb8141c73685cd56c203d2681e0ad"
+GOLDEN = "31c10ccb9d6b83e863618695f052d95320c0ed1b5eef17259983963e9444a283"
 
 
 def _observables(result: ReplayResult) -> list[str]:
