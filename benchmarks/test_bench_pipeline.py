@@ -18,11 +18,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.detection.sharded import ShardedDetectionService
-from repro.http.headers import Headers
-from repro.http.message import Method, Request
-from repro.http.uri import Url
-from repro.instrument.keys import InstrumentationRegistry
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.batch import BatchScorer
 from repro.ml.stump import DecisionStump
@@ -78,40 +73,6 @@ def test_bench_pipeline_sessions_per_second(benchmark, shards):
         benchmark.extra_info["sessions_per_sec"] = round(
             BENCH_PIPELINE_SESSIONS / benchmark.stats.stats.mean, 1
         )
-
-
-def _detection_batch(n_requests: int = 4000) -> list[Request]:
-    requests = []
-    for index in range(n_requests):
-        client = index % 400
-        requests.append(
-            Request(
-                method=Method.GET,
-                url=Url.parse(f"http://{_SITE.host}/p{index % 16}.html"),
-                client_ip=f"10.1.{client // 256}.{client % 256}",
-                headers=Headers([("User-Agent", f"agent-{client % 5}")]),
-                timestamp=float(index),
-            )
-        )
-    return requests
-
-
-@pytest.mark.parametrize("shards", [1, 2, 8])
-def test_bench_handle_batch(benchmark, shards):
-    """Batch request handling through the sharded service alone."""
-    requests = _detection_batch()
-
-    def run():
-        service = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=shards
-        )
-        service.keep_event_log = False
-        return service.handle_batch(requests)
-
-    outcomes = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(outcomes) == len(requests)
-    benchmark.extra_info["shards"] = shards
-    benchmark.extra_info["requests"] = len(requests)
 
 
 def _scoring_fixture() -> tuple[AdaBoostModel, np.ndarray]:

@@ -38,6 +38,7 @@ def main() -> None:
             get_rate_limit=60.0, cgi_rate_limit=6.0, error_4xx_limit=8
         ),
     )
+    detection.keep_event_log = True  # a short run: print its events below
     node = ProxyNode(
         node_id="guard",
         origins={website.host: OriginServer(website)},

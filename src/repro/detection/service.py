@@ -70,6 +70,7 @@ class DetectionService:
         self.tracker = SessionTracker(
             idle_timeout=idle_timeout,
             min_requests=min_requests,
+            sink=self._session_retired,
             id_prefix=session_id_prefix,
         )
         self._human_activity = HumanActivityDetector()
@@ -78,8 +79,13 @@ class DetectionService:
         self.classifier = OnlineClassifier(online_config)
         self.policy = RobotPolicy(policy_config)
         self._enforce_policy = enforce_policy
+        #: Debugging aid, off by default: every event of every request,
+        #: kept for the life of the service.  Nothing in the pipeline
+        #: reads it — ``RequestOutcome.events`` hands each request's
+        #: events to the caller — so switch it on only to inspect a
+        #: short run.
+        self.keep_event_log = False
         self.event_log: list[DetectionEvent] = []
-        self.keep_event_log = True
 
     @property
     def registry(self) -> InstrumentationRegistry:
@@ -156,13 +162,17 @@ class DetectionService:
             self.event_log.append(event)
         return event
 
+    def _session_retired(self, state: SessionState) -> None:
+        # Tracker sink: a retired session's id is never issued again, so
+        # its watch entry could only leak.  A bound method, not a
+        # lambda: services are pickled to process lanes.
+        self.policy.forget(state.session_id)
+
     # -- end-of-experiment reductions --------------------------------------
 
     def finalize(self) -> list[SessionState]:
         """Retire all live sessions and return every analyzable session."""
         self.tracker.finalize_all()
-        for state in self.tracker.completed:
-            self.policy.forget(state.session_id)
         return self.tracker.analyzable()
 
     def session_sets(self) -> SessionSets:

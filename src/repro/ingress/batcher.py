@@ -142,8 +142,8 @@ class MicroBatcher:
         """Drive a graduated response ladder from checkpoint verdicts.
 
         ``router`` exposes ``observe_verdict(ip, margin, ts)`` (a
-        :class:`~repro.overload.ladder.ResponseLadder` or the node's
-        partitioned facade).  Checkpoints — a session's own observed
+        :class:`~repro.overload.ladder.ResponseLadder`, or a node routing
+        to its shards' ladders).  Checkpoints — a session's own observed
         request count hitting a power of two >= ``checkpoint_base`` —
         score that single session immediately, outside the flush
         cadence: flush boundaries depend on the lane's combined stream,

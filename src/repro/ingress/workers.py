@@ -250,8 +250,8 @@ class ReplayLaneWorker(_LaneWorker):
             if batch.idle_timeout < tracker_timeout:
                 batch = replace(batch, idle_timeout=tracker_timeout)
         self._batcher = MicroBatcher(scorer_model, batch)
-        #: Response-ladder router (node facade or the shard's ladder)
-        #: when the graduated response is on for this lane.
+        #: Response-ladder router (the node, or the shard's ladder) when
+        #: the graduated response is on for this lane.
         self._ladder_router = None
         if ladder is not None:
             self._ladder_router = node.enable_ladder(ladder)

@@ -10,15 +10,16 @@ The request path mirrors an instrumented CoDeeN node:
 6. origin forwarding; 200 HTML responses are instrumented per client and
    marked uncacheable before delivery.
 
-Since the state-partitioning refactor the node is a *router over
-shards*: every piece of per-client mutable state — the detection
-shard, its probe-registry partition, the cache partition and the
-rate-limit buckets — lives inside a :class:`NodeShard`, keyed by the
-stable client-IP hash (:func:`repro.state.partition.partition_index`).
-The full request path runs inside the owning shard, so a shard is a
-self-contained lane of execution: the ingress can run one process
-lane per ``(node, shard)`` instead of one per node, and the node
-merely merges shard stats and metrics for its callers.
+The node is a *router over shards*: every piece of per-client mutable
+state — a plain detection service, its probe-registry partition, a
+cache, the rate-limit buckets and the response ladder — lives inside a
+:class:`NodeShard`, and :meth:`ProxyNode.shard_for` (the stable
+client-IP hash, :func:`repro.state.partition.partition_index`) is the
+one place a request is turned into a shard.  The full request path
+runs inside the owning shard, so a shard is a self-contained lane of
+execution: the ingress can run one process lane per ``(node, shard)``
+instead of one per node, and the node merely merges shard stats,
+metrics and ladder state for its callers.
 """
 
 from __future__ import annotations
@@ -45,15 +46,18 @@ from repro.overload.ladder import (
     LadderConfig,
     LadderStage,
     ResponseLadder,
+    merge_ladder_states,
 )
 from repro.proxy.cache import ProxyCache
 from repro.proxy.ratelimit import RateLimitConfig, TokenBucketLimiter
 from repro.site.origin import OriginServer
 from repro.state.partition import partition_index
-from repro.state.stores import PartitionedCache, PartitionedLimiter
 from repro.util.rng import RngStream
 
 __all__ = ["NodeStats", "NodeShard", "ProxyNode"]
+
+#: A node's response-cache budget in entries, divided across its shards.
+_CACHE_CAPACITY = 4096
 
 
 @dataclass
@@ -116,10 +120,10 @@ class NodeShard:
     """One IP partition of a node's state, plus the request path over it.
 
     Owns a detection shard, that shard's probe-registry partition, a
-    cache partition and a rate-limiter partition — everything the
-    requests routed here can touch, and nothing another shard's
-    requests can.  Pickles cleanly, so the process executor can ship a
-    shard to a child interpreter as a complete lane state.
+    cache and a rate limiter of its own — everything the requests
+    routed here can touch, and nothing another shard's requests can.
+    Pickles cleanly, so the process executor can ship a shard to a
+    child interpreter as a complete lane state.
     """
 
     _EXPORTED_STATS = (
@@ -192,11 +196,6 @@ class NodeShard:
             self.metrics,
             {"node": self.node_id, "shard": self.shard_label},
         )
-        return self.ladder
-
-    def ladder_for(self, client_ip: str) -> ResponseLadder | None:
-        """The ladder owning ``client_ip`` (shards own all their IPs)."""
-        del client_ip
         return self.ladder
 
     # -- tracing ------------------------------------------------------------
@@ -461,77 +460,85 @@ class ProxyNode:
         else:
             self.detection = DetectionService(InstrumentationRegistry())
         self.metrics = MetricsRegistry()
-        #: PartitionedLadder facade once :meth:`enable_ladder` ran.
-        self.ladder = None
         self._build_shards()
 
-    def enable_ladder(self, config: LadderConfig | None = None):
-        """Enable the graduated response ladder on every state shard.
-
-        Returns a :class:`~repro.state.stores.PartitionedLadder` facade
-        routing by client IP; the per-shard ladders live inside their
-        shards, so lane executors carry them without extra plumbing.
-        Call after any :meth:`shard_detection` re-partitioning — the
-        rebuild discards shard-local state, ladders included.
-        """
-        from repro.state.stores import PartitionedLadder
-
-        self.ladder = PartitionedLadder(
-            [shard.enable_ladder(config) for shard in self._shards]
-        )
-        return self.ladder
-
-    def ladder_for(self, client_ip: str):
-        """The shard-local ladder owning ``client_ip`` (None = off)."""
-        if self.ladder is None:
-            return None
-        return self.shard_for(client_ip).ladder
-
     def _build_shards(self) -> None:
-        """(Re)derive per-shard state from the current detection layout."""
+        """(Re)derive per-shard state from the current detection layout.
+
+        Each shard gets plain stores of its own; the cache budget
+        divides across shards (ceiling, never below one entry).  The
+        same static object may therefore sit in several shards' caches
+        — the price of self-contained lanes, and why cache counters
+        depend on the shard layout while detection results do not.
+        """
         if isinstance(self.detection, ShardedDetectionService):
             services = self.detection.shards
-            registry_partitions = self.detection.registry.partitions
+            registries = self.detection.registry.partitions
         else:
             services = [self.detection]
-            registry_partitions = [self.detection.registry]
+            registries = [self.detection.registry]
         n = len(services)
-        self.cache = PartitionedCache(n)
-        self.limiter = (
-            PartitionedLimiter(self._rate_limit, n)
-            if self._rate_limit is not None
-            else None
-        )
-        # Kept for callers that instrument pages directly against the
-        # node; the request path uses the per-shard instrumenters.
-        self.instrumenter = PageInstrumenter(
-            self.detection.registry,
-            self._instrument_rng,
-            self._instrument_config,
-        )
         self._shards = [
             NodeShard(
                 self.node_id,
                 index,
                 self._origins,
-                services[index],
-                self.cache.partition(index),
-                # `is not None`: the facades define __len__, so an empty
-                # limiter is falsy and plain truthiness would drop it.
+                service,
+                ProxyCache(capacity=-(-_CACHE_CAPACITY // n)),
                 (
-                    self.limiter.partition(index)
-                    if self.limiter is not None
+                    TokenBucketLimiter(self._rate_limit)
+                    if self._rate_limit is not None
                     else None
                 ),
                 PageInstrumenter(
-                    registry_partitions[index],
+                    registry,
                     self._instrument_rng,
                     self._instrument_config,
                 ),
                 instrument_enabled=self._instrument_enabled,
             )
-            for index in range(n)
+            for index, (service, registry) in enumerate(
+                zip(services, registries)
+            )
         ]
+
+    # -- response ladder ----------------------------------------------------
+
+    def enable_ladder(self, config: LadderConfig | None = None):
+        """Enable the graduated response ladder on every state shard.
+
+        The ladders live inside their shards, so lane executors carry
+        them without extra plumbing; the node routes verdicts to them
+        (:meth:`observe_verdict`) and exports their union
+        (:meth:`export_state`), and so returns itself as the thing to
+        feed.  Call after any :meth:`shard_detection` re-partitioning —
+        the rebuild discards shard-local state, ladders included.
+        """
+        for shard in self._shards:
+            shard.enable_ladder(config)
+        return self
+
+    def ladder_for(self, client_ip: str) -> ResponseLadder | None:
+        """The shard-local ladder owning ``client_ip`` (None = off)."""
+        return self.shard_for(client_ip).ladder
+
+    def observe_verdict(
+        self, client_ip: str, margin: float, timestamp: float
+    ) -> None:
+        """Feed a checkpoint verdict to the ladder owning ``client_ip``."""
+        self.shard_for(client_ip).ladder.observe_verdict(
+            client_ip, margin, timestamp
+        )
+
+    def export_state(self) -> dict:
+        """The node's ladder state: the union of its shards' exports.
+
+        IPs are sticky to a shard, so the per-shard states are disjoint
+        and the merge does not depend on the shard count.
+        """
+        return merge_ladder_states(
+            shard.ladder.export_state() for shard in self._shards
+        )
 
     # -- shard topology -----------------------------------------------------
 
@@ -645,48 +652,28 @@ class ProxyNode:
 
     # -- reconfiguration ----------------------------------------------------
 
-    def shard_detection(
-        self, n_shards: int, max_workers: int | None = None
-    ) -> None:
+    def shard_detection(self, n_shards: int) -> None:
         """Re-partition detection state into ``n_shards`` shards.
 
         Must run before any traffic: session state cannot be re-hashed
         between shard layouts.  The probe registry (and with it any
         registrations a replay journal already loaded) migrates into
         the new partition layout; caches and rate buckets are empty
-        pre-traffic, so they are simply rebuilt with the new partition
+        pre-traffic, so they are simply rebuilt with the new shard
         count.  No-op when the node is already sharded to the requested
         count.
         """
         if (
             isinstance(self.detection, ShardedDetectionService)
             and self.detection.n_shards == n_shards
-            and (
-                max_workers is None
-                or self.detection.max_workers == max_workers
-            )
         ):
             return
         if self.stats.requests or self.detection.tracker.total_started:
             raise RuntimeError(
                 f"{self.node_id}: cannot re-shard detection after traffic"
             )
-        previous = self.detection
-        self.detection = shard_service(
-            previous, n_shards, max_workers=max_workers
-        )
-        if isinstance(previous, ShardedDetectionService):
-            previous.close()
+        self.detection = shard_service(self.detection, n_shards)
         self._build_shards()
-
-    def close_detection(self) -> None:
-        """Release detection-side resources (shard executor threads).
-
-        Safe to call at any time: a later shard-parallel operation
-        lazily recreates the executor it needs.
-        """
-        if isinstance(self.detection, ShardedDetectionService):
-            self.detection.close()
 
     def housekeeping(self, now: float) -> None:
         """Periodic maintenance, swept per state shard: idle sessions,

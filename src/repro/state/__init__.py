@@ -1,28 +1,18 @@
-"""Key-partitioned state stores.
+"""Key-partitioned node state.
 
 The paper's detector kept all per-client state (probe table, rate
-buckets, cache) inside one proxy node.  This package splits each of
-those stores into N independent partitions keyed by a stable BLAKE2b
-hash of the client IP, so a *detection shard* — not a whole node — is
-the smallest self-contained state unit and process lanes can run one
-per shard.
+buckets, cache) inside one proxy node.  This repo splits a node into N
+shards keyed by a stable BLAKE2b hash of the client IP, so a *shard* —
+not a whole node — is the smallest self-contained state unit and
+process lanes can run one per shard.
 
 :mod:`repro.state.partition` holds the hash itself;
-:mod:`repro.state.stores` wraps the existing registry / limiter /
-cache types in routing facades that preserve their public APIs.
+:mod:`repro.state.stores` holds :class:`PartitionedRegistry`, the probe
+table behind one routing facade.  Every other per-client store is a
+plain object inside a :class:`~repro.proxy.node.NodeShard`.
 """
 
-from repro.state.partition import PartitionMap, partition_index
-from repro.state.stores import (
-    PartitionedCache,
-    PartitionedLimiter,
-    PartitionedRegistry,
-)
+from repro.state.partition import partition_index
+from repro.state.stores import PartitionedRegistry
 
-__all__ = [
-    "PartitionMap",
-    "partition_index",
-    "PartitionedCache",
-    "PartitionedLimiter",
-    "PartitionedRegistry",
-]
+__all__ = ["partition_index", "PartitionedRegistry"]

@@ -22,7 +22,6 @@ addresses cannot grow it.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 
 #: Bounds of the hash memo, fixed (nothing to tune: the three lookups of
@@ -65,29 +64,3 @@ def partition_index(key: str, n_partitions: int) -> int:
     if n_partitions <= 1:
         return 0
     return stable_hash(key, 8) % n_partitions
-
-
-@dataclass(frozen=True)
-class PartitionMap:
-    """A fixed partition count plus the routing it implies."""
-
-    n_partitions: int
-
-    def __post_init__(self) -> None:
-        if self.n_partitions < 1:
-            raise ValueError("n_partitions must be >= 1")
-
-    def index_for(self, key: str) -> int:
-        """Which partition owns ``key``."""
-        return partition_index(key, self.n_partitions)
-
-    def label(self, index: int) -> str:
-        """Zero-padded label for metrics series (``00``, ``01`` ...)."""
-        return f"{index:02d}"
-
-    def group(self, keys):
-        """Partition an iterable of keys into ``n_partitions`` lists."""
-        groups: list[list[str]] = [[] for _ in range(self.n_partitions)]
-        for key in keys:
-            groups[self.index_for(key)].append(key)
-        return groups

@@ -68,9 +68,7 @@ class ReplayConfig:
     timestamp order (the recorder writes sorted files; real access logs
     usually are too) — required for constant-memory streaming.
     ``shards`` > 0 hash-partitions each node's detection state into that
-    many shards before the first event (0 keeps the network as built);
-    ``shard_workers`` sizes the optional executor behind the shards'
-    batch and housekeeping paths.
+    many shards before the first event (0 keeps the network as built).
 
     Events stream onto per-lane queues (``queue_depth`` events each,
     None = unbounded) consumed by the ``serial``/``thread``/``process``
@@ -87,7 +85,6 @@ class ReplayConfig:
     default_host: str | None = None
     strict: bool = False
     shards: int = 0
-    shard_workers: int | None = None
     executor: str = "serial"
     queue_depth: int | None = None
     #: Binary full-queue shedding (``ShedPolicy.SHED``).
@@ -116,8 +113,6 @@ class ReplayConfig:
     def __post_init__(self) -> None:
         if self.shards < 0:
             raise ValueError("shards must be non-negative")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1 when given")
         self.ingress()
 
     def ingress(self) -> "IngressConfig":
@@ -206,28 +201,6 @@ class TraceReplayEngine:
         Multiple sources — e.g. one log per front-end node — are merged
         by timestamp on the fly; each individual source must be sorted
         when ``assume_sorted`` is set, and is sorted here otherwise.
-        """
-        if not sources:
-            raise ValueError("replay needs at least one trace source")
-        cfg = self._config
-        if cfg.shards:
-            self._network.shard_detection(
-                cfg.shards, max_workers=cfg.shard_workers
-            )
-        try:
-            return self._replay(*sources, probes=probes)
-        finally:
-            # Release shard-executor threads the replay may have
-            # spawned; lazily recreated if the network is reused.
-            if cfg.shard_workers:
-                self._network.close_detection()
-
-    def _replay(
-        self,
-        *sources: TraceSource,
-        probes: ProbeSource | None = None,
-    ) -> ReplayResult:
-        """Stream the merged events onto the ingress lanes.
 
         This loop only *admits*; per-lane processing happens on the
         lanes' executor.  Probe-journal registrations are admitted with
@@ -239,7 +212,11 @@ class TraceReplayEngine:
         from repro.ingress.pipeline import IngressPipeline, replay_workers
         from repro.ingress.workers import PROBE_EVENT, REQUEST_EVENT
 
+        if not sources:
+            raise ValueError("replay needs at least one trace source")
         cfg = self._config
+        if cfg.shards:
+            self._network.shard_detection(cfg.shards)
         parse_stats = ParseStats()
         probe_parse_stats = ParseStats()
 

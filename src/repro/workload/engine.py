@@ -80,7 +80,6 @@ class WorkloadConfig:
     arrival: ArrivalProfile = field(default_factory=UniformArrival)
     housekeeping_interval: float = 600.0
     shards: int = 0
-    shard_workers: int | None = None
     executor: str = "serial"
     queue_depth: int | None = None
     #: Shed (and count) whole sessions instead of blocking when a lane
@@ -115,8 +114,6 @@ class WorkloadConfig:
             )
         if self.shards < 0:
             raise ValueError("shards must be non-negative")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1 when given")
         self.ingress()
 
     def ingress(self):
@@ -170,34 +167,22 @@ class WorkloadEngine:
         return self._config
 
     def run(self) -> WorkloadResult:
-        """Replay the whole workload and reduce the results."""
-        cfg = self._config
-        if cfg.shards:
-            self._network.shard_detection(
-                cfg.shards, max_workers=cfg.shard_workers
-            )
-        try:
-            return self._run()
-        finally:
-            # Release shard-executor threads the run may have spawned;
-            # lazily recreated if the caller keeps using the network.
-            if cfg.shard_workers:
-                self._network.close_detection()
+        """Replay the whole workload and reduce the results.
 
-    def _run(self) -> WorkloadResult:
-        """Admit sessions through the ingress; lanes drive their own.
-
-        Ground-truth annotation and the CAPTCHA funnel run inside the
-        lane workers (per-IP RNG splits make the outcomes independent of
-        the lane layout), so the result is assembled purely from the
-        merged lane outputs — which is what lets the ``process``
-        executor run each node in a separate interpreter.
+        Sessions are admitted through the ingress; lanes drive their
+        own.  Ground-truth annotation and the CAPTCHA funnel run inside
+        the lane workers (per-IP RNG splits make the outcomes
+        independent of the lane layout), so the result is assembled
+        purely from the merged lane outputs — which is what lets the
+        ``process`` executor run each node in a separate interpreter.
         """
         # Deferred import: see WorkloadConfig.ingress().
         from repro.ingress.pipeline import IngressPipeline
         from repro.ingress.workers import SESSION_EVENT, WorkloadLaneWorker
 
         cfg = self._config
+        if cfg.shards:
+            self._network.shard_detection(cfg.shards)
         agents = self._mix.sample_many(
             self._rng.split("population"), self._entry_url, cfg.n_sessions
         )

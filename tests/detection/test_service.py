@@ -111,13 +111,82 @@ class TestPipeline:
 
     def test_event_log_collects(self):
         service, _ = _service_with_instrumented_page()
+        service.keep_event_log = True
         service.handle_request(_request("/index.html"))
         assert any(
             e.kind is EventKind.SESSION_STARTED for e in service.event_log
         )
+
+    def test_default_service_retains_no_events(self):
+        # The log is a debugging aid: left on it grows by one event per
+        # session start and per probe hit for the life of the process.
+        service, page = _service_with_instrumented_page()
+        css = next(p for p in page.probes if p.kind.value == "css_beacon")
+        seen = 0
+        for i in range(1000):
+            path = css.path if i == 500 else f"/p{i % 7}.html"
+            outcome = service.handle_request(
+                _request(path, ip=f"10.0.0.{i % 50}", t=float(i))
+            )
+            seen += len(outcome.events)
+        assert seen >= 50  # the caller still gets every event
+        assert service.event_log == []
 
     def test_separate_sessions_per_ua(self):
         service, _ = _service_with_instrumented_page()
         a = service.handle_request(_request("/index.html", ua="A"))
         b = service.handle_request(_request("/index.html", ua="B"))
         assert a.state is not b.state
+
+
+class TestWatchTableFollowsLiveSessions:
+    """A retired session's ``RobotPolicy`` watch entry goes with it.
+
+    Session ids are never reissued, so an entry that outlives its
+    session can never be consulted again — on a live server it only
+    accumulates.
+    """
+
+    N_ROBOTS = 40
+
+    def _robots(self, service, start, ips=range(N_ROBOTS)):
+        # Twelve page fetches and no probe: the classifier calls the
+        # session a robot, so the policy starts watching it.
+        for i in ips:
+            for k in range(12):
+                service.handle_request(
+                    _request(
+                        f"/p{k}.html", ip=f"10.1.0.{i}", ua="bot", t=start + k
+                    )
+                )
+
+    def test_idle_sweep_forgets_retired_sessions(self):
+        service = DetectionService(InstrumentationRegistry())
+        self._robots(service, start=0.0)
+        assert len(service.policy._watch) == self.N_ROBOTS
+        blocked = (
+            service.policy.blocked_sessions,
+            service.policy.blocked_requests,
+        )
+        service.tracker.expire_idle(now=12.0 + 4000.0)
+        assert service.tracker.live_count == 0
+        assert service.policy._watch == {}
+        assert blocked == (
+            service.policy.blocked_sessions,
+            service.policy.blocked_requests,
+        )
+
+    def test_in_place_rotation_forgets_the_old_session(self):
+        service = DetectionService(InstrumentationRegistry())
+        self._robots(service, start=0.0)
+        old_ids = set(service.policy._watch)
+        # Five of the clients come back after the 1-hour idle rule: each
+        # return rotates its session inside ``tracker.observe``.
+        self._robots(service, start=5000.0, ips=range(5))
+        live = {
+            service.tracker.get(f"10.1.0.{i}", "bot").session_id
+            for i in range(self.N_ROBOTS)
+        }
+        assert set(service.policy._watch) == live
+        assert len(live & old_ids) == self.N_ROBOTS - 5
+        assert service.tracker.live_count == self.N_ROBOTS

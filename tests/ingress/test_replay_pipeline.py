@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import pickle
 
 import numpy as np
 import pytest
@@ -461,27 +460,3 @@ class TestBatcherTrackerAlignment:
             batch=MicroBatchConfig(idle_timeout=60.0),
         )
         assert worker._batcher._config.idle_timeout == 4 * HOUR
-
-
-class TestPicklableLaneState:
-    def test_node_with_live_shard_executor_pickles(
-        self, small_origin, small_site
-    ):
-        network = ProxyNetwork(
-            origins={small_site.host: small_origin},
-            rng=RngStream(3, "net"),
-            n_nodes=1,
-            detection_shards=4,
-        )
-        node = network.nodes[0]
-        network.shard_detection(4, max_workers=2)
-        # Force the lazy thread pool into existence, then pickle.
-        node.detection.map_shards(lambda shard: shard.tracker.live_count)
-        assert node.detection._executor is not None
-        clone = pickle.loads(pickle.dumps(node))
-        assert clone.detection._executor is None
-        assert clone.detection.n_shards == 4
-        # The revived service still works (executor recreated lazily).
-        assert clone.detection.map_shards(
-            lambda shard: shard.tracker.live_count
-        ) == [0, 0, 0, 0]

@@ -296,9 +296,10 @@ class TestNodeHousekeeping:
         )
         request = _request()
         node.handle(request)  # creates this client's bucket
-        node.cache.store(_request(), _response(), now=0.0)
-        assert len(node.limiter) == 1
-        assert len(node.cache) == 1
+        shard = node.shard_for(request.client_ip)
+        shard.cache.store(_request(), _response(), now=0.0)
+        assert len(shard.limiter) == 1
+        assert len(shard.cache) == 1
         node.housekeeping(now=1e9)
-        assert len(node.limiter) == 0
-        assert len(node.cache) == 0
+        assert len(shard.limiter) == 0
+        assert len(shard.cache) == 0

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pickle
 
+import pytest
+
 from repro.http.content import ContentKind
 from repro.http.headers import Headers
 from repro.http.message import Method, Request
 from repro.http.uri import Url
 from repro.instrument.keys import BeaconKind
+from repro.overload.ladder import merge_ladder_states
 from repro.proxy.ratelimit import RateLimitConfig
 
 
@@ -118,6 +121,50 @@ class TestNodeServing:
         node.housekeeping(now=100000.0)
         assert node.detection.tracker.live_count == 0
         assert len(node.detection.registry) == 0
+
+
+class TestShardedNode:
+    """What a node answers for its shards: each piece of per-client
+    state sits on ``shard_for(ip)`` and nowhere else."""
+
+    IPS = [f"10.3.0.{i}" for i in range(40)]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_verdicts_land_on_the_owning_shards_ladder(
+        self, make_node, shards
+    ):
+        node = make_node(detection_shards=shards)
+        assert node.ladder_for(self.IPS[0]) is None  # off until enabled
+        router = node.enable_ladder()
+        for step, ip in enumerate(self.IPS):
+            router.observe_verdict(ip, -1.0, float(step))
+            owner = node.shard_for(ip)
+            assert node.ladder_for(ip) is owner.ladder
+            assert ip in owner.ladder.export_state()["ips"]
+        per_shard = [
+            shard.ladder.export_state() for shard in node.state_shards
+        ]
+        # Disjoint per shard, and the node exports their union.
+        assert sum(len(state["ips"]) for state in per_shard) == len(self.IPS)
+        assert router.export_state() == merge_ladder_states(per_shard)
+        assert sorted(router.export_state()["ips"]) == sorted(self.IPS)
+
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_tracker_view_sums_over_shards(
+        self, make_node, small_site, shards
+    ):
+        node = make_node(detection_shards=shards)
+        for ip in self.IPS:
+            node.handle(_request(small_site, small_site.home_path, ip=ip))
+        node.handle(  # one client returns after the idle rule: a rotation
+            _request(small_site, small_site.home_path, ip=self.IPS[0], t=4000.0)
+        )
+        trackers = [s.detection.tracker for s in node.state_shards]
+        tracker = node.detection.tracker
+        assert tracker.live_count == len(self.IPS)
+        assert tracker.live_count == sum(t.live_count for t in trackers)
+        assert tracker.total_started == len(self.IPS) + 1
+        assert tracker.total_started == sum(t.total_started for t in trackers)
 
 
 class TestNetwork:

@@ -1,7 +1,7 @@
 """Routing tests for the partition hash and lane assignment.
 
 The client-IP hash is the single routing primitive shared by detection
-shards, the partitioned state stores and the per-shard ingress lanes —
+shards, the partitioned probe registry and the per-shard ingress lanes —
 so its distribution and stability properties are load-bearing for both
 correctness (containment: a lane owns all state its requests touch)
 and throughput (balanced partitions).
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.proxy.network import ProxyNetwork
 from repro.state import partition
-from repro.state.partition import PartitionMap, partition_index, stable_hash
+from repro.state.partition import partition_index, stable_hash
 from repro.util.rng import RngStream
 
 N_IPS = 10_000
@@ -69,26 +69,6 @@ class TestPartitionIndex:
             counts[pair] = counts.get(pair, 0) + 1
         assert len(counts) == 16  # every (node, shard) cell populated
         assert min(counts.values()) > (4000 / 16) * 0.5
-
-
-class TestPartitionMap:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PartitionMap(0)
-        with pytest.raises(ValueError):
-            PartitionMap(-3)
-
-    def test_index_label_group(self):
-        pmap = PartitionMap(4)
-        assert pmap.n_partitions == 4
-        assert pmap.label(3) == "03"
-        keys = [f"192.0.2.{i}" for i in range(40)]
-        grouped = pmap.group(keys)
-        assert len(grouped) == 4
-        assert sorted(k for ks in grouped for k in ks) == sorted(keys)
-        for index, members in enumerate(grouped):
-            for key in members:
-                assert pmap.index_for(key) == index
 
 
 class TestLaneAssignment:

@@ -1,10 +1,10 @@
-"""Partitioned store facades: routing, merged accounting, housekeeping
-equivalence and pickle safety.
+"""Partitioned node state: the probe-registry facade, and a sharded
+node's per-shard limiters and caches against the unsharded node's.
 
 The eviction-equivalence tests are the regression guard for the PR 2
 unbounded-state fixes: partitioning a store must never change *what*
 housekeeping removes — every entry the unpartitioned sweep would evict
-is evicted exactly once by the per-partition sweeps, and nothing else.
+is evicted exactly once by the per-shard sweeps, and nothing else.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ from repro.instrument.keys import (
     InstrumentationRegistry,
     RegisteredProbe,
 )
-from repro.proxy.cache import ProxyCache
-from repro.proxy.ratelimit import RateLimitConfig, TokenBucketLimiter
-from repro.state.stores import (
-    PartitionedCache,
-    PartitionedLimiter,
-    PartitionedRegistry,
-)
+from repro.proxy.node import ProxyNode
+from repro.proxy.ratelimit import RateLimitConfig
+from repro.state.stores import PartitionedRegistry
+from repro.util.rng import RngStream
 
 N_IPS = 10_000
 
@@ -131,84 +128,137 @@ class TestPartitionedRegistry:
             PartitionedRegistry([])
 
 
+class _StaticOrigin:
+    """Answers every request with one small cacheable stylesheet."""
+
+    def handle(self, request):
+        return _response()
+
+
+def _node(shards=0, rate_limit=None):
+    return ProxyNode(
+        node_id="n0",
+        origins={"site.test": _StaticOrigin()},
+        rng=RngStream(1, "stores-test"),
+        rate_limit=rate_limit,
+        instrument_enabled=False,
+        detection_shards=shards,
+    )
+
+
+def _limiter_totals(node):
+    limiters = [shard.limiter for shard in node.state_shards]
+    return {
+        "buckets": sum(len(l) for l in limiters),
+        "allowed": sum(l.allowed for l in limiters),
+        "denied": sum(l.denied for l in limiters),
+        "evicted": sum(l.evicted for l in limiters),
+    }
+
+
+def _cache_totals(node):
+    caches = [shard.cache for shard in node.state_shards]
+    return {
+        "entries": sum(len(c) for c in caches),
+        "insertions": sum(c.stats.insertions for c in caches),
+        "expired": sum(c.stats.expired for c in caches),
+        "evictions": sum(c.stats.evictions for c in caches),
+    }
+
+
 class TestPartitionedLimiter:
+    """A sharded node's rate limiting is one plain limiter per shard;
+    decisions and evictions must equal the one-limiter node's."""
+
     CONFIG = RateLimitConfig(requests_per_second=1, burst=2)
 
     def test_partition_local_decisions(self):
-        limiter = PartitionedLimiter(self.CONFIG, 4)
+        node = _node(shards=4, rate_limit=self.CONFIG)
         ip = "192.0.2.50"
-        assert limiter.allow(ip, 0.0)
-        assert limiter.allow(ip, 0.0)
-        assert not limiter.allow(ip, 0.0)  # burst exhausted
-        owner = limiter.partition(limiter.index_for(ip))
+        statuses = [node.handle(_request(ip)).status for _ in range(3)]
+        assert statuses == [200, 200, 503]  # burst exhausted
+        owner = node.shard_for(ip).limiter
         assert len(owner) == 1
-        assert len(limiter) == 1
-        assert limiter.allowed == 2
-        assert limiter.denied == 1
-        assert limiter.config is self.CONFIG
+        assert owner.config is self.CONFIG
+        assert _limiter_totals(node) == {
+            "buckets": 1, "allowed": 2, "denied": 1, "evicted": 0,
+        }
 
     def test_decisions_match_unpartitioned(self):
-        flat = TokenBucketLimiter(self.CONFIG)
-        partitioned = PartitionedLimiter(self.CONFIG, 8)
+        flat = _node(rate_limit=self.CONFIG)
+        sharded = _node(shards=8, rate_limit=self.CONFIG)
         for step in range(3):
-            for ip in _ips(300):
-                now = float(step)
-                assert flat.allow(ip, now) == partitioned.allow(ip, now)
-        assert flat.allowed == partitioned.allowed
-        assert flat.denied == partitioned.denied
+            for ip in _ips(300) * 2:  # two a second: the second step denies
+                request = _request(ip, timestamp=float(step))
+                assert (
+                    flat.handle(request).status
+                    == sharded.handle(request).status
+                )
+        assert _limiter_totals(flat)["denied"] > 0
+        assert _limiter_totals(flat) == _limiter_totals(sharded)
+        assert flat.stats.rate_limited == sharded.stats.rate_limited
 
     def test_eviction_equivalent_to_unpartitioned(self):
-        flat = TokenBucketLimiter(self.CONFIG)
-        partitioned = PartitionedLimiter(self.CONFIG, 16)
+        flat = _node(rate_limit=self.CONFIG)
+        sharded = _node(shards=16, rate_limit=self.CONFIG)
         for i, ip in enumerate(_ips()):
-            now = float(i % 700)
-            flat.allow(ip, now)
-            partitioned.allow(ip, now)
-        assert len(partitioned) == len(flat)
-        expected = flat.evict_replenished(now=900.0)
-        removed = partitioned.evict_replenished(now=900.0)
-        assert removed == expected
-        assert len(partitioned) == len(flat)
-        assert partitioned.evicted == flat.evicted
+            request = _request(ip, timestamp=float(i % 700))
+            flat.handle(request)
+            sharded.handle(request)
+        assert _limiter_totals(flat) == _limiter_totals(sharded)
+        flat.housekeeping(now=900.0)
+        sharded.housekeeping(now=900.0)
+        totals = _limiter_totals(flat)
+        assert totals["evicted"] > 0
+        assert _limiter_totals(sharded) == totals
 
 
 class TestPartitionedCache:
+    """A sharded node's cache is one plain cache per shard, filled only
+    by the clients that shard owns."""
+
     def test_routes_by_client_ip(self):
-        cache = PartitionedCache(4, capacity=64, ttl=100.0)
-        request = _request("192.0.2.9")
-        assert cache.lookup(request, now=0.0) is None
-        assert cache.store(request, _response(), now=0.0)
-        hit = cache.lookup(request, now=1.0)
-        assert hit is not None and hit.served_from_cache
-        owner = cache.partition(cache.index_for("192.0.2.9"))
+        node = _node(shards=4)
+        ip = "192.0.2.9"
+        first = node.handle(_request(ip))
+        again = node.handle(_request(ip, timestamp=1.0))
+        assert not first.served_from_cache and again.served_from_cache
+        owner = node.shard_for(ip).cache
         assert len(owner) == 1
-        assert len(cache) == 1
-        stats = cache.stats
-        assert stats.hits == 1
-        assert stats.misses == 1
-        assert stats.insertions == 1
+        assert (owner.stats.hits, owner.stats.misses) == (1, 1)
+        assert _cache_totals(node)["entries"] == 1
 
     def test_capacity_divides_across_partitions(self):
-        cache = PartitionedCache(4, capacity=10)
-        # Ceiling division, never below one entry per partition.
-        assert all(p._capacity == 3 for p in cache.partitions)
-        tiny = PartitionedCache(8, capacity=2)
-        assert all(p._capacity == 1 for p in tiny.partitions)
-        with pytest.raises(ValueError):
-            PartitionedCache(4, capacity=0)
+        # Ceiling division of the node's 4096-entry budget; a ceiling is
+        # never below one entry, so no shard count can starve a cache.
+        for shards in (0, 1, 3, 4, 8):
+            node = _node(shards=shards)
+            n = node.n_state_shards
+            assert n == max(1, shards)
+            per_shard = -(-4096 // n)
+            assert per_shard >= 1
+            assert [s.cache._capacity for s in node.state_shards] == [
+                per_shard
+            ] * n
 
     def test_sweep_equivalent_to_unpartitioned(self):
-        flat = ProxyCache(capacity=N_IPS, ttl=100.0)
-        partitioned = PartitionedCache(16, capacity=N_IPS, ttl=100.0)
+        flat = _node()
+        sharded = _node(shards=16)
         for i, ip in enumerate(_ips(2000)):
-            request = _request(ip, path=f"/obj{i}.css", timestamp=i % 300)
-            flat.store(request, _response(), now=float(i % 300))
-            partitioned.store(request, _response(), now=float(i % 300))
-        assert len(partitioned) == len(flat)
-        expected = flat.sweep(now=250.0)
-        removed = partitioned.sweep(now=250.0)
-        assert removed == expected
-        assert len(partitioned) == len(flat)
+            # Stored over ~3.3 virtual hours: the housekeeping sweep at
+            # 2.5 h finds some entries past the 1-hour TTL, some not.
+            request = _request(
+                ip, path=f"/obj{i}.css", timestamp=(i % 300) * 40.0
+            )
+            flat.handle(request)
+            sharded.handle(request)
+        assert _cache_totals(flat) == _cache_totals(sharded)
+        flat.housekeeping(now=9000.0)
+        sharded.housekeeping(now=9000.0)
+        totals = _cache_totals(flat)
+        assert 0 < totals["expired"] < totals["insertions"]
+        assert totals["evictions"] == 0
+        assert _cache_totals(sharded) == totals
 
 
 class TestPickleSafety:
@@ -219,27 +269,20 @@ class TestPickleSafety:
         registry = PartitionedRegistry.build(4)
         for i, ip in enumerate(_ips(32)):
             registry.register(_probe(ip, f"k{i}"))
-        limiter = PartitionedLimiter(RateLimitConfig(), 4)
-        limiter.allow("192.0.2.1", 0.0)
-        cache = PartitionedCache(4, capacity=16)
-        cache.store(_request("192.0.2.1"), _response(), now=0.0)
-
         registry2 = pickle.loads(pickle.dumps(registry))
         assert len(registry2) == 32
         assert registry2.index_for("192.0.2.1") == registry.index_for(
             "192.0.2.1"
         )
-        limiter2 = pickle.loads(pickle.dumps(limiter))
-        assert limiter2.allowed == 1
-        cache2 = pickle.loads(pickle.dumps(cache))
-        assert len(cache2) == 1
-        hit = cache2.lookup(_request("192.0.2.1"), now=1.0)
-        assert hit is not None
+        # A shard's own stores travel with the shard.
+        node = _node(shards=4, rate_limit=RateLimitConfig())
+        node.handle(_request("192.0.2.1"))
+        shard = pickle.loads(pickle.dumps(node.shard_for("192.0.2.1")))
+        assert shard.limiter.allowed == 1
+        assert len(shard.cache) == 1
+        assert shard.cache.lookup(_request("192.0.2.1"), now=1.0) is not None
 
     def test_node_and_shards_round_trip(self):
-        from repro.proxy.node import ProxyNode
-        from repro.util.rng import RngStream
-
         node = ProxyNode(
             node_id="n0",
             origins={},
@@ -263,8 +306,6 @@ class TestPickleSafety:
             ReplayLaneWorker,
             WorkloadLaneWorker,
         )
-        from repro.proxy.node import ProxyNode
-        from repro.util.rng import RngStream
 
         node = ProxyNode(
             node_id="n0",

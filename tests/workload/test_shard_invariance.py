@@ -23,19 +23,14 @@ N_SESSIONS = 60
 SEED = 33
 
 
-def _run(make_network, entry_url, shards, mode, **config_kwargs):
+def _run(make_network, entry_url, shards, mode):
     network = make_network(n_nodes=2, seed=SEED)
     engine = WorkloadEngine(
         network,
         SMOKE,
         entry_url,
         RngStream(SEED, "wl"),
-        WorkloadConfig(
-            n_sessions=N_SESSIONS,
-            mode=mode,
-            shards=shards,
-            **config_kwargs,
-        ),
+        WorkloadConfig(n_sessions=N_SESSIONS, mode=mode, shards=shards),
     )
     return engine.run()
 
@@ -98,20 +93,6 @@ class TestWorkloadShardInvariance:
             assert _verdicts(result) == _verdicts(baseline)
             assert _latency_multiset(result) == _latency_multiset(baseline)
 
-    def test_executor_path_agrees(self, make_network, entry_url):
-        baseline = _run(
-            make_network, entry_url, shards=0, mode="interleaved"
-        )
-        threaded = _run(
-            make_network,
-            entry_url,
-            shards=4,
-            mode="interleaved",
-            shard_workers=2,
-        )
-        assert threaded.summary == baseline.summary
-        assert _verdicts(threaded) == _verdicts(baseline)
-
     def test_shards_config_shards_the_network(self, make_network, entry_url):
         from repro.detection.sharded import ShardedDetectionService
 
@@ -127,26 +108,15 @@ class TestWorkloadShardInvariance:
         for node in network.nodes:
             assert isinstance(node.detection, ShardedDetectionService)
             assert node.detection.n_shards == 4
-
-    def test_shard_workers_applied_to_presharded_network(
-        self, make_network
-    ):
-        network = make_network(n_nodes=1, seed=SEED, detection_shards=4)
-        node = network.nodes[0]
-        assert node.detection.max_workers is None
-        # Same shard count but a newly requested executor width must not
-        # be silently discarded by the no-op fast path.
-        network.shard_detection(4, max_workers=2)
-        assert node.detection.max_workers == 2
-        unchanged = node.detection
-        network.shard_detection(4, max_workers=2)
-        assert node.detection is unchanged
+        # Asking for the layout a network already has is a no-op (after
+        # traffic anything else would be refused).
+        before = [node.detection for node in network.nodes]
+        network.shard_detection(4)
+        assert [node.detection for node in network.nodes] == before
 
     def test_invalid_shard_config(self):
         with pytest.raises(ValueError):
             WorkloadConfig(shards=-1)
-        with pytest.raises(ValueError):
-            WorkloadConfig(shard_workers=0)
 
 
 class TestReplayShardInvariance:
@@ -170,7 +140,7 @@ class TestReplayShardInvariance:
         recorder.annotate_ground_truth(result.records)
         return recorder.sorted_records(), recorder.sorted_probes()
 
-    def _replay(self, records, probes, shards, shard_workers=None):
+    def _replay(self, records, probes, shards):
         network = ProxyNetwork(
             origins={},
             rng=RngStream(0, "replay"),
@@ -179,11 +149,7 @@ class TestReplayShardInvariance:
         )
         engine = TraceReplayEngine(
             network,
-            ReplayConfig(
-                assume_sorted=True,
-                shards=shards,
-                shard_workers=shard_workers,
-            ),
+            ReplayConfig(assume_sorted=True, shards=shards),
         )
         return engine.replay(list(records), probes=list(probes))
 
@@ -198,17 +164,6 @@ class TestReplayShardInvariance:
             assert result.requests_replayed == baseline.requests_replayed
             assert _latency_multiset(result) == _latency_multiset(baseline)
 
-    def test_replay_executor_path_agrees(self, recorded):
-        records, probes = recorded
-        baseline = self._replay(records, probes, shards=0)
-        threaded = self._replay(
-            records, probes, shards=4, shard_workers=2
-        )
-        assert threaded.summary == baseline.summary
-        assert threaded.kind_census() == baseline.kind_census()
-
     def test_invalid_replay_shard_config(self):
         with pytest.raises(ValueError):
             ReplayConfig(shards=-1)
-        with pytest.raises(ValueError):
-            ReplayConfig(shard_workers=0)
