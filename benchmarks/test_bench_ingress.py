@@ -1,15 +1,14 @@
-"""Ingress throughput: executor scaling on the 10k-session shard suite.
+"""Ingress throughput: lane scaling on the 10k-session shard suite.
 
 Two claims to pin down:
 
-* the ingress is semantics-free — serial, thread and process executors
-  produce identical reductions on the same admitted stream (checked
-  here on a small trace so the property rides along in smoke mode);
-* the **process** executor actually closes the GIL gap: replaying the
-  10k-session suite through per-node lanes in separate interpreters
-  beats the thread path whenever more than one core is available.
-  (On a single-core runner the comparison is skipped — there is no
-  parallelism to demonstrate, only scheduler noise.)
+* the ingress is semantics-free — the serial and process executors
+  produce identical reductions on the same admitted stream, at either
+  lane granularity (checked here on a small trace so the property rides
+  along in smoke mode);
+* per-shard process lanes beat per-node ones on a runner with more
+  cores than nodes.  (With fewer cores the comparison is skipped —
+  there is no parallelism to demonstrate, only scheduler noise.)
 """
 
 from __future__ import annotations
@@ -31,17 +30,6 @@ SHARDS = 4
 SUITE_SESSIONS = 10_000
 SUITE_REQUESTS_PER_SESSION = 12
 BENCH_SESSIONS = 1_000
-
-
-def _speedup_floor(cores: int) -> float:
-    """What "real parallel speedup" must mean on this machine.
-
-    On >= 4 cores the four lanes genuinely spread out and 1.1x is a
-    conservative floor; on 2-3 cores lanes contend with the admission
-    loop and each other, so the assertion relaxes to strictly-better —
-    still a real win over the GIL, without flaking on scheduler noise.
-    """
-    return 1.1 if cores >= 4 else 1.0
 
 
 def _cores() -> int:
@@ -90,10 +78,10 @@ def _replay(records: list[TraceRecord], **config_kwargs):
 
 
 def test_ingress_executors_equivalent():
-    """Smoke-safe acceptance: all three executors reduce identically."""
+    """Smoke-safe acceptance: both executors reduce identically."""
     records = _suite_trace(400)
     baseline = _replay(records)
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         result = _replay(records, executor=executor, queue_depth=1024)
         assert result.summary == baseline.summary
         assert result.kind_census() == baseline.kind_census()
@@ -105,7 +93,7 @@ def test_ingress_lane_counts_equivalent():
     per-node lanes — lane granularity is a topology knob only."""
     records = _suite_trace(400)
     baseline = _replay(records, executor="serial", queue_depth=1024)
-    for executor in ("serial", "thread", "process"):
+    for executor in ("serial", "process"):
         result = _replay(
             records,
             executor=executor,
@@ -117,7 +105,7 @@ def test_ingress_lane_counts_equivalent():
         assert result.requests_replayed == baseline.requests_replayed
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+@pytest.mark.parametrize("executor", ["serial", "process"])
 def test_bench_ingress_replay(benchmark, executor):
     """Replay throughput per executor on a 1k-session slice."""
     records = _suite_trace(BENCH_SESSIONS)
@@ -135,49 +123,6 @@ def test_bench_ingress_replay(benchmark, executor):
         benchmark.extra_info["requests_per_sec"] = round(
             len(records) / benchmark.stats.stats.mean
         )
-
-
-def test_process_executor_beats_thread_on_shard_suite(request):
-    """Acceptance: real parallel speedup of process over thread lanes.
-
-    The thread path is GIL-bound — four lanes of pure-Python detection
-    work serialize onto one core no matter how many exist.  The process
-    path gives each lane its own interpreter, so with >= 2 cores it must
-    win wall-clock on the 10k-session suite.
-    """
-    if request.config.getoption("benchmark_disable"):
-        pytest.skip(
-            "smoke mode (--benchmark-disable): equivalence checked in "
-            "test_ingress_executors_equivalent, wall-clock not asserted"
-        )
-    if _cores() < 2:
-        pytest.skip(
-            f"only {_cores()} core(s) available: no parallelism to "
-            "demonstrate, only scheduler noise"
-        )
-
-    records = _suite_trace(SUITE_SESSIONS)
-
-    def best_of(executor: str, repeats: int = 2) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = _replay(
-                records, executor=executor, queue_depth=8192
-            )
-            best = min(best, time.perf_counter() - start)
-            assert result.requests_replayed == len(records)
-        return best
-
-    thread_time = best_of("thread")
-    process_time = best_of("process")
-    speedup = thread_time / process_time
-    floor = _speedup_floor(_cores())
-    assert speedup > floor, (
-        f"process executor only {speedup:.2f}x the thread path on "
-        f"{_cores()} cores (need > {floor}x): thread "
-        f"{thread_time:.2f}s vs process {process_time:.2f}s"
-    )
 
 
 def test_per_shard_lanes_beat_per_node_lanes(request):

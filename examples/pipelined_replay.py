@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Record a workload, then replay it on every ingress executor.
+"""Record a workload, then replay it on both ingress executors.
 
 Demonstrates the ingress subsystem end to end:
 
 1. build a deployment, drive a diurnal time-interleaved workload
    through it, and export the traffic as a CLF trace + probe journal;
-2. replay the log through the **ingress lanes**: events stream onto
-   bounded per-lane queues (one lane per proxy node, routed by the
-   stable client-IP hash) consumed by serial, thread and true-parallel
-   process executors — and the census comes out byte-identical on every
-   executor and at every queue depth;
-3. replay once more with a tiny queue and the load-shedding policy to
-   show overload handling: shed requests are *counted* in the network
-   stats, never silently dropped;
+2. replay the log through the **ingress lanes** (one lane per proxy
+   node, routed by the stable client-IP hash): inline on the serial
+   executor, then with every lane in its own process behind a bounded
+   pipe — and the census comes out byte-identical on both executors and
+   at every queue depth;
+3. replay once more on process lanes with a tiny pipe and the
+   load-shedding policy to show overload handling: shed requests are
+   *counted* in the network stats, never silently dropped;
 4. replay with **span tracing** on: every admitted event carries a trace
    context through admission -> queue wait -> handle -> detection ->
    batch flush, a tail sampler keeps exemplar traces under a bounded
@@ -94,32 +94,33 @@ def main() -> None:
         print(f"live census: {sorted(recorded.kind_census().items())}")
 
         # The default replay — lanes inline on the serial executor — is
-        # the reference, and every executor matches it.
+        # the reference, and process lanes match it at any pipe depth.
         baseline = replay(trace, probes)
         assert baseline.kind_census() == recorded.kind_census()
         print(
             f"\nreplayed {baseline.requests_replayed} requests, "
             f"{baseline.analyzable_count} analyzable sessions"
         )
-        for executor in ("thread", "process"):
+        for depth in (16, 256):
             result = replay(
-                trace, probes, executor=executor, queue_depth=256
+                trace, probes, executor="process", queue_depth=depth
             )
             assert result.summary == baseline.summary
             assert result.kind_census() == baseline.kind_census()
             assert result.stats == baseline.stats
             print(
-                f"  executor={executor:7s} queued={result.stats.queued:6d} "
-                f"census identical: True"
+                f"  executor=process depth={depth:3d} "
+                f"queued={result.stats.queued:6d} census identical: True"
             )
 
-        # Overload: a depth-4 queue with shedding enabled.  Requests are
-        # refused when admission outruns the lanes — and every one of
-        # them shows up in the stats.
+        # Overload: a depth-4 pipe with shedding enabled (a shedding
+        # policy needs the process executor — inline lanes have no
+        # backlog).  Requests are refused when admission outruns the
+        # lanes — and every one of them shows up in the stats.
         shed_run = replay(
             trace,
             probes,
-            executor="thread",
+            executor="process",
             queue_depth=4,
             shed=True,
         )
@@ -146,7 +147,7 @@ def main() -> None:
         traced = replay(
             trace,
             probes,
-            executor="thread",
+            executor="process",
             queue_depth=256,
             spans=SpanConfig.uniform(8),
         )
@@ -179,12 +180,12 @@ def main() -> None:
                 ).spans,
                 clock="virtual",
             )
-            for executor in ("serial", "thread", "process")
+            for executor in ("serial", "process")
         }
         assert len(set(virtual.values())) == 1
         print(
             "\nvirtual-clock span trees byte-identical across "
-            "serial/thread/process executors: True"
+            "serial/process executors: True"
         )
 
 

@@ -11,10 +11,10 @@ subsystem (:mod:`repro.trace`) that exports any workload as a Combined
 Log Format access log and replays logs — recorded or real — through the
 detection pipeline in global timestamp order.  The ingress subsystem
 (:mod:`repro.ingress`) puts an explicit admission stage in front of it
-all: hash routing onto bounded per-lane queues with backpressure or
-counted load shedding, micro-batched ensemble scoring, and serial /
-thread / true-parallel process lane executors that never change
-results — only wall-clock.
+all: hash routing onto per-client lanes, micro-batched ensemble
+scoring, and lanes that run inline or each in its own process (behind a
+bounded pipe with backpressure or counted load shedding) without ever
+changing results — only wall-clock.
 
 Quickstart::
 

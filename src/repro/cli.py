@@ -124,8 +124,8 @@ def build_record_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--mode", choices=("interleaved", "pipelined"),
         default="interleaved",
-        help="where the ingress lanes run: 'interleaved' in the calling "
-             "thread, 'pipelined' on --executor (never changes results)",
+        help="where the ingress lanes run: 'interleaved' inline, "
+             "'pipelined' on --executor (never changes results)",
     )
     parser.add_argument(
         "--arrival", choices=("uniform", "diurnal", "burst"),
@@ -147,25 +147,28 @@ def _add_lane_options(
              "(0 = unsharded; shard count never changes results)",
     )
     parser.add_argument(
-        "--executor", choices=("serial", "thread", "process"),
+        "--executor", choices=("serial", "process"),
         default=None,
-        help="ingress lane executor (default serial: lanes run inline; "
-             "'process' runs them truly in parallel; executor choice "
+        help="where an ingress lane runs (default serial: inline; "
+             "'process': each lane in its own interpreter, in parallel, "
+             "behind a pipe of --queue-depth events; executor choice "
              "never changes results)",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=0,
-        help="per-lane ingress queue bound in events (0 = unbounded)",
+        help="per-lane pipe bound in events for --executor process "
+             "(0 = unbounded)",
     )
     parser.add_argument(
         "--shed", nargs="?", const="shed", default=None,
         choices=("shed", "adaptive"), metavar="POLICY",
-        help="load-shedding policy: 'shed' (the default when the flag "
-             f"is given bare) drops and counts {unit} when a lane queue "
-             "is full (needs --queue-depth); 'adaptive' sheds at the "
-             "front door once a lane's predicted queue delay exceeds "
-             "--delay-budget, with hysteresis and per-IP fairness (needs "
-             "--executor thread|process)",
+        help="load-shedding policy, for --executor process (inline "
+             "lanes have no backlog to shed from): 'shed' (the default "
+             f"when the flag is given bare) drops and counts {unit} when "
+             "a lane's pipe is full (needs --queue-depth); 'adaptive' "
+             "sheds at the front door once a lane's predicted queue "
+             "delay exceeds --delay-budget, with hysteresis and per-IP "
+             "fairness",
     )
     parser.add_argument(
         "--delay-budget", type=float, default=1.0, metavar="SECONDS",

@@ -1,4 +1,4 @@
-"""Pluggable lane executors: serial, thread, and true-parallel process.
+"""Lane executors: a lane runs inline, or in its own process.
 
 A *lane* is one fully self-contained partition of ingress state (in this
 codebase: one proxy node, which owns its detection shards, cache,
@@ -9,39 +9,62 @@ with
   state, and
 * ``finish()`` — flush, finalize and return a picklable result.
 
-Executors own the delivery discipline, never the semantics: every
-implementation delivers each lane's events in admission order to exactly
-one consumer, so the three executors (and any queue depth) are
-observationally identical whenever nothing is shed — the property the
-determinism suite pins down.
+Executors own the delivery discipline, never the semantics: both
+deliver each lane's events in admission order to exactly one consumer,
+so the two executors (and any queue depth) are observationally identical
+whenever nothing is shed — the property the determinism suite pins
+down.
 
 * :class:`SerialLaneExecutor` processes events inline in the admission
-  thread.  Zero overhead, the baseline.
-* :class:`ThreadLaneExecutor` runs one consumer thread per lane behind a
-  bounded :class:`~repro.ingress.queues.LaneQueue`.  Under CPython's GIL
-  this pipelines I/O and C-extension work but not pure-Python CPU.
+  loop.  Zero overhead; nothing queues, so nothing can be shed.
 * :class:`ProcessLaneExecutor` runs one worker *process* per lane,
   shipping events in pickled chunks over a bounded ``multiprocessing``
-  queue and collecting each lane's finished result at close.  This is
-  the executor that actually closes the GIL gap: lane state lives in the
-  child, so per-event work runs genuinely in parallel.  Events and lane
-  results must be picklable; lane workers are shipped to the child at
-  start (fork makes that free, spawn pickles them once).
+  queue and collecting each lane's finished result at close.  Lane
+  state lives in the child, so per-event work runs genuinely in
+  parallel, and the bounded pipe is the only backlog there is — what
+  :class:`ShedPolicy` acts on.  Events and lane results must be
+  picklable; lane workers are shipped to the child at start (fork makes
+  that free, spawn pickles them once).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import queue as stdlib_queue
-import threading
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
+from enum import Enum
 from typing import Protocol, Sequence
 
-from repro.ingress.queues import CLOSED, LaneQueue, QueueClosed, ShedPolicy
+EXECUTOR_KINDS = ("serial", "process")
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
+
+class ShedPolicy(Enum):
+    """What admission does when a lane's pipe is full (or predicted slow).
+
+    * ``BLOCK`` — wait for space.  Backpressure propagates to the
+      admission loop, every admitted event is eventually processed, and
+      results are bit-identical at any depth (depth only changes how far
+      the producer can run ahead).
+    * ``SHED`` — refuse the event and count it.  Latency stays bounded
+      under overload at the price of dropped work; the shed count is
+      surfaced in the node/network statistics so a Table-1-style report
+      can never silently lose traffic.  How *many* events shed depends
+      on consumer speed, so a shedding run trades the determinism
+      guarantee for bounded queueing delay — exactly the trade a live
+      deployment makes.
+    * ``ADAPTIVE`` — decided *before* the pipe: the ingress pipeline's
+      :class:`~repro.overload.admission.DelayBudgetController` sheds at
+      the front door when the lane's predicted queue delay exceeds a
+      latency budget (with per-IP fairness), and the pipe itself blocks
+      as the backstop.
+    """
+
+    BLOCK = "block"
+    SHED = "shed"
+    ADAPTIVE = "adaptive"
 
 
 class LaneWorker(Protocol):
@@ -69,6 +92,7 @@ class LaneExecutorBase:
         if not workers:
             raise ValueError("need at least one lane worker")
         self._workers = list(workers)
+        self._telemetry = [LaneTelemetry(lane) for lane in range(len(workers))]
 
     @property
     def n_lanes(self) -> int:
@@ -94,7 +118,7 @@ class LaneExecutorBase:
 
     def telemetry_now(self) -> list[LaneTelemetry]:
         """A live view of per-lane delivery counters (flight sampling)."""
-        raise NotImplementedError
+        return self._telemetry
 
     def lane_depths(self) -> list[int]:
         """Current backlog per lane, in events (0 where unobservable)."""
@@ -111,11 +135,7 @@ class LaneExecutorBase:
 
 
 class SerialLaneExecutor(LaneExecutorBase):
-    """Process events inline: the admission thread is the only consumer."""
-
-    def __init__(self, workers: Sequence[LaneWorker]) -> None:
-        super().__init__(workers)
-        self._telemetry = [LaneTelemetry(lane) for lane in range(self.n_lanes)]
+    """Process events inline: the admission loop is the only consumer."""
 
     def submit(self, lane: int, event, force: bool = False) -> bool:
         self._workers[lane].process(event)
@@ -124,111 +144,6 @@ class SerialLaneExecutor(LaneExecutorBase):
 
     def close(self) -> tuple[list, list[LaneTelemetry]]:
         return [worker.finish() for worker in self._workers], self._telemetry
-
-    def telemetry_now(self) -> list[LaneTelemetry]:
-        return self._telemetry
-
-
-class ThreadLaneExecutor(LaneExecutorBase):
-    """One consumer thread per lane behind a bounded LaneQueue."""
-
-    def __init__(
-        self,
-        workers: Sequence[LaneWorker],
-        depth: int | None = None,
-        policy: ShedPolicy = ShedPolicy.BLOCK,
-    ) -> None:
-        super().__init__(workers)
-        self._policy = policy
-        self.queues = [LaneQueue(depth) for _ in workers]
-        self._errors: list[BaseException | None] = [None] * self.n_lanes
-        self._results: list = [None] * self.n_lanes
-        self._threads = [
-            threading.Thread(
-                target=self._consume,
-                args=(lane,),
-                name=f"ingress-lane-{lane}",
-                daemon=True,
-            )
-            for lane in range(self.n_lanes)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(self, lane: int, event, force: bool = False) -> bool:
-        block = force or self._policy is ShedPolicy.BLOCK
-        try:
-            # Events carry their enqueue stamp so the consumer can
-            # report how long each sat in the queue (wall domain).
-            return self.queues[lane].put(
-                (time.monotonic(), event), block=block
-            )
-        except QueueClosed:
-            raise RuntimeError("submit() after close()") from None
-
-    def close(self) -> tuple[list, list[LaneTelemetry]]:
-        for queue in self.queues:
-            queue.close()
-        for thread in self._threads:
-            thread.join()
-        for lane, error in enumerate(self._errors):
-            if error is not None:
-                raise RuntimeError(
-                    f"ingress lane {lane} worker failed"
-                ) from error
-        results = list(self._results)
-        telemetry = [
-            LaneTelemetry(
-                lane,
-                enqueued=queue.enqueued,
-                shed=queue.shed,
-                high_watermark=queue.high_watermark,
-            )
-            for lane, queue in enumerate(self.queues)
-        ]
-        return results, telemetry
-
-    def telemetry_now(self) -> list[LaneTelemetry]:
-        return [
-            LaneTelemetry(
-                lane,
-                enqueued=queue.enqueued,
-                shed=queue.shed,
-                high_watermark=queue.high_watermark,
-            )
-            for lane, queue in enumerate(self.queues)
-        ]
-
-    def lane_depths(self) -> list[int]:
-        return [len(queue) for queue in self.queues]
-
-    def _consume(self, lane: int) -> None:
-        worker = self._workers[lane]
-        queue = self.queues[lane]
-        note_wait = getattr(worker, "note_queue_wait", None)
-        while True:
-            item = queue.get()
-            if item is CLOSED:
-                break
-            if self._errors[lane] is not None:
-                continue  # keep draining so the producer never deadlocks
-            stamped_at, event = item
-            if note_wait is not None:
-                note_wait(time.monotonic() - stamped_at)
-            try:
-                worker.process(event)
-            except BaseException as exc:  # surfaced at close()
-                self._errors[lane] = exc
-        if self._errors[lane] is not None:
-            return
-        # finish() runs here, on the lane's own thread, so lanes whose
-        # real work happens at finish (the workload workers drive every
-        # session there) still overlap instead of serializing onto the
-        # closing thread.
-        try:
-            self._results[lane] = worker.finish()
-        except BaseException as exc:
-            self._errors[lane] = exc
 
 
 def _lane_child_main(lane, worker, inbox, outbox) -> None:
@@ -302,7 +217,9 @@ class ProcessLaneExecutor(LaneExecutorBase):
             context.Queue(maxsize=depth_chunks) for _ in workers
         ]
         self._buffers: list[list] = [[] for _ in workers]
-        self._telemetry = [LaneTelemetry(lane) for lane in range(self.n_lanes)]
+        #: Per lane, the ``enqueued`` count at which each chunk still in
+        #: the pipe began (oldest first).
+        self._chunk_starts: list[deque[int]] = [deque() for _ in workers]
         self._processes = [
             context.Process(
                 target=_lane_child_main,
@@ -348,22 +265,32 @@ class ProcessLaneExecutor(LaneExecutorBase):
         results = [collected[lane][1] for lane in range(self.n_lanes)]
         return results, self._telemetry
 
-    def telemetry_now(self) -> list[LaneTelemetry]:
-        return self._telemetry
-
     def flush_pending(self) -> None:
         for lane in range(self.n_lanes):
             self._flush(lane)
 
     def lane_depths(self) -> list[int]:
-        depths = []
-        for lane, inbox in enumerate(self._inboxes):
-            try:
-                size = inbox.qsize() * self._chunk_size
-            except NotImplementedError:  # macOS: sem_getvalue unsupported
-                size = 0
-            depths.append(size + len(self._buffers[lane]))
-        return depths
+        return [
+            self._pipe_events(lane) + len(buffer)
+            for lane, buffer in enumerate(self._buffers)
+        ]
+
+    def _pipe_events(self, lane: int) -> int:
+        """Events sent down a lane's pipe that its child has not taken.
+
+        The pipe counts chunks, and a chunk holds anything from one
+        event (a forced one rides alone) to ``chunk_size``, so the
+        backlog is counted from where the oldest chunk still in the
+        pipe started.
+        """
+        starts = self._chunk_starts[lane]
+        try:
+            chunks = self._inboxes[lane].qsize()
+        except NotImplementedError:  # macOS: sem_getvalue unsupported
+            chunks = 0
+        while len(starts) > chunks:
+            starts.popleft()
+        return self._telemetry[lane].enqueued - starts[0] if starts else 0
 
     def _put_alive(self, lane: int, obj) -> None:
         """Blocking put that never waits on a corpse.
@@ -447,11 +374,9 @@ class ProcessLaneExecutor(LaneExecutorBase):
             except stdlib_queue.Full:
                 telemetry.shed += len(chunk)
                 return False
+        self._chunk_starts[lane].append(telemetry.enqueued)
         telemetry.enqueued += len(chunk)
-        try:
-            size = inbox.qsize()
-        except NotImplementedError:  # macOS: sem_getvalue unsupported
-            size = 0
+        size = self._pipe_events(lane)
         if size > telemetry.high_watermark:
             telemetry.high_watermark = size
         return True
@@ -464,7 +389,7 @@ def build_executor(
     policy: ShedPolicy = ShedPolicy.BLOCK,
     chunk_size: int = 256,
 ) -> LaneExecutorBase:
-    """Instantiate an executor by name (``serial``/``thread``/``process``)."""
+    """Instantiate an executor by name (``serial`` or ``process``)."""
     if policy is ShedPolicy.ADAPTIVE:
         # Adaptive shedding is decided at the front door (the pipeline's
         # DelayBudgetController); what survives admission must not be
@@ -472,8 +397,6 @@ def build_executor(
         policy = ShedPolicy.BLOCK
     if kind == "serial":
         return SerialLaneExecutor(workers)
-    if kind == "thread":
-        return ThreadLaneExecutor(workers, depth=depth, policy=policy)
     if kind == "process":
         return ProcessLaneExecutor(
             workers, depth=depth, policy=policy, chunk_size=chunk_size

@@ -9,10 +9,11 @@ that
    client IP — the same sticky assignment CoDeeN clients get, and the
    partition the paper's probe table is indexed by, so all of a
    client's sessions, probes and rate-limit state live in one lane;
-2. enqueues it on that lane's bounded queue (backpressure by default,
-   counted load-shedding on request); and
-3. lets a pluggable executor — serial, thread, or true-parallel
-   process — consume each lane strictly in admission order.
+2. hands it to that lane's executor — ``serial`` runs the lane inline,
+   ``process`` ships it down a bounded pipe to the lane's own
+   interpreter (backpressure by default, counted load-shedding on
+   request); and
+3. has each lane consumed strictly in admission order.
 
 Because lanes are total partitions of mutable state and each lane is
 consumed in admission order, the final reductions are a pure function
@@ -32,8 +33,11 @@ import time
 from dataclasses import dataclass, field
 
 from repro.ingress.batcher import MicroBatchConfig
-from repro.ingress.executors import EXECUTOR_KINDS, build_executor
-from repro.ingress.queues import ShedPolicy
+from repro.ingress.executors import (
+    EXECUTOR_KINDS,
+    ShedPolicy,
+    build_executor,
+)
 from repro.ingress.workers import LaneResult
 from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
@@ -62,15 +66,10 @@ from repro.state.partition import partition_index
 class IngressConfig:
     """Admission and dispatch parameters.
 
-    ``queue_depth`` bounds each lane's backlog in events (None =
-    unbounded).  ``policy`` picks what a full queue does to admission:
-    ``BLOCK`` (default) applies backpressure and preserves bit-exact
-    determinism at any depth; ``SHED`` refuses the event, counts it in
-    the node/network ``shed`` statistic, and keeps queueing delay
-    bounded; ``ADAPTIVE`` sheds at the front door when the lane's
-    *predicted* queue delay exceeds ``adaptive.delay_budget``, with
-    hysteresis and per-IP fairness (see ``repro.overload``), while the
-    lane queues themselves block as the backstop.
+    ``queue_depth`` bounds each process lane's pipe in events (None =
+    unbounded) and ``policy`` (:class:`ShedPolicy`) says what a full one
+    does to admission: backpressure by default, counted shedding — which
+    therefore needs the process executor — on request.
     ``chunk_size`` is the process executor's IPC batch size —
     invisible to results.  ``scorer_model`` enables per-lane
     micro-batched ensemble scoring under the ``batch`` budgets.
@@ -134,17 +133,17 @@ class IngressConfig:
                 "(an unbounded queue never refuses): set a queue_depth "
                 "or use ShedPolicy.BLOCK"
             )
+        if self.policy is not ShedPolicy.BLOCK and self.executor == "serial":
+            # The serial executor handles events inline: no put is ever
+            # refused and the predicted delay is pinned at zero, so
+            # neither SHED nor ADAPTIVE could ever shed — the same
+            # silent no-op shape as SHED on an unbounded queue.
+            raise ValueError(
+                f"ShedPolicy.{self.policy.name} needs the process "
+                "executor: serial lanes run inline, so there is no "
+                "backlog to shed from"
+            )
         if self.policy is ShedPolicy.ADAPTIVE:
-            if self.executor == "serial":
-                # The serial executor handles events inline; its queues
-                # are always empty, so the predicted delay is pinned at
-                # zero and ADAPTIVE could never shed — the same silent
-                # no-op shape as SHED on an unbounded queue.
-                raise ValueError(
-                    "ShedPolicy.ADAPTIVE needs a queued executor "
-                    "(thread or process): the serial executor has no "
-                    "backlog to measure a delay on"
-                )
             if self.adaptive is None:
                 object.__setattr__(self, "adaptive", AdaptiveConfig())
         elif self.adaptive is not None:
@@ -208,12 +207,11 @@ class IngressResult:
 
 
 class IngressPipeline:
-    """Routes admitted events onto per-lane queues behind an executor.
+    """Routes admitted events to their lanes through an executor.
 
     One lane per proxy node; build workers with
     :func:`replay_workers` / the workload engine's session workers and
-    feed events through :meth:`submit` from a single admission driver
-    (the calling thread).
+    feed events through :meth:`submit` from a single admission driver.
     """
 
     def __init__(
@@ -242,7 +240,7 @@ class IngressPipeline:
                 "traffic taps / registry listeners / metrics listeners "
                 "cannot observe process-executor lanes (they would fire "
                 "in the child interpreter and be lost): record with the "
-                "serial or thread executor, or detach the observers first"
+                "serial executor, or detach the observers first"
             )
         self._network = network
         self._config = config

@@ -6,8 +6,8 @@ layout) or, since the state-partitioning refactor, a single
 :class:`~repro.proxy.node.NodeShard` — one detection shard plus its
 own probe-registry, cache and rate-limiter partitions.  Either way the
 containment property holds: a lane's events touch that lane's state
-only, which is what makes lanes safe to run on threads or in separate
-processes with no locks and no cross-talk.  The two classes expose the
+only, which is what makes lanes safe to run in separate processes
+with no locks and no cross-talk.  The two classes expose the
 same surface (``handle_traced``, ``detection``, ``metrics``, ``stats``,
 ``housekeeping``, ``metrics_snapshot``), so workers are agnostic to
 lane granularity.
@@ -25,7 +25,7 @@ Two worker flavours:
   independent of which lane a session landed on.
 
 Both return a picklable :class:`LaneResult`, so the same worker code
-runs inline, on a thread, or inside a process-pool child — and these
+runs inline or inside a lane's child process — and these
 two workers are the only code that drives a request into a node for
 :class:`~repro.trace.replay.TraceReplayEngine` and
 :class:`~repro.workload.engine.WorkloadEngine`.
@@ -62,7 +62,7 @@ from repro.proxy.node import NodeShard, NodeStats, ProxyNode
 from repro.util.rng import RngStream
 from repro.workload.session_run import SessionRecord
 
-#: Event tags admitted through the ingress queues.
+#: Event tags admitted through the ingress lanes.
 REQUEST_EVENT = "request"
 PROBE_EVENT = "probe"
 SESSION_EVENT = "session"

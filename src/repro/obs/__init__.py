@@ -23,7 +23,7 @@ Two metric domains, one registry:
 * **deterministic** metrics (the default) are pure functions of the
   admitted event stream — counts, event-time histograms, end-of-run
   gauges.  Snapshots of this domain are byte-identical across the
-  ``serial``/``thread``/``process`` ingress executors and every queue
+  ``serial``/``process`` ingress executors and every queue
   depth, which the test suite pins (the same contract the result merge
   already honours).
 * **wall** metrics (``wall=True``) measure real elapsed time or live

@@ -9,8 +9,8 @@ boundary ``b`` therefore never includes events with ``ts >= b``.
 
 Because the grid is absolute and per-lane event order is pinned by the
 admission contract, a lane's frame sequence is identical whether the lane
-ran inline (serial executor) or behind a queue in a thread/process
-executor — which is what lets :func:`merge_flight` reconstruct a global
+ran inline (serial executor) or behind a pipe in its own process
+(process executor) — which is what lets :func:`merge_flight` reconstruct a global
 timeline from per-lane recordings deterministically.
 """
 

@@ -10,7 +10,7 @@ micro-batch flush, vectorized scoring, verdict/CAPTCHA policy — in
 * **virtual** (event time): span boundaries derived purely from event
   timestamps and the admitted per-lane order.  The virtual view of a
   span tree is a pure function of the admitted event stream, so it is
-  byte-identical across the ``serial``/``thread``/``process`` ingress
+  byte-identical across the ``serial``/``process`` ingress
   executors and every queue depth — the same contract the metric
   snapshots honour.
 * **wall** (``perf_counter``): real elapsed time per stage, the numbers

@@ -18,7 +18,7 @@ keep the degradation graceful:
   duty-cycle backstop sheds all but one request in ``duty_cycle``
   until the prediction falls back under budget.
 
-This controller runs in the submitting thread against wall-clock
+This controller runs in the admission loop against wall-clock
 signals, so — exactly like ``ShedPolicy.SHED`` — which individual
 events it sheds is timing-dependent and **not** part of the
 determinism contract.  What it guarantees instead is accounting

@@ -99,7 +99,7 @@ class ProxyNetwork:
         This is also the ingress lane assignment: a node is the unit of
         self-contained mutable state (detection shards, probe registry,
         cache, rate buckets), so partitioning arrivals by node index is
-        what lets lanes run on threads or processes without sharing.
+        what lets lanes run in separate processes without sharing.
         """
         return stable_hash(client_ip, 4) % len(self.nodes)
 

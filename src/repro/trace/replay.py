@@ -12,7 +12,8 @@ registers probes and sweeps housekeeping on its own event clock.  All
 detection state is keyed on the ``<IP, User-Agent>`` session at the node
 serving the client, so a lane consuming its events in order *is* the
 whole computation; ``executor`` only chooses where the lanes run (the
-default ``serial`` runs them inline in the calling thread).  The outcome
+default ``serial`` runs them inline, ``process`` gives each lane its
+own interpreter).  The outcome
 is reduced to the same census/set-algebra/latency shape the synthetic
 engine produces (:class:`~repro.workload.results.SessionCensus`), so
 every analysis and reporting consumer works unchanged.
@@ -70,11 +71,13 @@ class ReplayConfig:
     ``shards`` > 0 hash-partitions each node's detection state into that
     many shards before the first event (0 keeps the network as built).
 
-    Events stream onto per-lane queues (``queue_depth`` events each,
-    None = unbounded) consumed by the ``serial``/``thread``/``process``
-    lane ``executor``.  Results are bit-identical across executors,
-    depths and lane layouts unless ``shed`` / ``adaptive`` opt into
-    load shedding.  ``scorer_model`` additionally micro-batches §4.2
+    Events stream to per-client lanes run by ``executor``: ``serial``
+    handles each inline, ``process`` ships them to one child process per
+    lane over a pipe bounded at ``queue_depth`` events (None =
+    unbounded).  Results are bit-identical across executors, depths and
+    lane layouts unless ``shed`` / ``adaptive`` opt into load shedding,
+    which needs the ``process`` executor — inline lanes have no backlog
+    to shed from.  ``scorer_model`` additionally micro-batches §4.2
     ensemble scoring per lane under the ``batch`` count/latency budgets.
     Which combinations make sense is :class:`IngressConfig`'s call: one
     is built (and so checked) at construction.

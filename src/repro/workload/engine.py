@@ -59,15 +59,16 @@ class WorkloadConfig:
     network as built); shard count never changes results, only the
     scaling architecture.
 
-    Sessions are routed by their client IP's sticky node onto per-lane
-    queues (``queue_depth`` bounds each, None = unbounded) and every
-    lane drives its own sessions in event-time order.  ``mode`` says
-    where the lanes run: ``"interleaved"`` (the default) in the calling
-    thread, ``"pipelined"`` on ``executor`` — ``serial``, ``thread``, or
-    a true-parallel ``process`` pool.  Census, summary and verdicts are
-    identical either way.  Which combinations of the queueing options
-    make sense is :class:`IngressConfig`'s call: one is built (and so
-    checked) at construction.
+    Sessions are routed by their client IP's sticky node to that node's
+    lane and every lane drives its own sessions in event-time order.
+    ``mode`` says where the lanes run: ``"interleaved"`` (the default)
+    inline, ``"pipelined"`` on ``executor`` — ``serial`` (inline again)
+    or ``process``, one child process per lane behind a pipe bounded at
+    ``queue_depth`` events (None = unbounded).  Census, summary and
+    verdicts are identical either way; ``shed`` / ``adaptive`` need
+    pipelined process lanes, the only ones with a backlog.  Which
+    combinations make sense is :class:`IngressConfig`'s call: one is
+    built (and so checked) at construction.
     """
 
     n_sessions: int = 1000
@@ -82,8 +83,8 @@ class WorkloadConfig:
     shards: int = 0
     executor: str = "serial"
     queue_depth: int | None = None
-    #: Shed (and count) whole sessions instead of blocking when a lane
-    #: queue is full.  Needs a bounded queue.
+    #: Shed (and count) whole sessions instead of blocking when a lane's
+    #: pipe is full.  Needs a bounded queue on process lanes.
     shed: bool = False
     #: Delay-budget admission with per-IP fairness
     #: (``ShedPolicy.ADAPTIVE``); an :class:`AdaptiveConfig` or None.
@@ -134,8 +135,8 @@ class WorkloadConfig:
         )
         if self.mode == "pipelined":
             return config
-        # "interleaved" keeps the lanes in the calling thread, whatever
-        # ``executor`` names (replace() re-checks the combination).
+        # "interleaved" keeps the lanes inline, whatever ``executor``
+        # names (replace() re-checks the combination).
         return replace(config, executor="serial")
 
 

@@ -1,4 +1,4 @@
-"""Executor parity: serial, thread and process deliver identically.
+"""Executor parity: serial and process deliver identically.
 
 Each lane's events must arrive at its worker in admission order under
 every executor — that ordering is the foundation the ingress determinism
@@ -8,17 +8,17 @@ vanish.
 
 from __future__ import annotations
 
-import threading
+import multiprocessing
 
 import pytest
 
 from repro.ingress.executors import (
+    EXECUTOR_KINDS,
     ProcessLaneExecutor,
     SerialLaneExecutor,
-    ThreadLaneExecutor,
+    ShedPolicy,
     build_executor,
 )
-from repro.ingress.queues import ShedPolicy
 
 
 class RecordingWorker:
@@ -59,11 +59,15 @@ class DyingWorker:
 
 
 class GatedWorker:
-    """Blocks in process() until released (thread executor only)."""
+    """Blocks in process() until the parent releases it.
+
+    The events are ``multiprocessing`` ones, so the parent can see the
+    lane's child take its first chunk and hold it there.
+    """
 
     def __init__(self) -> None:
-        self.started = threading.Event()
-        self.gate = threading.Event()
+        self.started = multiprocessing.Event()
+        self.gate = multiprocessing.Event()
         self.events: list = []
 
     def process(self, event) -> None:
@@ -85,7 +89,7 @@ def _drive(executor_kind: str, n_lanes: int = 3, n_events: int = 200, **kwargs):
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["serial", "process"])
     @pytest.mark.parametrize("depth", [1, 7, None])
     def test_per_lane_admission_order(self, kind, depth):
         results, telemetry = _drive(kind, depth=depth)
@@ -107,35 +111,42 @@ class TestExecutorParity:
         with pytest.raises(ValueError):
             build_executor("fiber", [RecordingWorker(0)])
 
+    def test_a_lane_runs_inline_or_in_its_own_process(self):
+        assert EXECUTOR_KINDS == ("serial", "process")
+        with pytest.raises(ValueError, match=r"serial.*process"):
+            build_executor("thread", [RecordingWorker(0)])
+
     def test_no_workers_rejected(self):
         with pytest.raises(ValueError):
             SerialLaneExecutor([])
 
 
 class TestShedPolicy:
-    def test_thread_shed_is_counted_and_bounded(self):
+    def test_process_shed_is_counted_and_bounded(self):
         worker = GatedWorker()
-        executor = ThreadLaneExecutor(
-            [worker], depth=2, policy=ShedPolicy.SHED
+        executor = ProcessLaneExecutor(
+            [worker], depth=2, policy=ShedPolicy.SHED, chunk_size=1
         )
-        # First event is pulled by the consumer, which then blocks on
-        # the gate — from here on the queue alone absorbs admissions.
+        # First event is pulled by the child, which then blocks on the
+        # gate — from here on the pipe alone absorbs admissions.
         assert executor.submit(0, "e0")
         assert worker.started.wait(timeout=5.0)
         assert executor.submit(0, "e1")
         assert executor.submit(0, "e2")
-        assert not executor.submit(0, "e3")  # queue full: shed
+        assert not executor.submit(0, "e3")  # pipe full: shed
         assert not executor.submit(0, "e4")
+        assert executor.lane_depths() == [2]
         worker.gate.set()
         results, telemetry = executor.close()
         assert results == [["e0", "e1", "e2"]]
         assert telemetry[0].enqueued == 3
         assert telemetry[0].shed == 2
+        assert telemetry[0].high_watermark == 2
 
     def test_forced_events_bypass_shedding(self):
         worker = GatedWorker()
         worker.gate.set()  # never actually blocks
-        executor = ThreadLaneExecutor(
+        executor = ProcessLaneExecutor(
             [worker], depth=1, policy=ShedPolicy.SHED
         )
         for index in range(20):
@@ -145,8 +156,34 @@ class TestShedPolicy:
         assert telemetry[0].shed == 0
 
 
+class TestLaneDepth:
+    def test_depth_counts_events_whatever_the_chunking(self):
+        # Regression: depth was ``qsize() * chunk_size``, but a forced
+        # event rides a one-event chunk — with the default chunk_size 20
+        # of them in the pipe read as 5,120 queued with 21 ever
+        # enqueued, which pinned the delay predictor's drain rate at 0.
+        worker = GatedWorker()
+        executor = ProcessLaneExecutor([worker], chunk_size=4)
+        executor.submit(0, "head", force=True)
+        assert worker.started.wait(timeout=5.0)  # child holds "head"
+        for index in range(8):  # two full chunks
+            executor.submit(0, index)
+        for index in range(20):  # twenty chunks of one
+            executor.submit(0, index, force=True)
+        executor.submit(0, "tail")  # buffered, not yet in the pipe
+        try:
+            counters = executor.telemetry_now()[0]
+            assert counters.enqueued == 29
+            assert counters.high_watermark == 28
+            assert executor.lane_depths() == [29]
+        finally:
+            worker.gate.set()
+            executor.close()
+        assert executor.lane_depths() == [0]
+
+
 class TestFailurePropagation:
-    @pytest.mark.parametrize("kind", ["thread", "process"])
+    @pytest.mark.parametrize("kind", ["process"])
     def test_worker_error_raises_at_close(self, kind):
         executor = build_executor(kind, [FailingWorker()])
         executor.submit(0, "ok")
@@ -155,7 +192,7 @@ class TestFailurePropagation:
         with pytest.raises(RuntimeError, match="lane 0"):
             executor.close()
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
+    @pytest.mark.parametrize("kind", ["process"])
     def test_failed_lane_keeps_draining_bounded_queue(self, kind):
         """A dead consumer on a bounded pipe must not wedge admission."""
         executor = build_executor(kind, [FailingWorker()], depth=4,

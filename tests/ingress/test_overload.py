@@ -10,7 +10,7 @@ Pins the three tentpole behaviours of ``repro.overload``:
   crowd of distinct legitimate clients degrades gracefully;
 * **graduated response ladder** — checkpoint verdicts drive a
   throttle -> CAPTCHA -> block escalation whose exported state is
-  byte-identical across ``{serial, thread, process}`` executors and
+  byte-identical across ``{serial, process}`` executors and
   lane layouts.
 
 Plus the admission conservation property (admitted + shed always
@@ -28,12 +28,12 @@ import pytest
 from repro.agents.population import AgentSpec, PopulationMix
 from repro.agents.robots import DdosZombie
 from repro.ingress.batcher import MicroBatchConfig
+from repro.ingress.executors import ShedPolicy
 from repro.ingress.pipeline import (
     IngressConfig,
     IngressPipeline,
     replay_workers,
 )
-from repro.ingress.queues import ShedPolicy
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.stump import DecisionStump
 from repro.overload.admission import AdaptiveConfig, DelayBudgetController
@@ -155,18 +155,38 @@ class TestConfigValidation:
         # never shed anything — an unbounded queue never refuses a put.
         with pytest.raises(ValueError, match="never shed"):
             IngressConfig(
-                executor="thread", policy=ShedPolicy.SHED, queue_depth=None
+                executor="process", policy=ShedPolicy.SHED, queue_depth=None
             )
 
     def test_replay_config_rejects_shed_without_depth(self):
         with pytest.raises(ValueError, match="never shed"):
-            ReplayConfig(executor="thread", shed=True, queue_depth=None)
+            ReplayConfig(executor="process", shed=True, queue_depth=None)
 
     def test_workload_config_rejects_shed_without_depth(self):
         with pytest.raises(ValueError, match="never shed"):
             WorkloadConfig(
-                mode="pipelined", executor="thread", shed=True
+                mode="pipelined", executor="process", shed=True
             )
+
+    def test_shed_needs_the_process_executor(self):
+        # Regression: SHED on inline lanes constructed fine and could
+        # never shed — nothing queues, so no put is ever refused.  The
+        # default executor is serial, so every spelling without an
+        # explicit ``executor="process"`` is the silent no-op.
+        with pytest.raises(ValueError, match="process executor"):
+            IngressConfig(
+                executor="serial", policy=ShedPolicy.SHED, queue_depth=1
+            )
+        with pytest.raises(ValueError, match="process executor"):
+            ReplayConfig(shed=True, queue_depth=1)
+        with pytest.raises(ValueError, match="process executor"):
+            # Default mode keeps the lanes inline whatever ``executor``.
+            WorkloadConfig(executor="process", shed=True, queue_depth=8)
+        # Bounding the (never used) queue of inline lanes stays legal:
+        # BLOCK on serial is exactly what it looks like.
+        assert ReplayConfig(
+            executor="serial", queue_depth=1024
+        ).ingress().policy is ShedPolicy.BLOCK
 
     def test_adaptive_needs_a_queued_executor(self):
         # The serial executor has no backlog, so the predicted delay is
@@ -187,7 +207,7 @@ class TestConfigValidation:
     def test_adaptive_tuning_requires_adaptive_policy(self):
         with pytest.raises(ValueError, match="ADAPTIVE"):
             IngressConfig(
-                executor="thread",
+                executor="process",
                 policy=ShedPolicy.BLOCK,
                 adaptive=AdaptiveConfig(),
             )
@@ -195,7 +215,7 @@ class TestConfigValidation:
     def test_adaptive_and_shed_are_mutually_exclusive(self):
         with pytest.raises(ValueError):
             ReplayConfig(
-                executor="thread",
+                executor="process",
                 queue_depth=8,
                 shed=True,
                 adaptive=AdaptiveConfig(),
@@ -203,7 +223,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WorkloadConfig(
                 mode="pipelined",
-                executor="thread",
+                executor="process",
                 queue_depth=8,
                 shed=True,
                 adaptive=AdaptiveConfig(),
@@ -211,11 +231,11 @@ class TestConfigValidation:
 
     def test_ladder_needs_a_scorer(self):
         with pytest.raises(ValueError, match="scorer_model"):
-            IngressConfig(executor="thread", ladder=LadderConfig())
+            IngressConfig(executor="process", ladder=LadderConfig())
 
     def test_adaptive_policy_defaults_its_tuning(self):
         config = IngressConfig(
-            executor="thread", policy=ShedPolicy.ADAPTIVE
+            executor="process", policy=ShedPolicy.ADAPTIVE
         )
         assert config.adaptive == AdaptiveConfig()
 
@@ -238,7 +258,7 @@ class TestLadderDeterminism:
         assert reference.stats.challenged > 0
         assert reference.stats.ladder_blocked > 0
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("lanes", [1, SHARDS])
     def test_ladder_state_byte_identical(
         self, ddos_trace, reference, executor, lanes
@@ -297,11 +317,8 @@ class TestAdmissionConservation:
 
     MATRIX = [
         ("serial", "block", None),
-        ("thread", "block", 8),
         ("process", "block", 8),
-        ("thread", "shed", 2),
         ("process", "shed", 2),
-        ("thread", "adaptive", 16),
         ("process", "adaptive", 16),
     ]
 
@@ -332,6 +349,30 @@ class TestAdmissionConservation:
                 assert reason in ("fairness", "delay_budget")
         else:
             assert result.overload is None
+
+    def test_adaptive_admits_everything_when_nothing_is_overloaded(
+        self, ddos_trace
+    ):
+        # Regression: the process executor reported its backlog as
+        # ``chunks in the pipe x chunk_size``, and every journal line
+        # rides a one-event chunk — so a lane that had been handed a few
+        # dozen events claimed 4,096 queued, more than it had ever been
+        # sent; ``delivered`` clamped to 0, the drain rate read as
+        # collapsed, the predictor answered its 3,600 s cap and the
+        # controller shed hundreds of requests of a replay that was
+        # never behind.  The budget is generous so that a child slow to
+        # start on a busy machine cannot read as overload either.
+        records, probes = ddos_trace
+        result = _replay(
+            ddos_trace,
+            executor="process",
+            queue_depth=4096,
+            adaptive=AdaptiveConfig(delay_budget=30.0),
+        )
+        assert result.overload.shed == 0
+        assert result.stats.shed == 0
+        assert result.requests_replayed == len(records)
+        assert result.stats.queued == len(records) + len(probes)
 
     def test_process_chunk_granularity_shedding_is_counted(self):
         # The process executor sheds whole IPC chunks when a lane's
@@ -508,7 +549,7 @@ class TestDelayBudgetControl:
 
 @pytest.mark.slow
 class TestSlowLaneEndToEnd:
-    """The same comparison against a real thread-executor pipeline."""
+    """The same comparison against a real process-lane pipeline."""
 
     BUDGET = 0.25
     DEPTH = 512
@@ -521,9 +562,12 @@ class TestSlowLaneEndToEnd:
             n_nodes=1,
             instrument_enabled=False,
         )
+        # chunk_size=1: the controller reads the backlog in events, so
+        # the pipe must count in events too.
         config = IngressConfig(
-            executor="thread",
+            executor="process",
             queue_depth=self.DEPTH,
+            chunk_size=1,
             policy=policy,
             adaptive=adaptive,
         )
@@ -582,7 +626,7 @@ class TestPredictionFreshness:
             instrument_enabled=False,
         )
         config = IngressConfig(
-            executor="thread", queue_depth=8, **config_kwargs
+            executor="process", queue_depth=8, **config_kwargs
         )
         return IngressPipeline(network, [_SnailWorker(0, 0.0)], config)
 

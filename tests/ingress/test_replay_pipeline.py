@@ -1,10 +1,10 @@
 """Ingress determinism: executors and queue depths never change results.
 
 The acceptance matrix: census, set-algebra summary, per-session verdicts
-and network stats must be byte-identical across ``{serial, thread,
-process}`` executors × queue depths ``{1, 16, unbounded}`` on the same
-recorded trace.  The reference is the loop that runs synchronously in
-the calling thread — the serial executor, one lane per node — and that
+and network stats must be byte-identical across ``{serial, process}``
+executors × queue depths ``{1, 16, unbounded}`` on the same recorded
+trace.  The reference is the loop that runs inline in the caller — the
+serial executor, one lane per node — and that
 reference is itself held against :func:`_oracle`, a replay that knows
 nothing of lanes or pipelines.  Load shedding must be visible in the
 stats, never silent.
@@ -145,7 +145,7 @@ class TestExecutorDeterminism:
         # The oracle admits nothing, so it queues nothing.
         assert oracle.stats == dataclasses.replace(baseline.stats, queued=0)
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("depth", [1, 16, None])
     def test_matrix_matches_synchronous_loop(
         self, recorded, baseline, executor, depth
@@ -171,7 +171,7 @@ class TestExecutorDeterminism:
         assert result.kind_census() == baseline.kind_census()
         assert _verdicts(result) == _verdicts(baseline)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["process"])
     def test_micro_batched_scoring_deterministic(self, recorded, executor):
         model = _scorer_model()
         batch = MicroBatchConfig(max_batch=32, max_delay=1800.0)
@@ -225,7 +225,7 @@ class TestLaneGranularity:
             for l in result.latencies
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("lanes", [1, SHARDS])
     def test_lane_matrix_matches(
         self, recorded, reference, executor, lanes
@@ -332,7 +332,7 @@ class TestMetricsDeterminism:
             flight_interval=3600.0,
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("depth", [1, 16, None])
     def test_deterministic_snapshot_byte_identical(
         self, recorded, reference, executor, depth
@@ -395,7 +395,7 @@ class TestLoadShedding:
     def test_shed_is_counted_never_silent(self, recorded):
         records, probes = recorded
         result = _replay(
-            recorded, executor="thread", queue_depth=1, shed=True
+            recorded, executor="process", queue_depth=1, shed=True
         )
         stats = result.stats
         # Every arrival is accounted for: queued xor shed...
@@ -408,12 +408,14 @@ class TestLoadShedding:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ReplayConfig(executor="fiber")
+        with pytest.raises(ValueError, match=r"'serial', 'process'"):
+            ReplayConfig(executor="thread")
         with pytest.raises(ValueError):
             ReplayConfig(queue_depth=0)
 
 
 class TestFrontends:
-    def _pipeline(self, executor="thread", queue_depth=8):
+    def _pipeline(self, executor="process", queue_depth=8):
         network = ProxyNetwork(
             origins={},
             rng=RngStream(0, "replay"),

@@ -1,10 +1,10 @@
 """Span-tree determinism and the tracing pipeline end to end.
 
 The acceptance matrix for causal tracing: the virtual-domain trace
-export must be byte-identical across ``{serial, thread, process}``
-executors × lane counts on the same recorded trace.  The baseline is
-the default replay — the serial executor, one lane per node: the loop
-that runs synchronously in the calling thread.  Wall-domain traces are
+export must be byte-identical across ``{serial, process}`` executors
+× lane counts on the same recorded trace.  The baseline is the default
+replay — the serial executor, one lane per node: the loop that runs
+inline in the caller.  Wall-domain traces are
 non-deterministic by nature but must parse, profile, and attribute the
 bulk of end-to-end time to named stages.
 """
@@ -80,7 +80,7 @@ class TestVirtualTraceIdentity:
         assert result.spans
         return to_trace_events(result.spans, clock="virtual")
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("lanes", [1, SHARDS])
     def test_matrix_matches_synchronous_loop(
         self, recorded, baseline, executor, lanes
@@ -114,7 +114,7 @@ class TestVirtualTraceIdentity:
     def test_identical_across_queue_depths(self, recorded, baseline):
         for depth in (1, None):
             result = _replay(
-                recorded, executor="thread", queue_depth=depth
+                recorded, executor="process", queue_depth=depth
             )
             assert (
                 to_trace_events(result.spans, clock="virtual") == baseline
@@ -154,7 +154,7 @@ class TestWallDomain:
         assert report.attributed_fraction > 0.75
 
     def test_queue_delay_gauges_exported(self, recorded):
-        result = _replay(recorded, executor="thread", queue_depth=16)
+        result = _replay(recorded, executor="process", queue_depth=16)
         wall = result.metrics.series(
             "repro_ingress_queue_delay_ewma_seconds"
         )
@@ -173,7 +173,7 @@ class TestWallDomain:
     def test_event_domain_estimate_is_deterministic(self, recorded):
         runs = [
             _replay(recorded, executor=executor, queue_depth=16)
-            for executor in ("serial", "thread")
+            for executor in ("serial", "process")
         ]
         values = [
             sorted(

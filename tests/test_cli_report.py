@@ -85,7 +85,7 @@ class TestTraceCommands:
         from repro.cli import build_record_parser, build_replay_parser
 
         lane_flags = [
-            "--shards", "2", "--executor", "thread", "--queue-depth", "8",
+            "--shards", "2", "--executor", "process", "--queue-depth", "8",
             "--shed", "adaptive", "--delay-budget", "0.5",
             "--lanes-per-node", "2", "--metrics-out", "m.json",
             "--flight-interval", "60",
@@ -102,6 +102,25 @@ class TestTraceCommands:
         )
         for name in shared:
             assert getattr(record, name) == getattr(replay, name)
+
+    def test_shedding_needs_the_process_executor(self, capsys):
+        # On the default inline lanes --shed could never shed: refused
+        # like its neighbours, before any file is opened.
+        for command in (
+            ["replay", "--trace", "x.log"],
+            ["record", "--out", "x.log", "--mode", "pipelined"],
+        ):
+            assert main([*command, "--shed", "--queue-depth", "8"]) == 2
+            assert "process executor" in capsys.readouterr().err
+
+    def test_executor_thread_is_refused_naming_the_two_that_exist(
+        self, capsys
+    ):
+        with pytest.raises(SystemExit) as refused:
+            main(["replay", "--trace", "x.log", "--executor", "thread"])
+        assert refused.value.code == 2
+        err = capsys.readouterr().err
+        assert "'serial'" in err and "'process'" in err
 
     def test_replay_parser_merges_multiple_traces(self):
         from repro.cli import build_replay_parser
@@ -155,7 +174,7 @@ class TestMetricsCommands:
             assert main([
                 "replay", "--trace", trace, "--probes", probes,
                 "--nodes", "2", "--sorted", "--shards", "2",
-                "--executor", "thread", "--score-rounds", "8",
+                "--executor", "process", "--score-rounds", "8",
                 "--flight-interval", "3600",
                 "--metrics-out", out,
             ]) == 0

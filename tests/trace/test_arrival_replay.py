@@ -163,7 +163,7 @@ class TestOutOfOrderTimestamps:
         timestamps = [r.timestamp for r in scrambled]
         assert timestamps != sorted(timestamps)
 
-    @pytest.mark.parametrize("executor", [None, "thread"])
+    @pytest.mark.parametrize("executor", [None, "process"])
     def test_census_survives_cross_client_scramble(self, executor):
         """Detection state is per-session; per-client order is enough."""
         records = _synthetic_burst()

@@ -127,7 +127,7 @@ class TestModeEquivalence:
         )
         pipelined = run_mode(
             make_network, entry_url, "pipelined", captcha_enabled=True,
-            executor="thread", shards=2, lanes_per_node=2,
+            executor="process", shards=2, lanes_per_node=2,
         )
         assert interleaved.summary.captcha_passes > 0
         assert (

@@ -1,5 +1,5 @@
-"""``mode="pipelined"``: lanes on an executor match lanes in the calling
-thread (``mode="interleaved"``), on every executor and queue depth."""
+"""``mode="pipelined"``: lanes on an executor match inline lanes
+(``mode="interleaved"``), on both executors and every queue depth."""
 
 from __future__ import annotations
 
@@ -57,7 +57,7 @@ class TestPipelinedMode:
         entry = f"http://{small_site.host}{small_site.home_path}"
         return _run(make, entry, "interleaved")
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("depth", [1, None])
     def test_matches_interleaved(
         self, make_network, entry_url, interleaved, executor, depth
@@ -144,7 +144,7 @@ class TestPipelinedMode:
             make_network,
             entry_url,
             "pipelined",
-            executor="thread",
+            executor="process",
             shards=4,
         )
         assert result.summary == baseline.summary
@@ -161,18 +161,24 @@ class TestPipelinedMode:
             WorkloadConfig(lanes_per_node=0)
         with pytest.raises(ValueError):
             WorkloadConfig(flight_interval=0.0)
-        # Per-shard lanes, span tracing and (bounded) shedding no longer
-        # need mode="pipelined": they need what IngressConfig needs.
+        with pytest.raises(ValueError, match=r"'serial', 'process'"):
+            WorkloadConfig(mode="pipelined", executor="thread")
+        # Per-shard lanes and span tracing do not need mode="pipelined":
+        # they need what IngressConfig needs.  Shedding needs process
+        # lanes, so the default mode — inline whatever ``executor``
+        # names — refuses it.
         from repro.obs.spans import SpanConfig
 
         config = WorkloadConfig(
-            lanes_per_node=4, spans=SpanConfig(), shed=True, queue_depth=8
+            lanes_per_node=4, spans=SpanConfig(), queue_depth=8
         )
         assert config.ingress().executor == "serial"
+        with pytest.raises(ValueError, match="process executor"):
+            WorkloadConfig(shed=True, queue_depth=8)
         assert WorkloadConfig(
-            mode="pipelined", executor="thread"
-        ).ingress().executor == "thread"
-        assert WorkloadConfig(executor="thread").ingress().executor == "serial"
+            mode="pipelined", executor="process", shed=True, queue_depth=8
+        ).ingress().executor == "process"
+        assert WorkloadConfig(executor="process").ingress().executor == "serial"
 
 
 class TestPipelinedRecording:
@@ -201,7 +207,7 @@ class TestPipelinedRecording:
         recorder.detach(network)
         return result, recorder
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial"])
     def test_taps_fire_for_lane_traffic(
         self, make_network, entry_url, executor
     ):
