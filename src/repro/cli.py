@@ -144,7 +144,8 @@ def _add_lane_options(
     parser.add_argument(
         "--shards", type=int, default=0,
         help="hash-partition detection state into N shards per node "
-             "(0 = unsharded; shard count never changes results)",
+             "(0 = keep the network as built; every node has one shard "
+             "by default; shard count never changes results)",
     )
     parser.add_argument(
         "--executor", choices=("serial", "process"),

@@ -230,14 +230,11 @@ class IngressPipeline:
             )
         if config.executor == "process" and (
             network.taps
-            or any(
-                node.detection.registry.has_listeners
-                for node in network.nodes
-            )
+            or any(node.probe_listeners for node in network.nodes)
             or any(node.has_metric_listeners for node in network.nodes)
         ):
             raise ValueError(
-                "traffic taps / registry listeners / metrics listeners "
+                "traffic taps / probe listeners / metrics listeners "
                 "cannot observe process-executor lanes (they would fire "
                 "in the child interpreter and be lost): record with the "
                 "serial executor, or detach the observers first"
@@ -296,7 +293,7 @@ class IngressPipeline:
 
         With ``lanes_per_node`` L, node i's shards occupy lanes
         ``i*L .. i*L+L-1``; the within-node offset is the same IP hash
-        the partitioned stores shard on, so a lane's events touch
+        the node shards on, so a lane's events touch
         exactly the state that lane carries.
         """
         node_index = self._network.node_index_for(client_ip)

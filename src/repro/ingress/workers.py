@@ -1,16 +1,16 @@
 """Lane workers: the per-lane consumers the executors drive.
 
 A lane wraps one self-contained unit of state: a whole
-:class:`~repro.proxy.node.ProxyNode` (the classic one-lane-per-node
-layout) or, since the state-partitioning refactor, a single
-:class:`~repro.proxy.node.NodeShard` — one detection shard plus its
-own probe-registry, cache and rate-limiter partitions.  Either way the
-containment property holds: a lane's events touch that lane's state
-only, which is what makes lanes safe to run in separate processes
-with no locks and no cross-talk.  The two classes expose the
-same surface (``handle_traced``, ``detection``, ``metrics``, ``stats``,
-``housekeeping``, ``metrics_snapshot``), so workers are agnostic to
-lane granularity.
+:class:`~repro.proxy.node.ProxyNode` (one lane per node: the node
+routes each event to its shard) or a single
+:class:`~repro.proxy.node.NodeShard` — one detection service plus its
+own probe table, cache and rate limiter.  Either way the containment
+property holds: a lane's events touch that lane's state only, which is
+what makes lanes safe to run in separate processes with no locks and
+no cross-talk.  The two classes expose the same surface
+(``handle_traced``, ``register_probe``, ``detection``, ``metrics``,
+``stats``, ``housekeeping``, ``metrics_snapshot``), so workers are
+agnostic to lane granularity.
 
 Two worker flavours:
 
@@ -296,10 +296,10 @@ class ReplayLaneWorker(_LaneWorker):
                     wall_duration=self._last_wait, wall_end=wall_now,
                 )
                 with tracer.span("register", ts):
-                    self.node.detection.registry.register(record.to_probe())
+                    self.node.register_probe(record.to_probe())
                 tracer.end()
             else:
-                self.node.detection.registry.register(record.to_probe())
+                self.node.register_probe(record.to_probe())
             self._probes_loaded += 1
             return
         ts = record.timestamp

@@ -99,16 +99,6 @@ class InstrumentationRegistry:
 
     # -- registration -----------------------------------------------------
 
-    @property
-    def listeners(self) -> tuple[Callable[[RegisteredProbe], None], ...]:
-        """The attached registration observers (for state migration)."""
-        return tuple(self._listeners)
-
-    @property
-    def has_listeners(self) -> bool:
-        """Whether any registration observers are attached."""
-        return bool(self._listeners)
-
     def add_listener(
         self, listener: Callable[[RegisteredProbe], None]
     ) -> None:
@@ -129,27 +119,13 @@ class InstrumentationRegistry:
         same table, same eviction, each listener called once per probe
         in probe order — at one table lookup and one trim per page.
         """
-        self._insert(probes, self._listeners)
+        self._insert(probes)
 
     def register(self, probe: RegisteredProbe) -> None:
         """Add a probe; evicts the oldest entries past the per-IP cap."""
-        self._insert((probe,), self._listeners)
+        self._insert((probe,))
 
-    def load(self, probe: RegisteredProbe) -> None:
-        """Insert a probe without notifying listeners.
-
-        Used when migrating entries between registry layouts (e.g.
-        re-partitioning for sharded detection): the probes were already
-        journaled when first registered, so re-firing listeners would
-        duplicate them in the recording.
-        """
-        self._insert((probe,), ())
-
-    def _insert(
-        self,
-        probes: Sequence[RegisteredProbe],
-        listeners: Sequence[Callable[[RegisteredProbe], None]],
-    ) -> None:
+    def _insert(self, probes: Sequence[RegisteredProbe]) -> None:
         """The one insertion routine: notify, insert in order, trim once.
 
         Trimming once is the same as trimming after every insert: either
@@ -164,6 +140,7 @@ class InstrumentationRegistry:
         if table is None:
             table = self._by_ip[client_ip] = OrderedDict()
         prefixes = self._ua_prefixes.get(client_ip)
+        listeners = self._listeners
         for probe in probes:
             if probe.client_ip != client_ip:
                 raise ValueError(
@@ -224,11 +201,7 @@ class InstrumentationRegistry:
         return list(self._by_ip.get(client_ip, OrderedDict()).values())
 
     def iter_probes(self):
-        """Yield every live probe, per-IP FIFO order preserved.
-
-        The order matters: :meth:`load`-ing the yielded sequence into a
-        fresh registry reproduces the same eviction order per IP.
-        """
+        """Yield every live probe, per-IP FIFO order preserved."""
         for table in self._by_ip.values():
             yield from table.values()
 

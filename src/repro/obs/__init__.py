@@ -4,10 +4,10 @@ The paper's detector ran inline on live CoDeeN proxies, where operators
 judged it by latency overhead and drop behaviour under real load.  This
 package is the reproduction's equivalent instrument panel: one
 process-wide metric model (:class:`MetricsRegistry` — counters, gauges,
-fixed-bucket histograms keyed by ``(name, labels)``), lightweight
-``span()``/``timer()`` stage-timing hooks, deterministic merging across
-ingress lanes and detection shards (:func:`merge_snapshots`), Prometheus
-and JSON exporters, and a virtual-time flight recorder
+fixed-bucket histograms keyed by ``(name, labels)``), deterministic
+merging across ingress lanes and detection shards
+(:func:`merge_snapshots`), Prometheus and JSON exporters, and a
+virtual-time flight recorder
 (:class:`FlightRecorder`) that makes overload episodes — shed bursts,
 queue-depth spikes, batch-latency blowups — reconstructable after the
 fact.

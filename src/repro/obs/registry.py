@@ -31,7 +31,6 @@ programmer error, which :meth:`Histogram.absorb` turns into a loud one.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping
@@ -294,38 +293,6 @@ def merge_snapshots(
     return merged
 
 
-class _SpanTimer:
-    """Context manager recording a clocked duration into a histogram.
-
-    The clock is injectable: the default (wall ``perf_counter``) times
-    real elapsed seconds, while a virtual clock — a replay engine's
-    event-time reading — lets the same stage-timing surface record into
-    the deterministic domain instead.
-    """
-
-    __slots__ = ("_histogram", "_counter", "_clock", "_started")
-
-    def __init__(
-        self,
-        histogram: Histogram,
-        counter: Counter | None,
-        clock: Callable[[], float] = time.perf_counter,
-    ) -> None:
-        self._histogram = histogram
-        self._counter = counter
-        self._clock = clock
-        self._started = 0.0
-
-    def __enter__(self) -> "_SpanTimer":
-        self._started = self._clock()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._histogram.observe(self._clock() - self._started)
-        if self._counter is not None:
-            self._counter.inc()
-
-
 class MetricsRegistry:
     """Process-wide (or lane/shard-local) instrument registry.
 
@@ -411,68 +378,6 @@ class MetricsRegistry:
                 f"not a {cls.kind}"
             )
         return instrument
-
-    # -- stage timing -------------------------------------------------------
-
-    def timer(
-        self,
-        name: str,
-        labels: LabelInput = None,
-        buckets: tuple[float, ...] = WALL_SECONDS_BUCKETS,
-        clock: Callable[[], float] | None = None,
-    ) -> _SpanTimer:
-        """A context manager timing seconds into ``name``.
-
-        ``name`` should end in ``_seconds``.  Without a ``clock`` this
-        times wall-clock seconds (wall domain).  Passing a virtual clock
-        — a callable reading replay event time — records into the
-        deterministic domain instead, so stage timing works in event
-        time too.
-        """
-        if clock is None:
-            return _SpanTimer(
-                self.histogram(name, buckets, labels, wall=True), None
-            )
-        return _SpanTimer(
-            self.histogram(name, buckets, labels, wall=False),
-            None,
-            clock=clock,
-        )
-
-    def span(
-        self,
-        stage: str,
-        labels: LabelInput = None,
-        clock: Callable[[], float] | None = None,
-    ) -> _SpanTimer:
-        """Time one pass through a named pipeline stage.
-
-        Records wall seconds into ``repro_stage_seconds{stage=...}`` and
-        counts entries in ``repro_stage_total{stage=...}``.  Entirely
-        wall-domain by default: how often a stage runs can depend on
-        executor internals (chunking, say), so the counts stay out of
-        the deterministic snapshot.  With an injected virtual ``clock``
-        the stage records event-time seconds into
-        ``repro_stage_event_seconds`` instead — deterministic-domain,
-        for stages whose entry count is a pure function of the stream.
-        """
-        merged = {"stage": stage, **(dict(labels) if labels else {})}
-        if clock is None:
-            return _SpanTimer(
-                self.histogram(
-                    "repro_stage_seconds", WALL_SECONDS_BUCKETS,
-                    merged, wall=True,
-                ),
-                self.counter("repro_stage_total", merged, wall=True),
-            )
-        return _SpanTimer(
-            self.histogram(
-                "repro_stage_event_seconds", EVENT_SECONDS_BUCKETS,
-                merged, wall=False,
-            ),
-            self.counter("repro_stage_event_total", merged, wall=False),
-            clock=clock,
-        )
 
     # -- listeners ----------------------------------------------------------
 

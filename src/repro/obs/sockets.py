@@ -5,10 +5,6 @@ sees — accepting connections, parsing request bytes, writing response
 bytes — so their instruments are defined here, next to the other metric
 family layouts, and live strictly in the wall domain: socket timings
 depend on the peer and the kernel, never on the request stream alone.
-
-Stage histograms share :data:`~repro.obs.registry.WALL_SECONDS_BUCKETS`
-with ``repro_stage_seconds`` so dashboards can overlay the socket
-stages on the pipeline stages.
 """
 
 from __future__ import annotations
@@ -91,6 +87,11 @@ class ServeMetrics:
                 wall=True,
             )
         counter.inc()
+
+    @property
+    def parse_errors(self) -> int:
+        """Malformed requests refused, over every refusal status."""
+        return int(sum(c.value for c in self._parse_errors.values()))
 
     def snapshot(self) -> MetricsSnapshot:
         """Freeze the current instrument state."""

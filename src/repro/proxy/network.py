@@ -43,7 +43,7 @@ class ProxyNetwork:
         instrument_config: InstrumentConfig | None = None,
         rate_limit: RateLimitConfig | None = None,
         instrument_enabled: bool = True,
-        detection_shards: int = 0,
+        detection_shards: int = 1,
     ) -> None:
         if n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
@@ -62,12 +62,23 @@ class ProxyNetwork:
         self._taps: list[Callable[[Request, Response], None]] = []
 
     def shard_detection(self, n_shards: int) -> None:
-        """Re-partition every node's detection state into ``n_shards``.
+        """Rebuild every node as ``n_shards`` shards.
 
         Must run before traffic; idempotent per shard count.
         """
         for node in self.nodes:
             node.shard_detection(n_shards)
+
+    def add_probe_listener(self, listener: Callable) -> None:
+        """Observe every probe any node registers (the journal's
+        attachment point); each node keeps it across re-sharding."""
+        for node in self.nodes:
+            node.add_probe_listener(listener)
+
+    def remove_probe_listener(self, listener: Callable) -> None:
+        """Detach a probe listener (no error if absent)."""
+        for node in self.nodes:
+            node.remove_probe_listener(listener)
 
     @property
     def taps(self) -> tuple[Callable[[Request, Response], None], ...]:

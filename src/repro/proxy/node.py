@@ -10,16 +10,17 @@ The request path mirrors an instrumented CoDeeN node:
 6. origin forwarding; 200 HTML responses are instrumented per client and
    marked uncacheable before delivery.
 
-The node is a *router over shards*: every piece of per-client mutable
-state — a plain detection service, its probe-registry partition, a
-cache, the rate-limit buckets and the response ladder — lives inside a
-:class:`NodeShard`, and :meth:`ProxyNode.shard_for` (the stable
-client-IP hash, :func:`repro.state.partition.partition_index`) is the
-one place a request is turned into a shard.  The full request path
-runs inside the owning shard, so a shard is a self-contained lane of
-execution: the ingress can run one process lane per ``(node, shard)``
-instead of one per node, and the node merely merges shard stats,
-metrics and ladder state for its callers.
+A node is its shards: every piece of per-client mutable state — a
+plain detection service, its probe table, a cache, the rate-limit
+buckets and the response ladder — lives inside a :class:`NodeShard`,
+and :meth:`ProxyNode.shard_index_for` (the stable client-IP hash,
+:func:`repro.state.partition.partition_index`) is the one place a
+client IP is turned into a shard: requests, journaled probes and
+lookups through the read-only ``node.detection`` view all route there.
+The full request path runs inside the owning shard, so a shard is a
+self-contained lane of execution: the ingress can run one process lane
+per ``(node, shard)`` instead of one per node, and the node merely
+merges shard stats, metrics and ladder state for its callers.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import time
 from dataclasses import dataclass, fields
 
 from repro.detection.service import DetectionService, RequestOutcome
-from repro.detection.sharded import ShardedDetectionService, shard_service
+from repro.detection.sharded import ShardedDetectionService
 from repro.http.content import ContentKind
 from repro.http.message import Request, Response, error_response
-from repro.instrument.keys import InstrumentationRegistry
+from repro.instrument.keys import InstrumentationRegistry, RegisteredProbe
 from repro.instrument.rewriter import (
     InstrumentConfig,
     PageInstrumenter,
@@ -119,9 +120,9 @@ class NodeStats:
 class NodeShard:
     """One IP partition of a node's state, plus the request path over it.
 
-    Owns a detection shard, that shard's probe-registry partition, a
-    cache and a rate limiter of its own — everything the requests
-    routed here can touch, and nothing another shard's requests can.
+    Owns a detection service, its probe table, a cache and a rate
+    limiter of its own — everything the requests routed here can
+    touch, and nothing another shard's requests can.
     Pickles cleanly, so the process executor can ship a shard to a
     child interpreter as a complete lane state.
     """
@@ -292,6 +293,10 @@ class NodeShard:
         self._account(outcome, response, beacon=False, now=now)
         return response, outcome
 
+    def register_probe(self, probe: RegisteredProbe) -> None:
+        """Register one journaled probe in this shard's probe table."""
+        self.detection.registry.register(probe)
+
     # -- internals ----------------------------------------------------------
 
     def _ladder_response(self, stage: LadderStage) -> Response:
@@ -423,7 +428,12 @@ class NodeShard:
 
 
 class ProxyNode:
-    """One proxy node: a router over its IP-partitioned state shards."""
+    """One proxy node: a router over its IP-partitioned state shards.
+
+    ``detection_shards`` counts the shards; an injected ``detection``
+    service is the node's one shard, and such a node is never
+    re-sharded.
+    """
 
     def __init__(
         self,
@@ -432,14 +442,14 @@ class ProxyNode:
         rng: RngStream,
         instrument_config: InstrumentConfig | None = None,
         rate_limit: RateLimitConfig | None = None,
-        detection: DetectionService | ShardedDetectionService | None = None,
+        detection: DetectionService | None = None,
         instrument_enabled: bool = True,
-        detection_shards: int = 0,
+        detection_shards: int = 1,
     ) -> None:
-        if detection is not None and detection_shards:
+        if detection is not None and detection_shards != 1:
             raise ValueError(
-                "pass either a detection service or detection_shards, "
-                "not both"
+                "an injected detection service is the node's one shard: "
+                "pass detection or detection_shards, not both"
             )
         self.node_id = node_id
         self._origins = origins
@@ -451,32 +461,39 @@ class ProxyNode:
         # instrumenters sharing this parent stay deterministic under
         # any partitioning of the request stream.
         self._instrument_rng = rng.split(f"instrumenter-{node_id}")
-        if detection is not None:
-            self.detection = detection
-        elif detection_shards:
-            self.detection = ShardedDetectionService(
-                InstrumentationRegistry(), n_shards=detection_shards
-            )
-        else:
-            self.detection = DetectionService(InstrumentationRegistry())
+        self._injected = detection is not None
+        self._probe_listeners: list = []
         self.metrics = MetricsRegistry()
-        self._build_shards()
+        #: Read-only view over the shards' detection services.
+        self.detection = ShardedDetectionService(self)
+        self._build_shards(
+            [detection] if detection is not None
+            else self._detection_services(detection_shards)
+        )
 
-    def _build_shards(self) -> None:
-        """(Re)derive per-shard state from the current detection layout.
+    @staticmethod
+    def _detection_services(n_shards: int) -> list[DetectionService]:
+        if n_shards < 1:
+            raise ValueError(f"detection_shards must be >= 1, got {n_shards}")
+        # Distinct id prefixes keep session ids unique network-wide
+        # without any cross-shard coordination.
+        return [
+            DetectionService(
+                InstrumentationRegistry(), session_id_prefix=f"s{index:02d}"
+            )
+            for index in range(n_shards)
+        ]
+
+    def _build_shards(self, services: list[DetectionService]) -> None:
+        """(Re)build one shard per detection service.
 
         Each shard gets plain stores of its own; the cache budget
         divides across shards (ceiling, never below one entry).  The
         same static object may therefore sit in several shards' caches
         — the price of self-contained lanes, and why cache counters
         depend on the shard layout while detection results do not.
+        The node's probe listeners attach to every new probe table.
         """
-        if isinstance(self.detection, ShardedDetectionService):
-            services = self.detection.shards
-            registries = self.detection.registry.partitions
-        else:
-            services = [self.detection]
-            registries = [self.detection.registry]
         n = len(services)
         self._shards = [
             NodeShard(
@@ -491,16 +508,17 @@ class ProxyNode:
                     else None
                 ),
                 PageInstrumenter(
-                    registry,
+                    service.registry,
                     self._instrument_rng,
                     self._instrument_config,
                 ),
                 instrument_enabled=self._instrument_enabled,
             )
-            for index, (service, registry) in enumerate(
-                zip(services, registries)
-            )
+            for index, service in enumerate(services)
         ]
+        for listener in self._probe_listeners:
+            for shard in self._shards:
+                shard.detection.registry.add_listener(listener)
 
     # -- response ladder ----------------------------------------------------
 
@@ -557,6 +575,30 @@ class ProxyNode:
 
     def shard_for(self, client_ip: str) -> NodeShard:
         return self._shards[self.shard_index_for(client_ip)]
+
+    def register_probe(self, probe: RegisteredProbe) -> None:
+        """Register one journaled probe on the shard owning its client."""
+        self.shard_for(probe.client_ip).register_probe(probe)
+
+    # -- probe listeners ----------------------------------------------------
+
+    @property
+    def probe_listeners(self) -> tuple:
+        """Observers of every probe registration on any shard."""
+        return tuple(self._probe_listeners)
+
+    def add_probe_listener(self, listener) -> None:
+        """Observe every probe any shard registers (journal recording)."""
+        self._probe_listeners.append(listener)
+        for shard in self._shards:
+            shard.detection.registry.add_listener(listener)
+
+    def remove_probe_listener(self, listener) -> None:
+        """Detach a probe listener (no error if absent)."""
+        if listener in self._probe_listeners:
+            self._probe_listeners.remove(listener)
+            for shard in self._shards:
+                shard.detection.registry.remove_listener(listener)
 
     def lane_states(self, lanes_per_node: int) -> list:
         """The lane-sized state units for a given lane granularity.
@@ -653,27 +695,29 @@ class ProxyNode:
     # -- reconfiguration ----------------------------------------------------
 
     def shard_detection(self, n_shards: int) -> None:
-        """Re-partition detection state into ``n_shards`` shards.
+        """Rebuild the node as ``n_shards`` empty shards.
 
-        Must run before any traffic: session state cannot be re-hashed
-        between shard layouts.  The probe registry (and with it any
-        registrations a replay journal already loaded) migrates into
-        the new partition layout; caches and rate buckets are empty
-        pre-traffic, so they are simply rebuilt with the new shard
-        count.  No-op when the node is already sharded to the requested
-        count.
+        Only before traffic: once a request or a probe has landed on a
+        shard, its state cannot be re-hashed into another layout, and a
+        node built around an injected detection service is that one
+        shard for good.  No-op when the node already has ``n_shards``.
         """
-        if (
-            isinstance(self.detection, ShardedDetectionService)
-            and self.detection.n_shards == n_shards
-        ):
+        if n_shards == len(self._shards):
             return
-        if self.stats.requests or self.detection.tracker.total_started:
+        if self._injected:
             raise RuntimeError(
-                f"{self.node_id}: cannot re-shard detection after traffic"
+                f"{self.node_id}: a node built around an injected "
+                "detection service cannot be re-sharded"
             )
-        self.detection = shard_service(self.detection, n_shards)
-        self._build_shards()
+        if any(
+            shard.stats.requests or len(shard.detection.registry)
+            for shard in self._shards
+        ):
+            raise RuntimeError(
+                f"{self.node_id}: cannot re-shard detection after "
+                "requests or probes have landed"
+            )
+        self._build_shards(self._detection_services(n_shards))
 
     def housekeeping(self, now: float) -> None:
         """Periodic maintenance, swept per state shard: idle sessions,

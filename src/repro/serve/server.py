@@ -28,10 +28,12 @@ and ``adaptive`` act on is what waits in front of the loop: connections
 whose bytes have arrived (one ``select`` can return many) and whose
 request has not been dispatched yet.
 
-Client identity: every socket shows the peer address, so the server can
-trust ``X-Forwarded-For`` (on by default — the swarm and any fronting
-load balancer put the real client there).  Disable it when serving
-untrusted peers directly.
+Client identity: every socket shows the peer address, and that address
+is the client unless the peer is one of ``ServeConfig.trusted_proxies``
+(loopback by default — the swarm, or a fronting load balancer on the
+same host), whose ``X-Forwarded-For`` names the real client.  Any other
+peer's header is dropped unread: a direct client cannot speak for
+another IP.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ class ServeConfig:
     #: Idle seconds before a keep-alive connection is dropped.
     keep_alive_timeout: float = 15.0
     max_requests_per_connection: int = 1000
-    #: Resolve client identity from ``X-Forwarded-For`` when present.
-    trust_forwarded_for: bool = True
+    #: Peer addresses whose ``X-Forwarded-For`` names the client (a
+    #: fronting proxy); every other peer is the client itself.
+    trusted_proxies: frozenset[str] = frozenset({"127.0.0.1", "::1"})
     #: Live CLF access log (``.gz`` compresses); None keeps it in
     #: memory only (``server.records``).
     trace_path: str | None = None
@@ -314,8 +317,6 @@ class DetectorServer:
         self.probes: list[ProbeRecord] = []
         self._identities: dict[tuple[str, str], tuple[str, str]] = {}
         self.requests_handled = 0
-        self.parse_errors = 0
-        self.shed_count = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -327,8 +328,7 @@ class DetectorServer:
         if cfg.ladder is not None:
             for node in self._network.nodes:
                 node.enable_ladder(cfg.ladder)
-        for node in self._network.nodes:
-            node.detection.registry.add_listener(self._observe_probe)
+        self._network.add_probe_listener(self._observe_probe)
         if cfg.trace_path is not None:
             self._trace_handle = open_trace_file(cfg.trace_path, "wt")
         self._loop = asyncio.get_running_loop()
@@ -376,8 +376,7 @@ class DetectorServer:
                 await asyncio.wait([c.task for c in open_now])
             await self._server.wait_closed()
             self._server = None
-        for node in self._network.nodes:
-            node.detection.registry.remove_listener(self._observe_probe)
+        self._network.remove_probe_listener(self._observe_probe)
         if self._trace_handle is not None:
             self._trace_handle.close()
             self._trace_handle = None
@@ -391,6 +390,16 @@ class DetectorServer:
             )
 
     # -- results ------------------------------------------------------------
+
+    @property
+    def parse_errors(self) -> int:
+        """Malformed requests refused (``repro_serve_parse_errors_total``)."""
+        return self.metrics.parse_errors
+
+    @property
+    def shed_count(self) -> int:
+        """Requests shed at admission (``repro_serve_shed_total``)."""
+        return int(self.metrics.shed.value)
 
     def annotate_ground_truth(
         self, identities: dict[tuple[str, str], tuple[str, str]]
@@ -455,7 +464,6 @@ class DetectorServer:
                         limits=cfg.limits,
                     )
                 except HttpParseError as exc:
-                    self.parse_errors += 1
                     m.note_parse_error(exc.status)
                     self._write(
                         connection, error_response(exc.status, exc.message)
@@ -521,17 +529,17 @@ class DetectorServer:
         """Stamp, admit and handle one request, synchronously."""
         cfg = self._config
         client_ip = connection.peer_ip
-        if cfg.trust_forwarded_for:
-            forwarded = parsed.headers.get("X-Forwarded-For")
-            if forwarded:
+        forwarded = parsed.headers.get("X-Forwarded-For")
+        if forwarded:
+            if client_ip in cfg.trusted_proxies:
                 # The first hop names the client only if it is one token:
                 # the address is a whitespace-delimited access-log field.
                 hop = forwarded.split(",")[0].split()
                 if len(hop) == 1:
                     client_ip = hop[0]
-                # Consumed as addressing metadata; the pipeline sees the
-                # same header set a replayed trace record will rebuild.
-                parsed.headers.remove("X-Forwarded-For")
+            # Consumed as addressing metadata; the pipeline sees the
+            # same header set a replayed trace record will rebuild.
+            parsed.headers.remove("X-Forwarded-For")
         request = Request(
             method=parsed.method,
             url=parsed.url,
@@ -545,7 +553,6 @@ class DetectorServer:
 
         index = connection.lane = self._network.node_index_for(client_ip)
         if not self._admit(index, client_ip):
-            self.shed_count += 1
             self.metrics.shed.inc()
             response = error_response(
                 503, "overloaded: request shed at admission"

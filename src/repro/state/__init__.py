@@ -6,13 +6,12 @@ shards keyed by a stable BLAKE2b hash of the client IP, so a *shard* —
 not a whole node — is the smallest self-contained state unit and
 process lanes can run one per shard.
 
-:mod:`repro.state.partition` holds the hash itself;
-:mod:`repro.state.stores` holds :class:`PartitionedRegistry`, the probe
-table behind one routing facade.  Every other per-client store is a
-plain object inside a :class:`~repro.proxy.node.NodeShard`.
+:mod:`repro.state.partition` holds the hash itself.  Every per-client
+store is a plain object inside a :class:`~repro.proxy.node.NodeShard`,
+and :meth:`~repro.proxy.node.ProxyNode.shard_index_for` is the one
+place a node applies the hash.
 """
 
 from repro.state.partition import partition_index
-from repro.state.stores import PartitionedRegistry
 
-__all__ = ["partition_index", "PartitionedRegistry"]
+__all__ = ["partition_index"]

@@ -1,8 +1,9 @@
 """The stable client-IP partition hash.
 
-Every partitioned store — and the ingress lane router — must agree on
+The node's shard router and the ingress lane router must agree on
 which partition owns a client, or a process lane would touch state it
-does not carry.  They all call :func:`partition_index`.
+does not carry.  Both call :func:`partition_index`:
+``ProxyNode.shard_index_for`` and ``IngressPipeline.lane_for``.
 
 The hash is BLAKE2b over the raw key with an 8-byte digest, reduced
 little-endian.  It is deliberately *not* the 4-byte digest

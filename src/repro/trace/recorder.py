@@ -178,14 +178,12 @@ class TraceRecorder:
     def attach(self, network: ProxyNetwork) -> None:
         """Start capturing this network's traffic and registrations."""
         network.add_tap(self.observe)
-        for node in network.nodes:
-            node.detection.registry.add_listener(self.observe_probe)
+        network.add_probe_listener(self.observe_probe)
 
     def detach(self, network: ProxyNetwork) -> None:
         """Stop capturing (taps/listeners added by :meth:`attach`)."""
         network.remove_tap(self.observe)
-        for node in network.nodes:
-            node.detection.registry.remove_listener(self.observe_probe)
+        network.remove_probe_listener(self.observe_probe)
 
     def observe(self, request: Request, response: Response) -> None:
         """Network tap: one handled request/response pair."""

@@ -1,26 +1,35 @@
-"""Tests for repro.detection.sharded."""
+"""Tests for repro.detection.sharded: the node's read-only detection view
+and the IP→shard router behind it."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.detection.events import EventKind
-from repro.detection.online import OnlineClassifier
 from repro.detection.service import DetectionService
-from repro.detection.sharded import (
-    ShardedDetectionService,
-    merge_sessions,
-    shard_index,
-    shard_service,
-)
+from repro.detection.set_algebra import SessionSets
+from repro.detection.sharded import merge_sessions
 from repro.http.headers import Headers
-from repro.http.message import Method, Request, Response
+from repro.http.message import Method, Request
 from repro.http.uri import Url
 from repro.instrument.keys import (
     BeaconKind,
     InstrumentationRegistry,
     RegisteredProbe,
 )
+from repro.proxy.node import ProxyNode
+from repro.util.rng import RngStream
+
+
+def _node(shards: int = 1, **kwargs) -> ProxyNode:
+    return ProxyNode(
+        node_id="node-view",
+        origins={},
+        rng=RngStream(5, "view"),
+        instrument_enabled=False,
+        detection_shards=shards,
+        **kwargs,
+    )
 
 
 def _probe(client_ip: str, key: str) -> RegisteredProbe:
@@ -66,43 +75,45 @@ def _stream(n_clients: int = 24, requests_each: int = 12) -> list[Request]:
     return requests
 
 
-def _drive(service, requests) -> None:
-    response = Response(status=200, headers=Headers(), body=b"ok")
+def _drive(node: ProxyNode, requests) -> None:
     for request in requests:
-        outcome = service.handle_request(request)
-        service.note_response(outcome, response)
+        node.handle(request)
 
 
-def _census(service) -> dict[tuple[str, str, float], int]:
+def _census(node: ProxyNode) -> dict[tuple[str, str, float], int]:
     return {
         (s.key.client_ip, s.key.user_agent, s.started_at): s.request_count
-        for s in service.tracker.analyzable()
+        for s in node.detection.tracker.analyzable()
     }
 
 
 class TestShardIndex:
+    """``ProxyNode.shard_index_for`` is the node's one IP→shard router."""
+
     def test_stable_and_in_range(self):
         for n in (1, 2, 3, 8, 64):
-            index = shard_index("1.2.3.4", n)
+            node = _node(n)
+            index = node.shard_index_for("1.2.3.4")
             assert 0 <= index < n
-            assert index == shard_index("1.2.3.4", n)
+            assert index == node.shard_index_for("1.2.3.4")
 
     def test_single_shard_short_circuits(self):
-        assert shard_index("anything", 1) == 0
+        assert _node(1).shard_index_for("anything") == 0
 
     def test_ip_only_routing_ignores_user_agent(self):
         # Routing is per client IP so a shard owns every piece of state
-        # (registry partition, cache, limiter) the IP can touch; the
-        # user agent only distinguishes sessions *within* a shard.
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        sharded.handle_request(_request("9.9.9.9", "bot/1.0"))
-        sharded.handle_request(_request("9.9.9.9", "browser/2.0"))
-        assert sharded.shard_for("9.9.9.9").tracker.live_count == 2
+        # (probe table, cache, limiter) the IP can touch; the user agent
+        # only distinguishes sessions *within* a shard.
+        node = _node(8)
+        node.handle(_request("9.9.9.9", "bot/1.0"))
+        node.handle(_request("9.9.9.9", "browser/2.0"))
+        owner = node.shard_for("9.9.9.9")
+        assert owner.detection.tracker.live_count == 2
+        assert node.detection.tracker.live_count == 2
 
     def test_keys_spread_across_shards(self):
-        indices = {shard_index(f"10.0.0.{i}", 8) for i in range(200)}
+        node = _node(8)
+        indices = {node.shard_index_for(f"10.0.0.{i}") for i in range(200)}
         assert len(indices) == 8
 
 
@@ -110,69 +121,73 @@ class TestShardedService:
     @pytest.mark.parametrize("n_shards", [1, 2, 8])
     def test_matches_unsharded_service(self, n_shards):
         requests = _stream()
-        plain = DetectionService(InstrumentationRegistry())
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=n_shards
-        )
+        plain = _node(detection=DetectionService(InstrumentationRegistry()))
+        sharded = _node(n_shards)
         _drive(plain, requests)
         _drive(sharded, requests)
-        plain.finalize()
-        sharded.finalize()
+        plain.detection.finalize()
+        sharded.detection.finalize()
 
-        assert sharded.tracker.total_started == plain.tracker.total_started
+        tracker = sharded.detection.tracker
+        assert tracker.total_started == plain.detection.tracker.total_started
         assert _census(sharded) == _census(plain)
         assert (
-            sharded.session_sets().summary()
-            == plain.session_sets().summary()
+            SessionSets.from_sessions(tracker.analyzable()).summary()
+            == SessionSets.from_sessions(
+                plain.detection.tracker.analyzable()
+            ).summary()
         )
 
     def test_requests_route_to_owning_shard(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4
-        )
-        request = _request("9.9.9.9", "bot/1.0")
-        sharded.handle_request(request)
-        owner = shard_index("9.9.9.9", 4)
-        for index, shard in enumerate(sharded.shards):
+        node = _node(4)
+        node.handle(_request("9.9.9.9", "bot/1.0"))
+        owner = node.shard_index_for("9.9.9.9")
+        for index, shard in enumerate(node.state_shards):
             expected = 1 if index == owner else 0
-            assert shard.tracker.live_count == expected
-        assert sharded.tracker.live_count == 1
-        assert sharded.tracker.get("9.9.9.9", "bot/1.0") is not None
+            assert shard.detection.tracker.live_count == expected
+        assert node.detection.tracker.live_count == 1
+        assert node.detection.tracker.get("9.9.9.9", "bot/1.0") is not None
 
     def test_session_ids_unique_across_shards(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        _drive(sharded, _stream())
-        sharded.finalize()
-        ids = [s.session_id for s in sharded.tracker.completed]
+        node = _node(8)
+        _drive(node, _stream())
+        sessions = node.detection.finalize()
+        ids = [s.session_id for s in sessions]
         assert len(ids) == len(set(ids))
+        assert {i.split("-")[0] for i in ids} == {
+            f"s{i:02d}" for i in range(8)
+        }
 
     def test_merged_reductions_are_deterministically_ordered(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        _drive(sharded, _stream())
-        sessions = sharded.finalize()
-        keys = [
-            (s.started_at, s.key.client_ip, s.key.user_agent)
-            for s in sessions
-        ]
-        assert keys == sorted(keys)
-        latencies = sharded.detection_latencies()
-        assert [l.session_id for l in latencies] == [
-            s.session_id for s in sessions
-        ]
+        orders = []
+        for n_shards in (1, 8):
+            node = _node(n_shards)
+            _drive(node, _stream())
+            sessions = node.detection.finalize()
+            keys = [
+                (s.started_at, s.key.client_ip, s.key.user_agent)
+                for s in sessions
+            ]
+            assert keys == sorted(keys)
+            assert node.detection.tracker.analyzable() == sessions
+            latencies = node.detection.detection_latencies()
+            assert [l.session_id for l in latencies] == [
+                s.session_id for s in sessions
+            ]
+            orders.append(keys)
+        # One shard or eight: the same sessions in the same order.
+        assert orders[0] == orders[1]
 
     def test_note_captcha_routes_and_logs(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4
-        )
-        owner = sharded.shard_for("7.7.7.7")
+        node = _node(4)
+        owner = node.shard_for("7.7.7.7").detection
         owner.keep_event_log = True
-        request = _request("7.7.7.7", "human/1.0", timestamp=5.0)
-        outcome = sharded.handle_request(request)
-        event = sharded.note_captcha(outcome.state, True, timestamp=6.0)
+        outcome = node.handle_traced(
+            _request("7.7.7.7", "human/1.0", timestamp=5.0)
+        )[1]
+        event = node.detection.note_captcha(
+            outcome.state, True, timestamp=6.0
+        )
         assert outcome.state.passed_captcha
         assert event.kind is EventKind.CAPTCHA_PASSED
         assert event.session_id == outcome.state.session_id
@@ -180,64 +195,94 @@ class TestShardedService:
         assert owner.event_log[-1] is event
 
     def test_expire_idle_sweeps_every_shard(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4, idle_timeout=100.0
-        )
-        _drive(sharded, _stream(n_clients=12, requests_each=2))
-        assert sharded.tracker.live_count == 12
-        expired = sharded.tracker.expire_idle(now=1e6)
-        assert len(expired) == 12
-        assert sharded.tracker.live_count == 0
+        node = _node(4)
+        _drive(node, _stream(n_clients=12, requests_each=2))
+        assert node.detection.tracker.live_count == 12
+        node.housekeeping(now=1e6)
+        assert node.detection.tracker.live_count == 0
+        assert node.detection.tracker.total_started == 12
 
     def test_invalid_params(self):
-        registry = InstrumentationRegistry()
         with pytest.raises(ValueError):
-            ShardedDetectionService(registry, n_shards=0)
+            _node(0)
+        with pytest.raises(ValueError):
+            _node(1).shard_detection(0)
+
+    def test_the_view_follows_a_rebuild(self):
+        node = _node(2)
+        view = node.detection
+        node.shard_detection(8)
+        assert node.detection is view
+        _drive(node, _stream(n_clients=16, requests_each=1))
+        assert view.tracker.live_count == 16
+        assert sum(
+            shard.detection.tracker.live_count for shard in node.state_shards
+        ) == 16
 
 
 class TestShardService:
+    """Re-sharding: a rebuild before traffic, refused after it."""
+
     def test_preserves_registry_and_config(self):
-        registry = InstrumentationRegistry()
-        plain = DetectionService(
-            registry, idle_timeout=123.0, min_requests=5
-        )
-        registry.register(_probe("4.4.4.4", key="k-preserved"))
-        resharded = shard_service(plain, 4)
-        # The registry is re-partitioned into an IP-routed facade; the
-        # registrations (and their per-IP order) must survive the move.
-        assert [p.key for p in resharded.registry.iter_probes()] == [
-            "k-preserved"
-        ]
-        assert resharded.registry.n_partitions == 4
-        assert resharded.n_shards == 4
-        assert resharded.tracker.idle_timeout == 123.0
-        assert resharded.tracker.min_requests == 5
-        assert isinstance(resharded.classifier, OnlineClassifier)
+        from repro.proxy.ratelimit import RateLimitConfig
+
+        limits = RateLimitConfig(requests_per_second=2, burst=3)
+        node = _node(1, rate_limit=limits)
+        node.instrument_enabled = True
+        heard = []
+        node.add_probe_listener(heard.append)
+        node.shard_detection(4)
+        # The node's own config and the probe tables' listeners carry
+        # over into the rebuilt shards; nothing else is there to carry.
+        for shard in node.state_shards:
+            assert shard.limiter.config is limits
+            assert shard.instrument_enabled
+            assert shard.detection.tracker.total_started == 0
+        node.register_probe(_probe("4.4.4.4", key="k-heard"))
+        assert [p.key for p in heard] == ["k-heard"]
 
     def test_refuses_after_traffic(self):
-        plain = DetectionService(InstrumentationRegistry())
-        plain.handle_request(_request("1.1.1.1"))
-        with pytest.raises(RuntimeError):
-            shard_service(plain, 2)
+        node = _node(1)
+        node.handle(_request("1.1.1.1"))
+        with pytest.raises(RuntimeError, match="node-view"):
+            node.shard_detection(2)
+
+    def test_refuses_after_a_probe_lands(self):
+        node = _node(1)
+        node.register_probe(_probe("4.4.4.4", key="k-landed"))
+        with pytest.raises(RuntimeError, match="node-view"):
+            node.shard_detection(2)
+        assert node.n_state_shards == 1
+
+    def test_refuses_an_injected_service(self):
+        node = _node(detection=DetectionService(InstrumentationRegistry()))
+        with pytest.raises(RuntimeError, match="injected"):
+            node.shard_detection(2)
+        node.shard_detection(1)  # the layout it has: a no-op
+        assert node.n_state_shards == 1
+
+    def test_injected_service_and_a_shard_count_conflict(self):
+        with pytest.raises(ValueError):
+            _node(
+                2, detection=DetectionService(InstrumentationRegistry())
+            )
 
     def test_resharding_a_sharded_service(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=2, min_requests=7
-        )
-        resharded = shard_service(sharded, 8)
-        assert resharded.n_shards == 8
-        assert resharded.tracker.min_requests == 7
+        node = _node(2)
+        node.shard_detection(8)
+        assert node.n_state_shards == 8
+        assert [s.shard_id for s in node.state_shards] == list(range(8))
+        before = node.state_shards
+        node.shard_detection(8)  # same count: nothing is rebuilt
+        assert node.state_shards is before
 
 
 class TestMergeSessions:
     def test_sorts_across_groups(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        _drive(sharded, _stream(n_clients=16, requests_each=2))
-        sharded.tracker.finalize_all()
+        node = _node(8)
+        _drive(node, _stream(n_clients=16, requests_each=2))
         groups = [
-            shard.tracker.completed for shard in sharded.shards
+            shard.detection.finalize() for shard in node.state_shards
         ]
         merged = merge_sessions(groups)
         assert len(merged) == sum(len(g) for g in groups)

@@ -56,6 +56,14 @@ def _verdicts(result):
     }
 
 
+def _ordered(result):
+    """Sessions (by key and start) and latencies, in result order."""
+    return (
+        [(s.key, s.started_at) for s in result.sessions],
+        [(l.css_at, l.beacon_js_at, l.mouse_at) for l in result.latencies],
+    )
+
+
 def _scorer_model() -> AdaBoostModel:
     rng = np.random.default_rng(23)
     model = AdaBoostModel(n_features=12)
@@ -122,13 +130,13 @@ def _oracle(recorded) -> SessionCensus:
         if is_request:
             network.handle(item.to_request())
         else:
-            registry = network.node_for(item.client_ip).detection.registry
-            registry.register(item.to_probe())
+            network.node_for(item.client_ip).register_probe(item.to_probe())
     result = SessionCensus()
     result.sessions = network.finalize_sessions()
     apply_session_identities(result.sessions, session_identities(records))
     result.summary = network.session_sets().summary()
     result.stats = network.stats()
+    result.latencies = network.detection_latencies()
     return result
 
 
@@ -142,6 +150,7 @@ class TestExecutorDeterminism:
         assert oracle.summary == baseline.summary
         assert oracle.kind_census() == baseline.kind_census()
         assert _verdicts(oracle) == _verdicts(baseline)
+        assert _ordered(oracle) == _ordered(baseline)
         # The oracle admits nothing, so it queues nothing.
         assert oracle.stats == dataclasses.replace(baseline.stats, queued=0)
 
@@ -159,6 +168,7 @@ class TestExecutorDeterminism:
         assert result.first_timestamp == baseline.first_timestamp
         assert result.last_timestamp == baseline.last_timestamp
         assert result.stats == baseline.stats
+        assert _ordered(result) == _ordered(baseline)
         records, probes = recorded
         assert result.stats.queued == len(records) + len(probes)
         assert result.stats.shed == 0
@@ -170,6 +180,7 @@ class TestExecutorDeterminism:
         assert result.summary == baseline.summary
         assert result.kind_census() == baseline.kind_census()
         assert _verdicts(result) == _verdicts(baseline)
+        assert _ordered(result) == _ordered(baseline)
 
     @pytest.mark.parametrize("executor", ["process"])
     def test_micro_batched_scoring_deterministic(self, recorded, executor):
@@ -213,18 +224,6 @@ class TestLaneGranularity:
             lanes_per_node=1,
         )
 
-    @staticmethod
-    def _latency_multiset(result):
-        missing = -1
-        return sorted(
-            (
-                missing if l.css_at is None else l.css_at,
-                missing if l.beacon_js_at is None else l.beacon_js_at,
-                missing if l.mouse_at is None else l.mouse_at,
-            )
-            for l in result.latencies
-        )
-
     @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("lanes", [1, SHARDS])
     def test_lane_matrix_matches(
@@ -243,9 +242,20 @@ class TestLaneGranularity:
         assert result.stats == reference.stats
         assert result.requests_replayed == reference.requests_replayed
         assert result.probes_loaded == reference.probes_loaded
-        assert self._latency_multiset(result) == self._latency_multiset(
-            reference
+        assert _ordered(result) == _ordered(reference)
+
+    @pytest.mark.parametrize(
+        "shards, lanes", [(0, 1), (1, 1), (2, 1), (2, 2), (8, 1), (8, 8)]
+    )
+    def test_shard_count_does_not_show_in_order(
+        self, recorded, reference, shards, lanes
+    ):
+        # 0 keeps the network as built: one shard per node.
+        result = _replay(
+            recorded, shards=shards, executor="serial", lanes_per_node=lanes
         )
+        assert result.summary == reference.summary
+        assert _ordered(result) == _ordered(reference)
 
     def test_deterministic_metrics_invariant_to_lane_count(
         self, recorded, reference

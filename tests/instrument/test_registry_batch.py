@@ -1,7 +1,7 @@
 """The page-level registry insert is the one-by-one insert, batched.
 
 ``register_page`` does one table lookup and one trim for a page's probes;
-``register`` and ``load`` go through the same routine with a batch of
+``register`` goes through the same routine with a batch of
 one.  These properties hold the two equal where it is observable — table
 order, ``match()`` answers, length, what each listener heard — and check
 the table against a model small enough to read: per IP, the
@@ -28,12 +28,13 @@ from repro.instrument.keys import (
     InstrumentationRegistry,
     RegisteredProbe,
 )
-from repro.state.stores import PartitionedRegistry
+from repro.proxy.node import ProxyNode
 from repro.trace.recorder import (
     ProbeRecord,
     format_probe_line,
     parse_probe_line,
 )
+from repro.util.rng import RngStream
 
 TTL = 50.0
 IPS = ("10.0.0.1", "10.0.0.2", "192.0.2.77")
@@ -188,10 +189,19 @@ def test_a_page_belongs_to_one_client():
 
 class TestPartitionedRegistry:
     def test_batch_goes_to_the_owning_partition(self):
-        registry = PartitionedRegistry.build(4, per_ip_cap=8)
-        heard = _Heard(registry)
+        """A node's probe table is one registry per shard: a page's
+        journal lines land on the shard that owns the page's client,
+        and every registration is heard once, in order."""
+        node = ProxyNode(
+            node_id="n0", origins={}, rng=RngStream(3, "batch"),
+            instrument_enabled=False, detection_shards=4,
+        )
+        first: list[RegisteredProbe] = []
+        second: list[RegisteredProbe] = []
+        node.add_probe_listener(first.append)
+        node.add_probe_listener(second.append)
         ips = [f"10.9.{i}.{i}" for i in range(32)]
-        assert len({registry.index_for(ip) for ip in ips}) == 4
+        assert len({node.shard_index_for(ip) for ip in ips}) == 4
         registered = []
         for serial, ip in enumerate(ips):
             probes = _probes(
@@ -202,21 +212,20 @@ class TestPartitionedRegistry:
                 1.0,
                 serial,
             )
-            registry.register_page(probes)
+            for probe in probes:
+                node.register_probe(probe)
             registered += probes
-            owner = registry.index_for(ip)
-            for index, partition in enumerate(registry.partitions):
+            owner = node.shard_index_for(ip)
+            for index, shard in enumerate(node.state_shards):
                 expected = probes if index == owner else []
-                assert partition.outstanding(ip) == expected
-            hit = registry.match(_request(ip, "/ua_0/agent.css", 2.0))
+                assert shard.detection.registry.outstanding(ip) == expected
+            owner_table = node.shard_for(ip).detection.registry
+            hit = owner_table.match(_request(ip, "/ua_0/agent.css", 2.0))
             assert hit is not None and hit.probe is probes[1]
-        assert heard.first == heard.second == registered
-        assert len(registry) == len(registered)
-
-    def test_empty_batch(self):
-        registry = PartitionedRegistry.build(3)
-        registry.register_page([])
-        assert len(registry) == 0
+        assert first == second == registered
+        assert sum(
+            len(shard.detection.registry) for shard in node.state_shards
+        ) == len(registered)
 
 
 class TestRecordTypes:

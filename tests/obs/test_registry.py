@@ -197,24 +197,3 @@ class TestAbsorbAndPickle:
         clone_reg, clone_c = pickle.loads(pickle.dumps((reg, c)))
         clone_c.inc(7)
         assert clone_reg.snapshot().get("c").value == 7.0
-
-
-class TestSpans:
-    def test_span_records_duration_and_count(self):
-        reg = MetricsRegistry()
-        with reg.span("parse"):
-            pass
-        snap = reg.snapshot()
-        seconds = snap.get("repro_stage_seconds", {"stage": "parse"})
-        total = snap.get("repro_stage_total", {"stage": "parse"})
-        assert seconds.count == 1
-        assert seconds.wall
-        assert total.value == 1.0
-
-    def test_timer_context_observes(self):
-        reg = MetricsRegistry()
-        with reg.timer("t_seconds"):
-            pass
-        point = reg.snapshot().get("t_seconds")
-        assert point.count == 1
-        assert point.wall

@@ -46,7 +46,9 @@ class TestNodeServing:
     def test_beacon_served_locally(self, make_node, small_site):
         node = make_node()
         node.handle(_request(small_site, small_site.home_path))
-        probes = node.detection.registry.outstanding("10.0.0.5")
+        probes = node.shard_for("10.0.0.5").detection.registry.outstanding(
+            "10.0.0.5"
+        )
         css = next(p for p in probes if p.kind is BeaconKind.CSS_BEACON)
         origin_before = node.stats.origin_requests
         resp = node.handle(_request(small_site, css.path, t=1.0))
@@ -103,7 +105,9 @@ class TestNodeServing:
     def test_policy_blocks_wrong_key_fetcher(self, make_node, small_site):
         node = make_node()
         node.handle(_request(small_site, small_site.home_path))
-        probes = node.detection.registry.outstanding("10.0.0.5")
+        probes = node.shard_for("10.0.0.5").detection.registry.outstanding(
+            "10.0.0.5"
+        )
         decoy = next(
             p
             for p in probes
@@ -120,7 +124,9 @@ class TestNodeServing:
         node.handle(_request(small_site, small_site.home_path))
         node.housekeeping(now=100000.0)
         assert node.detection.tracker.live_count == 0
-        assert len(node.detection.registry) == 0
+        assert not any(
+            len(shard.detection.registry) for shard in node.state_shards
+        )
 
 
 class TestShardedNode:
@@ -149,7 +155,7 @@ class TestShardedNode:
         assert router.export_state() == merge_ladder_states(per_shard)
         assert sorted(router.export_state()["ips"]) == sorted(self.IPS)
 
-    @pytest.mark.parametrize("shards", [0, 4])
+    @pytest.mark.parametrize("shards", [1, 4])
     def test_tracker_view_sums_over_shards(
         self, make_node, small_site, shards
     ):

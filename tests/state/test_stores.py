@@ -1,5 +1,5 @@
-"""Partitioned node state: the probe-registry facade, and a sharded
-node's per-shard limiters and caches against the unsharded node's.
+"""Partitioned node state: a sharded node's per-shard probe tables,
+limiters and caches against the one-shard node's.
 
 The eviction-equivalence tests are the regression guard for the PR 2
 unbounded-state fixes: partitioning a store must never change *what*
@@ -23,7 +23,6 @@ from repro.instrument.keys import (
 )
 from repro.proxy.node import ProxyNode
 from repro.proxy.ratelimit import RateLimitConfig
-from repro.state.stores import PartitionedRegistry
 from repro.util.rng import RngStream
 
 N_IPS = 10_000
@@ -64,68 +63,62 @@ def _response():
 
 
 class TestPartitionedRegistry:
+    """A node's probe table is one plain registry per shard, reached
+    through the node's IP router."""
+
     def test_routes_and_merges(self):
-        registry = PartitionedRegistry.build(4, ttl=100.0, per_ip_cap=8)
+        node = _node(shards=4)
         for i, ip in enumerate(_ips(64)):
-            registry.register(_probe(ip, f"k{i}"))
-        assert len(registry) == 64
-        assert sum(len(p) for p in registry.partitions) == 64
+            node.register_probe(_probe(ip, f"k{i}"))
+        tables = [shard.detection.registry for shard in node.state_shards]
+        assert sum(len(table) for table in tables) == 64
+        assert all(len(table) for table in tables)
         for ip in _ips(64):
-            owner = registry.partition(registry.index_for(ip))
-            assert registry.outstanding(ip) == owner.outstanding(ip)
-        assert registry.ttl == 100.0
-        assert registry.per_ip_cap == 8
+            owner = node.shard_for(ip).detection.registry
+            assert [p.client_ip for p in owner.outstanding(ip)] == [ip]
+            assert sum(len(table.outstanding(ip)) for table in tables) == 1
 
     def test_listeners_fire_once_per_registration(self):
-        registry = PartitionedRegistry.build(4)
+        node = _node(shards=2)
         seen = []
-        registry.add_listener(seen.append)
-        assert registry.has_listeners
+        node.add_probe_listener(seen.append)
+        node.shard_detection(4)  # the rebuilt tables keep the listener
+        assert node.probe_listeners == (seen.append,)
         for i, ip in enumerate(_ips(32)):
-            registry.register(_probe(ip, f"k{i}"))
+            node.register_probe(_probe(ip, f"k{i}"))
         assert len(seen) == 32
-        registry.remove_listener(seen.append)
-        assert not registry.has_listeners
-
-    def test_migrate_preserves_probes_without_refiring(self):
-        source = InstrumentationRegistry(ttl=50.0, per_ip_cap=8)
-        journal = []
-        source.add_listener(journal.append)
-        for i in range(6):  # same IP: exercises per-IP FIFO order
-            source.register(_probe("198.51.100.7", f"k{i}", issued_at=i))
-        fired_before = len(journal)
-        rebuilt = PartitionedRegistry.migrate(source, 8)
-        assert len(journal) == fired_before  # load() never re-fires
-        assert rebuilt.ttl == 50.0
-        assert rebuilt.per_ip_cap == 8
-        # FIFO order per IP survives the move (eviction order depends
-        # on it).
-        assert [p.key for p in rebuilt.outstanding("198.51.100.7")] == [
-            p.key for p in source.outstanding("198.51.100.7")
-        ]
-        # The journal listener rides along into every partition.
-        rebuilt.register(_probe("203.0.113.1", "fresh"))
-        assert len(journal) == fired_before + 1
+        node.remove_probe_listener(seen.append)
+        assert node.probe_listeners == ()
+        node.register_probe(_probe("203.0.113.1", "unheard"))
+        assert len(seen) == 32
 
     def test_expiry_equivalent_to_unpartitioned(self):
-        """Million-IP-style slice: partition-wise sweeps remove exactly
-        the entries one big sweep would — none skipped, none double."""
-        flat = InstrumentationRegistry(ttl=100.0)
+        """Million-IP-style slice: shard-wise sweeps remove exactly the
+        entries one big sweep would — none skipped, none double."""
+        flat = InstrumentationRegistry()
+        node = _node(shards=16)
         for i, ip in enumerate(_ips()):
-            flat.register(_probe(ip, f"k{i}", issued_at=float(i % 500)))
-        partitioned = PartitionedRegistry.migrate(flat, 16)
-        assert len(partitioned) == len(flat)
+            probe = _probe(ip, f"k{i}", issued_at=float(i % 500) - 3500.0)
+            flat.register(probe)
+            node.register_probe(probe)
 
-        expected = flat.expire_before(now=350.0)
-        removed = partitioned.expire_before(now=350.0)
-        assert removed == expected
-        assert len(partitioned) == len(flat)
-        survivors = sorted(p.key for p in partitioned.iter_probes())
-        assert survivors == sorted(p.key for p in flat.iter_probes())
+        def survivors():
+            return sorted(
+                p.key
+                for shard in node.state_shards
+                for p in shard.detection.registry.iter_probes()
+            )
+
+        assert len(survivors()) == len(flat)
+        assert 0 < flat.expire_before(now=350.0) < len(survivors())
+        node.housekeeping(now=350.0)
+        assert survivors() == sorted(p.key for p in flat.iter_probes())
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PartitionedRegistry([])
+            _node(shards=0)
+        with pytest.raises(ValueError):
+            _node().shard_detection(0)
 
 
 class _StaticOrigin:
@@ -135,7 +128,7 @@ class _StaticOrigin:
         return _response()
 
 
-def _node(shards=0, rate_limit=None):
+def _node(shards=1, rate_limit=None):
     return ProxyNode(
         node_id="n0",
         origins={"site.test": _StaticOrigin()},
@@ -231,10 +224,10 @@ class TestPartitionedCache:
     def test_capacity_divides_across_partitions(self):
         # Ceiling division of the node's 4096-entry budget; a ceiling is
         # never below one entry, so no shard count can starve a cache.
-        for shards in (0, 1, 3, 4, 8):
+        for shards in (1, 3, 4, 8):
             node = _node(shards=shards)
             n = node.n_state_shards
-            assert n == max(1, shards)
+            assert n == shards
             per_shard = -(-4096 // n)
             assert per_shard >= 1
             assert [s.cache._capacity for s in node.state_shards] == [
@@ -266,18 +259,14 @@ class TestPickleSafety:
     must round-trip through pickle with its state intact."""
 
     def test_partitioned_stores_round_trip(self):
-        registry = PartitionedRegistry.build(4)
-        for i, ip in enumerate(_ips(32)):
-            registry.register(_probe(ip, f"k{i}"))
-        registry2 = pickle.loads(pickle.dumps(registry))
-        assert len(registry2) == 32
-        assert registry2.index_for("192.0.2.1") == registry.index_for(
-            "192.0.2.1"
-        )
         # A shard's own stores travel with the shard.
         node = _node(shards=4, rate_limit=RateLimitConfig())
+        node.register_probe(_probe("192.0.2.1", "k-travels"))
         node.handle(_request("192.0.2.1"))
         shard = pickle.loads(pickle.dumps(node.shard_for("192.0.2.1")))
+        assert [p.key for p in shard.detection.registry.iter_probes()] == [
+            "k-travels"
+        ]
         assert shard.limiter.allowed == 1
         assert len(shard.cache) == 1
         assert shard.cache.lookup(_request("192.0.2.1"), now=1.0) is not None

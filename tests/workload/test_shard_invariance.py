@@ -2,9 +2,11 @@
 behaviour knob.
 
 The same workload must produce identical set-algebra summaries, censuses,
-network stats and per-session verdicts whether detection state lives in
-one tracker or is hash-partitioned across 2 or 8 shards — for synthetic
-workloads (both values ``mode`` still takes) and for trace replay.
+network stats, per-session verdicts, and the same sessions and latencies
+*in the same order*, whether each node keeps one shard (``shards=0``
+keeps the network as built) or hash-partitions its state across 1, 2 or
+8 shards — for synthetic workloads (both values ``mode`` still takes)
+and for trace replay.
 """
 
 from __future__ import annotations
@@ -66,15 +68,11 @@ def _cache_neutral(stats):
     }
 
 
-def _latency_multiset(result):
-    missing = -1  # None (never fired) sorts below any request index
-    return sorted(
-        (
-            missing if l.css_at is None else l.css_at,
-            missing if l.beacon_js_at is None else l.beacon_js_at,
-            missing if l.mouse_at is None else l.mouse_at,
-        )
-        for l in result.latencies
+def _ordered(result):
+    """Sessions (by key and start) and latencies, in result order."""
+    return (
+        [(s.key, s.started_at) for s in result.sessions],
+        [(l.css_at, l.beacon_js_at, l.mouse_at) for l in result.latencies],
     )
 
 
@@ -91,11 +89,9 @@ class TestWorkloadShardInvariance:
                 baseline.stats
             )
             assert _verdicts(result) == _verdicts(baseline)
-            assert _latency_multiset(result) == _latency_multiset(baseline)
+            assert _ordered(result) == _ordered(baseline)
 
     def test_shards_config_shards_the_network(self, make_network, entry_url):
-        from repro.detection.sharded import ShardedDetectionService
-
         network = make_network(n_nodes=2, seed=SEED)
         engine = WorkloadEngine(
             network,
@@ -106,13 +102,39 @@ class TestWorkloadShardInvariance:
         )
         engine.run()
         for node in network.nodes:
-            assert isinstance(node.detection, ShardedDetectionService)
-            assert node.detection.n_shards == 4
+            assert node.n_state_shards == 4
         # Asking for the layout a network already has is a no-op (after
         # traffic anything else would be refused).
-        before = [node.detection for node in network.nodes]
+        before = [node.state_shards for node in network.nodes]
         network.shard_detection(4)
-        assert [node.detection for node in network.nodes] == before
+        assert [node.state_shards for node in network.nodes] == before
+        with pytest.raises(RuntimeError, match="node-000"):
+            network.shard_detection(2)
+
+    def test_recorder_journals_the_same_probes_at_any_shard_count(
+        self, make_network, entry_url
+    ):
+        """A recorder attached before the engine re-shards the network
+        keeps hearing every registration, exactly once."""
+        journals = []
+        for shards in (0, 4):
+            network = make_network(n_nodes=2, seed=SEED)
+            recorder = TraceRecorder()
+            recorder.attach(network)
+            WorkloadEngine(
+                network,
+                SMOKE,
+                entry_url,
+                RngStream(SEED, "wl"),
+                WorkloadConfig(
+                    n_sessions=N_SESSIONS, shards=shards,
+                    captcha_enabled=False,
+                ),
+            ).run()
+            recorder.detach(network)
+            journals.append(recorder.sorted_probes())
+        assert journals[0]
+        assert journals[0] == journals[1]
 
     def test_invalid_shard_config(self):
         with pytest.raises(ValueError):
@@ -162,7 +184,46 @@ class TestReplayShardInvariance:
             assert result.summary == baseline.summary
             assert result.kind_census() == baseline.kind_census()
             assert result.requests_replayed == baseline.requests_replayed
-            assert _latency_multiset(result) == _latency_multiset(baseline)
+            assert _ordered(result) == _ordered(baseline)
+
+    def test_retirement_order_does_not_show(self):
+        """A session that starts later but idles out first retires
+        first; results still list sessions by start, whatever the
+        shard count."""
+        from repro.http.message import Method
+        from repro.http.uri import Url
+        from repro.trace.clf import TraceRecord
+
+        def line(ip, t, n):
+            return TraceRecord(
+                ip, t, Method.GET, Url.parse(f"http://site.test/p{n}.html"),
+                200, 100, "UA",
+            )
+
+        # A browses every half hour for six hours; B fires twelve
+        # requests a minute after A starts and is gone an hour later.
+        records = sorted(
+            [line("10.0.0.1", 1800.0 * n, n) for n in range(13)]
+            + [line("10.0.0.2", 60.0 + n, n) for n in range(12)],
+            key=lambda r: r.timestamp,
+        )
+        orders = []
+        for shards, lanes in ((0, 1), (1, 1), (2, 1), (2, 2), (8, 1), (8, 8)):
+            network = ProxyNetwork(
+                origins={}, rng=RngStream(0, "replay"), n_nodes=1,
+                instrument_enabled=False,
+            )
+            result = TraceReplayEngine(
+                network,
+                ReplayConfig(
+                    assume_sorted=True, shards=shards, lanes_per_node=lanes
+                ),
+            ).replay(records)
+            orders.append(_ordered(result))
+        assert [key.client_ip for key, _ in orders[0][0]] == [
+            "10.0.0.1", "10.0.0.2",
+        ]
+        assert orders == [orders[0]] * len(orders)
 
     def test_invalid_replay_shard_config(self):
         with pytest.raises(ValueError):
