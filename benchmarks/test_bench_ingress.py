@@ -3,12 +3,13 @@
 Two claims to pin down:
 
 * the ingress is semantics-free — the serial and process executors
-  produce identical reductions on the same admitted stream, at either
-  lane granularity (checked here on a small trace so the property rides
+  produce identical reductions on the same admitted stream, at any
+  shard count (checked here on a small trace so the property rides
   along in smoke mode);
-* per-shard process lanes beat per-node ones on a runner with more
-  cores than nodes.  (With fewer cores the comparison is skipped —
-  there is no parallelism to demonstrate, only scheduler noise.)
+* every shard is its own lane, so process lanes speed up with the
+  shard count on a runner with more cores than nodes.  (With fewer
+  cores the comparison is skipped — there is no parallelism to
+  demonstrate, only scheduler noise.)
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _suite_trace(n_sessions: int) -> list[TraceRecord]:
     return records
 
 
-def _replay(records: list[TraceRecord], **config_kwargs):
+def _replay(records: list[TraceRecord], shards=SHARDS, **config_kwargs):
     network = ProxyNetwork(
         origins={},
         rng=RngStream(0, "bench-replay"),
@@ -72,7 +73,7 @@ def _replay(records: list[TraceRecord], **config_kwargs):
     )
     engine = TraceReplayEngine(
         network,
-        ReplayConfig(assume_sorted=True, shards=SHARDS, **config_kwargs),
+        ReplayConfig(assume_sorted=True, shards=shards, **config_kwargs),
     )
     return engine.replay(records)
 
@@ -89,17 +90,15 @@ def test_ingress_executors_equivalent():
 
 
 def test_ingress_lane_counts_equivalent():
-    """Smoke-safe acceptance: per-shard lanes reduce identically to
-    per-node lanes — lane granularity is a topology knob only."""
+    """Smoke-safe acceptance: ``SHARDS`` lanes per node (one per shard)
+    reduce identically to one lane per node (one shard) — the shard
+    count, and with it the lane count, is a topology knob only."""
     records = _suite_trace(400)
-    baseline = _replay(records, executor="serial", queue_depth=1024)
+    baseline = _replay(
+        records, shards=1, executor="serial", queue_depth=1024
+    )
     for executor in ("serial", "process"):
-        result = _replay(
-            records,
-            executor=executor,
-            queue_depth=1024,
-            lanes_per_node=SHARDS,
-        )
+        result = _replay(records, executor=executor, queue_depth=1024)
         assert result.summary == baseline.summary
         assert result.kind_census() == baseline.kind_census()
         assert result.requests_replayed == baseline.requests_replayed
@@ -118,22 +117,23 @@ def test_bench_ingress_replay(benchmark, executor):
     assert result.requests_replayed == len(records)
     benchmark.extra_info["executor"] = executor
     benchmark.extra_info["requests"] = len(records)
-    benchmark.extra_info["lanes"] = N_NODES
+    benchmark.extra_info["lanes"] = N_NODES * SHARDS
     if benchmark.stats is not None and benchmark.stats.stats.mean:
         benchmark.extra_info["requests_per_sec"] = round(
             len(records) / benchmark.stats.stats.mean
         )
 
 
-def test_per_shard_lanes_beat_per_node_lanes(request):
-    """Acceptance: lifting lane granularity to the shard level wins.
+def test_process_lanes_scale_with_shard_count(request):
+    """Acceptance: more shards are more lanes, and more lanes win.
 
-    With ``lanes_per_node == SHARDS`` the process executor runs
-    ``N_NODES * SHARDS`` lanes instead of ``N_NODES`` — on a runner
-    with more cores than nodes, the finer partition must improve
-    sessions/sec over the per-node-lane baseline.  Below that core
-    count the extra lanes only multiply interpreter overhead, so the
-    comparison is skipped rather than asserted on scheduler noise.
+    At ``SHARDS`` shards per node the process executor runs
+    ``N_NODES * SHARDS`` lanes instead of the ``N_NODES`` one shard per
+    node gives — on a runner with more cores than nodes, the finer
+    partition must improve sessions/sec over one lane per node.  Below
+    that core count the extra lanes only multiply interpreter overhead,
+    so the comparison is skipped rather than asserted on scheduler
+    noise.
     """
     if request.config.getoption("benchmark_disable"):
         pytest.skip(
@@ -143,21 +143,18 @@ def test_per_shard_lanes_beat_per_node_lanes(request):
         )
     if _cores() <= N_NODES:
         pytest.skip(
-            f"only {_cores()} core(s) for {N_NODES} per-node lanes: "
-            "per-shard lanes cannot spread onto additional cores here"
+            f"only {_cores()} core(s) for {N_NODES} one-shard nodes: "
+            "more shards cannot spread lanes onto additional cores here"
         )
 
     records = _suite_trace(SUITE_SESSIONS)
 
-    def best_of(lanes_per_node: int, repeats: int = 2) -> float:
+    def best_of(shards: int, repeats: int = 2) -> float:
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
             result = _replay(
-                records,
-                executor="process",
-                queue_depth=8192,
-                lanes_per_node=lanes_per_node,
+                records, shards=shards, executor="process", queue_depth=8192
             )
             best = min(best, time.perf_counter() - start)
             assert result.requests_replayed == len(records)
@@ -167,7 +164,7 @@ def test_per_shard_lanes_beat_per_node_lanes(request):
     per_shard = best_of(SHARDS)
     speedup = per_node / per_shard
     assert speedup > 1.0, (
-        f"per-shard lanes only {speedup:.2f}x the per-node layout on "
+        f"{SHARDS} shards per node only {speedup:.2f}x one shard on "
         f"{_cores()} cores: {N_NODES} lanes {per_node:.2f}s vs "
         f"{N_NODES * SHARDS} lanes {per_shard:.2f}s"
     )

@@ -5,8 +5,8 @@ Demonstrates the ingress subsystem end to end:
 
 1. build a deployment, drive a diurnal time-interleaved workload
    through it, and export the traffic as a CLF trace + probe journal;
-2. replay the log through the **ingress lanes** (one lane per proxy
-   node, routed by the stable client-IP hash): inline on the serial
+2. replay the log through the **ingress lanes** (one lane per node
+   shard, routed by the stable client-IP hash): inline on the serial
    executor, then with every lane in its own process behind a bounded
    pipe — and the census comes out byte-identical on both executors and
    at every queue depth;

@@ -67,7 +67,7 @@ def main() -> None:
     for name, agent in population:
         record = runner.run(agent, start_time=0.0)
         state = node.detection.tracker.get(agent.client_ip, agent.user_agent)
-        verdict = node.detection.classifier.classify_final(state)
+        verdict = detection.classifier.classify_final(state)
         blocked = detection.policy.is_blocked(state.session_id)
         print(f"{name:>8} @{agent.client_ip}: {record.requests} requests, "
               f"verdict={verdict.label.value}, "

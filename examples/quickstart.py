@@ -71,12 +71,10 @@ def main() -> None:
     crawler_record = runner.run(crawler, start_time=0.0)
 
     # 4. Ask the detector what it concluded.
-    classifier = node.detection.classifier
     for record in (human_record, crawler_record):
-        state = node.detection.tracker.get(
-            record.client_ip, record.user_agent
-        )
-        verdict = classifier.classify_final(state)
+        detection = node.shard_for(record.client_ip).detection
+        state = detection.tracker.get(record.client_ip, record.user_agent)
+        verdict = detection.classifier.classify_final(state)
         print(f"{record.agent_kind:>8} @{record.client_ip}: "
               f"{record.requests} requests")
         print(f"          evidence: {describe(state)}")

@@ -143,9 +143,10 @@ def _add_lane_options(
     """The ingress-lane and telemetry options record and replay share."""
     parser.add_argument(
         "--shards", type=int, default=0,
-        help="hash-partition detection state into N shards per node "
-             "(0 = keep the network as built; every node has one shard "
-             "by default; shard count never changes results)",
+        help="hash-partition detection state into N shards per node, "
+             "one ingress lane each (0 = keep the network as built; "
+             "every node has one shard by default; shard count never "
+             "changes results)",
     )
     parser.add_argument(
         "--executor", choices=("serial", "process"),
@@ -178,12 +179,6 @@ def _add_lane_options(
              "adaptive)",
     )
     parser.add_argument(
-        "--lanes-per-node", type=int, default=1,
-        help="ingress lanes per node: 1 runs the whole node per lane; "
-             "the detection shard count runs one lane per state shard "
-             "(lane count never changes results)",
-    )
-    parser.add_argument(
         "--metrics-out", default=None,
         help="write the run's metrics snapshot (and any flight-recorder "
              "frames) as repro.obs JSON",
@@ -208,7 +203,6 @@ def _lane_config(args) -> dict:
         queue_depth=args.queue_depth or None,
         shed=args.shed == "shed",
         adaptive=adaptive,
-        lanes_per_node=args.lanes_per_node,
         flight_interval=args.flight_interval or None,
     )
 
@@ -388,17 +382,17 @@ def run_record(argv: list[str]) -> int:
         mix = mix_by_name(args.mix)
         duration = parse_duration(args.duration)
         spans = _span_config(args)
+        experiment = CodeenWeekExperiment(
+            CodeenWeekConfig(
+                n_sessions=args.sessions, n_nodes=args.nodes,
+                seed=args.seed, duration=duration,
+            )
+        )
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"repro record: {message}", file=sys.stderr)
         return 2
 
-    experiment = CodeenWeekExperiment(
-        CodeenWeekConfig(
-            n_sessions=args.sessions, n_nodes=args.nodes, seed=args.seed,
-            duration=duration,
-        )
-    )
     rng = RngStream(args.seed, "record")
     network, entry_url = experiment.build_network(rng)
     try:
@@ -508,13 +502,13 @@ def run_replay(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    network = ProxyNetwork(
-        origins={},
-        rng=RngStream(0, "replay"),
-        n_nodes=args.nodes,
-        instrument_enabled=False,
-    )
     try:
+        network = ProxyNetwork(
+            origins={},
+            rng=RngStream(0, "replay"),
+            n_nodes=args.nodes,
+            instrument_enabled=False,
+        )
         spans = _span_config(args)
         ladder = None
         if args.ladder:
@@ -752,6 +746,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
 def run_serve(argv: list[str]) -> int:
     """Execute ``repro serve``."""
     import asyncio
+    from dataclasses import replace
 
     from repro.http.uri import Url
     from repro.serve.server import DetectorServer, ServeConfig
@@ -777,17 +772,26 @@ def run_serve(argv: list[str]) -> int:
             policy=args.shed,
             adaptive=adaptive,
         )
+        experiment = CodeenWeekExperiment(
+            CodeenWeekConfig(
+                n_sessions=max(args.swarm, 1), n_nodes=args.nodes,
+                seed=args.seed,
+            )
+        )
+        # The port is known once the server is bound; everything else
+        # is checked here, before the socket exists.
+        swarm_config = SwarmConfig(
+            host=args.host,
+            sessions=args.swarm,
+            mix_name=args.mix,
+            seed=args.seed,
+            concurrency=args.concurrency,
+        )
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"repro serve: {message}", file=sys.stderr)
         return 2
 
-    experiment = CodeenWeekExperiment(
-        CodeenWeekConfig(
-            n_sessions=max(args.swarm, 1), n_nodes=args.nodes,
-            seed=args.seed,
-        )
-    )
     network, entry_url = experiment.build_network(
         RngStream(args.seed, "serve")
     )
@@ -806,15 +810,7 @@ def run_serve(argv: list[str]) -> int:
                 await server.close()
             return 0
         result = await run_swarm(
-            SwarmConfig(
-                host=args.host,
-                port=server.port,
-                sessions=args.swarm,
-                mix_name=args.mix,
-                seed=args.seed,
-                concurrency=args.concurrency,
-            ),
-            entry_url,
+            replace(swarm_config, port=server.port), entry_url
         )
         server.annotate_ground_truth(result.identities())
         await server.close()
@@ -877,6 +873,15 @@ def main(argv: list[str] | None = None) -> int:
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
+    for flag, value in (
+        ("--sessions", args.sessions), ("--ml-sessions", args.ml_sessions)
+    ):
+        if value < 1:
+            print(
+                f"repro {args.experiment}: {flag} must be >= 1",
+                file=sys.stderr,
+            )
+            return 2
 
     if args.experiment == "all":
         if args.metrics_out or args.flight_interval:

@@ -16,15 +16,15 @@ requests in arrival order, and every merged reduction
 (:meth:`finalize`, :meth:`detection_latencies`, the tracker view's
 ``analyzable``) is sorted by ``(started_at, client_ip, user_agent)`` —
 so shard counts 1, 2 and 8 return the same sessions in the same order
-for the same workload, which the test suite enforces.
+for the same workload, which the test suite enforces.  The ingress
+merges a node's shard lanes with the same :func:`merge_sessions`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.detection.events import DetectionEvent
-from repro.detection.online import DetectionLatency, OnlineClassifier
+from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
 
 if TYPE_CHECKING:  # the node owns this view; no import cycle at runtime
@@ -58,11 +58,6 @@ class ShardedTrackerView:
         return [shard.detection.tracker for shard in self._node.state_shards]
 
     @property
-    def idle_timeout(self) -> float:
-        """Seconds of inactivity after which a session ends."""
-        return self._trackers[0].idle_timeout
-
-    @property
     def live_count(self) -> int:
         """Live sessions across all shards."""
         return sum(tracker.live_count for tracker in self._trackers)
@@ -91,19 +86,6 @@ class ShardedDetectionService:
     def __init__(self, node: "ProxyNode") -> None:
         self._node = node
         self.tracker = ShardedTrackerView(node)
-
-    @property
-    def classifier(self) -> OnlineClassifier:
-        """The (stateless) online classifier, identical on every shard."""
-        return self._node.state_shards[0].detection.classifier
-
-    def note_captcha(
-        self, state: SessionState, passed: bool, timestamp: float
-    ) -> DetectionEvent:
-        """Record a CAPTCHA result on the session's owning shard."""
-        return self._node.shard_for(
-            state.key.client_ip
-        ).detection.note_captcha(state, passed, timestamp)
 
     def finalize(self) -> list[SessionState]:
         """Finalize every shard; merged analyzable sessions."""

@@ -149,7 +149,7 @@ class MicroBatcher:
         cadence: flush boundaries depend on the lane's combined stream,
         while checkpoints are a pure function of each session's own
         stream, which is what keeps ladder state byte-identical across
-        executors *and* lane layouts.  Checkpoint verdicts feed only
+        executors *and* shard counts.  Checkpoint verdicts feed only
         the ladder; ``verdicts`` still comes from batch flushes alone.
         """
         if self._model is None:

@@ -1,9 +1,9 @@
 """Lane executors: a lane runs inline, or in its own process.
 
 A *lane* is one fully self-contained partition of ingress state (in this
-codebase: one proxy node, which owns its detection shards, cache,
-limiter, probe registry and counters).  A *lane worker* is any object
-with
+codebase: one node shard, which owns its detection service, probe
+registry, cache, limiter, ladder and counters).  A *lane worker* is any
+object with
 
 * ``process(event)`` — consume one admitted event, mutating only lane
   state, and

@@ -5,9 +5,10 @@ between *arrival* (a trace event, a synthetic session) and *shard*
 (a proxy node's detection state) now sits an explicit admission step
 that
 
-1. routes every event by the stable BLAKE2b hash of its session key's
-   client IP — the same sticky assignment CoDeeN clients get, and the
-   partition the paper's probe table is indexed by, so all of a
+1. routes every event by its client IP to one lane — a lane is one
+   :class:`~repro.proxy.node.NodeShard`: the sticky node CoDeeN
+   clients get, then the node's own IP→shard router
+   (:meth:`~repro.proxy.node.ProxyNode.shard_index_for`), so all of a
    client's sessions, probes and rate-limit state live in one lane;
 2. hands it to that lane's executor — ``serial`` runs the lane inline,
    ``process`` ships it down a bounded pipe to the lane's own
@@ -19,11 +20,13 @@ Because lanes are total partitions of mutable state and each lane is
 consumed in admission order, the final reductions are a pure function
 of the admitted event sequence: executor choice and queue depth change
 wall-clock behaviour, never results.  The merge step reassembles lane
-results in lane order (the order the network lists its nodes).
+results in lane order — the network's shards in ``(node, shard)``
+order — merging each node's shard sessions into one deterministic
+list.
 
 Both engines (:mod:`repro.trace.replay`, :mod:`repro.workload.engine`)
 drive every run through this pipeline, and :class:`IngressConfig` is the
-one place their executor / queue / shedding / lane / tracing options are
+one place their executor / queue / shedding / tracing options are
 checked.
 """
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from repro.ingress.batcher import MicroBatchConfig
 from repro.ingress.executors import (
@@ -41,7 +45,7 @@ from repro.ingress.executors import (
 from repro.ingress.workers import LaneResult
 from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
-from repro.detection.sharded import _session_order
+from repro.detection.sharded import merge_sessions
 from repro.detection.set_algebra import SessionSets
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.batch import BatchVerdict
@@ -58,8 +62,8 @@ from repro.overload.admission import (
     OverloadReport,
 )
 from repro.overload.ladder import LadderConfig, merge_ladder_states
-from repro.proxy.network import NetworkStats, ProxyNetwork
-from repro.state.partition import partition_index
+from repro.proxy.network import ProxyNetwork
+from repro.proxy.node import NodeStats
 
 
 @dataclass(frozen=True)
@@ -80,11 +84,6 @@ class IngressConfig:
     policy: ShedPolicy = ShedPolicy.BLOCK
     chunk_size: int = 256
     housekeeping_interval: float = 600.0
-    #: Lane granularity: 1 = one lane per node (the node is the lane
-    #: state); a value equal to each node's detection shard count hands
-    #: every :class:`~repro.proxy.node.NodeShard` out as its own lane,
-    #: so the process executor scales with cores instead of node count.
-    lanes_per_node: int = 1
     batch: MicroBatchConfig = field(default_factory=MicroBatchConfig)
     scorer_model: AdaBoostModel | None = None
     #: Virtual-time sampling interval for the flight recorder
@@ -122,8 +121,6 @@ class IngressConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.housekeeping_interval < 0:
             raise ValueError("housekeeping_interval must be non-negative")
-        if self.lanes_per_node < 1:
-            raise ValueError("lanes_per_node must be >= 1")
         if self.policy is ShedPolicy.SHED and self.queue_depth is None:
             # An unbounded queue never refuses a put, so SHED would be
             # a silent no-op: the run *looks* shed-protected while
@@ -176,7 +173,7 @@ class IngressResult:
     """Merged output of every lane, plus admission accounting."""
 
     sessions: list[SessionState] = field(default_factory=list)
-    stats: NetworkStats = field(default_factory=NetworkStats)
+    stats: NodeStats = field(default_factory=NodeStats)
     latencies: list[DetectionLatency] = field(default_factory=list)
     ml_verdicts: list[BatchVerdict] = field(default_factory=list)
     lanes: list[LaneResult] = field(default_factory=list)
@@ -195,8 +192,8 @@ class IngressResult:
     #: order (empty unless ``spans`` was configured).
     spans: list[SpanTree] = field(default_factory=list)
     #: Network-wide graduated-response ladder state (None unless the
-    #: ladder was enabled); byte-identical across executors and lane
-    #: layouts once canonically serialised.
+    #: ladder was enabled); byte-identical across executors and shard
+    #: counts once canonically serialised.
     ladder: dict | None = None
     #: Adaptive admission ledger (None unless policy was ADAPTIVE).
     overload: OverloadReport | None = None
@@ -209,9 +206,10 @@ class IngressResult:
 class IngressPipeline:
     """Routes admitted events to their lanes through an executor.
 
-    One lane per proxy node; build workers with
-    :func:`replay_workers` / the workload engine's session workers and
-    feed events through :meth:`submit` from a single admission driver.
+    One lane per node shard, in ``(node, shard)`` order; build workers
+    with :func:`replay_workers` / the workload engine's session workers
+    and feed events through :meth:`submit` from a single admission
+    driver.
     """
 
     def __init__(
@@ -221,12 +219,16 @@ class IngressPipeline:
         config: IngressConfig | None = None,
     ) -> None:
         config = config or IngressConfig()
-        expected = len(network.nodes) * config.lanes_per_node
+        #: First lane of each node: node i's shards are lanes
+        #: ``offsets[i] .. offsets[i + 1] - 1``.
+        self._lane_offsets = [
+            0, *accumulate(node.n_state_shards for node in network.nodes)
+        ]
+        expected = self._lane_offsets[-1]
         if len(workers) != expected:
             raise ValueError(
                 f"need one worker per (node, shard) lane: {len(workers)} "
-                f"workers for {len(network.nodes)} nodes x "
-                f"{config.lanes_per_node} lanes_per_node = {expected}"
+                f"workers for the network's {expected} shards"
             )
         if config.executor == "process" and (
             network.taps
@@ -289,18 +291,14 @@ class IngressPipeline:
         return self._executor.n_lanes
 
     def lane_for(self, client_ip: str) -> int:
-        """Stable lane assignment: sticky node index, then state shard.
+        """Stable lane assignment: sticky node, then the node's shard.
 
-        With ``lanes_per_node`` L, node i's shards occupy lanes
-        ``i*L .. i*L+L-1``; the within-node offset is the same IP hash
-        the node shards on, so a lane's events touch
-        exactly the state that lane carries.
+        The within-node offset is the node's own router, so a lane's
+        events touch exactly the shard that lane carries.
         """
         node_index = self._network.node_index_for(client_ip)
-        lanes = self._config.lanes_per_node
-        if lanes <= 1:
-            return node_index
-        return node_index * lanes + partition_index(client_ip, lanes)
+        node = self._network.nodes[node_index]
+        return self._lane_offsets[node_index] + node.shard_index_for(client_ip)
 
     def submit(self, event, client_ip: str, force: bool = False) -> bool:
         """Admit one event; False when the shed policy refused it.
@@ -482,28 +480,18 @@ class IngressPipeline:
                 firsts.append(lane.first_timestamp)
             if lane.last_timestamp is not None:
                 lasts.append(lane.last_timestamp)
-        lanes_per_node = self._config.lanes_per_node
-        if lanes_per_node <= 1:
-            for lane in lane_results:
-                result.sessions.extend(lane.sessions)
-                result.latencies.extend(lane.latencies)
-        else:
-            # Per-shard lanes: regroup each node's shard lanes and merge
-            # their sessions in the same deterministic order the sharded
-            # service's own reductions use, latencies riding along with
-            # their sessions — so the merged lists are byte-identical to
-            # the one-lane-per-node layout.
-            for start in range(0, len(lane_results), lanes_per_node):
-                pairs = [
-                    (session, latency)
-                    for lane in lane_results[start : start + lanes_per_node]
-                    for session, latency in zip(
-                        lane.sessions, lane.latencies
-                    )
-                ]
-                pairs.sort(key=lambda pair: _session_order(pair[0]))
-                result.sessions.extend(pair[0] for pair in pairs)
-                result.latencies.extend(pair[1] for pair in pairs)
+        # Each node's shard lanes merge in the order the node's own
+        # detection view uses, so shard count never shows in the lists.
+        offsets = self._lane_offsets
+        for start, stop in zip(offsets, offsets[1:]):
+            result.sessions.extend(
+                merge_sessions(
+                    lane.sessions for lane in lane_results[start:stop]
+                )
+            )
+        result.latencies = [
+            DetectionLatency.from_state(state) for state in result.sessions
+        ]
         result.queued = result.stats.queued
         result.shed = result.stats.shed
         result.first_timestamp = min(firsts) if firsts else 0.0
@@ -549,21 +537,16 @@ class IngressPipeline:
 def replay_workers(
     network: ProxyNetwork, config: IngressConfig
 ) -> list:
-    """One :class:`ReplayLaneWorker` per lane state, from ``config``.
-
-    ``lanes_per_node == 1`` wraps each node; larger values hand out each
-    node's :class:`~repro.proxy.node.NodeShard` as its own lane (the
-    node refuses counts that do not match its shard layout).
-    """
+    """One :class:`ReplayLaneWorker` per node shard, from ``config``."""
     from repro.ingress.workers import ReplayLaneWorker
 
     workers = []
     for node in network.nodes:
-        for state in node.lane_states(config.lanes_per_node):
+        for shard in node.state_shards:
             workers.append(
                 ReplayLaneWorker(
                     len(workers),
-                    state,
+                    shard,
                     housekeeping_interval=config.housekeeping_interval,
                     scorer_model=config.scorer_model,
                     batch=config.batch,

@@ -1,32 +1,27 @@
 """Lane workers: the per-lane consumers the executors drive.
 
-A lane wraps one self-contained unit of state: a whole
-:class:`~repro.proxy.node.ProxyNode` (one lane per node: the node
-routes each event to its shard) or a single
-:class:`~repro.proxy.node.NodeShard` — one detection service plus its
-own probe table, cache and rate limiter.  Either way the containment
-property holds: a lane's events touch that lane's state only, which is
-what makes lanes safe to run in separate processes with no locks and
-no cross-talk.  The two classes expose the same surface
-(``handle_traced``, ``register_probe``, ``detection``, ``metrics``,
-``stats``, ``housekeeping``, ``metrics_snapshot``), so workers are
-agnostic to lane granularity.
+A lane is one node shard: a :class:`~repro.proxy.node.NodeShard` —
+one detection service plus its own probe table, cache, rate limiter
+and response ladder.  The containment property holds by construction:
+a lane's events touch that shard's state only, which is what makes
+lanes safe to run in separate processes with no locks and no
+cross-talk.
 
 Two worker flavours:
 
 * :class:`ReplayLaneWorker` consumes trace events — requests and
-  probe-journal registrations — in admission order, sweeping its node's
+  probe-journal registrations — in admission order, sweeping its shard's
   housekeeping on the lane's own event clock and feeding every handled
   exchange to the lane's :class:`~repro.ingress.batcher.MicroBatcher`.
 * :class:`WorkloadLaneWorker` consumes *session* events (agent + start
-  time), then drives them through the node with the interleaved
+  time), then drives them through the shard with the interleaved
   event-time scheduler at finish, annotating ground truth and running
   the CAPTCHA funnel — per-IP RNG splits make those outcomes
   independent of which lane a session landed on.
 
 Both return a picklable :class:`LaneResult`, so the same worker code
 runs inline or inside a lane's child process — and these
-two workers are the only code that drives a request into a node for
+two workers are the only code that drives a request into a shard for
 :class:`~repro.trace.replay.TraceReplayEngine` and
 :class:`~repro.workload.engine.WorkloadEngine`.
 """
@@ -38,7 +33,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.captcha.challenge import CaptchaOutcome
 from repro.captcha.service import CaptchaConfig, CaptchaService, CaptchaStats
-from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
 from repro.detection.verdict import Label
 from repro.ingress.batcher import MicroBatchConfig, MicroBatcher
@@ -58,7 +52,7 @@ from repro.obs.spans import (
     TailSampler,
 )
 from repro.overload.ladder import LADDER_HEADER, LadderConfig
-from repro.proxy.node import NodeShard, NodeStats, ProxyNode
+from repro.proxy.node import NodeShard, NodeStats
 from repro.util.rng import RngStream
 from repro.workload.session_run import SessionRecord
 
@@ -75,7 +69,6 @@ class LaneResult:
     lane: int
     stats: NodeStats
     sessions: list[SessionState] = field(default_factory=list)
-    latencies: list[DetectionLatency] = field(default_factory=list)
     ml_verdicts: list[BatchVerdict] = field(default_factory=list)
     handled: int = 0
     probes_loaded: int = 0
@@ -128,9 +121,9 @@ def export_captcha_stats(metrics, stats: CaptchaStats) -> None:
 
 
 class _LaneWorker:
-    """What both worker flavours hang on their lane's state.
+    """What both worker flavours hang on their lane's shard.
 
-    Lane metrics live on the node's registry — the node is the lane's
+    Lane metrics live on the shard's registry — the shard is the lane's
     state, so one registry rides wherever the lane runs — next to the
     lane's optional span tracer and flight recorder.
     """
@@ -138,16 +131,16 @@ class _LaneWorker:
     def __init__(
         self,
         lane: int,
-        node: ProxyNode | NodeShard,
+        shard: NodeShard,
         taps,
         flight_interval: float | None,
         spans: SpanConfig | None,
     ) -> None:
         self.lane = lane
-        self.node = node
+        self.shard = shard
         self._taps = tuple(taps)
         self._lane_labels = {"lane": str(lane)}
-        self._queue_wait_wall = node.metrics.histogram(
+        self._queue_wait_wall = shard.metrics.histogram(
             "repro_ingress_queue_wait_seconds",
             WALL_SECONDS_BUCKETS,
             self._lane_labels,
@@ -156,7 +149,7 @@ class _LaneWorker:
         #: Live EWMA of this lane's queue delay, mirrored onto gauges so
         #: snapshots / flight frames carry it.
         self.delay_estimator = QueueDelayEstimator()
-        self._delay_wall_gauge = node.metrics.gauge(
+        self._delay_wall_gauge = shard.metrics.gauge(
             "repro_ingress_queue_delay_ewma_seconds",
             self._lane_labels,
             wall=True,
@@ -170,12 +163,12 @@ class _LaneWorker:
             else None
         )
         if self._tracer is not None:
-            node.attach_tracer(self._tracer)
+            shard.attach_tracer(self._tracer)
         self._flight = (
             FlightRecorder(
                 flight_interval,
-                node.metrics,
-                snapshot=node.metrics_snapshot,
+                shard.metrics,
+                snapshot=shard.metrics_snapshot,
             )
             if flight_interval
             else None
@@ -199,14 +192,14 @@ class _LaneWorker:
         if tracer is None:
             if close_batcher is not None:
                 close_batcher()
-            self.node.detection.finalize()
+            self.shard.detection.finalize()
             return
         tracer.begin("finish", end)
         if close_batcher is not None:
             with tracer.span("batch_close", end):
                 close_batcher()
         with tracer.span("finalize", end):
-            self.node.detection.finalize()
+            self.shard.detection.finalize()
         tracer.end(flags=("finish",))
 
     def _lane_result(self, **fields) -> LaneResult:
@@ -214,10 +207,9 @@ class _LaneWorker:
         tracer = self._tracer
         return LaneResult(
             lane=self.lane,
-            stats=self.node.stats,
-            sessions=self.node.detection.tracker.analyzable(),
-            latencies=self.node.detection.detection_latencies(),
-            metrics=self.node.metrics_snapshot(),
+            stats=self.shard.stats,
+            sessions=self.shard.detection.tracker.analyzable(),
+            metrics=self.shard.metrics_snapshot(),
             flight=self._flight.frames if self._flight is not None else [],
             spans=tracer.traces() if tracer is not None else [],
             **fields,
@@ -225,12 +217,12 @@ class _LaneWorker:
 
 
 class ReplayLaneWorker(_LaneWorker):
-    """Streams one lane's trace events through its proxy node."""
+    """Streams one lane's trace events through its node shard."""
 
     def __init__(
         self,
         lane: int,
-        node: ProxyNode | NodeShard,
+        shard: NodeShard,
         housekeeping_interval: float = 600.0,
         scorer_model: AdaBoostModel | None = None,
         batch: MicroBatchConfig | None = None,
@@ -239,40 +231,38 @@ class ReplayLaneWorker(_LaneWorker):
         spans: SpanConfig | None = None,
         ladder: LadderConfig | None = None,
     ) -> None:
-        super().__init__(lane, node, taps, flight_interval, spans)
+        super().__init__(lane, shard, taps, flight_interval, spans)
         self._interval = housekeeping_interval or None
         self._next_sweep: float | None = None
         if batch is not None:
             # The batcher may only evict accumulators for sessions the
             # tracker would rotate on return; a shorter eviction window
             # would silently truncate feature histories.  Clamp up.
-            tracker_timeout = node.detection.tracker.idle_timeout
+            tracker_timeout = shard.detection.tracker.idle_timeout
             if batch.idle_timeout < tracker_timeout:
                 batch = replace(batch, idle_timeout=tracker_timeout)
         self._batcher = MicroBatcher(scorer_model, batch)
-        #: Response-ladder router (the node, or the shard's ladder) when
-        #: the graduated response is on for this lane.
-        self._ladder_router = None
+        #: The shard's response ladder when the graduated response is on
+        #: for this lane.
+        self._ladder = None
         if ladder is not None:
-            self._ladder_router = node.enable_ladder(ladder)
-            self._batcher.attach_ladder(
-                self._ladder_router, ladder.checkpoint_base
-            )
+            self._ladder = shard.enable_ladder(ladder)
+            self._batcher.attach_ladder(self._ladder, ladder.checkpoint_base)
         self._handled = 0
         self._probes_loaded = 0
         self._first: float | None = None
         self._last: float | None = None
-        self._batcher.attach_metrics(node.metrics, self._lane_labels)
+        self._batcher.attach_metrics(shard.metrics, self._lane_labels)
         if self._tracer is not None:
             self._batcher.attach_tracer(self._tracer)
         # The event-time domain of the queue wait: how far behind the
         # lane's own clock an event is when it reaches the worker.
-        self._queue_wait_event = node.metrics.histogram(
+        self._queue_wait_event = shard.metrics.histogram(
             "repro_ingress_queue_wait_event_seconds",
             EVENT_SECONDS_BUCKETS,
             self._lane_labels,
         )
-        self._delay_event_gauge = node.metrics.gauge(
+        self._delay_event_gauge = shard.metrics.gauge(
             "repro_ingress_queue_delay_ewma_event_seconds",
             self._lane_labels,
         )
@@ -296,10 +286,10 @@ class ReplayLaneWorker(_LaneWorker):
                     wall_duration=self._last_wait, wall_end=wall_now,
                 )
                 with tracer.span("register", ts):
-                    self.node.register_probe(record.to_probe())
+                    self.shard.register_probe(record.to_probe())
                 tracer.end()
             else:
-                self.node.register_probe(record.to_probe())
+                self.shard.register_probe(record.to_probe())
             self._probes_loaded += 1
             return
         ts = record.timestamp
@@ -322,10 +312,10 @@ class ReplayLaneWorker(_LaneWorker):
                 wall_duration=self._last_wait, wall_end=wall_now,
             )
             with tracer.span("handle", ts):
-                response, outcome = self.node.handle_traced(request)
+                response, outcome = self.shard.handle_traced(request)
                 flags = _request_flags(response, outcome)
         else:
-            response, outcome = self.node.handle_traced(request)
+            response, outcome = self.shard.handle_traced(request)
         if outcome is not None:
             if tracer is not None and self._batcher.enabled:
                 with tracer.span("batch", ts):
@@ -357,8 +347,8 @@ class ReplayLaneWorker(_LaneWorker):
             first_timestamp=self._first,
             last_timestamp=self._last,
             ladder=(
-                self._ladder_router.export_state()
-                if self._ladder_router is not None
+                self._ladder.export_state()
+                if self._ladder is not None
                 else None
             ),
         )
@@ -387,13 +377,13 @@ class ReplayLaneWorker(_LaneWorker):
         # request, and one sweep at the end of an idle gap subsumes the
         # boundary sweeps inside it.  Sweep timing is behaviour-neutral
         # (idle rotation, cache TTL and bucket eviction are all
-        # re-checked on access), so lane layout never changes results.
+        # re-checked on access), so shard count never changes results.
         if self._interval is None:
             return
         if self._next_sweep is None:
             self._next_sweep = timestamp + self._interval
         elif timestamp >= self._next_sweep:
-            self.node.housekeeping(timestamp)
+            self.shard.housekeeping(timestamp)
             self._next_sweep = timestamp + self._interval
 
 
@@ -402,7 +392,7 @@ class WorkloadLaneWorker(_LaneWorker):
 
     Admission streams ``(SESSION_EVENT, index, agent, start)`` tuples;
     the actual driving happens at :meth:`finish` so the lane can heap-
-    order *all* its sessions by next-event time: the node sees its own
+    order *all* its sessions by next-event time: the shard sees its own
     clients' requests in timestamp order, which is the only order any
     state depends on.
     """
@@ -410,7 +400,7 @@ class WorkloadLaneWorker(_LaneWorker):
     def __init__(
         self,
         lane: int,
-        node: ProxyNode | NodeShard,
+        shard: NodeShard,
         budget,
         collect_features: bool,
         housekeeping_interval: float,
@@ -424,7 +414,7 @@ class WorkloadLaneWorker(_LaneWorker):
         # Sessions are buffered and driven at finish, so only the wall
         # domain of the queue wait (admission, not event skew) is
         # meaningful here — the base's instruments are all there is.
-        super().__init__(lane, node, taps, flight_interval, spans)
+        super().__init__(lane, shard, taps, flight_interval, spans)
         self._budget = budget
         self._collect_features = collect_features
         self._interval = housekeeping_interval
@@ -449,12 +439,12 @@ class WorkloadLaneWorker(_LaneWorker):
         # import would be circular through the package __init__ chain.
         from repro.trace.interleave import InterleavedScheduler
 
-        handler = self.node.handle
+        handler = self.shard.handle
         if self._taps or self._flight is not None or self._tracer is not None:
             # Lane traffic bypasses ProxyNetwork.handle; fire the
             # network's taps (trace recorders) per exchange here — and
             # tick the flight recorder on the driven event clock.
-            def handler(request, _handle=self.node.handle_traced):
+            def handler(request, _handle=self.shard.handle_traced):
                 if self._flight is not None:
                     self._flight.tick(request.timestamp)
                 tracer = self._tracer
@@ -476,7 +466,7 @@ class WorkloadLaneWorker(_LaneWorker):
             handler,
             budget=self._budget,
             collect_features=self._collect_features,
-            housekeeping=self.node.housekeeping,
+            housekeeping=self.shard.housekeeping,
             housekeeping_interval=self._interval,
         )
         records = scheduler.run(
@@ -486,7 +476,7 @@ class WorkloadLaneWorker(_LaneWorker):
         self._finalize(
             max((record.ended_at for record in records), default=0.0)
         )
-        export_captcha_stats(self.node.metrics, self._captcha.stats)
+        export_captcha_stats(self.shard.metrics, self._captcha.stats)
         return self._lane_result(
             handled=sum(record.requests for record in records),
             records=list(zip(self._indices, records)),
@@ -498,7 +488,7 @@ class WorkloadLaneWorker(_LaneWorker):
         # (its tracker state is still live then).  The CAPTCHA stream is
         # split per client IP from the engine's base stream, so outcomes
         # are identical whichever lane (or process) the session ran in.
-        state = self.node.detection.tracker.get(
+        state = self.shard.detection.tracker.get(
             record.client_ip, record.user_agent
         )
         if state is None:
@@ -512,6 +502,6 @@ class WorkloadLaneWorker(_LaneWorker):
             is_human=record.true_label == "human",
         )
         if outcome is CaptchaOutcome.PASSED:
-            self.node.detection.note_captcha(state, True, record.ended_at)
+            self.shard.detection.note_captcha(state, True, record.ended_at)
         elif outcome is CaptchaOutcome.FAILED:
-            self.node.detection.note_captcha(state, False, record.ended_at)
+            self.shard.detection.note_captcha(state, False, record.ended_at)

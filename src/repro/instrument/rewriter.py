@@ -187,7 +187,7 @@ class PageInstrumenter:
         # on how many pages *this* client had instrumented before —
         # never on how many requests other clients interleaved.  A
         # client's event subsequence is identical under every shard
-        # count, lane layout and executor (the admission contract pins
+        # count and executor (the admission contract pins
         # per-client order, and an IP always hashes to one shard), so
         # instrumentation is invariant to all of them while staying
         # fresh per call even for identical (page, timestamp) repeats.

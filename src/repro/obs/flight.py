@@ -38,10 +38,10 @@ class FlightRecorder:
     ``prepare`` (optional) runs just before each sample — the hook that
     lets a node collect its authoritative stats objects into registry
     counters so frames reflect them.  ``snapshot`` (optional) replaces
-    ``registry.snapshot()`` as the frame source: a node whose state is
-    partitioned across several shard registries passes its merging
-    ``metrics_snapshot`` here so frames cover every partition (the
-    ``registry`` is still the one whose listeners fire per frame).
+    ``registry.snapshot()`` as the frame source: a lane passes its
+    shard's export-then-snapshot ``metrics_snapshot`` here so frames
+    carry the shard's stats (the ``registry`` is still the one whose
+    listeners fire per frame).
     """
 
     interval: float

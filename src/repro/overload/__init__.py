@@ -13,7 +13,7 @@ Two controllers live here, one per clock domain:
   state machine through throttle, CAPTCHA, and block rungs; decay and
   solved challenges walk it back down.  Its state is a pure function
   of each IP's own request stream, so it is byte-identical across
-  executors and lane layouts.
+  executors and shard counts.
 """
 
 from repro.overload.admission import (

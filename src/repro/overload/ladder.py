@@ -9,8 +9,8 @@ detection runs.
 Determinism contract
 --------------------
 Ladder state must be byte-identical across ``{serial, process}``
-executors *and* across lane layouts (per-node lanes vs
-per-shard lanes).  Batch flush boundaries depend on a lane's combined
+executors *and* across shard counts (one lane per shard, so a shard
+count is a lane layout).  Batch flush boundaries depend on a lane's combined
 event stream, so flush verdicts cannot drive the ladder without
 breaking that invariant.  Instead sessions are scored at *per-session
 request-count checkpoints* (the session's own observed-request count

@@ -10,13 +10,12 @@ sticky client-to-node assignment and aggregates their statistics.
 """
 
 from repro.proxy.cache import CacheStats, ProxyCache
-from repro.proxy.network import NetworkStats, ProxyNetwork
+from repro.proxy.network import ProxyNetwork
 from repro.proxy.node import NodeStats, ProxyNode
 from repro.proxy.ratelimit import RateLimitConfig, TokenBucket, TokenBucketLimiter
 
 __all__ = [
     "CacheStats",
-    "NetworkStats",
     "NodeStats",
     "ProxyCache",
     "ProxyNetwork",

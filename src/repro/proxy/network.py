@@ -22,16 +22,6 @@ from repro.state.partition import stable_hash
 from repro.util.rng import RngStream
 
 
-class NetworkStats(NodeStats):
-    """The deployment-wide aggregate: :class:`NodeStats`, summed.
-
-    One stats model — every field, fraction and ``absorb`` is the
-    node's.  A subclass rather than an alias only so that the name,
-    which a result's ``repr`` shows (and the golden replay digest
-    hashes), stays what it was.
-    """
-
-
 class ProxyNetwork:
     """A fixed set of nodes sharing the same origins."""
 
@@ -107,10 +97,9 @@ class ProxyNetwork:
     def node_index_for(self, client_ip: str) -> int:
         """Sticky node index by stable hash of the client IP.
 
-        This is also the ingress lane assignment: a node is the unit of
-        self-contained mutable state (detection shards, probe registry,
-        cache, rate buckets), so partitioning arrivals by node index is
-        what lets lanes run in separate processes without sharing.
+        The first half of the ingress lane assignment: the node's own
+        :meth:`~repro.proxy.node.ProxyNode.shard_index_for` picks the
+        shard — the lane — inside it.
         """
         return stable_hash(client_ip, 4) % len(self.nodes)
 
@@ -137,26 +126,12 @@ class ProxyNetwork:
 
     # -- aggregation --------------------------------------------------------
 
-    def stats(self) -> NetworkStats:
+    def stats(self) -> NodeStats:
         """Aggregate statistics across nodes."""
-        total = NetworkStats()
+        total = NodeStats()
         for node in self.nodes:
             total.absorb(node.stats)
         return total
-
-    def metrics_snapshot(self, include_wall: bool = True):
-        """Deployment-wide metrics: node registries merged in node order.
-
-        Node order is the same order the ingress merges lanes in, so
-        this and a run's merged lane snapshots reduce their
-        deterministic metrics identically.
-        """
-        from repro.obs.registry import merge_snapshots
-
-        return merge_snapshots(
-            node.metrics_snapshot(include_wall=include_wall)
-            for node in self.nodes
-        )
 
     def finalize_sessions(self) -> list[SessionState]:
         """Finalize all nodes and collect every analyzable session."""

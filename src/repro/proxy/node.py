@@ -18,9 +18,10 @@ and :meth:`ProxyNode.shard_index_for` (the stable client-IP hash,
 client IP is turned into a shard: requests, journaled probes and
 lookups through the read-only ``node.detection`` view all route there.
 The full request path runs inside the owning shard, so a shard is a
-self-contained lane of execution: the ingress can run one process lane
-per ``(node, shard)`` instead of one per node, and the node merely
-merges shard stats, metrics and ladder state for its callers.
+self-contained lane of execution: every ingress lane carries exactly
+one shard (lanes are the network's shards in ``(node, shard)`` order)
+and drives it directly.  The node itself routes the live server's
+requests to their shard and merges shard stats for its callers.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.overload.ladder import (
     LadderConfig,
     LadderStage,
     ResponseLadder,
-    merge_ladder_states,
 )
 from repro.proxy.cache import ProxyCache
 from repro.proxy.ratelimit import RateLimitConfig, TokenBucketLimiter
@@ -463,7 +463,6 @@ class ProxyNode:
         self._instrument_rng = rng.split(f"instrumenter-{node_id}")
         self._injected = detection is not None
         self._probe_listeners: list = []
-        self.metrics = MetricsRegistry()
         #: Read-only view over the shards' detection services.
         self.detection = ShardedDetectionService(self)
         self._build_shards(
@@ -522,41 +521,21 @@ class ProxyNode:
 
     # -- response ladder ----------------------------------------------------
 
-    def enable_ladder(self, config: LadderConfig | None = None):
+    def enable_ladder(self, config: LadderConfig | None = None) -> None:
         """Enable the graduated response ladder on every state shard.
 
         The ladders live inside their shards, so lane executors carry
-        them without extra plumbing; the node routes verdicts to them
-        (:meth:`observe_verdict`) and exports their union
-        (:meth:`export_state`), and so returns itself as the thing to
-        feed.  Call after any :meth:`shard_detection` re-partitioning —
-        the rebuild discards shard-local state, ladders included.
+        them without extra plumbing; :meth:`ladder_for` finds the one
+        owning a client.  Call after any :meth:`shard_detection`
+        re-partitioning — the rebuild discards shard-local state,
+        ladders included.
         """
         for shard in self._shards:
             shard.enable_ladder(config)
-        return self
 
     def ladder_for(self, client_ip: str) -> ResponseLadder | None:
         """The shard-local ladder owning ``client_ip`` (None = off)."""
         return self.shard_for(client_ip).ladder
-
-    def observe_verdict(
-        self, client_ip: str, margin: float, timestamp: float
-    ) -> None:
-        """Feed a checkpoint verdict to the ladder owning ``client_ip``."""
-        self.shard_for(client_ip).ladder.observe_verdict(
-            client_ip, margin, timestamp
-        )
-
-    def export_state(self) -> dict:
-        """The node's ladder state: the union of its shards' exports.
-
-        IPs are sticky to a shard, so the per-shard states are disjoint
-        and the merge does not depend on the shard count.
-        """
-        return merge_ladder_states(
-            shard.ladder.export_state() for shard in self._shards
-        )
 
     # -- shard topology -----------------------------------------------------
 
@@ -575,10 +554,6 @@ class ProxyNode:
 
     def shard_for(self, client_ip: str) -> NodeShard:
         return self._shards[self.shard_index_for(client_ip)]
-
-    def register_probe(self, probe: RegisteredProbe) -> None:
-        """Register one journaled probe on the shard owning its client."""
-        self.shard_for(probe.client_ip).register_probe(probe)
 
     # -- probe listeners ----------------------------------------------------
 
@@ -599,25 +574,6 @@ class ProxyNode:
             self._probe_listeners.remove(listener)
             for shard in self._shards:
                 shard.detection.registry.remove_listener(listener)
-
-    def lane_states(self, lanes_per_node: int) -> list:
-        """The lane-sized state units for a given lane granularity.
-
-        ``1`` keeps today's one-lane-per-node layout (the node itself
-        is the lane state); a value equal to the detection shard count
-        hands each shard out as its own lane.  Anything else cannot be
-        a total partition of the node's state, so it is refused.
-        """
-        if lanes_per_node <= 1:
-            return [self]
-        if lanes_per_node != len(self._shards):
-            raise ValueError(
-                f"{self.node_id}: lanes_per_node={lanes_per_node} must be "
-                f"1 or match the node's {len(self._shards)} detection "
-                "shard(s) — shards are the only self-contained state "
-                "units lanes can carry"
-            )
-        return list(self._shards)
 
     @property
     def instrument_enabled(self) -> bool:
@@ -650,47 +606,12 @@ class ProxyNode:
         """Route the request to its owning state shard and process it."""
         return self.shard_for(request.client_ip).handle_traced(request)
 
-    # -- tracing ------------------------------------------------------------
-
-    def attach_tracer(self, tracer) -> None:
-        """Attach one span tracer to every state shard (``None`` detaches).
-
-        Node-as-lane layouts (``lanes_per_node=1``) share a single
-        tracer across the node's shards: requests are handled one at a
-        time, so stage spans still nest correctly under the caller's
-        open trace.
-        """
-        for shard in self._shards:
-            shard.attach_tracer(tracer)
-
     # -- metrics ------------------------------------------------------------
 
     @property
     def has_metric_listeners(self) -> bool:
-        """Whether any registry (node- or shard-level) has listeners."""
-        return self.metrics.has_listeners or any(
-            shard.metrics.has_listeners for shard in self._shards
-        )
-
-    def export_metrics(self) -> None:
-        """Collect every shard's authoritative stats into its registry."""
-        for shard in self._shards:
-            shard.export_metrics()
-
-    def metrics_snapshot(self, include_wall: bool = True):
-        """Node-wide snapshot: node registry plus shards, in shard order."""
-        from repro.obs.registry import merge_snapshots
-
-        self.export_metrics()
-        return merge_snapshots(
-            [
-                self.metrics.snapshot(include_wall=include_wall),
-                *(
-                    shard.metrics.snapshot(include_wall=include_wall)
-                    for shard in self._shards
-                ),
-            ]
-        )
+        """Whether any shard's registry has listeners."""
+        return any(shard.metrics.has_listeners for shard in self._shards)
 
     # -- reconfiguration ----------------------------------------------------
 

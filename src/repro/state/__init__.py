@@ -4,7 +4,7 @@ The paper's detector kept all per-client state (probe table, rate
 buckets, cache) inside one proxy node.  This repo splits a node into N
 shards keyed by a stable BLAKE2b hash of the client IP, so a *shard* —
 not a whole node — is the smallest self-contained state unit and
-process lanes can run one per shard.
+every ingress lane carries exactly one shard.
 
 :mod:`repro.state.partition` holds the hash itself.  Every per-client
 store is a plain object inside a :class:`~repro.proxy.node.NodeShard`,

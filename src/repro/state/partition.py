@@ -1,9 +1,9 @@
 """The stable client-IP partition hash.
 
-The node's shard router and the ingress lane router must agree on
-which partition owns a client, or a process lane would touch state it
-does not carry.  Both call :func:`partition_index`:
-``ProxyNode.shard_index_for`` and ``IngressPipeline.lane_for``.
+``ProxyNode.shard_index_for`` is its one caller, and so the one
+IP→shard router: the ingress lane router asks the node rather than
+hashing for itself, so a process lane can never be handed an event for
+state it does not carry.
 
 The hash is BLAKE2b over the raw key with an 8-byte digest, reduced
 little-endian.  It is deliberately *not* the 4-byte digest

@@ -40,7 +40,8 @@ from repro.ml.batch import BatchVerdict
 from repro.obs.flight import FlightFrame
 from repro.obs.registry import MetricsSnapshot
 from repro.obs.spans import SpanConfig, SpanTree
-from repro.proxy.network import NetworkStats, ProxyNetwork
+from repro.proxy.network import ProxyNetwork
+from repro.proxy.node import NodeStats
 from repro.trace.clf import ParseStats, TraceRecord, read_trace
 from repro.trace.recorder import ProbeRecord, read_probe_journal
 from repro.workload.results import SessionCensus, apply_session_identities
@@ -75,7 +76,7 @@ class ReplayConfig:
     handles each inline, ``process`` ships them to one child process per
     lane over a pipe bounded at ``queue_depth`` events (None =
     unbounded).  Results are bit-identical across executors, depths and
-    lane layouts unless ``shed`` / ``adaptive`` opt into load shedding,
+    shard counts unless ``shed`` / ``adaptive`` opt into load shedding,
     which needs the ``process`` executor — inline lanes have no backlog
     to shed from.  ``scorer_model`` additionally micro-batches §4.2
     ensemble scoring per lane under the ``batch`` count/latency budgets.
@@ -100,10 +101,6 @@ class ReplayConfig:
     #: Graduated response ladder (throttle -> CAPTCHA -> block) driven
     #: live from micro-batch checkpoint verdicts; needs ``scorer_model``.
     ladder: "LadderConfig | None" = None
-    #: Lane granularity: 1 = one lane per node; the node's detection
-    #: shard count = one lane per :class:`~repro.proxy.node.NodeShard`,
-    #: so process lanes scale with cores instead of node count.
-    lanes_per_node: int = 1
     scorer_model: "AdaBoostModel | None" = None
     batch: "MicroBatchConfig | None" = None
     #: Virtual-time flight-recorder sampling interval (None = off):
@@ -130,7 +127,6 @@ class ReplayConfig:
             queue_depth=self.queue_depth,
             policy=shed_policy(self.shed, self.adaptive),
             housekeeping_interval=self.housekeeping_interval,
-            lanes_per_node=self.lanes_per_node,
             batch=self.batch or MicroBatchConfig(),
             scorer_model=self.scorer_model,
             flight_interval=self.flight_interval,
@@ -146,7 +142,7 @@ class ReplayResult(SessionCensus):
 
     sessions: list[SessionState]
     summary: SetAlgebraSummary
-    stats: NetworkStats
+    stats: NodeStats
     latencies: list[DetectionLatency]
     requests_replayed: int = 0
     probes_loaded: int = 0

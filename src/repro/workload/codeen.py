@@ -17,7 +17,8 @@ from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
 from repro.detection.set_algebra import SetAlgebraSummary
 from repro.instrument.rewriter import InstrumentConfig
-from repro.proxy.network import NetworkStats, ProxyNetwork
+from repro.proxy.network import ProxyNetwork
+from repro.proxy.node import NodeStats
 from repro.site.generator import SiteConfig, SiteGenerator
 from repro.site.origin import OriginServer
 from repro.util.rng import RngStream
@@ -49,6 +50,8 @@ class CodeenWeekConfig:
     def __post_init__(self) -> None:
         if self.n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
+        if self.n_nodes < 1:
+            raise ValueError("n_nodes must be >= 1")
         if self.flight_interval is not None and self.flight_interval <= 0:
             raise ValueError(
                 "flight_interval must be positive (or None to disable)"
@@ -85,7 +88,7 @@ class CodeenWeekResult:
 
     config: CodeenWeekConfig
     summary: SetAlgebraSummary
-    stats: NetworkStats
+    stats: NodeStats
     latencies: list[DetectionLatency]
     sessions: list[SessionState]
     captcha_check: CaptchaCrossCheck

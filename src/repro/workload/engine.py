@@ -57,9 +57,9 @@ class WorkloadConfig:
     start times.  ``shards`` > 0 hash-partitions each node's detection
     state into that many shards before traffic starts (0 keeps the
     network as built); shard count never changes results, only the
-    scaling architecture.
+    scaling architecture: every shard is one ingress lane.
 
-    Sessions are routed by their client IP's sticky node to that node's
+    Sessions are routed by their client IP to its node's owning shard's
     lane and every lane drives its own sessions in event-time order.
     ``mode`` says where the lanes run: ``"interleaved"`` (the default)
     inline, ``"pipelined"`` on ``executor`` — ``serial`` (inline again)
@@ -89,9 +89,6 @@ class WorkloadConfig:
     #: Delay-budget admission with per-IP fairness
     #: (``ShedPolicy.ADAPTIVE``); an :class:`AdaptiveConfig` or None.
     adaptive: object | None = None
-    #: Lane granularity: 1 = one lane per node; the detection shard
-    #: count = one lane per :class:`~repro.proxy.node.NodeShard`.
-    lanes_per_node: int = 1
     #: Virtual-time flight-recorder sampling interval (None = off).
     flight_interval: float | None = None
     #: Tail-sampling budgets for causal span tracing (None = off); one
@@ -129,7 +126,6 @@ class WorkloadConfig:
             policy=shed_policy(self.shed, self.adaptive),
             adaptive=self.adaptive,
             housekeeping_interval=self.housekeeping_interval,
-            lanes_per_node=self.lanes_per_node,
             flight_interval=self.flight_interval,
             spans=self.spans,
         )
@@ -173,9 +169,9 @@ class WorkloadEngine:
         Sessions are admitted through the ingress; lanes drive their
         own.  Ground-truth annotation and the CAPTCHA funnel run inside
         the lane workers (per-IP RNG splits make the outcomes
-        independent of the lane layout), so the result is assembled
+        independent of the shard count), so the result is assembled
         purely from the merged lane outputs — which is what lets the
-        ``process`` executor run each node in a separate interpreter.
+        ``process`` executor run each shard in a separate interpreter.
         """
         # Deferred import: see WorkloadConfig.ingress().
         from repro.ingress.pipeline import IngressPipeline
@@ -193,11 +189,11 @@ class WorkloadEngine:
         captcha_rng = self._rng.split("captcha")
         workers = []
         for node in self._network.nodes:
-            for state in node.lane_states(cfg.lanes_per_node):
+            for shard in node.state_shards:
                 workers.append(
                     WorkloadLaneWorker(
                         len(workers),
-                        state,
+                        shard,
                         budget=cfg.budget,
                         collect_features=cfg.collect_features,
                         housekeeping_interval=cfg.housekeeping_interval,

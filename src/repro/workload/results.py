@@ -19,7 +19,7 @@ from repro.ml.dataset import Dataset
 from repro.obs.flight import FlightFrame
 from repro.obs.registry import MetricsSnapshot
 from repro.obs.spans import SpanTree
-from repro.proxy.network import NetworkStats
+from repro.proxy.node import NodeStats
 from repro.workload.session_run import SessionRecord
 
 
@@ -83,7 +83,7 @@ class WorkloadResult(SessionCensus):
     records: list[SessionRecord]
     sessions: list[SessionState]
     summary: SetAlgebraSummary
-    stats: NetworkStats
+    stats: NodeStats
     latencies: list[DetectionLatency]
     dataset: Dataset
     captcha: CaptchaService

@@ -39,8 +39,13 @@ def _run(make_node, entry_url, bot_cls, ua=ROBOT_UA, seed=3, **kwargs):
     return record, state, node
 
 
+def _classifier(node, state):
+    """The online classifier of the shard that owns ``state``."""
+    return node.shard_for(state.key.client_ip).detection.classifier
+
+
 def _final_label(node, state):
-    return node.detection.classifier.classify_final(state).label
+    return _classifier(node, state).classify_final(state).label
 
 
 class TestCrawler:
@@ -66,7 +71,7 @@ class TestCrawler:
             max_requests=120, polite=False, follow_hidden=True,
         )
         assert state.followed_hidden_link
-        verdict = node.detection.classifier.classify_final(state)
+        verdict = _classifier(node, state).classify_final(state)
         assert verdict.label is Label.ROBOT
         assert verdict.definitive
 
@@ -177,7 +182,7 @@ class TestEngineBot:
             ua="Wget/1.10.2", forge_header=True, seed=8,
         )
         assert state.ua_mismatched
-        verdict = node.detection.classifier.classify_final(state)
+        verdict = _classifier(node, state).classify_final(state)
         assert verdict.definitive
 
     def test_honest_engine_no_mismatch(self, make_node, entry_url):
@@ -209,7 +214,7 @@ class TestBlindFetcher:
                 ua=BROWSER_UA, seed=seed, fetch_per_page=2,
             )
             if state.wrong_key_fetches:
-                verdict = node.detection.classifier.classify_final(state)
+                verdict = _classifier(node, state).classify_final(state)
                 assert verdict.label is Label.ROBOT
                 assert verdict.definitive
                 return

@@ -185,9 +185,9 @@ class TestShardedService:
         outcome = node.handle_traced(
             _request("7.7.7.7", "human/1.0", timestamp=5.0)
         )[1]
-        event = node.detection.note_captcha(
-            outcome.state, True, timestamp=6.0
-        )
+        # The lane worker records CAPTCHA results on the shard it
+        # drives: the one the node routes the client to.
+        event = owner.note_captcha(outcome.state, True, timestamp=6.0)
         assert outcome.state.passed_captcha
         assert event.kind is EventKind.CAPTCHA_PASSED
         assert event.session_id == outcome.state.session_id
@@ -238,7 +238,9 @@ class TestShardService:
             assert shard.limiter.config is limits
             assert shard.instrument_enabled
             assert shard.detection.tracker.total_started == 0
-        node.register_probe(_probe("4.4.4.4", key="k-heard"))
+        node.shard_for("4.4.4.4").register_probe(
+            _probe("4.4.4.4", key="k-heard")
+        )
         assert [p.key for p in heard] == ["k-heard"]
 
     def test_refuses_after_traffic(self):
@@ -249,7 +251,9 @@ class TestShardService:
 
     def test_refuses_after_a_probe_lands(self):
         node = _node(1)
-        node.register_probe(_probe("4.4.4.4", key="k-landed"))
+        node.shard_for("4.4.4.4").register_probe(
+            _probe("4.4.4.4", key="k-landed")
+        )
         with pytest.raises(RuntimeError, match="node-view"):
             node.shard_detection(2)
         assert node.n_state_shards == 1

@@ -134,7 +134,7 @@ LADDER = LadderConfig(challenge_patience=4)
 BATCH = MicroBatchConfig(max_batch=32, max_delay=1800.0)
 
 
-def _ladder_replay(ddos_trace, executor, lanes=1, shards=0):
+def _ladder_replay(ddos_trace, executor, shards=0):
     return _replay(
         ddos_trace,
         executor=executor,
@@ -143,7 +143,6 @@ def _ladder_replay(ddos_trace, executor, lanes=1, shards=0):
         batch=BATCH,
         ladder=LADDER,
         shards=shards,
-        lanes_per_node=lanes,
     )
 
 
@@ -259,18 +258,13 @@ class TestLadderDeterminism:
         assert reference.stats.ladder_blocked > 0
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("lanes", [1, SHARDS])
+    @pytest.mark.parametrize("shards", [1, SHARDS])
     def test_ladder_state_byte_identical(
-        self, ddos_trace, reference, executor, lanes
+        self, ddos_trace, reference, executor, shards
     ):
-        if lanes == 1 and executor == "serial":
+        if shards == 1 and executor == "serial":
             return  # the reference itself
-        result = _ladder_replay(
-            ddos_trace,
-            executor,
-            lanes=lanes,
-            shards=SHARDS if lanes > 1 else 0,
-        )
+        result = _ladder_replay(ddos_trace, executor, shards=shards)
         assert json.dumps(result.ladder, sort_keys=True) == json.dumps(
             reference.ladder, sort_keys=True
         )

@@ -4,7 +4,7 @@ The acceptance matrix: census, set-algebra summary, per-session verdicts
 and network stats must be byte-identical across ``{serial, process}``
 executors × queue depths ``{1, 16, unbounded}`` on the same recorded
 trace.  The reference is the loop that runs inline in the caller — the
-serial executor, one lane per node — and that
+serial executor, one lane per node shard — and that
 reference is itself held against :func:`_oracle`, a replay that knows
 nothing of lanes or pipelines.  Load shedding must be visible in the
 stats, never silent.
@@ -130,7 +130,9 @@ def _oracle(recorded) -> SessionCensus:
         if is_request:
             network.handle(item.to_request())
         else:
-            network.node_for(item.client_ip).register_probe(item.to_probe())
+            network.node_for(item.client_ip).shard_for(
+                item.client_ip
+            ).register_probe(item.to_probe())
     result = SessionCensus()
     result.sessions = network.finalize_sessions()
     apply_session_identities(result.sessions, session_identities(records))
@@ -143,7 +145,7 @@ def _oracle(recorded) -> SessionCensus:
 class TestExecutorDeterminism:
     @pytest.fixture(scope="class")
     def baseline(self, recorded):
-        return _replay(recorded, executor="serial", lanes_per_node=1)
+        return _replay(recorded, executor="serial")
 
     def test_serial_reference_matches_the_oracle(self, recorded, baseline):
         oracle = _oracle(recorded)
@@ -203,13 +205,13 @@ class TestExecutorDeterminism:
 
 
 class TestLaneGranularity:
-    """Per-shard lanes: lane count is a topology knob, never a
+    """A lane is a shard: shard count is a topology knob, never a
     behaviour knob.
 
-    With ``lanes_per_node`` equal to the detection shard count, every
-    ``(node, shard)`` pair becomes its own ingress lane carrying only
-    its partition's state.  Results must stay byte-identical to the
-    one-lane-per-node layout across every executor.
+    Every ``(node, shard)`` pair is its own ingress lane carrying only
+    its partition's state, so the shard count is the lane count per
+    node.  Results must stay byte-identical across shard counts and
+    executors.
     """
 
     SHARDS = 4
@@ -217,24 +219,16 @@ class TestLaneGranularity:
     @pytest.fixture(scope="class")
     def reference(self, recorded):
         return _replay(
-            recorded,
-            shards=self.SHARDS,
-            executor="serial",
-            queue_depth=16,
-            lanes_per_node=1,
+            recorded, shards=self.SHARDS, executor="serial", queue_depth=16
         )
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("lanes", [1, SHARDS])
+    @pytest.mark.parametrize("shards", [1, SHARDS])
     def test_lane_matrix_matches(
-        self, recorded, reference, executor, lanes
+        self, recorded, reference, executor, shards
     ):
         result = _replay(
-            recorded,
-            shards=self.SHARDS,
-            executor=executor,
-            queue_depth=16,
-            lanes_per_node=lanes,
+            recorded, shards=shards, executor=executor, queue_depth=16
         )
         assert result.summary == reference.summary
         assert result.kind_census() == reference.kind_census()
@@ -245,45 +239,60 @@ class TestLaneGranularity:
         assert _ordered(result) == _ordered(reference)
 
     @pytest.mark.parametrize(
-        "shards, lanes", [(0, 1), (1, 1), (2, 1), (2, 2), (8, 1), (8, 8)]
+        "shards, depth", [(0, 1), (1, 1), (2, 1), (2, 2), (8, 1), (8, 8)]
     )
     def test_shard_count_does_not_show_in_order(
-        self, recorded, reference, shards, lanes
+        self, recorded, reference, shards, depth
     ):
-        # 0 keeps the network as built: one shard per node.
+        # 0 keeps the network as built: one shard per node.  Each shard
+        # is a process lane, so its pipe depth (one event, or one per
+        # shard) must not show either.
         result = _replay(
-            recorded, shards=shards, executor="serial", lanes_per_node=lanes
+            recorded, shards=shards, executor="process", queue_depth=depth
         )
         assert result.summary == reference.summary
+        assert result.stats == reference.stats
         assert _ordered(result) == _ordered(reference)
 
     def test_deterministic_metrics_invariant_to_lane_count(
         self, recorded, reference
     ):
-        # Lane-labeled series (queue waits, admission counters) are
-        # queue-topology-scoped by definition, and sweep bookkeeping
-        # runs on per-lane event clocks — everything else must be
-        # byte-identical between one lane per node and one per shard.
+        # A shard count decides which {lane, shard} label a count lands
+        # on, never the count: summed over those labels, deterministic
+        # series agree between one lane per node and four.  Three kinds
+        # of series are exempt, each scoped to a lane's own stream: the
+        # micro-batcher's flush grouping, queue waits (a lane's first
+        # event has none), and sweep bookkeeping on per-lane clocks.
+        lane_scoped = ("repro_batch_", "repro_ingress_queue_")
         sweep_dependent = {
             "repro_cache_expired_total",
             "repro_ratelimit_evicted_total",
         }
 
         def comparable(snapshot):
-            return {
-                p.key: p
-                for p in snapshot.deterministic().points
-                if "lane" not in dict(p.labels)
-                and p.name not in sweep_dependent
-            }
+            totals = {}
+            for point in snapshot.deterministic().points:
+                if (
+                    point.name.startswith(lane_scoped)
+                    or point.name in sweep_dependent
+                ):
+                    continue
+                labels = tuple(
+                    (key, value)
+                    for key, value in point.labels
+                    if key not in ("lane", "shard")
+                )
+                point = dataclasses.replace(point, labels=labels)
+                known = totals.get(point.key)
+                totals[point.key] = (
+                    point if known is None else known.merged(point)
+                )
+            return totals
 
         result = _replay(
-            recorded,
-            shards=self.SHARDS,
-            executor="process",
-            queue_depth=16,
-            lanes_per_node=self.SHARDS,
+            recorded, shards=1, executor="process", queue_depth=16
         )
+        assert result.metrics.series("repro_ingress_admitted_total")
         assert comparable(result.metrics) == comparable(reference.metrics)
 
     def test_per_shard_lanes_outnumber_nodes(self):
@@ -294,38 +303,69 @@ class TestLaneGranularity:
             instrument_enabled=False,
         )
         network.shard_detection(self.SHARDS)
-        config = IngressConfig(
-            executor="serial", lanes_per_node=self.SHARDS
-        )
+        config = IngressConfig(executor="serial")
         workers = replay_workers(network, config)
         assert len(workers) == 3 * self.SHARDS > len(network.nodes)
+        assert [worker.shard for worker in workers] == [
+            shard for node in network.nodes for shard in node.state_shards
+        ]
         pipeline = IngressPipeline(network, workers, config)
         try:
-            from repro.state.partition import partition_index
-
+            assert pipeline.n_lanes == 3 * self.SHARDS
             for i in range(64):
                 ip = f"10.1.{i}.7"
                 lane = pipeline.lane_for(ip)
+                node = network.node_for(ip)
                 assert lane // self.SHARDS == network.node_index_for(ip)
-                assert lane % self.SHARDS == partition_index(
-                    ip, self.SHARDS
-                )
+                assert lane % self.SHARDS == node.shard_index_for(ip)
+                assert workers[lane].shard is node.shard_for(ip)
         finally:
             pipeline.close()
 
-    def test_lane_count_validation(self, recorded):
-        with pytest.raises(ValueError):
-            ReplayConfig(lanes_per_node=0)
-        # Anything that is not 1 or the shard count cannot be a total
-        # partition of a node's state.
-        with pytest.raises(ValueError, match="lanes_per_node"):
-            _replay(
-                recorded,
-                shards=self.SHARDS,
-                executor="serial",
-                lanes_per_node=3,
-            )
+    def test_each_lane_reaches_only_its_own_shard(self, recorded):
+        """A network sharded four ways runs ``nodes x 4`` lanes, and a
+        lane's requests and probes land in its own shard's tracker and
+        probe table — never in another shard's."""
+        records, probes = recorded
+        network = ProxyNetwork(
+            origins={},
+            rng=RngStream(0, "replay"),
+            n_nodes=3,
+            instrument_enabled=False,
+        )
+        network.shard_detection(self.SHARDS)
+        config = IngressConfig(executor="serial", housekeeping_interval=0)
+        workers = replay_workers(network, config)
+        pipeline = IngressPipeline(network, workers, config)
+        assert pipeline.n_lanes == len(network.nodes) * self.SHARDS
+        from repro.ingress.workers import PROBE_EVENT, REQUEST_EVENT
 
+        for probe in probes:
+            pipeline.submit((PROBE_EVENT, probe), probe.client_ip)
+        for record in records:
+            pipeline.submit((REQUEST_EVENT, record), record.client_ip)
+        result = pipeline.close()
+        assert len(result.lanes) == pipeline.n_lanes
+        for lane, worker in enumerate(workers):
+            shard = worker.shard
+            owned = {
+                ip
+                for ip in {r.client_ip for r in records}
+                | {p.client_ip for p in probes}
+                if pipeline.lane_for(ip) == lane
+            }
+            assert owned  # every lane carries traffic
+            started = {
+                s.key.client_ip for s in shard.detection.tracker.analyzable()
+            }
+            tabled = {
+                p.client_ip for p in shard.detection.registry.iter_probes()
+            }
+            assert started and started <= owned
+            assert tabled and tabled <= owned
+            assert result.lanes[lane].handled == sum(
+                1 for r in records if r.client_ip in owned
+            )
 
 class TestMetricsDeterminism:
     """Snapshot byte-identity: the observability acceptance matrix."""
@@ -392,7 +432,9 @@ class TestMetricsDeterminism:
             n_nodes=3,
             instrument_enabled=False,
         )
-        network.nodes[0].metrics.add_listener(lambda frame: None)
+        network.nodes[0].state_shards[0].metrics.add_listener(
+            lambda frame: None
+        )
         engine = TraceReplayEngine(
             network,
             ReplayConfig(assume_sorted=True, executor="process"),
@@ -467,7 +509,7 @@ class TestBatcherTrackerAlignment:
         )
         worker = ReplayLaneWorker(
             0,
-            node,
+            node.state_shards[0],
             scorer_model=_scorer_model(),
             batch=MicroBatchConfig(idle_timeout=60.0),
         )

@@ -2,9 +2,10 @@
 
 The acceptance matrix for causal tracing: the virtual-domain trace
 export must be byte-identical across ``{serial, process}`` executors
-× lane counts on the same recorded trace.  The baseline is the default
-replay — the serial executor, one lane per node: the loop that runs
-inline in the caller.  Wall-domain traces are
+on the same recorded trace, and repeatable at any shard count (more
+shards are more lanes, which number traces differently).  The baseline
+is the default replay — the serial executor, one shard and so one lane
+per node: the loop that runs inline in the caller.  Wall-domain traces are
 non-deterministic by nature but must parse, profile, and attribute the
 bulk of end-to-end time to named stages.
 """
@@ -75,37 +76,30 @@ def _replay(recorded, **config_kwargs):
 class TestVirtualTraceIdentity:
     @pytest.fixture(scope="class")
     def baseline(self, recorded):
-        """The default (serial, per-node lanes) virtual trace export."""
+        """The default (serial, one shard per node) virtual trace export."""
         result = _replay(recorded)
         assert result.spans
         return to_trace_events(result.spans, clock="virtual")
 
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    @pytest.mark.parametrize("lanes", [1, SHARDS])
+    @pytest.mark.parametrize("shards", [1, SHARDS])
     def test_matrix_matches_synchronous_loop(
-        self, recorded, baseline, executor, lanes
+        self, recorded, baseline, executor, shards
     ):
         result = _replay(
-            recorded,
-            executor=executor,
-            queue_depth=16,
-            shards=SHARDS,
-            lanes_per_node=lanes,
+            recorded, executor=executor, queue_depth=16, shards=shards
         )
         exported = to_trace_events(result.spans, clock="virtual")
-        if lanes == 1:
+        if shards == 1:
             assert exported == baseline
         else:
-            # Per-shard lanes renumber trace ids; the span structure
-            # per trace must still be deterministic and well-formed.
+            # More shards are more lanes, which renumber trace ids; the
+            # span structure per trace must still be deterministic and
+            # well-formed.
             document = json.loads(exported)
             assert document["otherData"]["clock"] == "virtual"
             repeat = _replay(
-                recorded,
-                executor=executor,
-                queue_depth=16,
-                shards=SHARDS,
-                lanes_per_node=lanes,
+                recorded, executor=executor, queue_depth=16, shards=shards
             )
             assert exported == to_trace_events(
                 repeat.spans, clock="virtual"
@@ -134,7 +128,7 @@ class TestVirtualTraceIdentity:
         finish = [
             t for t in result.spans if "finish" in t.categories
         ]
-        assert len(finish) == 2  # one per node-lane
+        assert len(finish) == 2  # one per lane: two nodes of one shard
         assert {t.lane for t in finish} == {0, 1}
 
 

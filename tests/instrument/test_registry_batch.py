@@ -213,7 +213,7 @@ class TestPartitionedRegistry:
                 serial,
             )
             for probe in probes:
-                node.register_probe(probe)
+                node.shard_for(ip).register_probe(probe)
             registered += probes
             owner = node.shard_index_for(ip)
             for index, shard in enumerate(node.state_shards):

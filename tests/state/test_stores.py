@@ -44,6 +44,11 @@ def _probe(client_ip, key, issued_at=0.0):
     )
 
 
+def _register(node, probe):
+    """Register a journaled probe on the shard owning its client."""
+    node.shard_for(probe.client_ip).register_probe(probe)
+
+
 def _request(client_ip, path="/a.css", timestamp=0.0):
     return Request(
         method=Method.GET,
@@ -69,7 +74,7 @@ class TestPartitionedRegistry:
     def test_routes_and_merges(self):
         node = _node(shards=4)
         for i, ip in enumerate(_ips(64)):
-            node.register_probe(_probe(ip, f"k{i}"))
+            _register(node, _probe(ip, f"k{i}"))
         tables = [shard.detection.registry for shard in node.state_shards]
         assert sum(len(table) for table in tables) == 64
         assert all(len(table) for table in tables)
@@ -85,11 +90,11 @@ class TestPartitionedRegistry:
         node.shard_detection(4)  # the rebuilt tables keep the listener
         assert node.probe_listeners == (seen.append,)
         for i, ip in enumerate(_ips(32)):
-            node.register_probe(_probe(ip, f"k{i}"))
+            _register(node, _probe(ip, f"k{i}"))
         assert len(seen) == 32
         node.remove_probe_listener(seen.append)
         assert node.probe_listeners == ()
-        node.register_probe(_probe("203.0.113.1", "unheard"))
+        _register(node, _probe("203.0.113.1", "unheard"))
         assert len(seen) == 32
 
     def test_expiry_equivalent_to_unpartitioned(self):
@@ -100,7 +105,7 @@ class TestPartitionedRegistry:
         for i, ip in enumerate(_ips()):
             probe = _probe(ip, f"k{i}", issued_at=float(i % 500) - 3500.0)
             flat.register(probe)
-            node.register_probe(probe)
+            _register(node, probe)
 
         def survivors():
             return sorted(
@@ -261,7 +266,7 @@ class TestPickleSafety:
     def test_partitioned_stores_round_trip(self):
         # A shard's own stores travel with the shard.
         node = _node(shards=4, rate_limit=RateLimitConfig())
-        node.register_probe(_probe("192.0.2.1", "k-travels"))
+        _register(node, _probe("192.0.2.1", "k-travels"))
         node.handle(_request("192.0.2.1"))
         shard = pickle.loads(pickle.dumps(node.shard_for("192.0.2.1")))
         assert [p.key for p in shard.detection.registry.iter_probes()] == [
@@ -302,12 +307,12 @@ class TestPickleSafety:
             rng=RngStream(2, "pickle-test"),
             detection_shards=2,
         )
-        for lane, state in enumerate(node.lane_states(2)):
-            replay = ReplayLaneWorker(lane, state)
+        for lane, shard in enumerate(node.state_shards):
+            replay = ReplayLaneWorker(lane, shard)
             assert pickle.loads(pickle.dumps(replay)).lane == lane
             workload = WorkloadLaneWorker(
                 lane,
-                state,
+                shard,
                 budget=SessionBudget(),
                 collect_features=False,
                 housekeeping_interval=600.0,

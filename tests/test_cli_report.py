@@ -87,12 +87,12 @@ class TestTraceCommands:
         lane_flags = [
             "--shards", "2", "--executor", "process", "--queue-depth", "8",
             "--shed", "adaptive", "--delay-budget", "0.5",
-            "--lanes-per-node", "2", "--metrics-out", "m.json",
+            "--metrics-out", "m.json",
             "--flight-interval", "60",
         ]
         shared = (
             "shards", "executor", "queue_depth", "shed", "delay_budget",
-            "lanes_per_node", "metrics_out", "flight_interval",
+            "metrics_out", "flight_interval",
         )
         record = build_record_parser().parse_args(
             ["--out", "x.log", *lane_flags]
@@ -112,6 +112,30 @@ class TestTraceCommands:
         ):
             assert main([*command, "--shed", "--queue-depth", "8"]) == 2
             assert "process executor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["replay", "--trace", "t.log", "--nodes", "0"], "n_nodes"),
+            (["record", "--out", "o.log", "--nodes", "0"], "n_nodes"),
+            (["serve", "--swarm", "1", "--nodes", "0"], "n_nodes"),
+            (["record", "--out", "o.log", "--sessions", "0"], "n_sessions"),
+            (["table1", "--sessions", "0"], "--sessions"),
+            (["serve", "--swarm", "2", "--concurrency", "0"], "concurrency"),
+        ],
+    )
+    def test_bad_counts_get_the_error_line_not_a_traceback(
+        self, capsys, tmp_path, monkeypatch, argv, message
+    ):
+        # Refused before any file, socket or run exists: the same
+        # one-line "repro <cmd>: <message>" every other bad value gets.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        assert err.count("\n") == 1
+        assert err.startswith(f"repro {argv[0]}: ") and message in err
+        assert not list(tmp_path.iterdir())
 
     def test_executor_thread_is_refused_naming_the_two_that_exist(
         self, capsys

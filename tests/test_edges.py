@@ -10,7 +10,6 @@ from repro.detection.set_algebra import SetAlgebraSummary
 from repro.http.headers import Headers
 from repro.http.message import Exchange, Method, Request, Response
 from repro.http.uri import Url
-from repro.proxy.network import NetworkStats
 from repro.proxy.node import NodeStats
 from repro.workload.codeen import CaptchaCrossCheck, CodeenWeekConfig
 
@@ -55,7 +54,7 @@ class TestStatsAggregation:
             instrumentation_markup_bytes=30,
             pages_instrumented=3,
         )
-        total = NetworkStats()
+        total = NodeStats()
         total.absorb(node)
         total.absorb(node)
         assert total.requests == 20
@@ -64,8 +63,8 @@ class TestStatsAggregation:
         assert total.markup_bandwidth_fraction == pytest.approx(0.03)
 
     def test_empty_fractions_zero(self):
-        assert NetworkStats().beacon_bandwidth_fraction == 0.0
         assert NodeStats().beacon_bandwidth_fraction == 0.0
+        assert NodeStats().markup_bandwidth_fraction == 0.0
 
 
 class TestSetAlgebraEdgeValues:

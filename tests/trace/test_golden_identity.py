@@ -36,6 +36,19 @@ ten-request census floor, and the census has 60 sessions where it had
 58.  ``758fdbe3…`` (PR 20's constant) was re-derived with this file at
 PR 22's parent (127211a) first; a trace *recorded* there still replays
 to it here, because a replay rebuilds the probe table from the journal.
+
+PR 28 changed it on purpose.  Every ingress lane is now one node shard,
+so this four-shard replay runs eight lanes where it ran two (one per
+node).  Two observables move with the lane layout: the micro-batcher
+flushes per lane, so the ensemble verdicts are grouped differently, and
+the ``lane``-labelled series of the metrics snapshot are per shard.
+Census, sessions, latencies and stats do not move.  The result type's
+``repr`` also changed: ``NetworkStats`` is deleted and ``result.stats``
+is a ``NodeStats``.  ``f7c3a628…`` is what this file computes at PR
+28's parent (f11e62e) with its ``ReplayConfig`` set to four lanes per
+node (the lane-layout option PR 28 deletes) and ``NetworkStats`` read
+as ``NodeStats`` in ``repr(result.stats)`` — the layout PR 28 keeps,
+under the name it keeps.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import SMOKE
 
-GOLDEN = "31c10ccb9d6b83e863618695f052d95320c0ed1b5eef17259983963e9444a283"
+GOLDEN = "f7c3a628d68a96a77fb45cd1cdcdb202f305cf506d370e4dcd3e0c7c309bf1ab"
 
 
 def _observables(result: ReplayResult) -> list[str]:

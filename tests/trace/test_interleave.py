@@ -120,14 +120,14 @@ class TestModeEquivalence:
         self, make_network, entry_url
     ):
         # The funnel runs inside the lanes on per-IP RNG splits, so
-        # where the lanes run and how a node is cut into lanes cannot
-        # move an outcome.
+        # where the lanes run and how many shards (lanes) a node is cut
+        # into cannot move an outcome.
         interleaved = run_mode(
             make_network, entry_url, "interleaved", captcha_enabled=True
         )
         pipelined = run_mode(
             make_network, entry_url, "pipelined", captcha_enabled=True,
-            executor="process", shards=2, lanes_per_node=2,
+            executor="process", shards=2,
         )
         assert interleaved.summary.captcha_passes > 0
         assert (
@@ -179,16 +179,18 @@ class TestModeEquivalence:
             assert stamps and stamps == sorted(stamps)
 
     def test_housekeeping_runs_during_replay(self, make_network, entry_url):
-        # Sweeps are lane-local: each lane calls its own node's
+        # Sweeps are lane-local: each lane calls its own shard's
         # housekeeping on its own event clock.
         network = make_network(n_nodes=2, seed=9)
         calls: dict[str, list[float]] = {}
         for node in network.nodes:
-            def sweep(now, node=node, original=node.housekeeping):
-                calls.setdefault(node.node_id, []).append(now)
+            (shard,) = node.state_shards
+
+            def sweep(now, shard=shard, original=shard.housekeeping):
+                calls.setdefault(shard.node_id, []).append(now)
                 return original(now)
 
-            node.housekeeping = sweep
+            shard.housekeeping = sweep
         engine = WorkloadEngine(
             network,
             SMOKE,

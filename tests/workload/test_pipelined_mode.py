@@ -158,20 +158,16 @@ class TestPipelinedMode:
         with pytest.raises(ValueError):
             WorkloadConfig(queue_depth=0)
         with pytest.raises(ValueError):
-            WorkloadConfig(lanes_per_node=0)
-        with pytest.raises(ValueError):
             WorkloadConfig(flight_interval=0.0)
         with pytest.raises(ValueError, match=r"'serial', 'process'"):
             WorkloadConfig(mode="pipelined", executor="thread")
-        # Per-shard lanes and span tracing do not need mode="pipelined":
+        # Sharded lanes and span tracing do not need mode="pipelined":
         # they need what IngressConfig needs.  Shedding needs process
         # lanes, so the default mode — inline whatever ``executor``
         # names — refuses it.
         from repro.obs.spans import SpanConfig
 
-        config = WorkloadConfig(
-            lanes_per_node=4, spans=SpanConfig(), queue_depth=8
-        )
+        config = WorkloadConfig(shards=4, spans=SpanConfig(), queue_depth=8)
         assert config.ingress().executor == "serial"
         with pytest.raises(ValueError, match="process executor"):
             WorkloadConfig(shed=True, queue_depth=8)
@@ -226,22 +222,21 @@ class TestPipelinedRecording:
             census[key] = census.get(key, 0) + 1
         assert sum(census.values()) == reference.stats.requests
 
-    @pytest.mark.parametrize("lanes", [1, 4])
+    @pytest.mark.parametrize("shards", [1, 4])
     def test_recorded_bytes_do_not_depend_on_mode(
-        self, make_network, entry_url, tmp_path, lanes
+        self, make_network, entry_url, tmp_path, shards
     ):
-        """Taps see each node's requests in timestamp order, one node
-        (or shard) after another; the recorder sorts on save, so the
-        files come out byte for byte the same wherever lanes ran and
-        however a node is cut into them."""
+        """Taps see each lane's requests in timestamp order, one shard
+        after another; the recorder sorts on save, so the files come
+        out byte for byte the same wherever lanes ran and however many
+        shards a node is cut into."""
         files = {}
         for mode, layout in (
             ("interleaved", 1),
-            ("pipelined", lanes),
+            ("pipelined", shards),
         ):
             _, recorder = self._record(
-                make_network, entry_url, mode,
-                shards=4, lanes_per_node=layout,
+                make_network, entry_url, mode, shards=layout
             )
             paths = [
                 str(tmp_path / f"{mode}-{layout}.{suffix}")
