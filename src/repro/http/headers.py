@@ -11,15 +11,28 @@ from typing import Iterable, Iterator
 
 
 class Headers:
-    """A multimap of header name -> values with case-insensitive names."""
+    """A multimap of header name -> values with case-insensitive names.
 
-    __slots__ = ("_entries",)
+    Each name is folded once, when added; a lookup folds only its own.
+    """
+
+    __slots__ = ("_entries", "_folded")
 
     def __init__(self, entries: Iterable[tuple[str, str]] | None = None) -> None:
         self._entries: list[tuple[str, str]] = []
+        self._folded: list[str] = []
         if entries is not None:
             for name, value in entries:
                 self.add(name, value)
+
+    @classmethod
+    def from_folded(cls, entries: list, folded: list[str]) -> "Headers":
+        """Adopt, uncopied and unchecked, entries :meth:`add` would
+        accept, with ``folded[i] == entries[i][0].lower()``."""
+        headers = cls.__new__(cls)
+        headers._entries = entries
+        headers._folded = folded
+        return headers
 
     # -- mutation ---------------------------------------------------------
 
@@ -28,6 +41,7 @@ class Headers:
         if not name or not name.strip():
             raise ValueError("header name must be non-empty")
         self._entries.append((name, str(value)))
+        self._folded.append(name.lower())
 
     def set(self, name: str, value: str) -> None:
         """Replace all values for ``name`` with a single value."""
@@ -37,25 +51,32 @@ class Headers:
     def remove(self, name: str) -> None:
         """Drop every value for ``name`` (no error if absent)."""
         folded = name.lower()
-        self._entries = [(n, v) for n, v in self._entries if n.lower() != folded]
+        while folded in self._folded:
+            index = self._folded.index(folded)
+            del self._folded[index], self._entries[index]
 
     # -- lookup -----------------------------------------------------------
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """First value for ``name``, or ``default``."""
         folded = name.lower()
-        for n, v in self._entries:
-            if n.lower() == folded:
-                return v
+        if folded in self._folded:
+            return self._entries[self._folded.index(folded)][1]
         return default
 
     def get_all(self, name: str) -> list[str]:
         """All values for ``name`` in insertion order."""
         folded = name.lower()
-        return [v for n, v in self._entries if n.lower() == folded]
+        if folded not in self._folded:
+            return []
+        return [e[1] for f, e in self.folded_items() if f == folded]
+
+    def folded_items(self) -> Iterator[tuple[str, tuple[str, str]]]:
+        """``(folded name, (name, value))`` for every entry, in order."""
+        return zip(self._folded, self._entries)
 
     def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
+        return name.lower() in self._folded
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._entries)
@@ -66,12 +87,12 @@ class Headers:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Headers):
             return NotImplemented
-        normalize = lambda entries: [(n.lower(), v) for n, v in entries]
-        return normalize(self._entries) == normalize(other._entries)
+        normalize = lambda h: [(f, v) for f, (_, v) in h.folded_items()]
+        return normalize(self) == normalize(other)
 
     def copy(self) -> "Headers":
         """Shallow copy."""
-        return Headers(self._entries)
+        return Headers.from_folded(list(self._entries), list(self._folded))
 
     # -- convenience accessors for the fields the detectors read ----------
 

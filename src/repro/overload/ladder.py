@@ -151,15 +151,21 @@ class ResponseLadder:
         self._transitions: list[tuple[float, str, str, str]] = []
         self._registry = None
         self._labels: dict[str, str] = {}
+        #: Counter handles by ``(name, *label values)``, resolved once.
+        self._counters: dict[tuple[str, ...], object] = {}
 
     def attach_metrics(self, registry, labels: Mapping[str, str]) -> None:
         """Record ladder activity into ``registry`` (event-time domain)."""
         self._registry = registry
         self._labels = dict(labels)
+        self._counters = {}
 
     def _count(self, name: str, **extra: str) -> None:
         if self._registry is not None:
-            self._registry.counter(name, {**self._labels, **extra}).inc()
+            key = (name, *extra.values())
+            if key not in self._counters:
+                self._counters[key] = self._registry.counter(name, {**self._labels, **extra})
+            self._counters[key].inc()
 
     # -- evidence ------------------------------------------------------------
 

@@ -61,6 +61,17 @@ __all__ = ["NodeStats", "NodeShard", "ProxyNode"]
 _CACHE_CAPACITY = 4096
 
 
+#: Each gated stage's refusal, built once; every gated request gets a
+#: copy with its own headers (see :meth:`NodeShard._ladder_response`).
+_LADDER_REFUSALS = {
+    LadderStage.THROTTLE: error_response(503, "throttled by graduated response ladder"),
+    LadderStage.CAPTCHA: challenge_redirect(),
+    LadderStage.BLOCK: error_response(403, "blocked by graduated response ladder"),
+}
+for _stage, _refusal in _LADDER_REFUSALS.items():
+    _refusal.headers.set(LADDER_HEADER, _stage.value)
+
+
 @dataclass
 class NodeStats:
     """Per-node traffic accounting (drives the §3.2 overhead numbers)."""
@@ -309,19 +320,12 @@ class NodeShard:
         """
         if stage is LadderStage.BLOCK:
             self.stats.ladder_blocked += 1
-            response = error_response(
-                403, "blocked by graduated response ladder"
-            )
         elif stage is LadderStage.CAPTCHA:
             self.stats.challenged += 1
-            response = challenge_redirect()
         else:
             self.stats.throttled += 1
-            response = error_response(
-                503, "throttled by graduated response ladder"
-            )
-        response.headers.set(LADDER_HEADER, stage.value)
-        return response
+        refusal = _LADDER_REFUSALS[stage]
+        return Response(refusal.status, refusal.headers.copy(), refusal.body)
 
     def _run_detection(self, request: Request) -> RequestOutcome:
         started = time.perf_counter()

@@ -56,6 +56,9 @@ _HOP_BY_HOP = frozenset(
 #: trace record rebuilds (they survive in ``raw_headers``).
 _FRAMING_HEADERS = _HOP_BY_HOP | frozenset(("host", "content-length"))
 
+#: Response fields ``render_response`` writes itself or never sends.
+_NOT_RENDERED = _HOP_BY_HOP | frozenset(("content-length",))
+
 
 class HttpParseError(ValueError):
     """A request could not be framed; ``status`` is the refusal code."""
@@ -106,29 +109,13 @@ class ParsedRequest:
 
 
 _DEFAULT_LIMITS = Http11Limits()
-
-
-def _line_end(text: str, pos: int, max_bytes: int, what: str, eof: bool) -> int:
-    """Index of the LF ending the line at ``pos``, or -1 if not there yet.
-
-    A line longer than ``max_bytes`` (terminator included) is refused
-    with 431 as soon as that many bytes are buffered without an LF; a
-    partial line at EOF is a 400.  -1 with ``eof`` set means the stream
-    ended cleanly on a line boundary.
-    """
-    end = text.find("\n", pos, pos + max_bytes)
-    if end < 0:
-        if len(text) - pos >= max_bytes:
-            raise HttpParseError(431, f"{what} too long")
-        if eof and len(text) > pos:
-            raise HttpParseError(400, f"connection closed mid-{what}")
-    return end
+_METHODS = {method.value: method for method in Method}
 
 
 def _split_field(line: str) -> tuple[str, str]:
     name, sep, value = line.partition(":")
-    name = name.strip()
-    if not sep or not name:
+    # Blanks around a name are refused, never stripped (RFC 9112 §5.1).
+    if not sep or not name or name.strip() != name:
         raise HttpParseError(400, f"malformed header field: {line[:120]}")
     return name, value.strip()
 
@@ -152,6 +139,8 @@ def parse_request(
     by-hop fields stripped); connection semantics are already folded
     into ``keep_alive``.
     """
+    if not buffer:
+        return None
     started = time.perf_counter()
     limits = limits or _DEFAULT_LIMITS
     # Latin-1 maps bytes to characters one to one, so offsets into the
@@ -159,16 +148,25 @@ def parse_request(
     # decoded alone; anything else (incomplete, bare LFs) as a whole.
     stop = buffer.find(b"\r\n\r\n")
     text = (buffer[: stop + 4] if stop >= 0 else buffer).decode("latin-1")
+    # One split cuts every line a head may use (a stray CRLF, the request
+    # line, ``max_headers`` fields and one more); ``lines[last]`` is read
+    # only as a line missing its LF.  A line is refused with 431 once
+    # ``max`` bytes (LF included) lack an LF; a partial line at EOF, 400.
+    lines = text.split("\n", limits.max_headers + 3)
+    last = len(lines) - 1
 
-    end = -1
     # Twice: one stray CRLF between pipelined requests is tolerated
     # (RFC 9112 §2.2).
-    for _ in range(2):
-        pos = end + 1
-        end = _line_end(text, pos, limits.max_request_line, "request line", eof)
-        if end < 0:
+    max_line = limits.max_request_line
+    for index in (0, 1):
+        line = lines[index]
+        if len(line) >= max_line:
+            raise HttpParseError(431, "request line too long")
+        if index == last:
+            if eof and line:
+                raise HttpParseError(400, "connection closed mid-request line")
             return None
-        line = text[pos:end].rstrip("\r")
+        line = line.rstrip("\r")
         if line:
             break
 
@@ -178,44 +176,52 @@ def parse_request(
     method_text, target, version = parts
     if version not in _SUPPORTED_VERSIONS:
         raise HttpParseError(505, f"unsupported HTTP version: {version}")
-    try:
-        method = Method(method_text.upper())
-    except ValueError:
-        raise HttpParseError(
-            501, f"method not implemented: {method_text[:32]}"
-        ) from None
+    method = _METHODS.get(method_text.upper())
+    if method is None:
+        raise HttpParseError(501, f"method not implemented: {method_text[:32]}")
 
-    raw_headers = Headers()
-    headers = Headers()
+    # Entries and their folded names: every field, and the pipeline view.
+    raw_entries, raw_folded, entries, folded_names = [], [], [], []
     header_bytes = 0
     fields_left = limits.max_headers
     max_block = limits.max_header_bytes
     while True:
-        pos = end + 1
-        end = _line_end(text, pos, max_block, "header line", eof)
-        if end < 0:
-            if eof:
-                raise HttpParseError(400, "connection closed inside headers")
-            return None
-        header_line = text[pos:end].rstrip("\r")
-        if not header_line:
+        index += 1
+        line = lines[index]
+        if len(line) >= max_block:
+            raise HttpParseError(431, "header line too long")
+        if index == last:
+            if not eof:
+                return None
+            if line:
+                raise HttpParseError(400, "connection closed mid-header line")
+            raise HttpParseError(400, "connection closed inside headers")
+        line = line.rstrip("\r")
+        if not line:
             break
-        header_bytes += len(header_line) + 2
+        header_bytes += len(line) + 2
         if header_bytes > max_block:
             raise HttpParseError(431, "header block too large")
         if not fields_left:
             raise HttpParseError(431, "too many header fields")
         fields_left -= 1
-        if header_line[0] in " \t":
+        if line[0] in " \t":
             # Obsolete line folding: deliberately refused (RFC 9112 §5.2).
             raise HttpParseError(400, "folded header field")
-        name, value = _split_field(header_line)
-        raw_headers.add(name, value)
-        if name.lower() not in _FRAMING_HEADERS:
-            headers.add(name, value)
+        name, sep, value = line.partition(":")
+        if not sep or not name or name.strip() != name:
+            raise HttpParseError(400, f"malformed header field: {line[:120]}")
+        entry = (name, value.strip())
+        folded = name.lower()
+        raw_entries.append(entry)
+        raw_folded.append(folded)
+        if folded not in _FRAMING_HEADERS:
+            entries.append(entry)
+            folded_names.append(folded)
 
+    raw_headers = Headers.from_folded(raw_entries, raw_folded)
     url = _resolve_target(target, raw_headers, default_host)
-    body_start = end + 1
+    body_start = sum(map(len, lines[: index + 1])) + index + 1
     consumed = body_start + _body_length(raw_headers, limits)
     if len(buffer) < consumed:
         if eof:
@@ -225,7 +231,7 @@ def parse_request(
     parsed = ParsedRequest(
         method=method,
         url=url,
-        headers=headers,
+        headers=Headers.from_folded(entries, folded_names),
         version=version,
         keep_alive=_keep_alive(version, raw_headers),
         body=bytes(buffer[body_start:consumed]),
@@ -281,17 +287,20 @@ def _body_length(headers: Headers, limits: Http11Limits) -> int:
         raise HttpParseError(
             501, "transfer codings are not implemented"
         )
-    declared = headers.get("Content-Length")
-    if declared is None:
+    declared = headers.get_all("Content-Length")
+    if not declared:
         return 0
+    # RFC 9112 §6.3: ``1*DIGIT`` and duplicates that agree, or a peer
+    # that reads the field strictly frames a different body.
+    value = declared[0]
+    if declared.count(value) != len(declared):
+        raise HttpParseError(400, "conflicting Content-Length fields")
     try:
-        length = int(declared)
+        if not (value.isascii() and value.isdigit()):
+            raise ValueError(value)
+        length = int(value)  # also refuses more digits than it will read
     except ValueError:
-        raise HttpParseError(
-            400, f"bad Content-Length: {declared[:32]}"
-        ) from None
-    if length < 0:
-        raise HttpParseError(400, "negative Content-Length")
+        raise HttpParseError(400, f"bad Content-Length: {value[:32]}") from None
     if length > limits.max_body_bytes:
         raise HttpParseError(413, "request body too large")
     return length
@@ -320,10 +329,9 @@ def render_response(
     peer never needs read-until-close framing.
     """
     lines = [f"HTTP/1.1 {describe_status(response.status)}"]
-    for name, value in response.headers:
-        if name.lower() in _HOP_BY_HOP or name.lower() == "content-length":
-            continue
-        lines.append(f"{name}: {value}")
+    for folded, (name, value) in response.headers.folded_items():
+        if folded not in _NOT_RENDERED:
+            lines.append(f"{name}: {value}")
     lines.append(f"Content-Length: {len(response.body)}")
     lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
     wire = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")

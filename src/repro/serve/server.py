@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.captcha.challenge import CHALLENGE_PATH
+from repro.detection.verdict import Label
 from repro.http.headers import Headers
 from repro.http.message import (
     Method,
@@ -70,6 +71,7 @@ from repro.trace.clf import (
 from repro.trace.recorder import ProbeRecord, write_probe_journal
 
 if TYPE_CHECKING:
+    from repro.instrument.keys import RegisteredProbe
     from repro.overload.admission import AdaptiveConfig
     from repro.overload.ladder import LadderConfig
     from repro.proxy.network import ProxyNetwork
@@ -314,7 +316,8 @@ class DetectorServer:
         #: Every exchange that reached a node, in completion order
         #: (the live log holds the same lines, streamed).
         self.records: list[TraceRecord] = []
-        self.probes: list[ProbeRecord] = []
+        #: Probes as registered; journal records are made on demand.
+        self.probes: list[RegisteredProbe] = []
         self._identities: dict[tuple[str, str], tuple[str, str]] = {}
         self.requests_handled = 0
 
@@ -328,7 +331,7 @@ class DetectorServer:
         if cfg.ladder is not None:
             for node in self._network.nodes:
                 node.enable_ladder(cfg.ladder)
-        self._network.add_probe_listener(self._observe_probe)
+        self._network.add_probe_listener(self.probes.append)
         if cfg.trace_path is not None:
             self._trace_handle = open_trace_file(cfg.trace_path, "wt")
         self._loop = asyncio.get_running_loop()
@@ -376,7 +379,7 @@ class DetectorServer:
                 await asyncio.wait([c.task for c in open_now])
             await self._server.wait_closed()
             self._server = None
-        self._network.remove_probe_listener(self._observe_probe)
+        self._network.remove_probe_listener(self.probes.append)
         if self._trace_handle is not None:
             self._trace_handle.close()
             self._trace_handle = None
@@ -429,7 +432,9 @@ class DetectorServer:
 
     def sorted_probes(self) -> list[ProbeRecord]:
         """Journalled registrations in issue order."""
-        return sorted(self.probes, key=lambda p: p.issued_at)
+        return sorted(
+            map(ProbeRecord.from_probe, self.probes), key=lambda p: p.issued_at
+        )
 
     def finalize_sessions(self):
         """Finalize the network's sessions (call after traffic stops).
@@ -577,8 +582,6 @@ class DetectorServer:
         if self._config.ladder is not None and outcome is not None:
             verdict = outcome.verdict
             if verdict is not None:
-                from repro.detection.verdict import Label
-
                 ladder = node.ladder_for(request.client_ip)
                 if ladder is not None:
                     ladder.observe_verdict(
@@ -649,10 +652,6 @@ class DetectorServer:
         self.records.append(record)
         if self._trace_handle is not None:
             self._trace_handle.write(format_clf_line(record) + "\n")
-
-    def _observe_probe(self, probe) -> None:
-        # Registry listener; fires inside the node's handling, on the loop.
-        self.probes.append(ProbeRecord.from_probe(probe))
 
     def _housekeeping(self) -> None:
         for node in self._network.nodes:

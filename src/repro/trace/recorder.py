@@ -43,8 +43,9 @@ from repro.workload.session_run import SessionRecord
 class ProbeRecord(NamedTuple):
     """One probe-table registration, as journalled by the recorder.
 
-    A named tuple for the same reason :class:`RegisteredProbe` is one:
-    every registration builds one, ten to a page.
+    Made from a :class:`RegisteredProbe` when a journal is written
+    (``sorted_probes``) and parsed back when one is read; listeners keep
+    the registration itself.
     """
 
     issued_at: float
@@ -170,7 +171,8 @@ class TraceRecorder:
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
-        self.probes: list[ProbeRecord] = []
+        #: Probes as registered; journal records are made on demand.
+        self.probes: list[RegisteredProbe] = []
         self._identities: dict[tuple[str, str], tuple[str, str]] = {}
 
     # -- capture ----------------------------------------------------------
@@ -178,20 +180,16 @@ class TraceRecorder:
     def attach(self, network: ProxyNetwork) -> None:
         """Start capturing this network's traffic and registrations."""
         network.add_tap(self.observe)
-        network.add_probe_listener(self.observe_probe)
+        network.add_probe_listener(self.probes.append)
 
     def detach(self, network: ProxyNetwork) -> None:
         """Stop capturing (taps/listeners added by :meth:`attach`)."""
         network.remove_tap(self.observe)
-        network.remove_probe_listener(self.observe_probe)
+        network.remove_probe_listener(self.probes.append)
 
     def observe(self, request: Request, response: Response) -> None:
         """Network tap: one handled request/response pair."""
         self.records.append(TraceRecord.from_exchange(request, response))
-
-    def observe_probe(self, probe: RegisteredProbe) -> None:
-        """Registry listener: one probe registration."""
-        self.probes.append(ProbeRecord.from_probe(probe))
 
     # -- annotation and export -------------------------------------------
 
@@ -229,7 +227,9 @@ class TraceRecorder:
 
     def sorted_probes(self) -> list[ProbeRecord]:
         """Journalled registrations in issue order (stable by time)."""
-        return sorted(self.probes, key=lambda p: p.issued_at)
+        return sorted(
+            map(ProbeRecord.from_probe, self.probes), key=lambda p: p.issued_at
+        )
 
     def save(self, trace_path: str, probes_path: str | None = None) -> int:
         """Write the trace (and optionally the probe journal) to disk.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.http.headers import Headers
@@ -54,6 +56,61 @@ class TestBasics:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             Headers().add("", "x")
+
+
+class TestFoldedNames:
+    """Names are folded once, when added; every path must agree."""
+
+    def test_lookups_fold_after_mixed_case_edits(self):
+        h = Headers([("X-Mixed", "1"), ("x-mixed", "2"), ("Other", "o")])
+        h.add("X-MIXED", "3")
+        assert h.get("x-MiXeD") == "1"
+        assert h.get_all("X-mixed") == ["1", "2", "3"]
+        h.set("x-MIXED", "4")
+        assert h.get_all("X-Mixed") == ["4"]
+        assert "X-MIXED" in h and "x-mixed" in h
+        h.remove("X-mIxEd")
+        assert "x-mixed" not in h
+        assert h.get_all("X-Mixed") == []
+        assert list(h) == [("Other", "o")]
+
+    def test_iteration_keeps_case_and_order(self):
+        h = Headers([("B-Two", "2"), ("a-one", "1")])
+        h.add("C-THREE", "3")
+        h.set("b-two", "22")
+        assert list(h) == [("a-one", "1"), ("C-THREE", "3"), ("b-two", "22")]
+
+    def test_copy_edits_stay_apart(self):
+        h = Headers([("A", "1"), ("B", "2")])
+        c = h.copy()
+        c.remove("a")
+        c.add("C", "3")
+        h.set("b", "x")
+        assert list(h) == [("A", "1"), ("b", "x")]
+        assert list(c) == [("B", "2"), ("C", "3")]
+        assert c.get("A") is None and h.get("C") is None
+
+    def test_pickle_round_trip(self):
+        h = Headers([("User-Agent", "UA"), ("X-A", "1"), ("x-a", "2")])
+        clone = pickle.loads(pickle.dumps(h))
+        assert clone == h
+        assert list(clone) == list(h)
+        assert clone.get_all("X-A") == ["1", "2"]
+        clone.remove("x-a")
+        assert list(clone) == [("User-Agent", "UA")]
+
+    def test_from_folded_equals_added(self):
+        entries = [("User-Agent", "UA"), ("X-A", "1")]
+        adopted = Headers.from_folded(list(entries), ["user-agent", "x-a"])
+        assert adopted == Headers(entries)
+        assert list(adopted) == entries
+        assert adopted.user_agent == "UA"
+
+    def test_equality_sees_values_and_order(self):
+        assert Headers([("A", "1")]) != Headers([("A", "2")])
+        assert Headers([("A", "1"), ("B", "2")]) != Headers(
+            [("B", "2"), ("A", "1")]
+        )
 
 
 class TestConvenience:

@@ -273,6 +273,25 @@ class TestLadderDeterminism:
         assert result.stats.challenged == reference.stats.challenged
         assert result.stats.ladder_blocked == reference.stats.ladder_blocked
 
+    @pytest.mark.parametrize("shards", [1, SHARDS])
+    def test_process_lanes_count_the_serial_ladder_series(
+        self, ddos_trace, shards
+    ):
+        # Each lane child counts into the registry that crossed with its
+        # shard; merged back, the series are the serial run's.
+        def series(result):
+            return sorted(
+                (point.name, point.labels, point.value)
+                for point in result.metrics.deterministic().points
+                if point.name.startswith("repro_ladder_")
+            )
+
+        serial = series(_ladder_replay(ddos_trace, "serial", shards=shards))
+        assert any(value for _, _, value in serial)
+        assert series(
+            _ladder_replay(ddos_trace, "process", shards=shards)
+        ) == serial
+
     def test_only_robots_reach_block(self, reference):
         labels_by_ip: dict[str, set] = {}
         for session in reference.sessions:

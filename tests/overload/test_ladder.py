@@ -256,3 +256,23 @@ class TestMetricsAndPickling:
         clone = pickle.loads(pickle.dumps(ladder))
         assert clone.export_state() == ladder.export_state()
         assert clone.gate(IP, 0.0) is LadderStage.CAPTCHA
+
+    def test_pickled_ladder_counts_into_its_own_registry(self):
+        # A process lane receives a pickled copy of the shard — ladder and
+        # registry together — and must count into that copy, even after
+        # the original resolved its counter handles.
+        registry = MetricsRegistry()
+        ladder = _ladder()
+        ladder.attach_metrics(registry, {"node": "n0"})
+        _escalate(ladder, IP, 4)
+        assert ladder.gate(IP, 0.0) is LadderStage.BLOCK
+        clone_registry, clone = pickle.loads(pickle.dumps((registry, ladder)))
+        clone.gate(IP, 0.0)
+        clone.gate(IP, 0.0)
+        labels = {"node": "n0", "stage": "block"}
+        assert registry.snapshot().get(
+            "repro_ladder_gated_total", labels
+        ).value == 1
+        assert clone_registry.snapshot().get(
+            "repro_ladder_gated_total", labels
+        ).value == 3

@@ -13,6 +13,7 @@ from repro.http.uri import Url
 from repro.instrument.keys import BeaconKind
 from repro.overload.ladder import merge_ladder_states
 from repro.proxy.ratelimit import RateLimitConfig
+from repro.serve.http11 import render_response
 
 
 def _request(site, path, ip="10.0.0.5", ua="Mozilla/4.0 (MSIE)", t=0.0):
@@ -172,6 +173,65 @@ class TestShardedNode:
         assert tracker.live_count == sum(t.live_count for t in trackers)
         assert tracker.total_started == len(self.IPS) + 1
         assert tracker.total_started == sum(t.total_started for t in trackers)
+
+
+#: The wire bytes of each ladder refusal, as first shipped: building the
+#: refusals once must not move a byte.
+LADDER_REFUSALS = {
+    "throttle": (
+        b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/html\r\n"
+        b"x-robot-ladder: throttle\r\nContent-Length: 103\r\n"
+        b"Connection: keep-alive\r\n\r\n<html><body><h1>503 Service "
+        b"Unavailable</h1><p>throttled by graduated response ladder</p>"
+        b"</body></html>"
+    ),
+    "captcha": (
+        b"HTTP/1.1 302 Found\r\nLocation: /__captcha__/challenge\r\n"
+        b"Content-Type: text/html\r\nx-robot-ladder: captcha\r\n"
+        b"Content-Length: 104\r\nConnection: keep-alive\r\n\r\n"
+        b"<html><body><h1>Verification required</h1><p>Solve the "
+        b"challenge to continue browsing.</p></body></html>"
+    ),
+    "block": (
+        b"HTTP/1.1 403 Forbidden\r\nContent-Type: text/html\r\n"
+        b"x-robot-ladder: block\r\nContent-Length: 91\r\n"
+        b"Connection: keep-alive\r\n\r\n<html><body><h1>403 Forbidden"
+        b"</h1><p>blocked by graduated response ladder</p></body></html>"
+    ),
+}
+
+
+class TestLadderRefusals:
+    IP = "10.4.0.1"
+    #: Robot verdicts that lift a fresh IP to each stage (default config).
+    VERDICTS = {"throttle": 1, "captcha": 2, "block": 4}
+
+    def _gated_node(self, make_node, stage):
+        node = make_node()
+        node.enable_ladder()
+        for _ in range(self.VERDICTS[stage]):
+            node.ladder_for(self.IP).observe_verdict(self.IP, -1.0, 0.0)
+        return node
+
+    @pytest.mark.parametrize("stage", sorted(LADDER_REFUSALS))
+    def test_refusal_bytes_are_pinned(self, make_node, small_site, stage):
+        node = self._gated_node(make_node, stage)
+        response = node.handle(
+            _request(small_site, small_site.home_path, ip=self.IP)
+        )
+        assert render_response(response) == LADDER_REFUSALS[stage]
+
+    @pytest.mark.parametrize("stage", sorted(LADDER_REFUSALS))
+    def test_editing_a_refusal_leaves_the_next_untouched(
+        self, make_node, small_site, stage
+    ):
+        node = self._gated_node(make_node, stage)
+        request = _request(small_site, small_site.home_path, ip=self.IP)
+        first = node.handle(request)
+        first.headers.set("x-robot-ladder", "edited")
+        first.headers.add("Retry-After", "1")
+        first.headers.remove("Content-Type")
+        assert render_response(node.handle(request)) == LADDER_REFUSALS[stage]
 
 
 class TestNetwork:

@@ -119,6 +119,17 @@ class TestHeaders:
         assert parsed.headers.get("User-Agent") == "UA/1.0"
         assert parsed.headers.get("Referer") == "http://h.example/"
 
+    def test_parsed_headers_equal_added_headers(self):
+        parsed = parse(
+            b"GET /a HTTP/1.1\r\nHost: h.example\r\nUSER-agent: UA\r\n"
+            b"Connection: close\r\nx-a: 1\r\nX-A: 2\r\n\r\n"
+        )
+        for view in (parsed.headers, parsed.raw_headers):
+            assert view == Headers(list(view))
+        assert parsed.headers.user_agent == "UA"
+        assert parsed.headers.get_all("x-A") == ["1", "2"]
+        assert parsed.raw_headers.get("HOST") == "h.example"
+
     def test_framing_headers_stripped_from_pipeline_view(self):
         parsed = parse(
             b"GET /a HTTP/1.1\r\nHost: h.example\r\n"
@@ -217,6 +228,43 @@ class TestBody:
             b"Transfer-Encoding: chunked\r\n\r\n"
         )
         assert exc.status == 501
+
+
+#: Framing fields a strict peer would read differently: each is a 400
+#: (RFC 9112 §5.1 for blanks before the colon, §6.3 for Content-Length).
+SMUGGLING = [
+    b"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length: 1_0\r\n\r\n0123456789",
+    b"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length: +3\r\n\r\nabc",
+    b"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n"
+    b"Content-Length: 5\r\n\r\nabcde",
+    b"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length : 3\r\n\r\nabc",
+    b"GET /a HTTP/1.1\r\nHost : evil.example\r\n\r\n",
+    b"GET /a HTTP/1.1\r\nHost: h\r\nUser-Agent\t: UA\r\n\r\n",
+    b"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length: \xb3\r\n\r\nabc",
+]
+
+
+class TestFramingHeaderRules:
+    @pytest.mark.parametrize(
+        "data", SMUGGLING, ids=[str(i) for i in range(len(SMUGGLING))]
+    )
+    def test_ambiguous_framing_is_400(self, data):
+        assert refuse(data).status == 400
+        assert outcome([bytes([b]) for b in data]) == [400]
+
+    def test_agreeing_duplicate_content_length_frames_once(self):
+        parsed = parse(
+            b"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length: 3\r\n"
+            b"Content-Length: 3\r\n\r\nabc"
+        )
+        assert parsed.body == b"abc"
+
+    def test_blanks_after_the_colon_are_optional_whitespace(self):
+        parsed = parse(
+            b"POST /a HTTP/1.1\r\nHost:h\r\nContent-Length: \t2 \r\n\r\nab"
+        )
+        assert parsed.url.host == "h"
+        assert parsed.body == b"ab"
 
 
 class TestLimitsValidation:

@@ -100,7 +100,7 @@ class TestRecorder:
 
     def test_probe_line_round_trip(self, recorded):
         _, recorder, _, _ = recorded
-        for probe in recorder.probes[:50]:
+        for probe in recorder.sorted_probes()[:50]:
             assert parse_probe_line(format_probe_line(probe)) == probe
 
     def test_probe_journal_file_round_trip(self, tmp_path, recorded):
@@ -226,6 +226,6 @@ class TestRoundTrip:
 class TestProbeRecord:
     def test_to_probe_round_trip(self, recorded):
         _, recorder, _, _ = recorded
-        journalled = recorder.probes[0]
+        journalled = recorder.sorted_probes()[0]
         probe = journalled.to_probe()
         assert ProbeRecord.from_probe(probe) == journalled
