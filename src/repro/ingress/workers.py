@@ -10,7 +10,8 @@ cross-talk.
 Two worker flavours:
 
 * :class:`ReplayLaneWorker` consumes trace events — requests and
-  probe-journal registrations — in admission order, sweeping its shard's
+  journalled pages, each page's probe-journal lines one event and one
+  ``register_page`` — in admission order, sweeping its shard's
   housekeeping on the lane's own event clock and feeding every handled
   exchange to the lane's :class:`~repro.ingress.batcher.MicroBatcher`.
 * :class:`WorkloadLaneWorker` consumes *session* events (agent + start
@@ -269,11 +270,15 @@ class ReplayLaneWorker(_LaneWorker):
         self._lane_clock: float | None = None
 
     def process(self, event) -> None:
-        """Consume one admitted ``(kind, record)`` event."""
+        """Consume one admitted ``(kind, record)`` event — a request's
+        :class:`~repro.trace.clf.TraceRecord`, or a page's journal
+        records as one sequence."""
         kind, record = event
         tracer = self._tracer
         if kind == PROBE_EVENT:
-            ts = record.issued_at
+            # ``record`` is one journalled page: its lines share a client
+            # IP and an issue time, so one clock step, sweep and insert.
+            ts = record[0].issued_at
             skew = self._observe_event_time(ts)
             self._sweep(ts)
             if tracer is not None:
@@ -286,11 +291,13 @@ class ReplayLaneWorker(_LaneWorker):
                     wall_duration=self._last_wait, wall_end=wall_now,
                 )
                 with tracer.span("register", ts):
-                    self.shard.register_probe(record.to_probe())
+                    self.shard.register_page(
+                        [line.to_probe() for line in record]
+                    )
                 tracer.end()
             else:
-                self.shard.register_probe(record.to_probe())
-            self._probes_loaded += 1
+                self.shard.register_page([line.to_probe() for line in record])
+            self._probes_loaded += len(record)
             return
         ts = record.timestamp
         skew = self._observe_event_time(ts)

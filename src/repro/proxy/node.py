@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 from repro.detection.service import DetectionService, RequestOutcome
 from repro.detection.sharded import ShardedDetectionService
@@ -304,9 +305,9 @@ class NodeShard:
         self._account(outcome, response, beacon=False, now=now)
         return response, outcome
 
-    def register_probe(self, probe: RegisteredProbe) -> None:
-        """Register one journaled probe in this shard's probe table."""
-        self.detection.registry.register(probe)
+    def register_page(self, probes: Sequence[RegisteredProbe]) -> None:
+        """Register one journalled page's probes in this shard's table."""
+        self.detection.registry.register_page(probes)
 
     # -- internals ----------------------------------------------------------
 

@@ -24,6 +24,7 @@ stream them with a bounded heap.
 
 from __future__ import annotations
 
+import re
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from repro.http.message import Request, Response
@@ -38,6 +39,12 @@ from repro.trace.clf import (
     write_trace,
 )
 from repro.workload.session_run import SessionRecord
+
+#: Journal kind token -> kind: one dict lookup per line, not an Enum call.
+_KINDS = {kind.value: kind for kind in BeaconKind}
+#: The only issue-time form :func:`format_probe_line` writes; ``float``
+#: would also take ``nan``, ``inf``, ``1_0`` and `` 5``.
+_ISSUED_RE = re.compile(r"-?[0-9]+\.[0-9]+")
 
 
 class ProbeRecord(NamedTuple):
@@ -83,15 +90,17 @@ class ProbeRecord(NamedTuple):
         bandwidth bookkeeping, not detection state), so replayed script
         probes serve an empty body.
         """
+        # Positional, like the parser's record: a keyword call to a named
+        # tuple costs about twice as much, once per journal line.
         return RegisteredProbe(
-            kind=BeaconKind(self.kind),
-            client_ip=self.client_ip,
-            host=self.host,
-            path=self.path,
-            page_path=self.page_path,
-            issued_at=self.issued_at,
-            key=self.key,
-            is_real_key=self.is_real_key,
+            _KINDS[self.kind],
+            self.client_ip,
+            self.host,
+            self.path,
+            self.page_path,
+            self.issued_at,
+            self.key,
+            self.is_real_key,
         )
 
 
@@ -112,27 +121,31 @@ def format_probe_line(record: ProbeRecord) -> str:
 
 
 def parse_probe_line(line: str) -> ProbeRecord:
-    """Parse one journal line; raises :class:`TraceParseError`."""
+    """Parse one journal line; raises :class:`TraceParseError`.
+
+    Only what :func:`format_probe_line` writes is a record: eight
+    non-empty fields, a plain decimal issue time, a known kind and
+    ``real`` / ``decoy``.
+    """
     parts = line.rstrip("\n").split("\t")
-    if len(parts) != 8:
+    if (
+        len(parts) != 8
+        or "" in parts
+        or _ISSUED_RE.fullmatch(parts[0]) is None
+        or parts[1] not in _KINDS
+        or parts[7] not in ("real", "decoy")
+    ):
         raise TraceParseError(f"unparseable probe journal line: {line!r}")
     issued, kind, ip, host, path, page_path, key, realness = parts
-    try:
-        timestamp = float(issued)
-        BeaconKind(kind)
-    except ValueError:
-        raise TraceParseError(
-            f"unparseable probe journal line: {line!r}"
-        ) from None
     return ProbeRecord(
-        issued_at=timestamp,
-        kind=kind,
-        client_ip=ip,
-        host=host,
-        path=path,
-        page_path="" if page_path == "-" else page_path,
-        key=None if key == "-" else key,
-        is_real_key=realness == "real",
+        float(issued),
+        kind,
+        ip,
+        host,
+        path,
+        "" if page_path == "-" else page_path,
+        None if key == "-" else key,
+        realness == "real",
     )
 
 

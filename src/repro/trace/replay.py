@@ -4,11 +4,13 @@ pipeline in timestamp order.
 This is how BOTracle/BotGraph-style evaluations work — the classifier is
 judged on a recorded request log rather than on scripted clients.  The
 engine heap-merges any number of trace sources (plus an optional probe
-journal) into one time-ordered event stream and admits every event to
-the ingress pipeline (:mod:`repro.ingress`): each event is routed by its
-client IP to the lane that owns that client's state, and the lane's
-:class:`~repro.ingress.workers.ReplayLaneWorker` handles requests,
-registers probes and sweeps housekeeping on its own event clock.  All
+journal) into one time-ordered event stream — a request, or a journalled
+page: the journal's consecutive lines of one ``(issued_at, client_ip)``
+— and admits every event to the ingress pipeline (:mod:`repro.ingress`):
+each is routed by its client IP to the lane that owns that client's
+state, and the lane's :class:`~repro.ingress.workers.ReplayLaneWorker`
+handles requests, registers each page in one insert and sweeps
+housekeeping on its own event clock.  All
 detection state is keyed on the ``<IP, User-Agent>`` session at the node
 serving the client, so a lane consuming its events in order *is* the
 whole computation; ``executor`` only chooses where the lanes run (the
@@ -31,7 +33,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Union
+from itertools import groupby
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
@@ -202,9 +206,9 @@ class TraceReplayEngine:
         when ``assume_sorted`` is set, and is sorted here otherwise.
 
         This loop only *admits*; per-lane processing happens on the
-        lanes' executor.  Probe-journal registrations are admitted with
-        ``force`` (key material is never shed) and ride the same lane
-        queue as their IP's requests, which preserves the registration-
+        lanes' executor.  A journalled page is admitted as one event with
+        ``force`` (key material is never shed) and rides the same lane
+        queue as its IP's requests, which preserves the registration-
         before-fetch ordering the probe table depends on.
         """
         # Deferred import: see ReplayConfig.ingress().
@@ -228,7 +232,7 @@ class TraceReplayEngine:
         if probes is not None:
             streams.append(
                 self._events(
-                    self._probe_records(probes, probe_parse_stats),
+                    _pages(self._probe_records(probes, probe_parse_stats)),
                     _PROBE_EVENT,
                     len(streams),
                 )
@@ -246,7 +250,7 @@ class TraceReplayEngine:
             pipeline.tick(timestamp)
             if priority == _PROBE_EVENT:
                 pipeline.submit(
-                    (PROBE_EVENT, item), item.client_ip, force=True
+                    (PROBE_EVENT, item), item[0].client_ip, force=True
                 )
                 continue
             if item.agent_kind or item.true_label:
@@ -308,16 +312,26 @@ class TraceReplayEngine:
         return sorted(source, key=lambda p: p.issued_at)
 
     @staticmethod
-    def _events(records: Iterable, priority: int, stream: int):
-        """Wrap records as sortable (time, priority, stream, seq, record)
-        events; stream/seq break ties so records are never compared."""
-        for seq, record in enumerate(records):
+    def _events(items: Iterable, priority: int, stream: int):
+        """Wrap records or pages as sortable (time, priority, stream, seq,
+        item) events; stream/seq break ties so items are never compared."""
+        for seq, item in enumerate(items):
             time = (
-                record.timestamp
-                if priority == _REQUEST_EVENT
-                else record.issued_at
+                item.timestamp if priority == _REQUEST_EVENT
+                else item[0].issued_at
             )
-            yield (time, priority, stream, seq, record)
+            yield (time, priority, stream, seq, item)
+
+
+def _pages(records: Iterable[ProbeRecord]) -> Iterator[tuple[ProbeRecord, ...]]:
+    """Group consecutive journal records of one ``(issued_at, client_ip)``.
+
+    Such a run is one page's registrations (the recorder writes a page's
+    lines together and sorts stably), and registering it in one insert
+    is the same as registering its lines one by one.
+    """
+    for _key, page in groupby(records, attrgetter("issued_at", "client_ip")):
+        yield tuple(page)
 
 
 def replay_trace(

@@ -238,8 +238,8 @@ class TestShardService:
             assert shard.limiter.config is limits
             assert shard.instrument_enabled
             assert shard.detection.tracker.total_started == 0
-        node.shard_for("4.4.4.4").register_probe(
-            _probe("4.4.4.4", key="k-heard")
+        node.shard_for("4.4.4.4").register_page(
+            [_probe("4.4.4.4", key="k-heard")]
         )
         assert [p.key for p in heard] == ["k-heard"]
 
@@ -251,8 +251,8 @@ class TestShardService:
 
     def test_refuses_after_a_probe_lands(self):
         node = _node(1)
-        node.shard_for("4.4.4.4").register_probe(
-            _probe("4.4.4.4", key="k-landed")
+        node.shard_for("4.4.4.4").register_page(
+            [_probe("4.4.4.4", key="k-landed")]
         )
         with pytest.raises(RuntimeError, match="node-view"):
             node.shard_detection(2)

@@ -24,6 +24,7 @@ import json
 import time
 
 import pytest
+from journal_pages import journal_pages
 
 from repro.agents.population import AgentSpec, PopulationMix
 from repro.agents.robots import DdosZombie
@@ -326,7 +327,12 @@ class TestLadderDeterminism:
 
 
 class TestAdmissionConservation:
-    """Satellite (b): arrivals = queued + shed on every combination."""
+    """Arrivals = queued + shed on every combination.
+
+    An arrival is a request or a journalled page: the replay admits a
+    page's journal lines as one event (``journal_pages``), and loads
+    every line of it.
+    """
 
     MATRIX = [
         ("serial", "block", None),
@@ -348,10 +354,9 @@ class TestAdmissionConservation:
             adaptive=AdaptiveConfig() if policy == "adaptive" else None,
         )
         stats = result.stats
-        assert stats.queued + stats.shed == len(records) + len(probes)
-        assert (
-            result.requests_replayed + result.probes_loaded == stats.queued
-        )
+        pages = len(journal_pages(probes))
+        assert stats.queued + stats.shed == len(records) + pages
+        assert result.requests_replayed + pages == stats.queued
         # Probe-journal key material is never shed by any policy.
         assert result.probes_loaded == len(probes)
         if policy == "adaptive":
@@ -385,7 +390,9 @@ class TestAdmissionConservation:
         assert result.overload.shed == 0
         assert result.stats.shed == 0
         assert result.requests_replayed == len(records)
-        assert result.stats.queued == len(records) + len(probes)
+        assert result.stats.queued == len(records) + len(
+            journal_pages(probes)
+        )
 
     def test_process_chunk_granularity_shedding_is_counted(self):
         # The process executor sheds whole IPC chunks when a lane's

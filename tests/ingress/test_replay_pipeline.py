@@ -17,6 +17,7 @@ import heapq
 
 import numpy as np
 import pytest
+from journal_pages import journal_pages
 
 from repro.detection.online import OnlineClassifier
 from repro.ingress.batcher import MicroBatchConfig
@@ -132,7 +133,7 @@ def _oracle(recorded) -> SessionCensus:
         else:
             network.node_for(item.client_ip).shard_for(
                 item.client_ip
-            ).register_probe(item.to_probe())
+            ).detection.registry.register(item.to_probe())
     result = SessionCensus()
     result.sessions = network.finalize_sessions()
     apply_session_identities(result.sessions, session_identities(records))
@@ -171,8 +172,11 @@ class TestExecutorDeterminism:
         assert result.last_timestamp == baseline.last_timestamp
         assert result.stats == baseline.stats
         assert _ordered(result) == _ordered(baseline)
+        # One admitted event per request and per journalled page.
         records, probes = recorded
-        assert result.stats.queued == len(records) + len(probes)
+        assert result.stats.queued == len(records) + len(
+            journal_pages(probes)
+        )
         assert result.stats.shed == 0
 
     def test_sharded_lanes_agree_too(self, recorded, baseline):
@@ -340,8 +344,8 @@ class TestLaneGranularity:
         assert pipeline.n_lanes == len(network.nodes) * self.SHARDS
         from repro.ingress.workers import PROBE_EVENT, REQUEST_EVENT
 
-        for probe in probes:
-            pipeline.submit((PROBE_EVENT, probe), probe.client_ip)
+        for page in journal_pages(probes):
+            pipeline.submit((PROBE_EVENT, page), page[0].client_ip)
         for record in records:
             pipeline.submit((REQUEST_EVENT, record), record.client_ip)
         result = pipeline.close()
@@ -365,6 +369,9 @@ class TestLaneGranularity:
             assert tabled and tabled <= owned
             assert result.lanes[lane].handled == sum(
                 1 for r in records if r.client_ip in owned
+            )
+            assert result.lanes[lane].probes_loaded == sum(
+                1 for p in probes if p.client_ip in owned
             )
 
 class TestMetricsDeterminism:
@@ -450,10 +457,12 @@ class TestLoadShedding:
             recorded, executor="process", queue_depth=1, shed=True
         )
         stats = result.stats
-        # Every arrival is accounted for: queued xor shed...
-        assert stats.queued + stats.shed == len(records) + len(probes)
+        # Every arrival — a request or a journalled page — is accounted
+        # for: queued xor shed...
+        pages = len(journal_pages(probes))
+        assert stats.queued + stats.shed == len(records) + pages
         # ...and everything queued was actually handled.
-        assert result.requests_replayed + result.probes_loaded == stats.queued
+        assert result.requests_replayed + pages == stats.queued
         # Probe-journal key material is never shed.
         assert result.probes_loaded == len(probes)
 

@@ -178,9 +178,8 @@ class TestScriptsTheTableRefuses:
         home = Url.parse(f"http://{small_site.host}{small_site.home_path}")
         _, script_url, probes = _serve_page(node, home, "10.1.1.1", 0)
         replayed = self._capped_node(small_site, small_origin)
-        for probe in probes:
-            replayed.shard_for(probe.client_ip).register_probe(
-                ProbeRecord.from_probe(probe).to_probe()
-            )
+        replayed.shard_for("10.1.1.1").register_page(
+            [ProbeRecord.from_probe(probe).to_probe() for probe in probes]
+        )
         response = replayed.handle(_get(script_url, "10.1.1.1", 1.0))
         assert (response.status, bytes(response.body)) == (200, b"")

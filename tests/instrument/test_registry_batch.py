@@ -212,8 +212,7 @@ class TestPartitionedRegistry:
                 1.0,
                 serial,
             )
-            for probe in probes:
-                node.shard_for(ip).register_probe(probe)
+            node.shard_for(ip).register_page(probes)
             registered += probes
             owner = node.shard_index_for(ip)
             for index, shard in enumerate(node.state_shards):

@@ -46,7 +46,7 @@ def _probe(client_ip, key, issued_at=0.0):
 
 def _register(node, probe):
     """Register a journaled probe on the shard owning its client."""
-    node.shard_for(probe.client_ip).register_probe(probe)
+    node.shard_for(probe.client_ip).register_page([probe])
 
 
 def _request(client_ip, path="/a.css", timestamp=0.0):

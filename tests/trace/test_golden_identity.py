@@ -49,6 +49,24 @@ is a ``NodeStats``.  ``f7c3a628…`` is what this file computes at PR
 node (the lane-layout option PR 28 deletes) and ``NetworkStats`` read
 as ``NodeStats`` in ``repr(result.stats)`` — the layout PR 28 keeps,
 under the name it keeps.
+
+It changed on purpose again when a journalled page became one lane
+event: the replay admits each run of journal lines that share an issue
+time and a client IP as one event and registers it in one insert.  Three
+observables count admitted events, and only they moved: ``queued`` in
+``repr(result.stats)`` (3,747 requests plus 9,670 journal lines, 13,417,
+became 3,747 requests plus 967 pages, 4,714),
+``repro_ingress_admitted_total{lane}``, and the count (all in
+the zero bucket, sum 0) of ``repro_ingress_queue_wait_event_seconds{lane}``,
+which a lane observes for every event but its first.  Census, summary,
+stats otherwise, latencies, every verdict margin bit for bit, parse
+stats and every other metric series are identical.  ``c8a7dff3…`` is
+what this file computes at the parent (c5969e5) with those three
+rewritten from the parent's own inputs: per lane (``node_index_for``,
+then ``shard_index_for``), its requests plus its runs of consecutive
+journal lines of one ``(issued_at, client_ip)`` — 512, 510, 560, 884,
+785, 681, 548 and 234 events, 4,714 in all — as the admitted count, and
+one fewer as the queue-wait count.
 """
 
 from __future__ import annotations
@@ -64,7 +82,7 @@ from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import SMOKE
 
-GOLDEN = "f7c3a628d68a96a77fb45cd1cdcdb202f305cf506d370e4dcd3e0c7c309bf1ab"
+GOLDEN = "c8a7dff3610d35cb8a711c73f978a580576551f65e81132e9587857eda2cc4e2"
 
 
 def _observables(result: ReplayResult) -> list[str]:

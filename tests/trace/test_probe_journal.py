@@ -15,8 +15,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.http.message import Method
+from repro.http.uri import Url
 from repro.instrument.keys import BeaconKind
-from repro.trace.clf import ParseStats, TraceParseError
+from repro.proxy.network import ProxyNetwork
+from repro.proxy.node import NodeShard
+from repro.trace.clf import ParseStats, TraceParseError, TraceRecord
 from repro.trace.recorder import (
     ProbeRecord,
     format_probe_line,
@@ -24,6 +28,8 @@ from repro.trace.recorder import (
     read_probe_journal,
     write_probe_journal,
 )
+from repro.trace.replay import ReplayConfig, TraceReplayEngine
+from repro.util.rng import RngStream
 
 #: What ``Url.parse`` lets into a host or path, and the front door into
 #: a client IP: anything but whitespace and control characters.
@@ -49,6 +55,10 @@ probe_records = st.builds(
 )
 
 
+#: Issue times ``float`` takes and ``format_probe_line`` never writes.
+_FOREIGN_TIMES = ("nan", "inf", "-inf", "1_0.5", " 5", "5", "1e3", "+1.5")
+
+
 def _not_a_record(line: str, how: int, junk: str) -> str:
     """Damage a journal line so that no parser may accept it."""
     fields = line.split("\t")
@@ -62,15 +72,21 @@ def _not_a_record(line: str, how: int, junk: str) -> str:
         fields[0] = "t" + junk  # no float starts with a "t"
     elif how == 3:
         fields[1] = "kind-" + junk  # no BeaconKind has a dash
-    else:
+    elif how == 4:
         fields[4] += "\udcff"  # an undecodable byte, as the reader sees it
+    elif how == 5:
+        fields[0] = _FOREIGN_TIMES[len(junk) % len(_FOREIGN_TIMES)]
+    elif how == 6:
+        fields[7] = ("Real", "true", "x" + junk)[len(junk) % 3]
+    else:
+        fields[2 + len(junk) % 3] = ""  # an empty IP, host or path
     return "\t".join(fields)
 
 
 junk_lines = st.builds(
     _not_a_record,
     probe_records.map(format_probe_line),
-    st.integers(0, 4),
+    st.integers(0, 7),
     st.text(_token_chars, max_size=8),
 )
 
@@ -147,3 +163,42 @@ def test_written_journal_reads_back(tmp_path):
     ]
     assert write_probe_journal(path, records) == 4
     assert list(read_probe_journal(path, strict=True)) == records
+
+
+def test_a_nan_line_does_not_stop_a_lanes_sweeps(tmp_path, monkeypatch):
+    """Regression: ``float`` read ``nan`` as an issue time, and a NaN as
+    a lane's first event set its next sweep to NaN, which no timestamp
+    reaches — 120 requests over two virtual hours got 0 sweeps where
+    they get 11 after a ``0.000000`` line.  The line is malformed now:
+    counted, skipped, and the lane sweeps on its requests' clock."""
+    sweeps = []
+    monkeypatch.setattr(
+        NodeShard, "housekeeping", lambda shard, now: sweeps.append(now)
+    )
+    records = [
+        TraceRecord("10.0.0.1", 60.0 * i, Method.GET,
+                    Url.parse(f"http://h.com/p{i}.html"), 200, 10, "UA")
+        for i in range(120)
+    ]
+    good = format_probe_line(ProbeRecord(
+        0.0, "css_beacon", "10.0.0.1", "h.com", "/a.css", "/index.html"
+    ))
+
+    def replay(issued: str, strict: bool = False):
+        journal = tmp_path / "j.keys"
+        journal.write_text(issued + good[good.index("\t"):] + "\n")
+        network = ProxyNetwork(
+            origins={}, rng=RngStream(0, "replay"), n_nodes=1,
+            instrument_enabled=False,
+        )
+        engine = TraceReplayEngine(network, ReplayConfig(strict=strict))
+        sweeps.clear()
+        return engine.replay(records, probes=str(journal))
+
+    assert replay("0.000000").probes_loaded == 1
+    assert len(sweeps) == 11
+    result = replay("nan")
+    assert len(sweeps) == 11
+    assert (result.probes_loaded, result.probe_parse_stats.malformed) == (0, 1)
+    with pytest.raises(TraceParseError):
+        replay("nan", strict=True)
