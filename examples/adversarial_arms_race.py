@@ -73,9 +73,8 @@ def main() -> None:
         ip = f"10.66.0.{index + 1}"
         agent = build(ip, rng.split(f"adv-{index}"), entry)
         runner.run(agent, start_time=index * 10_000.0)
-        detection = node.shard_for(ip).detection
-        state = detection.tracker.get(ip, agent.user_agent)
-        verdict = detection.classifier.classify_final(state)
+        state = node.detection.tracker.get(ip, agent.user_agent)
+        verdict = state.final_verdict()
         evaded = verdict.label.value == "human"
         marker = "  <-- EVADED" if evaded else ""
         print(f"{name:>22} | {verdict.label.value:>7} | "

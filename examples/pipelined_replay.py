@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from itertools import groupby
 
 from repro.obs.spans import (
     SpanConfig,
@@ -125,7 +126,15 @@ def main() -> None:
             shed=True,
         )
         stats = shed_run.stats
-        total = len(recorder.records) + len(recorder.probes)
+        # Admission counts each request, and each journalled page (its
+        # probe lines share one issue time and client IP) as one event.
+        pages = sum(
+            1 for _ in groupby(
+                recorder.sorted_probes(),
+                key=lambda record: (record.issued_at, record.client_ip),
+            )
+        )
+        total = len(recorder.records) + pages
         print(
             f"\noverload replay (depth=4, shed): handled "
             f"{shed_run.requests_replayed}, shed {stats.shed}, "

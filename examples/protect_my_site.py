@@ -3,8 +3,8 @@
 
 A DDoS zombie and a vulnerability scanner hit a protected node alongside
 a legitimate human. The robot policy (§3.2: CGI/GET rates, 4xx counts)
-blocks the abusers mid-session while the human sails through; the event
-log shows the decision trail.
+blocks the abusers mid-session while the human sails through; each
+session's evidence indices and block reason show the decision trail.
 
 Run:  python examples/protect_my_site.py
 """
@@ -14,8 +14,8 @@ from __future__ import annotations
 from repro.agents.behavior import BehaviorProfile
 from repro.agents.browser import BrowserAgent, BrowserConfig
 from repro.agents.robots import DdosZombie, VulnScannerBot
-from repro.detection.policy import PolicyConfig
 from repro.detection.service import DetectionService
+from repro.detection.session import PolicyConfig
 from repro.instrument.keys import InstrumentationRegistry
 from repro.proxy.node import ProxyNode
 from repro.site.generator import SiteConfig, SiteGenerator
@@ -25,6 +25,21 @@ from repro.workload.session_run import SessionRunner
 
 BROWSER_UA = "Mozilla/5.0 (Windows; U; Windows NT 5.1; en-US; rv:1.8.0.1) " \
     "Gecko/20060111 Firefox/1.5.0.1"
+
+
+def evidence(state) -> str:
+    """The request index at which each signal first fired."""
+    indices = [
+        ("css", state.css_beacon_at),
+        ("js", state.js_executed_at),
+        ("mouse", state.mouse_event_at),
+        ("hidden link", state.hidden_link_at),
+        ("UA mismatch", state.ua_mismatch_at),
+    ]
+    shown = [f"{name}@{index}" for name, index in indices if index is not None]
+    if state.wrong_key_fetches:
+        shown.append(f"{state.wrong_key_fetches} wrong-key fetches")
+    return ", ".join(shown) or "(none)"
 
 
 def main() -> None:
@@ -38,7 +53,6 @@ def main() -> None:
             get_rate_limit=60.0, cgi_rate_limit=6.0, error_4xx_limit=8
         ),
     )
-    detection.keep_event_log = True  # a short run: print its events below
     node = ProxyNode(
         node_id="guard",
         origins={website.host: OriginServer(website)},
@@ -64,26 +78,19 @@ def main() -> None:
         )),
     ]
 
+    blocked_sessions = 0
     for name, agent in population:
         record = runner.run(agent, start_time=0.0)
         state = node.detection.tracker.get(agent.client_ip, agent.user_agent)
-        verdict = detection.classifier.classify_final(state)
-        blocked = detection.policy.is_blocked(state.session_id)
+        verdict = state.final_verdict()
+        blocked_sessions += bool(state.block_reason)
         print(f"{name:>8} @{agent.client_ip}: {record.requests} requests, "
-              f"verdict={verdict.label.value}, "
-              f"{'BLOCKED' if blocked else 'not blocked'}")
+              f"verdict={verdict.label.value}")
+        print(f"          evidence: {evidence(state)}")
+        print(f"          blocked:  {state.block_reason or 'no'}")
 
     print(f"\nnode refused {node.stats.policy_blocked} requests in total")
-    print(f"blocked sessions: {detection.policy.blocked_sessions}")
-
-    print("\nrobot-evidence events (first 10):")
-    interesting = [
-        e for e in detection.event_log
-        if e.kind.is_robot_evidence or e.kind.value == "session_started"
-    ]
-    for event in interesting[:10]:
-        print(f"  {event}")
-
+    print(f"blocked sessions: {blocked_sessions}")
 
 if __name__ == "__main__":
     main()

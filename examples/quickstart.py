@@ -72,9 +72,8 @@ def main() -> None:
 
     # 4. Ask the detector what it concluded.
     for record in (human_record, crawler_record):
-        detection = node.shard_for(record.client_ip).detection
-        state = detection.tracker.get(record.client_ip, record.user_agent)
-        verdict = detection.classifier.classify_final(state)
+        state = node.detection.tracker.get(record.client_ip, record.user_agent)
+        verdict = state.final_verdict()
         print(f"{record.agent_kind:>8} @{record.client_ip}: "
               f"{record.requests} requests")
         print(f"          evidence: {describe(state)}")

@@ -30,7 +30,7 @@ See README.md (repository root) for the architecture tour and the
 from repro.detection import (
     DetectionService,
     Label,
-    OnlineClassifier,
+    PolicyConfig,
     SessionSets,
     SessionState,
     SessionTracker,
@@ -96,9 +96,9 @@ __all__ = [
     "InstrumentationRegistry",
     "Label",
     "MicroBatchConfig",
-    "OnlineClassifier",
     "OriginServer",
     "PageInstrumenter",
+    "PolicyConfig",
     "ProxyNetwork",
     "ProxyNode",
     "RngStream",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.detection.online import DetectionLatency
+from repro.detection.session import DetectionLatency
 from repro.util.stats import Ecdf
 
 

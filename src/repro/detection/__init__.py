@@ -2,9 +2,9 @@
 
 A :class:`~repro.detection.tracker.SessionTracker` groups the request
 stream into ``<IP, User-Agent>`` sessions (1-hour idle timeout, §3).  Each
-request is matched against the instrumentation registry; hits become
-:class:`~repro.detection.events.DetectionEvent`s that update per-session
-evidence flags:
+session is one :class:`~repro.detection.session.SessionState`, the state
+machine of §2-§3: every request is matched against the instrumentation
+registry, and a hit becomes evidence on the session —
 
 * valid keyed mouse-image fetch  -> human activity (§2.1);
 * CSS-beacon fetch               -> standard-browser behaviour (§2.2);
@@ -12,36 +12,36 @@ evidence flags:
 * hidden-trap page fetch         -> crawler behaviour;
 * wrong-key beacon fetch         -> blind-fetching robot.
 
-:mod:`repro.detection.set_algebra` combines the per-session flags with the
-paper's formula ``S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM)`` and derives the
-lower/upper human-fraction bounds and the maximum false-positive rate.
-:mod:`repro.detection.online` produces per-request verdicts and the
-requests-to-detect samples behind Figure 2, and
-:mod:`repro.detection.policy` applies the post-classification rate
-limiting and blocking described in §3.2.
+The same state gives the session's online and final verdicts (the
+requests-to-detect samples behind Figure 2 are its first-evidence
+indices) and applies the §3.2 staging: a robot-labelled session is
+watched and blocked once its CGI rate, GET rate or 4xx count crosses a
+:class:`~repro.detection.session.PolicyConfig` threshold.
+:class:`~repro.detection.service.DetectionService` is the per-request
+pipeline around them, and :mod:`repro.detection.set_algebra` combines the
+finished sessions with the paper's formula
+``S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM)`` into the lower/upper
+human-fraction bounds and the maximum false-positive rate.
 """
 
-from repro.detection.events import DetectionEvent, EventKind
-from repro.detection.online import OnlineClassifier, OnlineConfig
-from repro.detection.policy import PolicyAction, PolicyConfig, RobotPolicy
 from repro.detection.service import DetectionService, RequestOutcome
-from repro.detection.session import SessionKey, SessionState
+from repro.detection.session import (
+    DetectionLatency,
+    PolicyConfig,
+    SessionKey,
+    SessionState,
+)
 from repro.detection.set_algebra import SessionSets, SetAlgebraSummary
 from repro.detection.sharded import ShardedDetectionService
 from repro.detection.tracker import SessionTracker
 from repro.detection.verdict import Label, Verdict
 
 __all__ = [
-    "DetectionEvent",
+    "DetectionLatency",
     "DetectionService",
-    "EventKind",
     "Label",
-    "OnlineClassifier",
-    "OnlineConfig",
-    "PolicyAction",
     "PolicyConfig",
     "RequestOutcome",
-    "RobotPolicy",
     "SessionKey",
     "SessionSets",
     "SessionState",

@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.detection.online import DetectionLatency
-from repro.detection.session import SessionState
+from repro.detection.session import DetectionLatency, SessionState
 
 if TYPE_CHECKING:  # the node owns this view; no import cycle at runtime
     from repro.proxy.node import ProxyNode

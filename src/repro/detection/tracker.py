@@ -2,31 +2,24 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.detection.session import SessionKey, SessionState
 from repro.http.message import Request
 from repro.util.ids import IdGenerator
 from repro.util.timeutil import HOUR
 
-SessionSink = Callable[[SessionState], None]
-
 
 class SessionTracker:
     """Maintains live sessions and retires idle ones.
 
-    Completed (idle-expired or explicitly finalized) sessions are handed to
-    an optional ``sink`` callback so million-session workloads don't
-    accumulate in memory; they are also kept in :attr:`completed` unless
-    ``keep_completed`` is False.
+    Completed (idle-expired or explicitly finalized) sessions are kept in
+    :attr:`completed`; a retired session's state, its §3.2 watch and
+    block included, goes with it.
     """
 
     def __init__(
         self,
         idle_timeout: float = HOUR,
         min_requests: int = 10,
-        sink: SessionSink | None = None,
-        keep_completed: bool = True,
         id_prefix: str = "sess",
     ) -> None:
         if idle_timeout <= 0:
@@ -35,8 +28,6 @@ class SessionTracker:
             raise ValueError("min_requests must be non-negative")
         self._idle_timeout = idle_timeout
         self._min_requests = min_requests
-        self._sink = sink
-        self._keep_completed = keep_completed
         self._live: dict[SessionKey, SessionState] = {}
         self._ids = IdGenerator(id_prefix)
         self.completed: list[SessionState] = []
@@ -118,7 +109,4 @@ class SessionTracker:
 
     def _retire(self, state: SessionState) -> None:
         self._live.pop(state.key, None)
-        if self._keep_completed:
-            self.completed.append(state)
-        if self._sink is not None:
-            self._sink(state)
+        self.completed.append(state)

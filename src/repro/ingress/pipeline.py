@@ -43,8 +43,7 @@ from repro.ingress.executors import (
     build_executor,
 )
 from repro.ingress.workers import LaneResult
-from repro.detection.online import DetectionLatency
-from repro.detection.session import SessionState
+from repro.detection.session import DetectionLatency, SessionState
 from repro.detection.sharded import merge_sessions
 from repro.detection.set_algebra import SessionSets
 from repro.ml.adaboost import AdaBoostModel

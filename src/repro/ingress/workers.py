@@ -101,11 +101,7 @@ def _request_flags(response, outcome) -> tuple[str, ...]:
         flags.append("robot")
         flags.append(f"ladder:{ladder_stage}")
     if outcome is not None and (
-        outcome.blocked
-        or (
-            outcome.verdict is not None
-            and outcome.verdict.label is Label.ROBOT
-        )
+        outcome.blocked or outcome.verdict.label is Label.ROBOT
     ):
         flags.append("robot")
     if response.status >= 500:
@@ -508,7 +504,4 @@ class WorkloadLaneWorker(_LaneWorker):
             self._captcha_rng.split(f"captcha-{record.client_ip}"),
             is_human=record.true_label == "human",
         )
-        if outcome is CaptchaOutcome.PASSED:
-            self.shard.detection.note_captcha(state, True, record.ended_at)
-        elif outcome is CaptchaOutcome.FAILED:
-            self.shard.detection.note_captcha(state, False, record.ended_at)
+        state.note_captcha(outcome is CaptchaOutcome.PASSED)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.detection.online import DetectionLatency
-from repro.detection.session import SessionState
+from repro.detection.session import DetectionLatency, SessionState
 from repro.detection.set_algebra import SessionSets
 from repro.http.message import Request, Response
 from repro.instrument.rewriter import InstrumentConfig

@@ -4,7 +4,7 @@ CoDeeN applied rate limiting and privilege separation before this paper's
 techniques existed (Wang et al. 2004); the paper then "enforced aggressive
 rate limiting on the robot traffic" once sessions were classified.  The
 token bucket here is the generic substrate; the classification-driven
-thresholds live in :mod:`repro.detection.policy`.
+thresholds live in :class:`repro.detection.session.PolicyConfig`.
 """
 
 from __future__ import annotations

@@ -580,15 +580,13 @@ class DetectorServer:
     def _handle_on_node(self, node, request: Request) -> Response:
         response, outcome = node.handle_traced(request)
         if self._config.ladder is not None and outcome is not None:
-            verdict = outcome.verdict
-            if verdict is not None:
-                ladder = node.ladder_for(request.client_ip)
-                if ladder is not None:
-                    ladder.observe_verdict(
-                        request.client_ip,
-                        -1.0 if verdict.label is Label.ROBOT else 1.0,
-                        request.timestamp,
-                    )
+            ladder = node.ladder_for(request.client_ip)
+            if ladder is not None:
+                ladder.observe_verdict(
+                    request.client_ip,
+                    -1.0 if outcome.verdict.label is Label.ROBOT else 1.0,
+                    request.timestamp,
+                )
         return response
 
     def _admit(self, index: int, client_ip: str) -> bool:

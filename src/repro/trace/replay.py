@@ -37,8 +37,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
-from repro.detection.online import DetectionLatency
-from repro.detection.session import SessionState
+from repro.detection.session import DetectionLatency, SessionState
 from repro.detection.set_algebra import SetAlgebraSummary
 from repro.ml.batch import BatchVerdict
 from repro.obs.flight import FlightFrame

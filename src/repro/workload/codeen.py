@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.agents.population import PopulationMix
-from repro.detection.online import DetectionLatency
-from repro.detection.session import SessionState
+from repro.detection.session import DetectionLatency, SessionState
 from repro.detection.set_algebra import SetAlgebraSummary
 from repro.instrument.rewriter import InstrumentConfig
 from repro.proxy.network import ProxyNetwork

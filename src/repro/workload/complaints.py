@@ -103,16 +103,13 @@ def measure_robot_suppression(sessions) -> float:
     of the set-algebra classifier on robots — the fraction of abusive
     sessions the deployment can rate-limit/block once classified.
     """
-    from repro.detection.online import OnlineClassifier
-
-    classifier = OnlineClassifier()
     robots = [s for s in sessions if s.true_label == "robot"]
     if not robots:
         return 0.0
     caught = sum(
         1
         for s in robots
-        if classifier.classify_final(s).label is Label.ROBOT
+        if s.final_verdict().label is Label.ROBOT
     )
     return caught / len(robots)
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.captcha.service import CaptchaService
-from repro.detection.online import DetectionLatency
-from repro.detection.session import SessionState
+from repro.detection.session import DetectionLatency, SessionState
 from repro.detection.set_algebra import SetAlgebraSummary
 from repro.ml.dataset import Dataset
 from repro.obs.flight import FlightFrame

@@ -39,11 +39,6 @@ def _run_browser(make_node, entry_url, profile, seed=1, config=FAST):
     return record, state, node
 
 
-def _classifier(node, state):
-    """The online classifier of the shard that owns ``state``."""
-    return node.shard_for(state.key.client_ip).detection.classifier
-
-
 class TestStandardBrowser:
     def test_full_evidence_trail(self, make_node, entry_url):
         profile = BehaviorProfile(mouse_move_probability=1.0)
@@ -60,7 +55,7 @@ class TestStandardBrowser:
     def test_is_classified_human(self, make_node, entry_url):
         profile = BehaviorProfile(mouse_move_probability=1.0)
         _, state, node = _run_browser(make_node, entry_url, profile)
-        verdict = _classifier(node, state).classify_final(state)
+        verdict = state.final_verdict()
         assert verdict.label.value == "human"
 
     def test_browser_fetches_trap_image_not_trap_page(
@@ -86,7 +81,7 @@ class TestJsDisabledBrowser:
         assert not state.in_js_set
         assert not state.in_mouse_set
         # The set algebra still calls this a human.
-        verdict = _classifier(node, state).classify_final(state)
+        verdict = state.final_verdict()
         assert verdict.label.value == "human"
 
     def test_no_script_fetches(self, make_node, entry_url):

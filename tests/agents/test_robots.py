@@ -39,13 +39,8 @@ def _run(make_node, entry_url, bot_cls, ua=ROBOT_UA, seed=3, **kwargs):
     return record, state, node
 
 
-def _classifier(node, state):
-    """The online classifier of the shard that owns ``state``."""
-    return node.shard_for(state.key.client_ip).detection.classifier
-
-
-def _final_label(node, state):
-    return _classifier(node, state).classify_final(state).label
+def _final_label(state):
+    return state.final_verdict().label
 
 
 class TestCrawler:
@@ -57,7 +52,7 @@ class TestCrawler:
         assert not state.in_css_set
         assert not state.in_js_set
         assert not state.in_mouse_set
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT
 
     def test_polite_crawler_respects_robots_txt(self, make_node, entry_url):
         record, state, node = _run(
@@ -71,7 +66,7 @@ class TestCrawler:
             max_requests=120, polite=False, follow_hidden=True,
         )
         assert state.followed_hidden_link
-        verdict = _classifier(node, state).classify_final(state)
+        verdict = state.final_verdict()
         assert verdict.label is Label.ROBOT
         assert verdict.definitive
 
@@ -96,7 +91,7 @@ class TestEmailHarvester:
             make_node, entry_url, EmailHarvesterBot, max_requests=40
         )
         assert not state.in_css_set
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT
 
 
 class TestReferrerSpammer:
@@ -105,7 +100,7 @@ class TestReferrerSpammer:
             make_node, entry_url, ReferrerSpammerBot,
             ua=BROWSER_UA, max_requests=30,
         )
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT
         assert record.requests >= 20
 
 
@@ -116,7 +111,7 @@ class TestClickFraud:
             ua=BROWSER_UA, max_requests=50, seed=5,
         )
         assert state.cgi_requests > 0
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT
 
 
 class TestVulnScanner:
@@ -126,7 +121,7 @@ class TestVulnScanner:
             ua=BROWSER_UA, max_requests=40,
         )
         assert state.status_4xx > 10
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT
 
     def test_uses_head_requests(self, make_node, entry_url):
         _, state, _ = _run(
@@ -150,7 +145,7 @@ class TestDdosZombie:
             ua=BROWSER_UA, max_requests=150,
         )
         assert node.stats.policy_blocked > 0
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT
 
 
 class TestOfflineBrowser:
@@ -174,7 +169,7 @@ class TestEngineBot:
         assert state.in_css_set
         assert state.in_js_set
         assert not state.in_mouse_set
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT
 
     def test_forged_header_mismatch(self, make_node, entry_url):
         _, state, node = _run(
@@ -182,7 +177,7 @@ class TestEngineBot:
             ua="Wget/1.10.2", forge_header=True, seed=8,
         )
         assert state.ua_mismatched
-        verdict = _classifier(node, state).classify_final(state)
+        verdict = state.final_verdict()
         assert verdict.definitive
 
     def test_honest_engine_no_mismatch(self, make_node, entry_url):
@@ -214,7 +209,7 @@ class TestBlindFetcher:
                 ua=BROWSER_UA, seed=seed, fetch_per_page=2,
             )
             if state.wrong_key_fetches:
-                verdict = _classifier(node, state).classify_final(state)
+                verdict = state.final_verdict()
                 assert verdict.label is Label.ROBOT
                 assert verdict.definitive
                 return
@@ -228,7 +223,7 @@ class TestMouseForger:
             make_node, entry_url, MouseForgerBot, ua=BROWSER_UA, seed=4
         )
         assert state.in_mouse_set
-        assert _final_label(node, state) is Label.HUMAN  # evaded!
+        assert _final_label(state) is Label.HUMAN  # evaded!
 
 
 class TestHotlinkLeech:
@@ -238,4 +233,4 @@ class TestHotlinkLeech:
             ua=BROWSER_UA, max_requests=30,
         )
         assert not state.in_css_set
-        assert _final_label(node, state) is Label.ROBOT
+        assert _final_label(state) is Label.ROBOT

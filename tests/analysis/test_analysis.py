@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.ascii_plot import bar_chart, line_chart
 from repro.analysis.cdf import detection_cdfs
 from repro.analysis.tables import format_table, render_table1
-from repro.detection.online import DetectionLatency
+from repro.detection.session import DetectionLatency
 from repro.detection.set_algebra import SetAlgebraSummary
 
 

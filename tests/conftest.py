@@ -8,6 +8,7 @@ Tests must treat them as read-only.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.detection.service import DetectionService
 from repro.instrument.keys import InstrumentationRegistry
@@ -18,6 +19,11 @@ from repro.site.generator import SiteConfig, SiteGenerator, Website
 from repro.site.origin import OriginServer
 from repro.util.rng import RngStream
 from repro.workload.codeen import CodeenWeekConfig, CodeenWeekExperiment
+
+#: The detector's stateful spec test (``tests/detection/test_detector_spec.py``)
+#: takes its example count from the active profile: 100 by default, this
+#: many under ``--hypothesis-profile=detector-deep`` (one CI leg runs it).
+settings.register_profile("detector-deep", max_examples=600)
 
 SMALL_SITE_CONFIG = SiteConfig(
     n_pages=14,

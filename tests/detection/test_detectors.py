@@ -1,14 +1,19 @@
-"""Tests for the three probe detectors."""
+"""Tests for ``SessionState.observe_hit``: one dispatch on the probe kind."""
 
 from __future__ import annotations
 
-from repro.detection.browser_test import BrowserTestDetector
-from repro.detection.events import EventKind
-from repro.detection.hidden_trap import HiddenLinkDetector
-from repro.detection.human_activity import HumanActivityDetector
 from repro.detection.session import SessionKey, SessionState
 from repro.instrument.keys import BeaconHit, BeaconKind, RegisteredProbe
 from repro.instrument.ua_probe import sanitize_user_agent
+
+_EVIDENCE = (
+    "css_beacon_at",
+    "beacon_js_at",
+    "js_executed_at",
+    "mouse_event_at",
+    "hidden_link_at",
+    "ua_mismatch_at",
+)
 
 
 def _state(ua="Mozilla/4.0 (compatible; MSIE 6.0)"):
@@ -31,110 +36,95 @@ def _hit(kind, is_real_key=True, echoed=None, path="/p"):
     return BeaconHit(probe=probe, echoed_user_agent=echoed)
 
 
+def _evidence(state):
+    """The evidence fields that are set, with their request indices."""
+    found = {
+        name: getattr(state, name)
+        for name in _EVIDENCE
+        if getattr(state, name) is not None
+    }
+    if state.wrong_key_fetches:
+        found["wrong_key_fetches"] = state.wrong_key_fetches
+    return found
+
+
 class TestHumanActivity:
     def test_valid_mouse_event(self):
         state = _state()
-        events = HumanActivityDetector().observe_hit(
-            state, _hit(BeaconKind.MOUSE_IMAGE), 7, 1.0
-        )
-        assert [e.kind for e in events] == [EventKind.MOUSE_EVENT_VALID]
-        assert state.mouse_event_at == 7
+        state.observe_hit(_hit(BeaconKind.MOUSE_IMAGE), 7)
+        assert _evidence(state) == {"mouse_event_at": 7}
 
     def test_duplicate_mouse_event_not_reemitted(self):
         state = _state()
-        detector = HumanActivityDetector()
-        detector.observe_hit(state, _hit(BeaconKind.MOUSE_IMAGE), 7, 1.0)
-        events = detector.observe_hit(
-            state, _hit(BeaconKind.MOUSE_IMAGE), 9, 2.0
-        )
-        assert events == []
-        assert state.mouse_event_at == 7
+        state.observe_hit(_hit(BeaconKind.MOUSE_IMAGE), 7)
+        state.observe_hit(_hit(BeaconKind.MOUSE_IMAGE), 9)
+        assert _evidence(state) == {"mouse_event_at": 7}
 
     def test_wrong_key_is_robot_evidence(self):
         state = _state()
-        events = HumanActivityDetector().observe_hit(
-            state, _hit(BeaconKind.MOUSE_IMAGE, is_real_key=False), 4, 1.0
-        )
-        assert [e.kind for e in events] == [EventKind.MOUSE_EVENT_WRONG_KEY]
-        assert state.wrong_key_fetches == 1
+        state.observe_hit(_hit(BeaconKind.MOUSE_IMAGE, is_real_key=False), 4)
+        assert _evidence(state) == {"wrong_key_fetches": 1}
+        # Every decoy fetch counts, not only the first.
+        state.observe_hit(_hit(BeaconKind.MOUSE_IMAGE, is_real_key=False), 5)
+        assert state.wrong_key_fetches == 2
         assert state.mouse_event_at is None
 
     def test_beacon_js_fetch_recorded(self):
         state = _state()
-        events = HumanActivityDetector().observe_hit(
-            state, _hit(BeaconKind.BEACON_JS), 3, 1.0
-        )
-        assert [e.kind for e in events] == [EventKind.BEACON_JS_FETCH]
-        assert state.beacon_js_at == 3
+        state.observe_hit(_hit(BeaconKind.BEACON_JS), 3)
+        assert _evidence(state) == {"beacon_js_at": 3}
 
     def test_ignores_other_kinds(self):
+        # A CSS fetch is standard-browser evidence, not human activity.
         state = _state()
-        events = HumanActivityDetector().observe_hit(
-            state, _hit(BeaconKind.CSS_BEACON), 3, 1.0
-        )
-        assert events == []
+        state.observe_hit(_hit(BeaconKind.CSS_BEACON), 3)
+        assert "mouse_event_at" not in _evidence(state)
+        assert state.wrong_key_fetches == 0
 
 
 class TestBrowserTest:
     def test_css_fetch(self):
         state = _state()
-        events = BrowserTestDetector().observe_hit(
-            state, _hit(BeaconKind.CSS_BEACON), 2, 1.0
-        )
-        assert [e.kind for e in events] == [EventKind.CSS_BEACON_FETCH]
-        assert state.css_beacon_at == 2
+        state.observe_hit(_hit(BeaconKind.CSS_BEACON), 2)
+        state.observe_hit(_hit(BeaconKind.CSS_BEACON), 4)
+        assert _evidence(state) == {"css_beacon_at": 2}
 
     def test_ua_probe_marks_js_executed(self):
         state = _state()
         echoed = sanitize_user_agent(state.key.user_agent)
-        events = BrowserTestDetector().observe_hit(
-            state, _hit(BeaconKind.UA_PROBE, echoed=echoed), 5, 1.0
-        )
-        assert [e.kind for e in events] == [EventKind.JS_EXECUTED]
-        assert state.js_executed_at == 5
-        assert state.ua_mismatch_at is None
+        state.observe_hit(_hit(BeaconKind.UA_PROBE, echoed=echoed), 5)
+        assert _evidence(state) == {"js_executed_at": 5}
 
     def test_ua_mismatch_detected(self):
         state = _state(ua="Wget/1.10.2")
-        events = BrowserTestDetector().observe_hit(
-            state,
-            _hit(BeaconKind.UA_PROBE, echoed="mozilla_4.0(msie6.0)"),
-            5,
-            1.0,
+        state.observe_hit(
+            _hit(BeaconKind.UA_PROBE, echoed="mozilla_4.0(msie6.0)"), 5
         )
-        kinds = [e.kind for e in events]
-        assert EventKind.JS_EXECUTED in kinds
-        assert EventKind.UA_MISMATCH in kinds
+        state.observe_hit(_hit(BeaconKind.UA_PROBE, echoed="other"), 8)
+        assert _evidence(state) == {"js_executed_at": 5, "ua_mismatch_at": 5}
 
     def test_empty_echo_is_not_mismatch(self):
         state = _state()
-        events = BrowserTestDetector().observe_hit(
-            state, _hit(BeaconKind.UA_PROBE, echoed=""), 5, 1.0
-        )
-        assert [e.kind for e in events] == [EventKind.JS_EXECUTED]
+        state.observe_hit(_hit(BeaconKind.UA_PROBE, echoed=""), 5)
+        state.observe_hit(_hit(BeaconKind.UA_PROBE, echoed=None), 6)
+        assert _evidence(state) == {"js_executed_at": 5}
 
 
 class TestHiddenTrap:
     def test_trap_page_fetch(self):
         state = _state()
-        events = HiddenLinkDetector().observe_hit(
-            state, _hit(BeaconKind.TRAP_PAGE), 6, 1.0
-        )
-        assert [e.kind for e in events] == [EventKind.HIDDEN_LINK_FOLLOWED]
-        assert state.hidden_link_at == 6
+        state.observe_hit(_hit(BeaconKind.TRAP_PAGE), 6)
+        assert _evidence(state) == {"hidden_link_at": 6}
 
     def test_trap_image_is_neutral(self):
+        # Browsers fetch every <img>: the transparent trap image is
+        # ordinary rendering, not evidence of anything.
         state = _state()
-        events = HiddenLinkDetector().observe_hit(
-            state, _hit(BeaconKind.TRAP_IMAGE), 6, 1.0
-        )
-        assert events == []
-        assert state.hidden_link_at is None
+        state.observe_hit(_hit(BeaconKind.TRAP_IMAGE), 6)
+        assert _evidence(state) == {}
 
     def test_only_first_emission(self):
         state = _state()
-        detector = HiddenLinkDetector()
-        detector.observe_hit(state, _hit(BeaconKind.TRAP_PAGE), 6, 1.0)
-        assert detector.observe_hit(
-            state, _hit(BeaconKind.TRAP_PAGE), 8, 2.0
-        ) == []
+        state.observe_hit(_hit(BeaconKind.TRAP_PAGE), 6)
+        state.observe_hit(_hit(BeaconKind.TRAP_PAGE), 8)
+        assert _evidence(state) == {"hidden_link_at": 6}

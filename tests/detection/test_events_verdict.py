@@ -1,49 +1,60 @@
-"""Tests for repro.detection.events and repro.detection.verdict."""
+"""Tests for repro.detection.verdict and what each kind of evidence proves."""
 
 from __future__ import annotations
 
-from repro.detection.events import DetectionEvent, EventKind
+from repro.detection.session import SessionKey, SessionState
 from repro.detection.verdict import Label, Verdict
+
+#: One piece of evidence each, as the session fields it sets.
+_HUMAN_EVIDENCE = {
+    "mouse": {"mouse_event_at": 3},
+    "captcha": {"captcha_passed_at": 3},
+}
+_ROBOT_EVIDENCE = {
+    "wrong key": {"wrong_key_fetches": 1},
+    "hidden link": {"hidden_link_at": 3},
+    "UA mismatch": {"ua_mismatch_at": 3},
+}
+
+
+def _state(**fields) -> SessionState:
+    state = SessionState(
+        session_id="s1", key=SessionKey("1.1.1.1", "UA"), started_at=0.0,
+        request_count=5,
+    )
+    for name, value in fields.items():
+        setattr(state, name, value)
+    return state
 
 
 class TestEventKinds:
+    """Which evidence is definitive, and for which label."""
+
     def test_human_evidence(self):
-        assert EventKind.MOUSE_EVENT_VALID.is_human_evidence
-        assert EventKind.CAPTCHA_PASSED.is_human_evidence
-        assert not EventKind.CSS_BEACON_FETCH.is_human_evidence
+        for fields in _HUMAN_EVIDENCE.values():
+            verdict = _state(**fields).verdict()
+            assert (verdict.label, verdict.definitive) == (Label.HUMAN, True)
+        # A CSS fetch only looks like a browser: tentative.
+        verdict = _state(css_beacon_at=2).verdict()
+        assert (verdict.label, verdict.definitive) == (Label.HUMAN, False)
 
     def test_robot_evidence(self):
-        assert EventKind.MOUSE_EVENT_WRONG_KEY.is_robot_evidence
-        assert EventKind.HIDDEN_LINK_FOLLOWED.is_robot_evidence
-        assert EventKind.UA_MISMATCH.is_robot_evidence
-        assert not EventKind.JS_EXECUTED.is_robot_evidence
+        for fields in _ROBOT_EVIDENCE.values():
+            for verdict in (
+                _state(**fields).verdict(), _state(**fields).final_verdict()
+            ):
+                assert (verdict.label, verdict.definitive) == (
+                    Label.ROBOT, True
+                )
+        # Executing JavaScript is no robot evidence by itself.
+        assert _state(js_executed_at=2).verdict().label is Label.UNDECIDED
 
     def test_no_kind_is_both(self):
-        for kind in EventKind:
-            assert not (kind.is_human_evidence and kind.is_robot_evidence)
-
-    def test_event_str(self):
-        event = DetectionEvent(
-            kind=EventKind.CSS_BEACON_FETCH,
-            session_id="sess-000001",
-            request_index=7,
-            timestamp=12.5,
-            detail="/123.css",
-        )
-        text = str(event)
-        assert "sess-000001" in text
-        assert "req#7" in text
-        assert "css_beacon_fetch" in text
-        assert "/123.css" in text
-
-    def test_event_str_without_detail(self):
-        event = DetectionEvent(
-            kind=EventKind.SESSION_EXPIRED,
-            session_id="s",
-            request_index=1,
-            timestamp=0.0,
-        )
-        assert "(" not in str(event).split("session_expired")[-1]
+        # Hard robot evidence outranks every kind of human evidence.
+        for robot in _ROBOT_EVIDENCE.values():
+            for human in _HUMAN_EVIDENCE.values():
+                verdict = _state(**robot, **human).verdict()
+                assert verdict.label is Label.ROBOT
 
 
 class TestVerdict:

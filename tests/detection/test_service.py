@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.detection.events import EventKind
 from repro.detection.service import DetectionService
 from repro.detection.verdict import Label
 from repro.http.headers import Headers
@@ -42,18 +41,19 @@ class TestPipeline:
     def test_session_started_event(self):
         service, _ = _service_with_instrumented_page()
         outcome = service.handle_request(_request("/index.html"))
-        assert outcome.session_started
-        assert outcome.events[0].kind is EventKind.SESSION_STARTED
-        assert outcome.request_index == 1
+        assert outcome.state.request_count == 1
+        assert outcome.state.started_at == 0.0
+        assert service.tracker.total_started == 1
+        assert outcome.hit is None
+        assert outcome.verdict.label is Label.UNDECIDED
+        assert not outcome.blocked
 
     def test_css_beacon_fetch_produces_event_and_flag(self):
         service, page = _service_with_instrumented_page()
         css = next(p for p in page.probes if p.kind.value == "css_beacon")
         service.handle_request(_request("/index.html"))
         outcome = service.handle_request(_request(css.path, t=1.0))
-        assert any(
-            e.kind is EventKind.CSS_BEACON_FETCH for e in outcome.events
-        )
+        assert outcome.hit.probe == css
         assert outcome.state.css_beacon_at == 2
 
     def test_valid_mouse_fetch_yields_human_verdict(self):
@@ -79,6 +79,7 @@ class TestPipeline:
         assert outcome.verdict.definitive
         # The wrong-key threshold blocks immediately.
         assert outcome.blocked
+        assert outcome.state.block_reason == "wrong-key beacon fetches >= 1"
 
     def test_note_response_accounts_bytes(self):
         service, _ = _service_with_instrumented_page()
@@ -92,9 +93,11 @@ class TestPipeline:
     def test_note_captcha(self):
         service, _ = _service_with_instrumented_page()
         outcome = service.handle_request(_request("/index.html"))
-        event = service.note_captcha(outcome.state, True, 2.0)
-        assert event.kind is EventKind.CAPTCHA_PASSED
+        outcome.state.note_captcha(False)
+        assert not outcome.state.passed_captcha
+        outcome.state.note_captcha(True)
         assert outcome.state.passed_captcha
+        assert outcome.state.verdict().label is Label.HUMAN
 
     def test_finalize_and_reductions(self):
         service, page = _service_with_instrumented_page()
@@ -109,28 +112,22 @@ class TestPipeline:
         latencies = service.detection_latencies()
         assert latencies[0].css_at == 13
 
-    def test_event_log_collects(self):
-        service, _ = _service_with_instrumented_page()
-        service.keep_event_log = True
-        service.handle_request(_request("/index.html"))
-        assert any(
-            e.kind is EventKind.SESSION_STARTED for e in service.event_log
-        )
-
     def test_default_service_retains_no_events(self):
-        # The log is a debugging aid: left on it grows by one event per
-        # session start and per probe hit for the life of the process.
+        # Nothing per request outlives the call: the caller gets each
+        # hit and verdict, and the service keeps only session states.
         service, page = _service_with_instrumented_page()
         css = next(p for p in page.probes if p.kind.value == "css_beacon")
-        seen = 0
+        hits = 0
         for i in range(1000):
             path = css.path if i == 500 else f"/p{i % 7}.html"
             outcome = service.handle_request(
                 _request(path, ip=f"10.0.0.{i % 50}", t=float(i))
             )
-            seen += len(outcome.events)
-        assert seen >= 50  # the caller still gets every event
-        assert service.event_log == []
+            hits += outcome.hit is not None
+        assert hits == 0  # the page's probes were issued to 1.2.3.4
+        assert service.tracker.live_count == 50
+        assert service.tracker.completed == []
+        assert set(vars(service)) == {"_registry", "tracker", "policy"}
 
     def test_separate_sessions_per_ua(self):
         service, _ = _service_with_instrumented_page()
@@ -140,18 +137,18 @@ class TestPipeline:
 
 
 class TestWatchTableFollowsLiveSessions:
-    """A retired session's ``RobotPolicy`` watch entry goes with it.
+    """A session's §3.2 watch lives and ends with the session.
 
-    Session ids are never reissued, so an entry that outlives its
-    session can never be consulted again — on a live server it only
-    accumulates.
+    There is no table of watched sessions beside the tracker: a retired
+    session takes its rates and block with it, and the client's next
+    session starts unwatched.
     """
 
     N_ROBOTS = 40
 
     def _robots(self, service, start, ips=range(N_ROBOTS)):
-        # Twelve page fetches and no probe: the classifier calls the
-        # session a robot, so the policy starts watching it.
+        # Twelve page fetches and no probe: the session is labelled a
+        # robot at its tenth request, so its staging starts watching it.
         for i in ips:
             for k in range(12):
                 service.handle_request(
@@ -163,30 +160,34 @@ class TestWatchTableFollowsLiveSessions:
     def test_idle_sweep_forgets_retired_sessions(self):
         service = DetectionService(InstrumentationRegistry())
         self._robots(service, start=0.0)
-        assert len(service.policy._watch) == self.N_ROBOTS
-        blocked = (
-            service.policy.blocked_sessions,
-            service.policy.blocked_requests,
-        )
+        watched = [
+            service.tracker.get(f"10.1.0.{i}", "bot")
+            for i in range(self.N_ROBOTS)
+        ]
+        assert all(state.rates_at == 11.0 for state in watched)
         service.tracker.expire_idle(now=12.0 + 4000.0)
         assert service.tracker.live_count == 0
-        assert service.policy._watch == {}
-        assert blocked == (
-            service.policy.blocked_sessions,
-            service.policy.blocked_requests,
-        )
+        assert service.tracker.completed == watched
+        self._robots(service, start=8000.0, ips=range(1))
+        fresh = service.tracker.get("10.1.0.0", "bot")
+        assert fresh is not watched[0]
+        assert (fresh.request_count, fresh.rates_at) == (12, 8011.0)
+        assert fresh.get_rate < 3.0  # its own three watched requests
 
     def test_in_place_rotation_forgets_the_old_session(self):
         service = DetectionService(InstrumentationRegistry())
         self._robots(service, start=0.0)
-        old_ids = set(service.policy._watch)
+        old = {
+            i: service.tracker.get(f"10.1.0.{i}", "bot")
+            for i in range(self.N_ROBOTS)
+        }
         # Five of the clients come back after the 1-hour idle rule: each
         # return rotates its session inside ``tracker.observe``.
         self._robots(service, start=5000.0, ips=range(5))
-        live = {
-            service.tracker.get(f"10.1.0.{i}", "bot").session_id
-            for i in range(self.N_ROBOTS)
-        }
-        assert set(service.policy._watch) == live
-        assert len(live & old_ids) == self.N_ROBOTS - 5
+        for i in range(self.N_ROBOTS):
+            state = service.tracker.get(f"10.1.0.{i}", "bot")
+            assert (state is old[i]) == (i >= 5)
+            # Three watched requests in the new session, not fifteen.
+            assert state.get_rate < 3.0
+        assert service.tracker.completed == [old[i] for i in range(5)]
         assert service.tracker.live_count == self.N_ROBOTS

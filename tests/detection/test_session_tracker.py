@@ -9,6 +9,7 @@ from repro.detection.tracker import SessionTracker
 from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response
 from repro.http.uri import Url
+from repro.instrument.keys import BeaconHit, BeaconKind, RegisteredProbe
 from repro.util.timeutil import HOUR
 
 
@@ -62,8 +63,14 @@ class TestSessionState:
 
     def test_mark_first_only_once(self):
         state = _state()
-        assert state.mark_first("css_beacon_at", 5) is True
-        assert state.mark_first("css_beacon_at", 9) is False
+        css = BeaconHit(
+            RegisteredProbe(
+                BeaconKind.CSS_BEACON, "1.1.1.1", "h.com", "/b.css",
+                "/a.html", 0.0,
+            )
+        )
+        state.observe_hit(css, 5)
+        state.observe_hit(css, 9)
         assert state.css_beacon_at == 5
 
     def test_set_algebra_membership(self):
@@ -143,13 +150,6 @@ class TestTracker:
         assert state not in analyzable  # exactly 10 is not > 10
         state.request_count = 11
         assert state in tracker.analyzable()
-
-    def test_sink_called_on_retire(self):
-        retired = []
-        tracker = SessionTracker(sink=retired.append)
-        tracker.observe(_request())
-        tracker.finalize_all()
-        assert len(retired) == 1
 
     def test_total_started(self):
         tracker = SessionTracker()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.detection.events import EventKind
 from repro.detection.service import DetectionService
 from repro.detection.set_algebra import SessionSets
 from repro.detection.sharded import merge_sessions
@@ -181,18 +180,17 @@ class TestShardedService:
     def test_note_captcha_routes_and_logs(self):
         node = _node(4)
         owner = node.shard_for("7.7.7.7").detection
-        owner.keep_event_log = True
         outcome = node.handle_traced(
             _request("7.7.7.7", "human/1.0", timestamp=5.0)
         )[1]
-        # The lane worker records CAPTCHA results on the shard it
-        # drives: the one the node routes the client to.
-        event = owner.note_captcha(outcome.state, True, timestamp=6.0)
-        assert outcome.state.passed_captcha
-        assert event.kind is EventKind.CAPTCHA_PASSED
-        assert event.session_id == outcome.state.session_id
-        assert owner.tracker.get("7.7.7.7", "human/1.0") is outcome.state
-        assert owner.event_log[-1] is event
+        # The lane worker records CAPTCHA results on the session the
+        # shard it drives holds: the one the node routes the client to.
+        state = owner.tracker.get("7.7.7.7", "human/1.0")
+        assert state is outcome.state
+        state.note_captcha(True)
+        assert state.passed_captcha
+        assert state.captcha_passed_at == 1
+        assert node.detection.tracker.get("7.7.7.7", "human/1.0") is state
 
     def test_expire_idle_sweeps_every_shard(self):
         node = _node(4)

@@ -41,7 +41,7 @@ def exchange(session: SessionState, path: str, timestamp: float):
     )
     response = Response(status=200, body=b"x" * 100)
     outcome = RequestOutcome(
-        state=session, session_started=False, request_index=1, hit=None
+        state=session, hit=None, verdict=session.verdict(), blocked=False
     )
     return outcome, request, response
 

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from journal_pages import journal_pages
 
-from repro.detection.online import OnlineClassifier
 from repro.ingress.batcher import MicroBatchConfig
 from repro.ingress.pipeline import (
     IngressConfig,
@@ -45,10 +44,9 @@ SEED = 71
 
 
 def _verdicts(result):
-    classifier = OnlineClassifier()
     return {
         (s.key.client_ip, s.key.user_agent, s.started_at): (
-            classifier.classify_final(s).label,
+            s.final_verdict().label,
             s.request_count,
             s.true_label,
             s.agent_kind,

@@ -8,7 +8,6 @@ not exact percentages, which need the benchmark-scale runs.
 from __future__ import annotations
 
 from repro.analysis.cdf import detection_cdfs
-from repro.detection.online import OnlineClassifier
 from repro.detection.verdict import Label
 
 
@@ -46,14 +45,13 @@ class TestTable1Census:
 
     def test_ground_truth_agreement(self, codeen_result):
         """The set algebra agrees with ground truth for ~all sessions."""
-        classifier = OnlineClassifier()
         correct = 0
         total = 0
         for state in codeen_result.sessions:
             if not state.true_label:
                 continue
             total += 1
-            verdict = classifier.classify_final(state)
+            verdict = state.final_verdict()
             expected = (
                 Label.HUMAN if state.true_label == "human" else Label.ROBOT
             )

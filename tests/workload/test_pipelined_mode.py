@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.detection.online import OnlineClassifier
 from repro.proxy.network import ProxyNetwork
 from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
@@ -30,10 +29,9 @@ def _run(make_network, entry_url, mode, **config_kwargs):
 
 
 def _verdicts(result):
-    classifier = OnlineClassifier()
     return {
         (s.key.client_ip, s.key.user_agent, s.started_at): (
-            classifier.classify_final(s).label,
+            s.final_verdict().label,
             s.request_count,
             s.true_label,
         )

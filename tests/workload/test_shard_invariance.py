@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.detection.online import OnlineClassifier
 from repro.proxy.network import ProxyNetwork
 from repro.trace.recorder import TraceRecorder
 from repro.trace.replay import ReplayConfig, TraceReplayEngine
@@ -38,10 +37,9 @@ def _run(make_network, entry_url, shards, mode):
 
 
 def _verdicts(result):
-    classifier = OnlineClassifier()
     return {
         (s.key.client_ip, s.key.user_agent, s.started_at): (
-            classifier.classify_final(s).label,
+            s.final_verdict().label,
             s.request_count,
             s.true_label,
         )
