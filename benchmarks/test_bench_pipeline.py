@@ -8,7 +8,8 @@ Two families of measurement:
   single-thread speed; the win arrives with multiprocess executors);
 * **AdaBoost scoring throughput, per-stump loop vs. packed-array
   vectorized pass** — the §4.2 ensemble at 200 rounds over a
-  10k-session matrix, where the vectorized path must win by ≥ 5×.
+  10k-session matrix, where the vectorized path must win by ≥ 5×.  The
+  per-stump loop is the reference scorer in ``tests/ml``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.ml.adaboost import AdaBoostModel
-from repro.ml.batch import BatchScorer
 from repro.ml.stump import DecisionStump
 from repro.proxy.network import ProxyNetwork
 from repro.site.generator import SiteConfig, SiteGenerator
@@ -27,6 +27,7 @@ from repro.site.origin import OriginServer
 from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import SMOKE
+from tests.ml.stump_reference import score_loop
 
 BENCH_PIPELINE_SESSIONS = 120
 SCORING_SESSIONS = 10_000
@@ -105,7 +106,7 @@ def test_bench_adaboost_score_loop(benchmark):
     """The pre-vectorization per-stump loop on the same inputs."""
     model, matrix = _scoring_fixture()
     margins = benchmark.pedantic(
-        lambda: model.score_loop(matrix), rounds=3, iterations=1
+        lambda: score_loop(model, matrix), rounds=3, iterations=1
     )
     assert margins.shape == (SCORING_SESSIONS,)
     benchmark.extra_info["rounds"] = SCORING_ROUNDS
@@ -117,7 +118,7 @@ def test_vectorized_scoring_speedup_floor(request):
     model, matrix = _scoring_fixture()
     model.compile()
     np.testing.assert_allclose(
-        model.score(matrix), model.score_loop(matrix), atol=1e-9
+        model.score(matrix), score_loop(model, matrix), atol=1e-9
     )
     if request.config.getoption("benchmark_disable"):
         pytest.skip(
@@ -133,7 +134,7 @@ def test_vectorized_scoring_speedup_floor(request):
             best = min(best, time.perf_counter() - start)
         return best
 
-    loop_time = best_of(model.score_loop)
+    loop_time = best_of(lambda x: score_loop(model, x))
     vectorized_time = best_of(model.score)
     speedup = loop_time / vectorized_time
     assert speedup >= SPEEDUP_FLOOR, (
@@ -145,16 +146,13 @@ def test_vectorized_scoring_speedup_floor(request):
 
 
 def test_bench_batch_scorer_flush(benchmark):
-    """BatchScorer: buffer 10k sessions, score one matrix per flush."""
+    """10k session vectors stacked into one matrix and scored."""
     model, matrix = _scoring_fixture()
     model.compile()
+    vectors = list(matrix)
 
-    def run():
-        scorer = BatchScorer(model, batch_size=SCORING_SESSIONS + 1)
-        for row_index in range(SCORING_SESSIONS):
-            scorer.add(f"s{row_index}", matrix[row_index])
-        return scorer.flush()
-
-    verdicts = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(verdicts) == SCORING_SESSIONS
+    margins = benchmark.pedantic(
+        lambda: model.score(np.stack(vectors)), rounds=3, iterations=1
+    )
+    assert margins.shape == (SCORING_SESSIONS,)
     benchmark.extra_info["sessions"] = SCORING_SESSIONS

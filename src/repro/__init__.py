@@ -51,7 +51,6 @@ from repro.instrument import (
 from repro.ml import (
     ATTRIBUTE_NAMES,
     AdaBoostClassifier,
-    BatchScorer,
     FeatureAccumulator,
 )
 from repro.proxy import ProxyNetwork, ProxyNode
@@ -82,7 +81,6 @@ __version__ = "1.3.0"
 __all__ = [
     "ATTRIBUTE_NAMES",
     "AdaBoostClassifier",
-    "BatchScorer",
     "BurstArrival",
     "CODEEN_WEEK",
     "CodeenWeekConfig",

@@ -10,8 +10,9 @@ through:
   (``serial``) or in its own ``process`` behind a bounded pipe, with
   backpressure or counted load shedding (:class:`ShedPolicy`);
 * :mod:`repro.ingress.batcher` — per-lane micro-batching of ensemble
-  scoring (count / virtual-latency flush budgets over
-  :class:`~repro.ml.batch.BatchScorer`);
+  scoring (count / virtual-latency flush budgets; each dirty session is
+  scored as one row by
+  :meth:`~repro.ml.adaboost.AdaBoostModel.score_row`);
 * :mod:`repro.ingress.workers` — the replay and workload lane workers;
 * :mod:`repro.ingress.pipeline` — admission, hash routing, and the
   deterministic merge.

@@ -1,11 +1,12 @@
 """Per-lane micro-batching of session scoring.
 
-The §4.2 ensemble is cheapest when applied matrix-at-a-time
-(:class:`~repro.ml.batch.BatchScorer`), but a streaming ingress sees one
-request at a time.  The micro-batcher is the adapter: every arrival
-updates its session's streaming :class:`~repro.ml.features.FeatureAccumulator`
-and marks the session *dirty*; dirty sessions are coalesced and scored
-as one matrix when either
+A streaming ingress sees one request at a time, and the §4.2 ensemble
+judges one session at a time.  The micro-batcher sits between them:
+every arrival updates its session's streaming
+:class:`~repro.ml.features.FeatureAccumulator` and marks the session
+*dirty*; dirty sessions are coalesced and each is scored once, with its
+latest Table 2 row, by :meth:`~repro.ml.adaboost.AdaBoostModel.score_row`
+when either
 
 * ``max_batch`` distinct sessions are dirty (count budget), or
 * the oldest un-scored update has waited ``max_delay`` *virtual* seconds
@@ -16,18 +17,20 @@ as one matrix when either
 Coalescing is the point: a session touched 50 times between flushes is
 scored once, with its latest snapshot.  Re-scoring across flushes tracks
 sessions as they accumulate evidence, the way the online classifier
-re-judges per request — but at matrix-row cost.
+re-judges per request.  Scoring a row is a dozen ``bisect`` lookups and
+builds no numpy array, so a lane makes no numpy call to score.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro.detection.service import RequestOutcome
 from repro.http.message import Request, Response
 from repro.ml.adaboost import AdaBoostModel
-from repro.ml.batch import BatchScorer, BatchVerdict
+from repro.ml.batch import BatchVerdict
 from repro.ml.features import FeatureAccumulator
 from repro.overload.ladder import is_checkpoint
 from repro.util.timeutil import HOUR
@@ -58,7 +61,7 @@ class MicroBatchConfig:
 
 
 class MicroBatcher:
-    """Coalesces one lane's arrivals into BatchScorer flushes.
+    """Coalesces one lane's arrivals into scored flushes.
 
     With ``model=None`` the batcher is inert (zero cost per request) —
     the ingress always owns one so the wiring is uniform.  All state is
@@ -73,11 +76,6 @@ class MicroBatcher:
     ) -> None:
         self._config = config or MicroBatchConfig()
         self._model = model
-        self._scorer = (
-            BatchScorer(model, batch_size=1 << 30, keep_verdicts=False)
-            if model is not None
-            else None
-        )
         #: Response-ladder router fed by checkpoint verdicts; None = off.
         self._ladder = None
         self._checkpoint_base = 0
@@ -99,6 +97,8 @@ class MicroBatcher:
         self._flush_delay = None
         self._pending_gauge = None
         self._evicted_total = None
+        self._score_seconds = None
+        self._scored_total = None
         self._tracer = None
 
     def attach_tracer(self, tracer) -> None:
@@ -114,11 +114,17 @@ class MicroBatcher:
     def attach_metrics(self, registry, labels=None) -> None:
         """Wire flush-size/latency distributions into a registry.
 
-        Everything here is in the deterministic domain: flush boundaries,
-        batch sizes, coalescing delays and idle evictions are pure
-        functions of the (event-time) arrival stream.
+        Everything here but ``repro_batch_score_seconds`` (the wall time
+        of each flush's scoring) is in the deterministic domain: flush
+        boundaries, batch sizes, coalescing delays, scored-session
+        counts and idle evictions are pure functions of the (event-time)
+        arrival stream.
         """
-        from repro.obs.registry import EVENT_SECONDS_BUCKETS, SIZE_BUCKETS
+        from repro.obs.registry import (
+            EVENT_SECONDS_BUCKETS,
+            SIZE_BUCKETS,
+            WALL_SECONDS_BUCKETS,
+        )
 
         self._flush_total = registry.counter("repro_batch_flush_total", labels)
         self._flush_sessions = registry.histogram(
@@ -135,8 +141,14 @@ class MicroBatcher:
         self._evicted_total = registry.counter(
             "repro_batch_evicted_total", labels
         )
-        if self._scorer is not None:
-            self._scorer.attach_metrics(registry, labels)
+        if self._model is not None:
+            self._score_seconds = registry.histogram(
+                "repro_batch_score_seconds", WALL_SECONDS_BUCKETS,
+                labels, wall=True,
+            )
+            self._scored_total = registry.counter(
+                "repro_batch_sessions_scored_total", labels
+            )
 
     def attach_ladder(self, router, checkpoint_base: int) -> None:
         """Drive a graduated response ladder from checkpoint verdicts.
@@ -162,7 +174,7 @@ class MicroBatcher:
     @property
     def enabled(self) -> bool:
         """Whether a model is attached (otherwise observe() is a no-op)."""
-        return self._scorer is not None
+        return self._model is not None
 
     @property
     def pending(self) -> int:
@@ -173,7 +185,7 @@ class MicroBatcher:
         self, outcome: RequestOutcome, request: Request, response: Response
     ) -> None:
         """Account one handled exchange; may trigger a flush."""
-        if self._scorer is None:
+        if self._model is None:
             return
         state = outcome.state
         key = (state.key.client_ip, state.key.user_agent)
@@ -190,11 +202,10 @@ class MicroBatcher:
         if self._ladder is not None and is_checkpoint(
             accumulator.total, self._checkpoint_base
         ):
-            margin = float(
-                self._model.score(accumulator.vector().reshape(1, -1))[0]
-            )
             self._ladder.observe_verdict(
-                key[0], margin, request.timestamp
+                key[0],
+                self._model.score_row(accumulator.row()),
+                request.timestamp,
             )
         self._last_seen[session_id] = (key, request.timestamp)
         self._clock = max(self._clock, request.timestamp)
@@ -213,8 +224,8 @@ class MicroBatcher:
             self.flush()
 
     def flush(self) -> list[BatchVerdict]:
-        """Score every dirty session as one matrix; returns the batch."""
-        if self._scorer is None or not self._dirty:
+        """Score every dirty session; returns the batch in touch order."""
+        if self._model is None or not self._dirty:
             return []
         if self._tracer is None:
             return self._flush_inner()
@@ -222,7 +233,6 @@ class MicroBatcher:
             return self._flush_inner()
 
     def _flush_inner(self) -> list[BatchVerdict]:
-        assert self._scorer is not None
         if self._flush_total is not None:
             self._flush_total.inc()
             self._flush_sessions.observe(len(self._dirty))
@@ -230,15 +240,11 @@ class MicroBatcher:
                 self._flush_delay.observe(
                     max(0.0, self._clock - self._first_dirty_at)
                 )
-        for session_id in self._dirty:
-            self._scorer.add(
-                session_id, self._accumulators[session_id].vector()
-            )
         if self._tracer is None:
-            batch = self._scorer.flush()
+            batch = self._score_dirty()
         else:
             with self._tracer.span("batch_score", self._clock):
-                batch = self._scorer.flush()
+                batch = self._score_dirty()
         for session_id in self._dirty:
             if session_id in self._retired:
                 self._retired.discard(session_id)
@@ -250,6 +256,19 @@ class MicroBatcher:
         self._evict_idle()
         if self._pending_gauge is not None:
             self._pending_gauge.set(len(self._dirty))
+        return batch
+
+    def _score_dirty(self) -> list[BatchVerdict]:
+        score_row = self._model.score_row
+        accumulators = self._accumulators
+        started = perf_counter()
+        batch = [
+            BatchVerdict(session_id, score_row(accumulators[session_id].row()))
+            for session_id in self._dirty
+        ]
+        if self._score_seconds is not None:
+            self._score_seconds.observe(perf_counter() - started)
+            self._scored_total.inc(len(batch))
         return batch
 
     def close(self) -> list[BatchVerdict]:

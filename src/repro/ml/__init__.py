@@ -6,11 +6,13 @@ first N requests, and train AdaBoost (200 rounds of decision stumps) at
 N = 20, 40, ..., 160.  scikit-learn is unavailable offline, so the
 booster is implemented directly on numpy — which also makes the
 per-attribute contribution analysis (the paper's "most contributing
-attributes") exact rather than estimated.
+attributes") exact rather than estimated.  A fitted model scores a
+dataset as one matrix (``AdaBoostModel.score``) and a streaming session
+as one row (``AdaBoostModel.score_row``, no numpy), to the same bits.
 """
 
 from repro.ml.adaboost import AdaBoostClassifier, AdaBoostModel, PackedEnsemble
-from repro.ml.batch import BatchScorer, BatchVerdict
+from repro.ml.batch import BatchVerdict
 from repro.ml.dataset import Dataset, SessionExample, build_matrix
 from repro.ml.evaluate import (
     EvaluationResult,
@@ -30,7 +32,6 @@ __all__ = [
     "ATTRIBUTE_NAMES",
     "AdaBoostClassifier",
     "AdaBoostModel",
-    "BatchScorer",
     "BatchVerdict",
     "Dataset",
     "PackedEnsemble",

@@ -7,32 +7,38 @@ mistakes.  The feature-column argsorts are computed once and reused by
 every round, so 200 rounds over tens of thousands of sessions train in
 well under a second.
 
-Scoring is matrix-at-a-time: the ensemble compiles itself into packed
-arrays so a 200-round model scores an (n, d) matrix in a few vectorized
-passes instead of 200 per-stump Python iterations.  A stump votes
-``polarity`` when ``x[feature] > threshold`` and ``-polarity``
-otherwise, so with ``v_t = alpha_t * polarity_t``::
+Scoring comes in two shapes over one compiled form.  The ensemble
+compiles itself into packed arrays, so a 200-round model scores an
+(n, d) matrix in a few vectorized passes instead of 200 per-stump Python
+iterations.  A stump votes ``polarity`` when ``x[feature] > threshold``
+and ``-polarity`` otherwise, so with ``v_t = alpha_t * polarity_t``::
 
     margin = Σ_t v_t · (2·[x_ft > θ_t] − 1) = 2·Σ_{t: θ_t < x_ft} v_t − Σ_t v_t
 
 The compiled form groups stumps by feature, sorts each group's
 thresholds, and prefix-sums its votes, so ``Σ_{θ < x} v`` is one lookup
-per sample per feature.  The lookup itself is a uniform grid over the
-threshold range: every grid bucket that contains no threshold ("clean")
-stores the exact prefix vote outright, and only samples landing in the
-few buckets that do contain a threshold fall back to a ``searchsorted``
-over that feature's thresholds.  The bucket map is monotone and is
-applied identically to thresholds at compile time and samples at score
-time, so the result is bit-exact with the stump-by-stump definition
-while costing O(d · n) array work with no (n, rounds) intermediate —
-an order of magnitude faster than the per-stump loop on a 10k × 200
-workload.  :meth:`AdaBoostModel.score_loop` keeps the per-stump
-reference path for equivalence tests and the before/after throughput
-benchmark.
+per sample per feature.  For a matrix (:meth:`AdaBoostModel.score`) the
+lookup is a uniform grid over the threshold range: every grid bucket
+that contains no threshold ("clean") stores the exact prefix vote
+outright, and only samples landing in the few buckets that do contain a
+threshold fall back to a ``searchsorted`` over that feature's
+thresholds.  The bucket map is monotone and is applied identically to
+thresholds at compile time and samples at score time, so the result is
+bit-exact with the stump-by-stump definition while costing O(d · n)
+array work with no (n, rounds) intermediate.
+
+A streaming session is one row, and numpy's per-call cost dwarfs one
+row's work, so :meth:`AdaBoostModel.score_row` walks the same tables as
+Python lists: one ``bisect_left`` per feature, the prefix votes added in
+the same group order.  ``bisect_left`` is ``searchsorted(side="left")``,
+so a row's margin is bit for bit the one :meth:`~AdaBoostModel.score`
+gives that row in a matrix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,7 +138,12 @@ def _compile_feature(
 
 @dataclass(frozen=True)
 class PackedEnsemble:
-    """An ensemble compiled to parallel arrays for vectorized scoring."""
+    """An ensemble compiled to parallel arrays for vectorized scoring.
+
+    ``row_tables`` holds each of ``groups``' sorted thresholds and vote
+    prefix again as Python lists, ``(feature, thresholds, vote_prefix)``
+    in group order, for :meth:`AdaBoostModel.score_row`.
+    """
 
     features: np.ndarray    #: (rounds,) intp — stump feature indices
     thresholds: np.ndarray  #: (rounds,) float64 — stump thresholds
@@ -141,6 +152,7 @@ class PackedEnsemble:
     votes: np.ndarray       #: (rounds,) float64 — alpha * polarity
     vote_sum: float         #: Σ alpha * polarity
     groups: tuple[FeatureTable, ...]
+    row_tables: tuple[tuple[int, list[float], list[float]], ...]
 
     @property
     def rounds(self) -> int:
@@ -199,6 +211,14 @@ class AdaBoostModel:
             votes=votes,
             vote_sum=float(votes.sum()),
             groups=tuple(groups),
+            row_tables=tuple(
+                (
+                    table.feature,
+                    table.thresholds.tolist(),
+                    table.vote_prefix.tolist(),
+                )
+                for table in groups
+            ),
         )
         self._packed = packed
         return packed
@@ -221,13 +241,24 @@ class AdaBoostModel:
             below_votes += table.prefix_votes(x[:, table.feature])
         return 2.0 * below_votes - packed.vote_sum
 
-    def score_loop(self, x: np.ndarray) -> np.ndarray:
-        """Per-stump reference scorer (the pre-vectorization path)."""
-        self._validate(x)
-        total = np.zeros(x.shape[0])
-        for stump, alpha in zip(self.stumps, self.alphas):
-            total += alpha * stump.predict(x)
-        return total
+    def score_row(self, row: Sequence[float]) -> float:
+        """One session's margin, without numpy.
+
+        ``row`` holds the ``n_features`` attribute values (a tuple from
+        :meth:`~repro.ml.features.FeatureAccumulator.row`, or any
+        sequence of finite floats).  The result is bit for bit
+        ``score(np.array([row]))[0]``.
+        """
+        if len(row) != self.n_features:
+            raise ValueError(
+                f"expected a row of {self.n_features} values, "
+                f"got {len(row)}"
+            )
+        packed = self.compile()
+        below = 0.0
+        for feature, thresholds, vote_prefix in packed.row_tables:
+            below += vote_prefix[bisect_left(thresholds, row[feature])]
+        return 2.0 * below - packed.vote_sum
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """±1 predictions (ties break to robot, the safe default)."""
@@ -256,7 +287,7 @@ def demo_ensemble(
     """A seeded random ensemble over the Table 2 feature space.
 
     Exercises the full micro-batch scoring path (feature accumulation,
-    matrix assembly, vectorised voting) with deterministic structure and
+    per-session row scoring) with deterministic structure and
     no training data — its verdicts carry no classification meaning.
     Use a :class:`AdaBoostClassifier`-fitted model for real scoring.
     """

@@ -1,29 +1,16 @@
-"""Matrix-at-a-time session scoring for the sharded pipeline.
+"""One session's scored outcome from the §4.2 ensemble.
 
-The §4.2 classifier is cheap per stump but was applied one session at a
-time; at replay rates that leaves almost all of numpy's throughput on
-the table.  :class:`BatchScorer` buffers per-session feature vectors
-(Table 2 attribute snapshots) and, on flush, stacks them into one
-``(n, d)`` matrix scored by a single vectorized
-:meth:`~repro.ml.adaboost.AdaBoostModel.score` pass — the pattern
-BotGraph-style offline detectors use to keep per-session cost at
-"matrix row" rather than "Python object" granularity.
-
-Flushes are deterministic: verdicts come back in insertion order, and an
-optional ``batch_size`` auto-flushes so steady-state memory stays
-bounded during million-session replays.
+The streaming micro-batcher (:class:`~repro.ingress.batcher.MicroBatcher`)
+scores each dirty session's Table 2 row with
+:meth:`~repro.ml.adaboost.AdaBoostModel.score_row` at every flush and
+reports the margins as :class:`BatchVerdict`s, in first-touch order.
+Whole datasets are scored as one matrix by
+:meth:`~repro.ml.adaboost.AdaBoostModel.score` instead.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-import numpy as np
-
-from repro.ml.adaboost import AdaBoostModel
-from repro.ml.features import FeatureAccumulator
 
 
 @dataclass(frozen=True)
@@ -42,120 +29,3 @@ class BatchVerdict:
     def is_robot(self) -> bool:
         """True when the ensemble calls the session a robot."""
         return self.label < 0
-
-
-class BatchScorer:
-    """Buffers session feature vectors; scores them one matrix at a time.
-
-    ``on_flush`` (if given) receives each flushed batch of
-    :class:`BatchVerdict`s — the hook a policy layer or metrics exporter
-    attaches to.  With ``keep_verdicts`` (the default) every verdict
-    ever produced is also retained on :attr:`verdicts` in insertion
-    order; million-session replays that stream results through
-    ``on_flush`` should pass ``keep_verdicts=False`` so total memory —
-    not just the pending buffer — stays bounded.
-    """
-
-    def __init__(
-        self,
-        model: AdaBoostModel,
-        batch_size: int = 4096,
-        on_flush: Callable[[list[BatchVerdict]], None] | None = None,
-        keep_verdicts: bool = True,
-    ) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self._model = model
-        self._batch_size = batch_size
-        self._on_flush = on_flush
-        self._keep_verdicts = keep_verdicts
-        self._ids: list[str] = []
-        self._vectors: list[np.ndarray] = []
-        self.verdicts: list[BatchVerdict] = []
-        self.flushes = 0
-        self._scored = 0
-        self._score_seconds = None
-        self._scored_total = None
-
-    @property
-    def model(self) -> AdaBoostModel:
-        """The ensemble scoring every batch."""
-        return self._model
-
-    @property
-    def pending(self) -> int:
-        """Sessions buffered but not yet scored."""
-        return len(self._ids)
-
-    @property
-    def scored(self) -> int:
-        """Sessions scored across all flushes."""
-        return self._scored
-
-    def add(self, session_id: str, features: np.ndarray) -> None:
-        """Buffer one session's feature vector (auto-flushes when full)."""
-        vector = np.asarray(features, dtype=np.float64)
-        if vector.shape != (self._model.n_features,):
-            raise ValueError(
-                f"expected ({self._model.n_features},) vector, "
-                f"got {vector.shape}"
-            )
-        self._ids.append(session_id)
-        self._vectors.append(vector)
-        if len(self._ids) >= self._batch_size:
-            self.flush()
-
-    def add_accumulator(
-        self, session_id: str, accumulator: FeatureAccumulator
-    ) -> None:
-        """Snapshot a live Table 2 accumulator into the batch."""
-        self.add(session_id, accumulator.vector())
-
-    def add_many(
-        self, items: Iterable[tuple[str, np.ndarray]]
-    ) -> None:
-        """Buffer many (session_id, vector) pairs."""
-        for session_id, features in items:
-            self.add(session_id, features)
-
-    def attach_metrics(self, registry, labels=None) -> None:
-        """Record scoring wall time and scored-session counts.
-
-        ``repro_batch_score_seconds`` (wall) times the vectorized score
-        pass; ``repro_batch_sessions_scored_total`` (deterministic)
-        counts rows, which depend only on the add/flush sequence.
-        """
-        from repro.obs.registry import WALL_SECONDS_BUCKETS
-
-        self._score_seconds = registry.histogram(
-            "repro_batch_score_seconds", WALL_SECONDS_BUCKETS,
-            labels, wall=True,
-        )
-        self._scored_total = registry.counter(
-            "repro_batch_sessions_scored_total", labels
-        )
-
-    def flush(self) -> list[BatchVerdict]:
-        """Score everything buffered as one matrix; returns the batch."""
-        if not self._ids:
-            return []
-        matrix = np.stack(self._vectors)
-        started = time.perf_counter()
-        margins = self._model.score(matrix)
-        if self._score_seconds is not None:
-            self._score_seconds.observe(time.perf_counter() - started)
-        batch = [
-            BatchVerdict(session_id=session_id, margin=float(margin))
-            for session_id, margin in zip(self._ids, margins)
-        ]
-        self._ids = []
-        self._vectors = []
-        if self._keep_verdicts:
-            self.verdicts.extend(batch)
-        self._scored += len(batch)
-        self.flushes += 1
-        if self._scored_total is not None:
-            self._scored_total.inc(len(batch))
-        if self._on_flush is not None:
-            self._on_flush(batch)
-        return batch

@@ -56,6 +56,8 @@ N_ATTRIBUTES = len(ATTRIBUTE_NAMES)
 
 FeatureVector = np.ndarray
 
+_ZERO_ROW = (0.0,) * N_ATTRIBUTES
+
 
 @dataclass
 class FeatureAccumulator:
@@ -137,27 +139,29 @@ class FeatureAccumulator:
         ):
             self._index_page(request.url, response)
 
-    def vector(self) -> FeatureVector:
+    def row(self) -> tuple[float, ...]:
         """The 12 attributes as percentages (zeros before any request)."""
         if self.total == 0:
-            return np.zeros(N_ATTRIBUTES)
+            return _ZERO_ROW
         scale = 100.0 / self.total
-        return np.array(
-            [
-                self.head * scale,
-                self.html * scale,
-                self.image * scale,
-                self.cgi * scale,
-                self.with_referrer * scale,
-                self.unseen_referrer * scale,
-                self.embedded_obj * scale,
-                self.link_following * scale,
-                self.resp_2xx * scale,
-                self.resp_3xx * scale,
-                self.resp_4xx * scale,
-                self.favicon * scale,
-            ]
+        return (
+            self.head * scale,
+            self.html * scale,
+            self.image * scale,
+            self.cgi * scale,
+            self.with_referrer * scale,
+            self.unseen_referrer * scale,
+            self.embedded_obj * scale,
+            self.link_following * scale,
+            self.resp_2xx * scale,
+            self.resp_3xx * scale,
+            self.resp_4xx * scale,
+            self.favicon * scale,
         )
+
+    def vector(self) -> FeatureVector:
+        """:meth:`row` as a float64 array, for dataset matrices."""
+        return np.array(self.row())
 
     # -- internals ----------------------------------------------------------
 

@@ -293,6 +293,26 @@ class TestLadderDeterminism:
             _ladder_replay(ddos_trace, "process", shards=shards)
         ) == serial
 
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_stream_scoring_builds_no_matrix(
+        self, ddos_trace, reference, executor, monkeypatch
+    ):
+        # Flushes and ladder checkpoints score one row at a time
+        # (``score_row``); the matrix scorer is for datasets.  With it
+        # refusing every call (fork-started lane children inherit the
+        # patch), the replay must still finish with the same verdicts
+        # and the same ladder as the unpatched reference.
+        def refuse(model, x):
+            raise AssertionError("the stream path scored a matrix")
+
+        monkeypatch.setattr(AdaBoostModel, "score", refuse)
+        result = _ladder_replay(ddos_trace, executor)
+        assert reference.ml_verdicts
+        assert result.ml_verdicts == reference.ml_verdicts
+        assert json.dumps(result.ladder, sort_keys=True) == json.dumps(
+            reference.ladder, sort_keys=True
+        )
+
     def test_only_robots_reach_block(self, reference):
         labels_by_ip: dict[str, set] = {}
         for session in reference.sessions:

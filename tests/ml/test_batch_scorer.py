@@ -1,12 +1,19 @@
-"""Tests for vectorized AdaBoost scoring and repro.ml.batch."""
+"""Tests for vectorized AdaBoost scoring and batch (flush) scoring."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from stump_reference import score_loop
 
+from repro.detection.service import RequestOutcome
+from repro.detection.session import SessionKey, SessionState
+from repro.http.headers import Headers
+from repro.http.message import Method, Request, Response
+from repro.http.uri import Url
+from repro.ingress.batcher import MicroBatchConfig, MicroBatcher
 from repro.ml.adaboost import AdaBoostClassifier, AdaBoostModel
-from repro.ml.batch import BatchScorer, BatchVerdict
+from repro.ml.batch import BatchVerdict
 from repro.ml.stump import DecisionStump
 
 
@@ -42,18 +49,18 @@ class TestVectorizedScoring:
         model = _synthetic_model(rounds=200)
         x = np.random.default_rng(11).uniform(0, 100, size=(500, 12))
         np.testing.assert_allclose(
-            model.score(x), model.score_loop(x), rtol=0, atol=1e-9
+            model.score(x), score_loop(model, x), rtol=0, atol=1e-9
         )
 
     def test_matches_loop_on_trained_model(self):
         model, x = _trained_model()
         np.testing.assert_allclose(
-            model.score(x), model.score_loop(x), rtol=0, atol=1e-9
+            model.score(x), score_loop(model, x), rtol=0, atol=1e-9
         )
 
     def test_predictions_match_loop_sign(self):
         model, x = _trained_model()
-        loop_margins = model.score_loop(x)
+        loop_margins = score_loop(model, x)
         # Avoid knife-edge comparisons: only assert where the loop
         # margin is clearly signed.
         decisive = np.abs(loop_margins) > 1e-9
@@ -83,7 +90,7 @@ class TestVectorizedScoring:
         model.alphas = [0.75, 0.75]
         x = np.array([[1.0, 0.0], [9.0, 0.0]])
         np.testing.assert_array_equal(model.score(x), [0.0, 0.0])
-        np.testing.assert_array_equal(model.score_loop(x), [0.0, 0.0])
+        np.testing.assert_array_equal(score_loop(model, x), [0.0, 0.0])
         assert (model.predict(x) == -1).all()
 
     def test_empty_model_scores_zero_and_predicts_robot(self):
@@ -103,7 +110,7 @@ class TestVectorizedScoring:
         model.alphas.append(2.0)
         after = model.score(x)
         assert model.compile().rounds == 6
-        np.testing.assert_allclose(after, model.score_loop(x), atol=1e-9)
+        np.testing.assert_allclose(after, score_loop(model, x), atol=1e-9)
         assert not np.allclose(before, after)
 
     def test_shape_validation(self):
@@ -113,82 +120,87 @@ class TestVectorizedScoring:
         with pytest.raises(ValueError):
             model.staged_scores(np.zeros((4, 5)))
         with pytest.raises(ValueError):
-            model.score_loop(np.zeros(12))
+            score_loop(model, np.zeros(12))
+        with pytest.raises(ValueError):
+            model.score_row(np.zeros(5))
+
+
+_PATHS = ("/", "/a.html", "/b.jpg", "/cgi-bin/q", "/favicon.ico", "/c.css")
+_STATUSES = (200, 200, 304, 404)
+
+
+def _observe_sessions(batcher: MicroBatcher, sessions: int) -> None:
+    """Drive ``sessions`` sessions (``sess-i``) through varied exchanges:
+    methods, object kinds, Referers and status classes, so their Table 2
+    rows spread over the whole range."""
+    rng = np.random.default_rng(9)
+    for index in range(sessions):
+        state = SessionState(
+            session_id=f"sess-{index}",
+            key=SessionKey(f"10.0.0.{index}", "ua"),
+            started_at=0.0,
+        )
+        for step in range(int(rng.integers(1, 9))):
+            headers = [("User-Agent", "ua")]
+            if rng.random() < 0.5:
+                headers.append(("Referer", "http://site.example/"))
+            request = Request(
+                method=Method.HEAD if rng.random() < 0.2 else Method.GET,
+                url=Url.parse(
+                    "http://site.example" + _PATHS[rng.integers(6)]
+                ),
+                client_ip=state.key.client_ip,
+                headers=Headers(headers),
+                timestamp=float(index + step / 10),
+            )
+            batcher.observe(
+                RequestOutcome(
+                    state=state, hit=None, verdict=None, blocked=False
+                ),
+                request,
+                Response(status=int(rng.choice(_STATUSES)), body=b""),
+            )
 
 
 class TestBatchScorer:
+    """Batch scoring as the micro-batcher flushes it: every dirty
+    session's row through ``AdaBoostModel.score_row``."""
+
     def test_flush_matches_model_predict(self):
-        model, x = _trained_model()
-        scorer = BatchScorer(model)
-        for row_index in range(20):
-            scorer.add(f"sess-{row_index}", x[row_index])
-        batch = scorer.flush()
+        model = _synthetic_model(rounds=200)
+        batcher = MicroBatcher(
+            model, MicroBatchConfig(max_batch=1000, max_delay=1e9)
+        )
+        _observe_sessions(batcher, 20)
+        batch = batcher.flush()
         assert [v.session_id for v in batch] == [
             f"sess-{i}" for i in range(20)
         ]
-        margins = model.score(x[:20])
-        labels = model.predict(x[:20])
+        matrix = np.array(
+            [batcher._accumulators[v.session_id].vector() for v in batch]
+        )
+        assert len({tuple(row) for row in matrix}) > 10
+        margins = model.score(matrix)
+        labels = model.predict(matrix)
+        assert set(labels) == {-1, 1}
         for verdict, margin, label in zip(batch, margins, labels):
-            assert verdict.margin == pytest.approx(float(margin))
+            assert verdict.margin == float(margin)
             assert verdict.label == int(label)
 
-    def test_auto_flush_at_batch_size(self):
-        model = _synthetic_model(rounds=4)
-        flushed: list[list[BatchVerdict]] = []
-        scorer = BatchScorer(model, batch_size=8, on_flush=flushed.append)
-        rng = np.random.default_rng(5)
-        for row_index in range(20):
-            scorer.add(f"s{row_index}", rng.uniform(0, 100, size=12))
-        assert scorer.flushes == 2
-        assert [len(batch) for batch in flushed] == [8, 8]
-        assert scorer.pending == 4
-        scorer.flush()
-        assert scorer.scored == 20
-        assert scorer.pending == 0
-
-    def test_keep_verdicts_false_streams_without_retaining(self):
-        model = _synthetic_model(rounds=2)
-        streamed: list[BatchVerdict] = []
-        scorer = BatchScorer(
-            model,
-            batch_size=4,
-            on_flush=streamed.extend,
-            keep_verdicts=False,
-        )
-        rng = np.random.default_rng(1)
-        for row_index in range(10):
-            scorer.add(f"s{row_index}", rng.uniform(0, 100, size=12))
-        scorer.flush()
-        assert scorer.verdicts == []
-        assert scorer.scored == 10
-        assert len(streamed) == 10
-
     def test_flush_empty_is_noop(self):
-        scorer = BatchScorer(_synthetic_model(rounds=2))
-        assert scorer.flush() == []
-        assert scorer.flushes == 0
+        batcher = MicroBatcher(_synthetic_model(rounds=2))
+        assert batcher.flush() == []
+        assert batcher.flushes == 0
 
     def test_zero_margin_is_robot(self):
         verdict = BatchVerdict(session_id="s", margin=0.0)
         assert verdict.label == -1
         assert verdict.is_robot
 
-    def test_add_many_and_accumulator(self):
-        from repro.ml.features import FeatureAccumulator
-
-        model = _synthetic_model(rounds=2)
-        scorer = BatchScorer(model)
-        scorer.add_many(
-            (f"s{i}", np.full(12, float(i))) for i in range(3)
-        )
-        scorer.add_accumulator("acc", FeatureAccumulator())
-        assert scorer.pending == 4
-        assert len(scorer.flush()) == 4
-
     def test_rejects_wrong_width_and_bad_batch_size(self):
         model = _synthetic_model(rounds=2)
-        scorer = BatchScorer(model)
+        for row in ((0.0,) * 5, (0.0,) * 13, ()):
+            with pytest.raises(ValueError, match="row of 12 values"):
+                model.score_row(row)
         with pytest.raises(ValueError):
-            scorer.add("s", np.zeros(5))
-        with pytest.raises(ValueError):
-            BatchScorer(model, batch_size=0)
+            MicroBatchConfig(max_batch=0)
