@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices DESIGN.md calls out.
+"""Ablation benches for the paper's design choices.
 
 1. decoy count ``m`` vs blind-fetcher catch probability (§2.1's m/(m+1));
 2. CSS-only vs mouse-only vs combined set-algebra classification quality

@@ -40,7 +40,6 @@ from repro.detection import (
 from repro.ingress import (
     IngressConfig,
     IngressPipeline,
-    MicroBatchConfig,
     ShedPolicy,
 )
 from repro.instrument import (
@@ -93,7 +92,6 @@ __all__ = [
     "InstrumentConfig",
     "InstrumentationRegistry",
     "Label",
-    "MicroBatchConfig",
     "OriginServer",
     "PageInstrumenter",
     "PolicyConfig",

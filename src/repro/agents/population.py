@@ -1,9 +1,10 @@
 """Population mixes: weighted agent factories.
 
 A :class:`PopulationMix` is the calibrated census of who visits the proxy
-network — the knob DESIGN.md's §6 describes.  Each draw samples an agent
-family by weight and instantiates it with a fresh IP, User-Agent and RNG
-stream, so a workload is fully described by (mix, size, seed).
+network (the calibration is in :mod:`repro.workload.mixes`).  Each draw
+samples an agent family by weight and instantiates it with a fresh IP,
+User-Agent and RNG stream, so a workload is fully described by (mix,
+size, seed).
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from repro.detection.tracker import SessionTracker
 from repro.detection.verdict import Verdict
 from repro.http.message import Request, Response
 from repro.instrument.keys import BeaconHit, InstrumentationRegistry
-from repro.util.timeutil import HOUR
 
 
 class RequestOutcome(NamedTuple):
@@ -43,17 +42,11 @@ class DetectionService:
     def __init__(
         self,
         registry: InstrumentationRegistry,
-        idle_timeout: float = HOUR,
-        min_requests: int = 10,
         policy_config: PolicyConfig | None = None,
         session_id_prefix: str = "sess",
     ) -> None:
         self._registry = registry
-        self.tracker = SessionTracker(
-            idle_timeout=idle_timeout,
-            min_requests=min_requests,
-            id_prefix=session_id_prefix,
-        )
+        self.tracker = SessionTracker(id_prefix=session_id_prefix)
         #: The §3.2 thresholds every session is policed against.
         self.policy = policy_config or PolicyConfig()
 

@@ -31,7 +31,8 @@ about one session:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.detection.verdict import Label, Verdict
 from repro.http.message import Method, Request, Response
@@ -39,6 +40,9 @@ from repro.http.status import StatusClass
 from repro.instrument.keys import BeaconHit, BeaconKind
 from repro.instrument.ua_probe import sanitize_user_agent
 from repro.util.timeutil import MINUTE
+
+if TYPE_CHECKING:
+    from repro.ml.features import FeatureAccumulator
 
 #: Requests without browser-like evidence after which a live session is
 #: tentatively a robot (the set algebra labels "all other sessions"
@@ -84,9 +88,14 @@ class PolicyConfig:
             raise ValueError("error_4xx_limit must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionState:
-    """Everything the detector remembers and decides about one session."""
+    """Everything the detector remembers and decides about one session.
+
+    Slotted: a server holds one per live client, and on CPython 3.11 an
+    instance of 30 or more attributes gets an unshared ``__dict__``,
+    ~1.3 KiB more each.
+    """
 
     session_id: str
     key: SessionKey
@@ -129,6 +138,13 @@ class SessionState:
     # never read by any detector.
     true_label: str = ""
     agent_kind: str = ""
+
+    # The §4.2 Table 2 attributes while the session is live: made by the
+    # lane's micro-batcher on the first scored exchange, dropped (set to
+    # None) by the tracker when it retires the session.
+    features: FeatureAccumulator | None = field(
+        default=None, repr=False, compare=False
+    )
 
     # -- membership predicates used by the set algebra ---------------------
 

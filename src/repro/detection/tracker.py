@@ -7,41 +7,29 @@ from repro.http.message import Request
 from repro.util.ids import IdGenerator
 from repro.util.timeutil import HOUR
 
+#: §3: a session is a stream "that has not been idle for more than an
+#: hour".
+IDLE_TIMEOUT = HOUR
+#: §3: the analysis "only consider[s] sessions that have sent more than
+#: 10 requests".
+NOISE_FLOOR = 10
+
 
 class SessionTracker:
     """Maintains live sessions and retires idle ones.
 
     Completed (idle-expired or explicitly finalized) sessions are kept in
     :attr:`completed`; a retired session's state, its §3.2 watch and
-    block included, goes with it.
+    block included, goes with it, and so do its Table 2 attributes
+    (``features``): the tracker alone decides how long a session's
+    scoring state lives.
     """
 
-    def __init__(
-        self,
-        idle_timeout: float = HOUR,
-        min_requests: int = 10,
-        id_prefix: str = "sess",
-    ) -> None:
-        if idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        if min_requests < 0:
-            raise ValueError("min_requests must be non-negative")
-        self._idle_timeout = idle_timeout
-        self._min_requests = min_requests
+    def __init__(self, id_prefix: str = "sess") -> None:
         self._live: dict[SessionKey, SessionState] = {}
         self._ids = IdGenerator(id_prefix)
         self.completed: list[SessionState] = []
         self._total_started = 0
-
-    @property
-    def idle_timeout(self) -> float:
-        """Seconds of inactivity after which a session ends."""
-        return self._idle_timeout
-
-    @property
-    def min_requests(self) -> int:
-        """Sessions at or below this request count are noise (§3: > 10)."""
-        return self._min_requests
 
     @property
     def live_count(self) -> int:
@@ -63,7 +51,7 @@ class SessionTracker:
         state = self._live.get(key)
         started = False
         if state is not None and (
-            request.timestamp - state.last_request_at > self._idle_timeout
+            request.timestamp - state.last_request_at > IDLE_TIMEOUT
         ):
             self._retire(state)
             state = None
@@ -88,7 +76,7 @@ class SessionTracker:
         expired = [
             state
             for state in self._live.values()
-            if now - state.last_request_at > self._idle_timeout
+            if now - state.last_request_at > IDLE_TIMEOUT
         ]
         for state in expired:
             self._retire(state)
@@ -102,11 +90,10 @@ class SessionTracker:
         return remaining
 
     def analyzable(self) -> list[SessionState]:
-        """Completed sessions above the noise threshold (> min_requests)."""
-        return [
-            s for s in self.completed if s.request_count > self._min_requests
-        ]
+        """Completed sessions above the noise floor (> NOISE_FLOOR)."""
+        return [s for s in self.completed if s.request_count > NOISE_FLOOR]
 
     def _retire(self, state: SessionState) -> None:
         self._live.pop(state.key, None)
+        state.features = None
         self.completed.append(state)

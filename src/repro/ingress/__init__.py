@@ -24,7 +24,7 @@ wall-clock behaviour, never results (the invariant the test suite pins
 across ``{serial, process}`` × queue depths).
 """
 
-from repro.ingress.batcher import MicroBatchConfig, MicroBatcher
+from repro.ingress.batcher import MicroBatcher
 from repro.ingress.executors import (
     EXECUTOR_KINDS,
     ProcessLaneExecutor,
@@ -50,7 +50,6 @@ __all__ = [
     "IngressPipeline",
     "IngressResult",
     "LaneResult",
-    "MicroBatchConfig",
     "MicroBatcher",
     "ProcessLaneExecutor",
     "ReplayLaneWorker",

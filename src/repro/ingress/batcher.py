@@ -3,28 +3,33 @@
 A streaming ingress sees one request at a time, and the §4.2 ensemble
 judges one session at a time.  The micro-batcher sits between them:
 every arrival updates its session's streaming
-:class:`~repro.ml.features.FeatureAccumulator` and marks the session
+:class:`~repro.ml.features.FeatureAccumulator` (``SessionState.features``,
+made here on the session's first scored exchange) and marks the session
 *dirty*; dirty sessions are coalesced and each is scored once, with its
 latest Table 2 row, by :meth:`~repro.ml.adaboost.AdaBoostModel.score_row`
 when either
 
-* ``max_batch`` distinct sessions are dirty (count budget), or
-* the oldest un-scored update has waited ``max_delay`` *virtual* seconds
-  (latency budget — event time, not wall clock, so batch boundaries are
-  a pure function of the event stream and identical under every executor
-  and queue depth).
+* :data:`MAX_BATCH` distinct sessions are dirty (count budget), or
+* the oldest un-scored update has waited :data:`MAX_DELAY` *virtual*
+  seconds (latency budget — event time, not wall clock, so batch
+  boundaries are a pure function of the event stream and identical
+  under every executor and queue depth).
 
 Coalescing is the point: a session touched 50 times between flushes is
 scored once, with its latest snapshot.  Re-scoring across flushes tracks
 sessions as they accumulate evidence, the way the online classifier
 re-judges per request.  Scoring a row is a dozen ``bisect`` lookups and
 builds no numpy array, so a lane makes no numpy call to score.
+
+The batcher keeps no session table of its own: the session tracker
+decides how long a session's attributes live (it drops them when it
+retires the session), and the dirty map holds each dirty session's
+accumulator, so a session rotated or expired since the last flush still
+gets its final score at the next one.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
 from time import perf_counter
 
 from repro.detection.service import RequestOutcome
@@ -33,31 +38,11 @@ from repro.ml.adaboost import AdaBoostModel
 from repro.ml.batch import BatchVerdict
 from repro.ml.features import FeatureAccumulator
 from repro.overload.ladder import is_checkpoint
-from repro.util.timeutil import HOUR
 
-
-@dataclass(frozen=True)
-class MicroBatchConfig:
-    """Flush budgets for one lane's micro-batcher.
-
-    ``idle_timeout`` bounds memory: a session's accumulator is dropped
-    (at flush time, on the event clock) once the session has been idle
-    that long.  Keep it >= the tracker's idle timeout — any session
-    returning after such a gap is rotated to a fresh session id by the
-    tracker anyway, so eviction can never change a score.
-    """
-
-    max_batch: int = 256
-    max_delay: float = 60.0
-    idle_timeout: float = HOUR
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if self.max_delay <= 0:
-            raise ValueError("max_delay must be positive")
-        if self.idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
+#: Count budget: distinct dirty sessions that force a flush.
+MAX_BATCH = 256
+#: Latency budget: virtual seconds the oldest un-scored update may wait.
+MAX_DELAY = 60.0
 
 
 class MicroBatcher:
@@ -69,34 +54,22 @@ class MicroBatcher:
     lane workers unchanged.
     """
 
-    def __init__(
-        self,
-        model: AdaBoostModel | None,
-        config: MicroBatchConfig | None = None,
-    ) -> None:
-        self._config = config or MicroBatchConfig()
+    def __init__(self, model: AdaBoostModel | None) -> None:
         self._model = model
         #: Response-ladder router fed by checkpoint verdicts; None = off.
         self._ladder = None
         self._checkpoint_base = 0
-        #: session_id -> streaming Table 2 attributes.
-        self._accumulators: dict[str, FeatureAccumulator] = {}
-        #: session_id -> (key, last event timestamp), for idle eviction.
-        self._last_seen: dict[str, tuple[tuple[str, str], float]] = {}
-        #: sessions updated since the last flush, in first-touch order.
-        self._dirty: OrderedDict[str, None] = OrderedDict()
+        #: session_id -> accumulator of the sessions updated since the
+        #: last flush, in first-touch order.
+        self._dirty: dict[str, FeatureAccumulator] = {}
         self._first_dirty_at: float | None = None
         self._clock = 0.0
-        #: live session per key, to retire rotated sessions' state.
-        self._live: dict[tuple[str, str], str] = {}
-        self._retired: set[str] = set()
         self.verdicts: list[BatchVerdict] = []
         self.flushes = 0
         self._flush_total = None
         self._flush_sessions = None
         self._flush_delay = None
         self._pending_gauge = None
-        self._evicted_total = None
         self._score_seconds = None
         self._scored_total = None
         self._tracer = None
@@ -116,9 +89,8 @@ class MicroBatcher:
 
         Everything here but ``repro_batch_score_seconds`` (the wall time
         of each flush's scoring) is in the deterministic domain: flush
-        boundaries, batch sizes, coalescing delays, scored-session
-        counts and idle evictions are pure functions of the (event-time)
-        arrival stream.
+        boundaries, batch sizes, coalescing delays and scored-session
+        counts are pure functions of the (event-time) arrival stream.
         """
         from repro.obs.registry import (
             EVENT_SECONDS_BUCKETS,
@@ -137,9 +109,6 @@ class MicroBatcher:
         )
         self._pending_gauge = registry.gauge(
             "repro_batch_pending_sessions", labels
-        )
-        self._evicted_total = registry.counter(
-            "repro_batch_evicted_total", labels
         )
         if self._model is not None:
             self._score_seconds = registry.histogram(
@@ -188,38 +157,29 @@ class MicroBatcher:
         if self._model is None:
             return
         state = outcome.state
-        key = (state.key.client_ip, state.key.user_agent)
-        session_id = state.session_id
-        previous = self._live.get(key)
-        if previous is not None and previous != session_id:
-            self._retire(previous)
-        self._live[key] = session_id
-
-        accumulator = self._accumulators.get(session_id)
+        accumulator = state.features
         if accumulator is None:
-            accumulator = self._accumulators[session_id] = FeatureAccumulator()
+            accumulator = state.features = FeatureAccumulator()
         accumulator.observe(request, response)
+        timestamp = request.timestamp
         if self._ladder is not None and is_checkpoint(
             accumulator.total, self._checkpoint_base
         ):
             self._ladder.observe_verdict(
-                key[0],
+                state.key.client_ip,
                 self._model.score_row(accumulator.row()),
-                request.timestamp,
+                timestamp,
             )
-        self._last_seen[session_id] = (key, request.timestamp)
-        self._clock = max(self._clock, request.timestamp)
-        if session_id not in self._dirty:
-            self._dirty[session_id] = None
+        self._clock = max(self._clock, timestamp)
+        self._dirty[state.session_id] = accumulator
         if self._first_dirty_at is None:
-            self._first_dirty_at = request.timestamp
+            self._first_dirty_at = timestamp
         if self._pending_gauge is not None:
             self._pending_gauge.set(len(self._dirty))
 
-        cfg = self._config
         if (
-            len(self._dirty) >= cfg.max_batch
-            or request.timestamp - self._first_dirty_at >= cfg.max_delay
+            len(self._dirty) >= MAX_BATCH
+            or timestamp - self._first_dirty_at >= MAX_DELAY
         ):
             self.flush()
 
@@ -245,26 +205,20 @@ class MicroBatcher:
         else:
             with self._tracer.span("batch_score", self._clock):
                 batch = self._score_dirty()
-        for session_id in self._dirty:
-            if session_id in self._retired:
-                self._retired.discard(session_id)
-                self._drop(session_id)
         self._dirty.clear()
         self._first_dirty_at = None
         self.verdicts.extend(batch)
         self.flushes += 1
-        self._evict_idle()
         if self._pending_gauge is not None:
             self._pending_gauge.set(len(self._dirty))
         return batch
 
     def _score_dirty(self) -> list[BatchVerdict]:
         score_row = self._model.score_row
-        accumulators = self._accumulators
         started = perf_counter()
         batch = [
-            BatchVerdict(session_id, score_row(accumulators[session_id].row()))
-            for session_id in self._dirty
+            BatchVerdict(session_id, score_row(accumulator.row()))
+            for session_id, accumulator in self._dirty.items()
         ]
         if self._score_seconds is not None:
             self._score_seconds.observe(perf_counter() - started)
@@ -274,41 +228,3 @@ class MicroBatcher:
     def close(self) -> list[BatchVerdict]:
         """Final flush: score whatever is still dirty."""
         return self.flush()
-
-    def _retire(self, session_id: str) -> None:
-        """A session rotated: drop its accumulator once finally scored."""
-        if session_id in self._dirty:
-            self._retired.add(session_id)
-        else:
-            self._drop(session_id)
-
-    def _drop(self, session_id: str) -> None:
-        self._accumulators.pop(session_id, None)
-        entry = self._last_seen.pop(session_id, None)
-        if entry is not None:
-            key, _seen = entry
-            if self._live.get(key) == session_id:
-                del self._live[key]
-
-    def _evict_idle(self) -> None:
-        """Bound steady-state memory on million-session streams.
-
-        Runs after each flush (event clock, so identical under every
-        executor and queue depth): sessions idle past ``idle_timeout``
-        have already received their final score — if they ever return,
-        the tracker hands them a *new* session id — so their
-        accumulators are dead weight.
-        """
-        horizon = self._clock - self._config.idle_timeout
-        if horizon <= 0:
-            return
-        stale = [
-            session_id
-            for session_id, (_key, seen) in self._last_seen.items()
-            if seen < horizon and session_id not in self._dirty
-        ]
-        for session_id in stale:
-            self._retired.discard(session_id)
-            self._drop(session_id)
-        if self._evicted_total is not None and stale:
-            self._evicted_total.inc(len(stale))

@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from repro.ingress.batcher import MicroBatchConfig
 from repro.ingress.executors import (
     EXECUTOR_KINDS,
     ShedPolicy,
@@ -75,7 +74,8 @@ class IngressConfig:
     therefore needs the process executor — on request.
     ``chunk_size`` is the process executor's IPC batch size —
     invisible to results.  ``scorer_model`` enables per-lane
-    micro-batched ensemble scoring under the ``batch`` budgets.
+    micro-batched ensemble scoring
+    (:class:`~repro.ingress.batcher.MicroBatcher`).
     """
 
     executor: str = "serial"
@@ -83,7 +83,6 @@ class IngressConfig:
     policy: ShedPolicy = ShedPolicy.BLOCK
     chunk_size: int = 256
     housekeeping_interval: float = 600.0
-    batch: MicroBatchConfig = field(default_factory=MicroBatchConfig)
     scorer_model: AdaBoostModel | None = None
     #: Virtual-time sampling interval for the flight recorder
     #: (None = off).  Every lane — and the admission side, via
@@ -548,7 +547,6 @@ def replay_workers(
                     shard,
                     housekeeping_interval=config.housekeeping_interval,
                     scorer_model=config.scorer_model,
-                    batch=config.batch,
                     taps=network.taps,
                     flight_interval=config.flight_interval,
                     spans=config.spans,

@@ -30,13 +30,13 @@ two workers are the only code that drives a request into a shard for
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.captcha.challenge import CaptchaOutcome
 from repro.captcha.service import CaptchaConfig, CaptchaService, CaptchaStats
 from repro.detection.session import SessionState
 from repro.detection.verdict import Label
-from repro.ingress.batcher import MicroBatchConfig, MicroBatcher
+from repro.ingress.batcher import MicroBatcher
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.batch import BatchVerdict
 from repro.obs.flight import FlightFrame, FlightRecorder
@@ -222,7 +222,6 @@ class ReplayLaneWorker(_LaneWorker):
         shard: NodeShard,
         housekeeping_interval: float = 600.0,
         scorer_model: AdaBoostModel | None = None,
-        batch: MicroBatchConfig | None = None,
         taps=(),
         flight_interval: float | None = None,
         spans: SpanConfig | None = None,
@@ -231,14 +230,7 @@ class ReplayLaneWorker(_LaneWorker):
         super().__init__(lane, shard, taps, flight_interval, spans)
         self._interval = housekeeping_interval or None
         self._next_sweep: float | None = None
-        if batch is not None:
-            # The batcher may only evict accumulators for sessions the
-            # tracker would rotate on return; a shorter eviction window
-            # would silently truncate feature histories.  Clamp up.
-            tracker_timeout = shard.detection.tracker.idle_timeout
-            if batch.idle_timeout < tracker_timeout:
-                batch = replace(batch, idle_timeout=tracker_timeout)
-        self._batcher = MicroBatcher(scorer_model, batch)
+        self._batcher = MicroBatcher(scorer_model)
         #: The shard's response ladder when the graduated response is on
         #: for this lane.
         self._ladder = None

@@ -37,6 +37,7 @@ gives that row in a matrix.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -105,15 +106,18 @@ def _compile_feature(
     """Build one feature's sorted-prefix + grid lookup tables.
 
     ``thresholds`` must already be sorted with ``votes`` in matching
-    order.  A degenerate threshold range (all equal) gets scale 0, which
-    maps every sample to bucket 0 — dirty by construction — so scoring
+    order.  A degenerate threshold range gets scale 0, which maps every
+    sample to bucket 0 — dirty by construction — so scoring
     transparently degrades to pure searchsorted rather than misreading
-    the grid.
+    the grid.  Degenerate means all thresholds equal, or a span so small
+    (below ~1e-305) that the scale overflows to infinity.
     """
     vote_prefix = np.concatenate(([0.0], np.cumsum(votes)))
     lo = float(thresholds[0])
     span = float(thresholds[-1]) - lo
     scale = _GRID_BUCKETS / span if span > 0.0 else 0.0
+    if not math.isfinite(scale):
+        scale = 0.0
     scaled = (thresholds - lo) * scale
     np.clip(scaled, 0.0, _GRID_BUCKETS - 1, out=scaled)
     threshold_buckets = scaled.astype(np.int64)

@@ -50,7 +50,6 @@ from repro.trace.recorder import ProbeRecord, read_probe_journal
 from repro.workload.results import SessionCensus, apply_session_identities
 
 if TYPE_CHECKING:  # imported lazily at run time (package-cycle-free)
-    from repro.ingress.batcher import MicroBatchConfig
     from repro.ingress.pipeline import IngressConfig
     from repro.ml.adaboost import AdaBoostModel
     from repro.overload.admission import AdaptiveConfig, OverloadReport
@@ -82,7 +81,8 @@ class ReplayConfig:
     shard counts unless ``shed`` / ``adaptive`` opt into load shedding,
     which needs the ``process`` executor — inline lanes have no backlog
     to shed from.  ``scorer_model`` additionally micro-batches §4.2
-    ensemble scoring per lane under the ``batch`` count/latency budgets.
+    ensemble scoring per lane
+    (:class:`~repro.ingress.batcher.MicroBatcher`).
     Which combinations make sense is :class:`IngressConfig`'s call: one
     is built (and so checked) at construction.
     """
@@ -105,7 +105,6 @@ class ReplayConfig:
     #: live from micro-batch checkpoint verdicts; needs ``scorer_model``.
     ladder: "LadderConfig | None" = None
     scorer_model: "AdaBoostModel | None" = None
-    batch: "MicroBatchConfig | None" = None
     #: Virtual-time flight-recorder sampling interval (None = off):
     #: every lane and the admission side sample on one absolute grid.
     flight_interval: float | None = None
@@ -122,7 +121,6 @@ class ReplayConfig:
         """The admission-and-dispatch half of these parameters."""
         # Deferred import: repro.trace's package init imports this
         # module, and the ingress package imports trace machinery.
-        from repro.ingress.batcher import MicroBatchConfig
         from repro.ingress.pipeline import IngressConfig, shed_policy
 
         return IngressConfig(
@@ -130,7 +128,6 @@ class ReplayConfig:
             queue_depth=self.queue_depth,
             policy=shed_policy(self.shed, self.adaptive),
             housekeeping_interval=self.housekeeping_interval,
-            batch=self.batch or MicroBatchConfig(),
             scorer_model=self.scorer_model,
             flight_interval=self.flight_interval,
             spans=self.spans,

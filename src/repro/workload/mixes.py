@@ -1,9 +1,9 @@
 """Named population mixes.
 
 ``CODEEN_WEEK`` is the calibrated census behind Table 1 (weights are
-session-share percentages; DESIGN.md §6 explains the calibration: the
-fractions were chosen so the *measured* detector outputs land near the
-paper's, but every number is produced by running the real pipeline).
+session-share percentages, chosen so the *measured* detector outputs
+land near the paper's, but every number is produced by running the real
+pipeline).
 
 The derivation from Table 1's targets:
 

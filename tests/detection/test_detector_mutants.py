@@ -105,8 +105,8 @@ MUTANTS = [
     Mutant(
         "idle rule: >= for > (an hour to the second splits)",
         SessionTracker, "observe",
-        "state.last_request_at > self._idle_timeout",
-        "state.last_request_at >= self._idle_timeout",
+        "state.last_request_at > IDLE_TIMEOUT",
+        "state.last_request_at >= IDLE_TIMEOUT",
         _hour_to_the_second, "per-request verdict",
     ),
     Mutant(

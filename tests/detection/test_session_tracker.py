@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
+import detector_spec
 
 from repro.detection.session import SessionKey, SessionState
-from repro.detection.tracker import SessionTracker
+from repro.detection.tracker import IDLE_TIMEOUT, NOISE_FLOOR, SessionTracker
 from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response
 from repro.http.uri import Url
 from repro.instrument.keys import BeaconHit, BeaconKind, RegisteredProbe
+from repro.ml.features import FeatureAccumulator
 from repro.util.timeutil import HOUR
 
 
@@ -33,6 +34,11 @@ def _state(**kw) -> SessionState:
 
 
 class TestSessionState:
+    def test_slotted(self):
+        # One per live client: no per-instance dict (at 30 attributes
+        # CPython stops sharing its keys, ~1.3 KiB a session).
+        assert not hasattr(_state(), "__dict__")
+
     def test_note_request_counts(self):
         state = _state()
         assert state.note_request(_request(t=1.0)) == 1
@@ -104,7 +110,7 @@ class TestTracker:
         assert tracker.live_count == 2
 
     def test_idle_rotation(self):
-        tracker = SessionTracker(idle_timeout=HOUR)
+        tracker = SessionTracker()
         first, _ = tracker.observe(_request(t=0.0))
         first.note_request(_request(t=0.0))
         second, started = tracker.observe(_request(t=2 * HOUR))
@@ -113,7 +119,7 @@ class TestTracker:
         assert first in tracker.completed
 
     def test_no_rotation_within_timeout(self):
-        tracker = SessionTracker(idle_timeout=HOUR)
+        tracker = SessionTracker()
         first, _ = tracker.observe(_request(t=0.0))
         first.note_request(_request(t=0.0))
         again, started = tracker.observe(_request(t=HOUR - 1))
@@ -121,12 +127,15 @@ class TestTracker:
         assert again is first
 
     def test_expire_idle(self):
-        tracker = SessionTracker(idle_timeout=HOUR)
+        tracker = SessionTracker()
         state, _ = tracker.observe(_request(t=0.0))
         state.note_request(_request(t=0.0))
+        state.features = FeatureAccumulator()
         expired = tracker.expire_idle(3 * HOUR)
         assert expired == [state]
         assert tracker.live_count == 0
+        # Retiring a session drops its Table 2 attributes.
+        assert state.features is None
 
     def test_finalize_all(self):
         tracker = SessionTracker()
@@ -138,7 +147,7 @@ class TestTracker:
         assert len(tracker.completed) == 2
 
     def test_analyzable_filters_noise(self):
-        tracker = SessionTracker(min_requests=10)
+        tracker = SessionTracker()
         state, _ = tracker.observe(_request())
         for i in range(10):
             state.note_request(_request(t=float(i)))
@@ -158,8 +167,9 @@ class TestTracker:
         tracker.observe(_request(ip="1.1.1.1"))
         assert tracker.total_started == 2
 
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            SessionTracker(idle_timeout=0)
-        with pytest.raises(ValueError):
-            SessionTracker(min_requests=-1)
+
+def test_section_3_constants_are_the_specs():
+    """The idle hour and the 10-request noise floor are §3's, as the
+    executable spec states them."""
+    assert IDLE_TIMEOUT == detector_spec.IDLE
+    assert NOISE_FLOOR == detector_spec.NOISE

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.detection.service import RequestOutcome
+from repro.detection.service import DetectionService, RequestOutcome
 from repro.detection.session import SessionKey, SessionState
 from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response
 from repro.http.uri import Url
-from repro.ingress.batcher import MicroBatchConfig, MicroBatcher
+from repro.ingress import batcher as batcher_module
+from repro.ingress.batcher import MAX_BATCH, MAX_DELAY, MicroBatcher
+from repro.instrument.keys import InstrumentationRegistry
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.stump import DecisionStump
 
@@ -46,6 +47,22 @@ def exchange(session: SessionState, path: str, timestamp: float):
     return outcome, request, response
 
 
+def served(service: DetectionService, ip: str, path: str, timestamp: float):
+    """One exchange routed through ``service``'s tracker, as a lane
+    hands it to the batcher."""
+    request = Request(
+        method=Method.GET,
+        url=Url.parse(f"http://site.example{path}"),
+        client_ip=ip,
+        headers=Headers([("User-Agent", "ua")]),
+        timestamp=timestamp,
+    )
+    response = Response(status=200, body=b"x" * 100)
+    outcome = service.handle_request(request)
+    service.note_response(outcome, response)
+    return outcome, request, response
+
+
 def session(ip: str, session_id: str = "s-1") -> SessionState:
     return SessionState(
         session_id=session_id,
@@ -56,42 +73,35 @@ def session(ip: str, session_id: str = "s-1") -> SessionState:
 
 class TestFlushBudgets:
     def test_count_budget_triggers_flush(self):
-        batcher = MicroBatcher(
-            tiny_model(), MicroBatchConfig(max_batch=3, max_delay=1e9)
-        )
-        for index in range(3):
-            state = session(f"10.0.0.{index}", f"s-{index}")
-            batcher.observe(*exchange(state, "/a.html", float(index)))
+        batcher = MicroBatcher(tiny_model())
+        for index in range(MAX_BATCH):
+            assert batcher.flushes == 0
+            state = session(f"10.0.{index // 256}.{index % 256}", f"s-{index}")
+            batcher.observe(*exchange(state, "/a.html", index / MAX_BATCH))
         assert batcher.flushes == 1
-        assert len(batcher.verdicts) == 3
+        assert len(batcher.verdicts) == MAX_BATCH
         assert batcher.pending == 0
 
     def test_latency_budget_uses_virtual_time(self):
-        batcher = MicroBatcher(
-            tiny_model(), MicroBatchConfig(max_batch=1000, max_delay=60.0)
-        )
+        batcher = MicroBatcher(tiny_model())
         state = session("10.0.0.1")
         batcher.observe(*exchange(state, "/a.html", 10.0))
-        batcher.observe(*exchange(state, "/b.html", 30.0))
-        assert batcher.flushes == 0  # 20 virtual seconds elapsed
-        batcher.observe(*exchange(state, "/c.html", 70.0))
-        assert batcher.flushes == 1  # 60s budget reached
+        batcher.observe(*exchange(state, "/b.html", 10.0 + MAX_DELAY / 3))
+        assert batcher.flushes == 0  # a third of the budget elapsed
+        batcher.observe(*exchange(state, "/c.html", 10.0 + MAX_DELAY))
+        assert batcher.flushes == 1  # budget reached
 
     def test_arrivals_coalesce_to_one_verdict_per_session(self):
-        batcher = MicroBatcher(
-            tiny_model(), MicroBatchConfig(max_batch=1000, max_delay=1e9)
-        )
+        batcher = MicroBatcher(tiny_model())
         state = session("10.0.0.1")
         for index in range(50):
-            batcher.observe(*exchange(state, f"/p{index}.html", float(index)))
+            batcher.observe(*exchange(state, f"/p{index}.html", index / 50))
         batch = batcher.close()
         assert len(batch) == 1
         assert batch[0].session_id == "s-1"
 
     def test_rescored_across_flushes(self):
-        batcher = MicroBatcher(
-            tiny_model(), MicroBatchConfig(max_batch=1000, max_delay=1e9)
-        )
+        batcher = MicroBatcher(tiny_model())
         state = session("10.0.0.1")
         batcher.observe(*exchange(state, "/a.html", 0.0))
         batcher.flush()
@@ -99,74 +109,73 @@ class TestFlushBudgets:
         batcher.flush()
         assert [v.session_id for v in batcher.verdicts] == ["s-1", "s-1"]
 
-    def test_final_margin_independent_of_budgets(self):
-        def run(config: MicroBatchConfig) -> dict[str, float]:
-            batcher = MicroBatcher(tiny_model(), config)
+    def test_final_margin_independent_of_budgets(self, monkeypatch):
+        def run() -> dict[str, float]:
+            batcher = MicroBatcher(tiny_model())
+            states = [session(f"10.0.0.{i}", f"s-{i}") for i in range(4)]
             for index in range(40):
-                state = session(f"10.0.0.{index % 4}", f"s-{index % 4}")
                 batcher.observe(
-                    *exchange(state, f"/p{index}.html", float(index))
+                    *exchange(states[index % 4], f"/p{index}.html", index)
                 )
             batcher.close()
             return {v.session_id: v.margin for v in batcher.verdicts}
 
-        small = run(MicroBatchConfig(max_batch=2, max_delay=5.0))
-        large = run(MicroBatchConfig(max_batch=1000, max_delay=1e9))
+        large = run()
+        monkeypatch.setattr(batcher_module, "MAX_BATCH", 2)
+        monkeypatch.setattr(batcher_module, "MAX_DELAY", 5.0)
+        small = run()
         assert small == large
 
 
 class TestLifecycle:
+    """The tracker owns a session's lifetime; the batcher only scores."""
+
     def test_disabled_without_model(self):
         batcher = MicroBatcher(None)
         assert not batcher.enabled
         state = session("10.0.0.1")
         batcher.observe(*exchange(state, "/a.html", 0.0))
+        assert state.features is None
         assert batcher.close() == []
         assert batcher.verdicts == []
 
     def test_rotation_retires_accumulator_after_final_score(self):
-        batcher = MicroBatcher(
-            tiny_model(), MicroBatchConfig(max_batch=1000, max_delay=1e9)
-        )
-        first = session("10.0.0.1", "s-old")
-        batcher.observe(*exchange(first, "/a.html", 0.0))
-        replacement = session("10.0.0.1", "s-new")
-        batcher.observe(*exchange(replacement, "/b.html", 4000.0))
+        service = DetectionService(InstrumentationRegistry())
+        batcher = MicroBatcher(tiny_model())
+        exchanged = served(service, "10.0.0.1", "/a.html", 0.0)
+        batcher.observe(*exchanged)
+        first = exchanged[0].state
+        assert first.features is not None and first.features.total == 1
+        # Back after more than an hour: the tracker rotates the key to a
+        # new session and drops the old one's attributes...
+        replacement = served(service, "10.0.0.1", "/b.html", 4000.0)
+        batcher.observe(*replacement)
+        assert replacement[0].state is not first
+        assert first.features is None
+        # ...which the dirty map still holds for its final score.
         batcher.close()
-        scored = {v.session_id for v in batcher.verdicts}
-        assert scored == {"s-old", "s-new"}
-        # The rotated session's accumulator is dropped after scoring.
-        assert "s-old" not in batcher._accumulators
+        scored = [v.session_id for v in batcher.verdicts]
+        assert sorted(scored) == sorted(
+            [first.session_id, replacement[0].state.session_id]
+        )
 
     def test_idle_sessions_evicted_after_final_score(self):
-        """Memory stays bounded on million-session streams: a session
-        idle past the timeout is dropped at the next flush (it already
-        got its final score; the tracker would rotate it on return)."""
-        batcher = MicroBatcher(
-            tiny_model(),
-            MicroBatchConfig(
-                max_batch=1000, max_delay=50.0, idle_timeout=100.0
-            ),
-        )
-        old = session("10.0.0.1", "s-old")
-        batcher.observe(*exchange(old, "/a.html", 0.0))
+        """Memory stays bounded on million-session streams: a session the
+        tracker expires (a housekeeping sweep) loses its attributes, and
+        is still scored exactly once, at the next flush."""
+        service = DetectionService(InstrumentationRegistry())
+        batcher = MicroBatcher(tiny_model())
+        scored_early = served(service, "10.0.0.1", "/a.html", 0.0)
+        batcher.observe(*scored_early)
         batcher.flush()
-        assert "s-old" in batcher._accumulators
-        # Another client keeps the stream moving past the idle horizon;
-        # the latency budget trips a flush, which evicts the idler.
-        other = session("10.0.0.2", "s-other")
-        batcher.observe(*exchange(other, "/b.html", 120.0))
-        batcher.observe(*exchange(other, "/c.html", 180.0))
-        assert batcher.flushes == 2
-        assert "s-old" not in batcher._accumulators
-        assert "s-other" in batcher._accumulators
-        # The evicted session was still scored exactly once.
-        assert [v.session_id for v in batcher.verdicts].count("s-old") == 1
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MicroBatchConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            MicroBatchConfig(max_delay=0.0)
-        with pytest.raises(ValueError):
-            MicroBatchConfig(idle_timeout=0.0)
+        dirty = served(service, "10.0.0.2", "/b.html", 30.0)
+        batcher.observe(*dirty)
+        expired = service.tracker.expire_idle(5000.0)
+        old, idler = scored_early[0].state, dirty[0].state
+        assert expired == [old, idler]
+        assert old.features is None and idler.features is None
+        batcher.close()
+        scored = [v.session_id for v in batcher.verdicts]
+        assert scored.count(old.session_id) == 1
+        assert scored.count(idler.session_id) == 1
+        assert batcher.pending == 0

@@ -28,7 +28,6 @@ from journal_pages import journal_pages
 
 from repro.agents.population import AgentSpec, PopulationMix
 from repro.agents.robots import DdosZombie
-from repro.ingress.batcher import MicroBatchConfig
 from repro.ingress.executors import ShedPolicy
 from repro.ingress.pipeline import (
     IngressConfig,
@@ -132,7 +131,6 @@ def _replay(ddos_trace, **config_kwargs):
 
 
 LADDER = LadderConfig(challenge_patience=4)
-BATCH = MicroBatchConfig(max_batch=32, max_delay=1800.0)
 
 
 def _ladder_replay(ddos_trace, executor, shards=0):
@@ -141,7 +139,6 @@ def _ladder_replay(ddos_trace, executor, shards=0):
         executor=executor,
         queue_depth=16,
         scorer_model=_referrer_stump(),
-        batch=BATCH,
         ladder=LADDER,
         shards=shards,
     )

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 from journal_pages import journal_pages
 
-from repro.ingress.batcher import MicroBatchConfig
 from repro.ingress.pipeline import (
     IngressConfig,
     IngressPipeline,
@@ -189,17 +188,13 @@ class TestExecutorDeterminism:
     @pytest.mark.parametrize("executor", ["process"])
     def test_micro_batched_scoring_deterministic(self, recorded, executor):
         model = _scorer_model()
-        batch = MicroBatchConfig(max_batch=32, max_delay=1800.0)
-        reference = _replay(
-            recorded, executor="serial", scorer_model=model, batch=batch
-        )
+        reference = _replay(recorded, executor="serial", scorer_model=model)
         assert reference.ml_verdicts  # the scorer actually ran
         result = _replay(
             recorded,
             executor=executor,
             queue_depth=16,
             scorer_model=model,
-            batch=batch,
         )
         assert [
             (v.session_id, v.margin) for v in result.ml_verdicts
@@ -375,15 +370,12 @@ class TestLaneGranularity:
 class TestMetricsDeterminism:
     """Snapshot byte-identity: the observability acceptance matrix."""
 
-    BATCH = MicroBatchConfig(max_batch=32, max_delay=1800.0)
-
     @pytest.fixture(scope="class")
     def reference(self, recorded):
         return _replay(
             recorded,
             executor="serial",
             scorer_model=_scorer_model(),
-            batch=self.BATCH,
             flight_interval=3600.0,
         )
 
@@ -399,7 +391,6 @@ class TestMetricsDeterminism:
             executor=executor,
             queue_depth=depth,
             scorer_model=_scorer_model(),
-            batch=self.BATCH,
             flight_interval=3600.0,
         )
         assert to_json(result.metrics.deterministic()) == to_json(
@@ -495,29 +486,22 @@ class TestFrontends:
             pipeline.submit(("request", None), "10.0.0.1")
 
 
-class TestBatcherTrackerAlignment:
-    def test_eviction_window_clamped_to_tracker_timeout(self):
-        """A batcher must never evict an accumulator for a session the
-        tracker still considers live — else a returning session keeps
-        its id but restarts from an empty feature history."""
-        from repro.detection.service import DetectionService
-        from repro.ingress.workers import ReplayLaneWorker
-        from repro.instrument.keys import InstrumentationRegistry
-        from repro.proxy.node import ProxyNode
-        from repro.util.timeutil import HOUR
+class TestScoringStateLifecycle:
+    """A session's Table 2 attributes live on its ``SessionState`` only
+    while the tracker keeps the session live: once a replay is over,
+    no retired session holds its URL sets."""
 
-        node = ProxyNode(
-            node_id="node-test",
-            origins={},
-            rng=RngStream(1, "node"),
-            detection=DetectionService(
-                InstrumentationRegistry(), idle_timeout=4 * HOUR
-            ),
-        )
-        worker = ReplayLaneWorker(
-            0,
-            node.state_shards[0],
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_retired_sessions_keep_no_features(
+        self, recorded, executor, shards
+    ):
+        result = _replay(
+            recorded,
+            executor=executor,
+            queue_depth=16,
+            shards=shards,
             scorer_model=_scorer_model(),
-            batch=MicroBatchConfig(idle_timeout=60.0),
         )
-        assert worker._batcher._config.idle_timeout == 4 * HOUR
+        assert result.ml_verdicts and result.sessions
+        assert all(state.features is None for state in result.sessions)

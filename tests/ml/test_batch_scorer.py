@@ -11,7 +11,7 @@ from repro.detection.session import SessionKey, SessionState
 from repro.http.headers import Headers
 from repro.http.message import Method, Request, Response
 from repro.http.uri import Url
-from repro.ingress.batcher import MicroBatchConfig, MicroBatcher
+from repro.ingress.batcher import MicroBatcher
 from repro.ml.adaboost import AdaBoostClassifier, AdaBoostModel
 from repro.ml.batch import BatchVerdict
 from repro.ml.stump import DecisionStump
@@ -129,17 +129,21 @@ _PATHS = ("/", "/a.html", "/b.jpg", "/cgi-bin/q", "/favicon.ico", "/c.css")
 _STATUSES = (200, 200, 304, 404)
 
 
-def _observe_sessions(batcher: MicroBatcher, sessions: int) -> None:
+def _observe_sessions(
+    batcher: MicroBatcher, sessions: int
+) -> list[SessionState]:
     """Drive ``sessions`` sessions (``sess-i``) through varied exchanges:
     methods, object kinds, Referers and status classes, so their Table 2
     rows spread over the whole range."""
     rng = np.random.default_rng(9)
+    states = []
     for index in range(sessions):
         state = SessionState(
             session_id=f"sess-{index}",
             key=SessionKey(f"10.0.0.{index}", "ua"),
             started_at=0.0,
         )
+        states.append(state)
         for step in range(int(rng.integers(1, 9))):
             headers = [("User-Agent", "ua")]
             if rng.random() < 0.5:
@@ -160,6 +164,7 @@ def _observe_sessions(batcher: MicroBatcher, sessions: int) -> None:
                 request,
                 Response(status=int(rng.choice(_STATUSES)), body=b""),
             )
+    return states
 
 
 class TestBatchScorer:
@@ -168,17 +173,13 @@ class TestBatchScorer:
 
     def test_flush_matches_model_predict(self):
         model = _synthetic_model(rounds=200)
-        batcher = MicroBatcher(
-            model, MicroBatchConfig(max_batch=1000, max_delay=1e9)
-        )
-        _observe_sessions(batcher, 20)
+        batcher = MicroBatcher(model)
+        states = _observe_sessions(batcher, 20)
         batch = batcher.flush()
         assert [v.session_id for v in batch] == [
             f"sess-{i}" for i in range(20)
         ]
-        matrix = np.array(
-            [batcher._accumulators[v.session_id].vector() for v in batch]
-        )
+        matrix = np.array([state.features.vector() for state in states])
         assert len({tuple(row) for row in matrix}) > 10
         margins = model.score(matrix)
         labels = model.predict(matrix)
@@ -197,10 +198,8 @@ class TestBatchScorer:
         assert verdict.label == -1
         assert verdict.is_robot
 
-    def test_rejects_wrong_width_and_bad_batch_size(self):
+    def test_rejects_wrong_width(self):
         model = _synthetic_model(rounds=2)
         for row in ((0.0,) * 5, (0.0,) * 13, ()):
             with pytest.raises(ValueError, match="row of 12 values"):
                 model.score_row(row)
-        with pytest.raises(ValueError):
-            MicroBatchConfig(max_batch=0)

@@ -17,7 +17,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from stump_reference import score_loop
 
@@ -72,11 +72,31 @@ def _assert_row_equals_matrix(model: AdaBoostModel, rows) -> None:
         assert model.score_row(row) == float(margin), row
 
 
+@st.composite
+def ensembles_with_rows(draw) -> tuple[AdaBoostModel, list]:
+    model = draw(ensembles())
+    return model, [_row(draw, model) for _ in range(draw(st.integers(1, 8)))]
+
+
+def _overflowing_grid() -> AdaBoostModel:
+    """Two thresholds 5e-324 apart: the grid's scale would overflow to
+    inf, so the feature must take the exact ``searchsorted`` path."""
+    model = AdaBoostModel(n_features=1)
+    for threshold in (0.0, 5e-324):
+        model.stumps.append(
+            DecisionStump(feature=0, threshold=threshold, polarity=1)
+        )
+        model.alphas.append(1.0)
+    return model
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_score_row_is_score_bit_for_bit(data):
-    model = data.draw(ensembles())
-    rows = [_row(data.draw, model) for _ in range(data.draw(st.integers(1, 8)))]
+@given(case=ensembles_with_rows())
+@example(
+    case=(_overflowing_grid(), [(0.0,), (5e-324,), (-1.0,), (1.0,), (1e-300,)])
+)
+def test_score_row_is_score_bit_for_bit(case):
+    model, rows = case
     _assert_row_equals_matrix(model, rows)
     if model.rounds:
         np.testing.assert_allclose(
