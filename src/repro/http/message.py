@@ -159,17 +159,30 @@ def html_response(body: str, *, status: int = 200, uncacheable: bool = False) ->
     return Response(status=status, headers=headers, body=body.encode("utf-8"))
 
 
+#: ``status -> (escaped heading, body up to the message)``, made on a
+#: status's first error page.  Only codes :func:`describe_status`
+#: accepts get in, so it never holds more than the 500 of them.
+_ERROR_HEADS: dict[int, tuple[str, bytes]] = {}
+_ERROR_TAIL = b"</p></body></html>"
+
+
 def error_response(status: int, message: str | None = None) -> Response:
     """An error response with a small HTML body.
 
     ``message`` may carry request-derived text (URLs, header values), so both
     interpolations are entity-encoded before they reach an HTML body.
     """
-    text = html.escape(message or describe_status(status))
-    heading = html.escape(describe_status(status))
-    body = f"<html><body><h1>{heading}</h1><p>{text}</p></body></html>"
+    head = _ERROR_HEADS.get(status)
+    if head is None:
+        heading = html.escape(describe_status(status))
+        head = _ERROR_HEADS[status] = (
+            heading,
+            f"<html><body><h1>{heading}</h1><p>".encode("utf-8"),
+        )
+    heading, opening = head
+    text = html.escape(message) if message else heading
     return Response(
-        status=status,
-        headers=Headers([("Content-Type", "text/html")]),
-        body=body.encode("utf-8"),
+        status,
+        Headers.from_folded([("Content-Type", "text/html")], ["content-type"]),
+        opening + text.encode("utf-8") + _ERROR_TAIL,
     )

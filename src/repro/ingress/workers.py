@@ -259,13 +259,14 @@ class ReplayLaneWorker(_LaneWorker):
 
     def process(self, event) -> None:
         """Consume one admitted ``(kind, record)`` event — a request's
-        :class:`~repro.trace.clf.TraceRecord`, or a page's journal
-        records as one sequence."""
+        :class:`~repro.trace.clf.TraceRecord`, or a journalled page's
+        :class:`~repro.instrument.keys.RegisteredProbe` tuple."""
         kind, record = event
         tracer = self._tracer
         if kind == PROBE_EVENT:
-            # ``record`` is one journalled page: its lines share a client
-            # IP and an issue time, so one clock step, sweep and insert.
+            # ``record`` is one journalled page, registered as read: its
+            # probes share a client IP and an issue time, so one clock
+            # step, sweep and insert.
             ts = record[0].issued_at
             skew = self._observe_event_time(ts)
             self._sweep(ts)
@@ -279,12 +280,10 @@ class ReplayLaneWorker(_LaneWorker):
                     wall_duration=self._last_wait, wall_end=wall_now,
                 )
                 with tracer.span("register", ts):
-                    self.shard.register_page(
-                        [line.to_probe() for line in record]
-                    )
+                    self.shard.register_page(record)
                 tracer.end()
             else:
-                self.shard.register_page([line.to_probe() for line in record])
+                self.shard.register_page(record)
             self._probes_loaded += len(record)
             return
         ts = record.timestamp

@@ -68,7 +68,7 @@ from repro.trace.clf import (
     open_trace_file,
     write_trace,
 )
-from repro.trace.recorder import ProbeRecord, write_probe_journal
+from repro.trace.recorder import sorted_journal, write_probe_journal
 
 if TYPE_CHECKING:
     from repro.instrument.keys import RegisteredProbe
@@ -430,11 +430,9 @@ class DetectorServer:
         records.sort(key=lambda r: r.timestamp)
         return records
 
-    def sorted_probes(self) -> list[ProbeRecord]:
-        """Journalled registrations in issue order."""
-        return sorted(
-            map(ProbeRecord.from_probe, self.probes), key=lambda p: p.issued_at
-        )
+    def sorted_probes(self) -> list[RegisteredProbe]:
+        """The registrations as journalled, in issue order."""
+        return sorted_journal(self.probes)
 
     def finalize_sessions(self):
         """Finalize the network's sessions (call after traffic stops).

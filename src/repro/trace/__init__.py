@@ -35,7 +35,6 @@ from repro.trace.clf import (
 )
 from repro.trace.interleave import InterleavedScheduler
 from repro.trace.recorder import (
-    ProbeRecord,
     TraceRecorder,
     read_probe_journal,
     record_workload,
@@ -54,7 +53,6 @@ __all__ = [
     "DiurnalArrival",
     "InterleavedScheduler",
     "ParseStats",
-    "ProbeRecord",
     "ReplayConfig",
     "ReplayResult",
     "TraceParseError",

@@ -5,8 +5,9 @@ and captures two synchronised streams:
 
 * every request/response pair the network handles, as
   :class:`~repro.trace.clf.TraceRecord` lines — the access log; and
-* every probe the instrumenter registers, as :class:`ProbeRecord` lines —
-  the **probe journal**.
+* every probe the instrumenter registers, as one line per
+  :class:`~repro.instrument.keys.RegisteredProbe` — the **probe
+  journal**, read back as the registrations it records.
 
 The journal exists because the paper's mouse-beacon scheme is *designed*
 so that a URL alone does not reveal whether its key is real or a decoy —
@@ -25,7 +26,8 @@ stream them with a bounded heap.
 from __future__ import annotations
 
 import re
-from typing import IO, Iterable, Iterator, NamedTuple
+from operator import attrgetter
+from typing import IO, Iterable, Iterator
 
 from repro.http.message import Request, Response
 from repro.instrument.keys import BeaconKind, RegisteredProbe
@@ -47,85 +49,56 @@ _KINDS = {kind.value: kind for kind in BeaconKind}
 _ISSUED_RE = re.compile(r"-?[0-9]+\.[0-9]+")
 
 
-class ProbeRecord(NamedTuple):
-    """One probe-table registration, as journalled by the recorder.
+def sorted_journal(probes: Iterable[RegisteredProbe]) -> list[RegisteredProbe]:
+    """Registrations as their journal lines read back, in issue order.
 
-    Made from a :class:`RegisteredProbe` when a journal is written
-    (``sorted_probes``) and parsed back when one is read; listeners keep
-    the registration itself.
+    ``issued_at`` is quantised to the journal's microsecond resolution
+    (matching CLF timestamps), and the beacon script's recipe, which is
+    not journalled (its text is bandwidth bookkeeping, not detection
+    state), is dropped: a replayed script probe serves an empty body.
+    The sort is stable, so a page's probes keep their order.
     """
-
-    issued_at: float
-    kind: str
-    client_ip: str
-    host: str
-    path: str
-    page_path: str
-    key: str | None = None
-    is_real_key: bool = False
-
-    @classmethod
-    def from_probe(cls, probe: RegisteredProbe) -> "ProbeRecord":
-        """Journal form of a live registration.
-
-        ``issued_at`` is quantised to the journal's microsecond
-        resolution (matching CLF timestamps) so records round-trip
-        exactly through the file format.
-        """
-        return cls(
-            round(probe.issued_at, 6),
-            probe.kind.value,
+    journal = [
+        RegisteredProbe(
+            probe.kind,
             probe.client_ip,
             probe.host,
             probe.path,
             probe.page_path,
+            round(probe.issued_at, 6),
             probe.key,
             probe.is_real_key,
         )
-
-    def to_probe(self) -> RegisteredProbe:
-        """Rebuild the registration for a replay network's table.
-
-        The beacon script's recipe is not journalled (its text is
-        bandwidth bookkeeping, not detection state), so replayed script
-        probes serve an empty body.
-        """
-        # Positional, like the parser's record: a keyword call to a named
-        # tuple costs about twice as much, once per journal line.
-        return RegisteredProbe(
-            _KINDS[self.kind],
-            self.client_ip,
-            self.host,
-            self.path,
-            self.page_path,
-            self.issued_at,
-            self.key,
-            self.is_real_key,
-        )
+        for probe in probes
+    ]
+    journal.sort(key=attrgetter("issued_at"))
+    return journal
 
 
-def format_probe_line(record: ProbeRecord) -> str:
+def format_probe_line(probe: RegisteredProbe) -> str:
     """Tab-separated journal line (no newline)."""
     return "\t".join(
         (
-            f"{record.issued_at:.6f}",
-            record.kind,
-            record.client_ip,
-            record.host,
-            record.path,
-            record.page_path or "-",
-            record.key or "-",
-            "real" if record.is_real_key else "decoy",
+            f"{probe.issued_at:.6f}",
+            probe.kind.value,
+            probe.client_ip,
+            probe.host,
+            probe.path,
+            probe.page_path or "-",
+            probe.key or "-",
+            "real" if probe.is_real_key else "decoy",
         )
     )
 
 
-def parse_probe_line(line: str) -> ProbeRecord:
-    """Parse one journal line; raises :class:`TraceParseError`.
+def parse_probe_line(line: str) -> RegisteredProbe:
+    """Parse one journal line into the registration it records; raises
+    :class:`TraceParseError`.
 
-    Only what :func:`format_probe_line` writes is a record: eight
+    Only what :func:`format_probe_line` writes is a line: eight
     non-empty fields, a plain decimal issue time, a known kind and
-    ``real`` / ``decoy``.
+    ``real`` / ``decoy``.  The result equals the registration's entry
+    in :func:`sorted_journal`.
     """
     parts = line.rstrip("\n").split("\t")
     if (
@@ -137,24 +110,26 @@ def parse_probe_line(line: str) -> ProbeRecord:
     ):
         raise TraceParseError(f"unparseable probe journal line: {line!r}")
     issued, kind, ip, host, path, page_path, key, realness = parts
-    return ProbeRecord(
-        float(issued),
-        kind,
+    # Positional: a keyword call to a named tuple costs about twice as
+    # much, once per journal line.
+    return RegisteredProbe(
+        _KINDS[kind],
         ip,
         host,
         path,
         "" if page_path == "-" else page_path,
+        float(issued),
         None if key == "-" else key,
         realness == "real",
     )
 
 
-def write_probe_journal(path: str, records: Iterable[ProbeRecord]) -> int:
+def write_probe_journal(path: str, probes: Iterable[RegisteredProbe]) -> int:
     """Write a probe journal (gzipped for ``.gz``); returns the count."""
     written = 0
     with open_trace_file(path, "wt") as handle:
-        for record in records:
-            handle.write(format_probe_line(record))
+        for probe in probes:
+            handle.write(format_probe_line(probe))
             handle.write("\n")
             written += 1
     return written
@@ -164,7 +139,7 @@ def read_probe_journal(
     source: str | IO[str] | Iterable[str],
     stats: ParseStats | None = None,
     strict: bool = False,
-) -> Iterator[ProbeRecord]:
+) -> Iterator[RegisteredProbe]:
     """Stream a probe journal, skipping (and counting) malformed lines."""
     return read_records(source, parse_probe_line, stats, strict)
 
@@ -184,7 +159,7 @@ class TraceRecorder:
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
-        #: Probes as registered; journal records are made on demand.
+        #: Probes as registered; their journal form is made on demand.
         self.probes: list[RegisteredProbe] = []
         self._identities: dict[tuple[str, str], tuple[str, str]] = {}
 
@@ -238,11 +213,10 @@ class TraceRecorder:
         annotated.sort(key=lambda r: r.timestamp)
         return annotated
 
-    def sorted_probes(self) -> list[ProbeRecord]:
-        """Journalled registrations in issue order (stable by time)."""
-        return sorted(
-            map(ProbeRecord.from_probe, self.probes), key=lambda p: p.issued_at
-        )
+    def sorted_probes(self) -> list[RegisteredProbe]:
+        """The registrations as journalled, in issue order: see
+        :func:`sorted_journal`."""
+        return sorted_journal(self.probes)
 
     def save(self, trace_path: str, probes_path: str | None = None) -> int:
         """Write the trace (and optionally the probe journal) to disk.

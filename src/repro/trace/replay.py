@@ -27,6 +27,14 @@ probes would register keys the recorded clients never fetch.  Origins
 are optional; requests with no route are answered 502, which feeds the
 per-session status counters but no detection evidence, so a census does
 not need the original site at all.
+
+That 502 is not the status the log recorded, and the difference shows
+outside the census: a logged 404 is replayed as a 5xx, so a session's
+4xx count stays at zero, ``PolicyConfig.error_4xx_limit`` never fires
+on a replay (a session the recorded run blocked for its 404s is blocked
+later by its CGI rate, or not at all), and the micro-batcher's
+response-code attributes read 5xx.  Census and set-algebra summary do
+not depend on statuses, which is why they still round-trip.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 from repro.detection.session import DetectionLatency, SessionState
 from repro.detection.set_algebra import SetAlgebraSummary
+from repro.instrument.keys import RegisteredProbe
 from repro.ml.batch import BatchVerdict
 from repro.obs.flight import FlightFrame
 from repro.obs.registry import MetricsSnapshot
@@ -46,7 +55,7 @@ from repro.obs.spans import SpanConfig, SpanTree
 from repro.proxy.network import ProxyNetwork
 from repro.proxy.node import NodeStats
 from repro.trace.clf import ParseStats, TraceRecord, read_trace
-from repro.trace.recorder import ProbeRecord, read_probe_journal
+from repro.trace.recorder import read_probe_journal, sorted_journal
 from repro.workload.results import SessionCensus, apply_session_identities
 
 if TYPE_CHECKING:  # imported lazily at run time (package-cycle-free)
@@ -56,7 +65,7 @@ if TYPE_CHECKING:  # imported lazily at run time (package-cycle-free)
     from repro.overload.ladder import LadderConfig
 
 TraceSource = Union[str, Iterable[TraceRecord]]
-ProbeSource = Union[str, Iterable[ProbeRecord]]
+ProbeSource = Union[str, Iterable[RegisteredProbe]]
 
 #: Merge priorities: at equal timestamps, a page's probe registrations
 #: must land in the table before the fetches they explain.
@@ -200,6 +209,9 @@ class TraceReplayEngine:
         Multiple sources — e.g. one log per front-end node — are merged
         by timestamp on the fly; each individual source must be sorted
         when ``assume_sorted`` is set, and is sorted here otherwise.
+        ``probes`` is a journal path, or registrations in memory, which
+        are replayed as their journal lines read back
+        (:func:`~repro.trace.recorder.sorted_journal`).
 
         This loop only *admits*; per-lane processing happens on the
         lanes' executor.  A journalled page is admitted as one event with
@@ -297,12 +309,14 @@ class TraceReplayEngine:
 
     def _probe_records(
         self, source: ProbeSource, stats: ParseStats
-    ) -> Iterable[ProbeRecord]:
+    ) -> Iterable[RegisteredProbe]:
         cfg = self._config
-        if isinstance(source, str):
-            source = read_probe_journal(
-                source, stats=stats, strict=cfg.strict
-            )
+        if not isinstance(source, str):
+            # Registrations held in memory (``recorder.probes``) are put
+            # in the form a written journal reads back in, so that both
+            # replay alike; a source already in that form is unchanged.
+            return sorted_journal(source)
+        source = read_probe_journal(source, stats=stats, strict=cfg.strict)
         if cfg.assume_sorted:
             return source
         return sorted(source, key=lambda p: p.issued_at)
@@ -319,14 +333,16 @@ class TraceReplayEngine:
             yield (time, priority, stream, seq, item)
 
 
-def _pages(records: Iterable[ProbeRecord]) -> Iterator[tuple[ProbeRecord, ...]]:
-    """Group consecutive journal records of one ``(issued_at, client_ip)``.
+def _pages(
+    probes: Iterable[RegisteredProbe],
+) -> Iterator[tuple[RegisteredProbe, ...]]:
+    """Group consecutive journal lines of one ``(issued_at, client_ip)``.
 
     Such a run is one page's registrations (the recorder writes a page's
     lines together and sorts stably), and registering it in one insert
     is the same as registering its lines one by one.
     """
-    for _key, page in groupby(records, attrgetter("issued_at", "client_ip")):
+    for _key, page in groupby(probes, attrgetter("issued_at", "client_ip")):
         yield tuple(page)
 
 

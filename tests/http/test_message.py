@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import html
+
 import pytest
 
 from repro.http.content import ContentKind
@@ -13,7 +15,7 @@ from repro.http.message import (
     error_response,
     html_response,
 )
-from repro.http.status import StatusClass
+from repro.http.status import StatusClass, describe_status
 from repro.http.uri import Url
 
 
@@ -100,3 +102,31 @@ class TestConstructors:
     def test_error_response_escapes_ampersand(self):
         resp = error_response(404, "no route to /a?b=1&c=2")
         assert b"b=1&amp;c=2" in resp.body
+
+    @pytest.mark.parametrize(
+        "message", [None, "", "no route to h.com", "<&>\"'", "é ☃ \x00"]
+    )
+    def test_error_response_is_what_it_was_made_from_scratch(self, message):
+        """The heading and the start of the body are kept per status; the
+        bytes are those of the page built afresh each time, as it was."""
+        for status in (400, 403, 404, 418, 502, 503, 599, 100, 200):
+            for _ in range(2):  # first call for a status, then a reuse
+                resp = error_response(status, message)
+                heading = html.escape(describe_status(status))
+                text = html.escape(message or describe_status(status))
+                assert bytes(resp.body) == (
+                    f"<html><body><h1>{heading}</h1><p>{text}</p></body></html>"
+                ).encode("utf-8")
+                assert list(resp.headers) == [("Content-Type", "text/html")]
+                assert resp.content_type == "text/html"
+
+    def test_error_responses_share_no_headers(self):
+        """A refusal's headers are edited in place downstream (the ladder
+        adds its stage), so each response gets its own."""
+        first, second = error_response(502, "x"), error_response(502, "x")
+        first.headers.set("x-robot-ladder", "block")
+        assert second.headers.get("x-robot-ladder") is None
+
+    def test_error_response_refuses_an_invalid_status(self):
+        with pytest.raises(ValueError):
+            error_response(600)

@@ -130,7 +130,7 @@ def _oracle(recorded) -> SessionCensus:
         else:
             network.node_for(item.client_ip).shard_for(
                 item.client_ip
-            ).detection.registry.register(item.to_probe())
+            ).detection.registry.register(item)
     result = SessionCensus()
     result.sessions = network.finalize_sessions()
     apply_session_identities(result.sessions, session_identities(records))

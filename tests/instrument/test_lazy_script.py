@@ -172,14 +172,12 @@ class TestScriptsTheTableRefuses:
         self, small_site, small_origin
     ):
         """A replay's table has paths and keys but no recipes."""
-        from repro.trace.recorder import ProbeRecord
+        from repro.trace.recorder import sorted_journal
 
         node = self._capped_node(small_site, small_origin)
         home = Url.parse(f"http://{small_site.host}{small_site.home_path}")
         _, script_url, probes = _serve_page(node, home, "10.1.1.1", 0)
         replayed = self._capped_node(small_site, small_origin)
-        replayed.shard_for("10.1.1.1").register_page(
-            [ProbeRecord.from_probe(probe).to_probe() for probe in probes]
-        )
+        replayed.shard_for("10.1.1.1").register_page(sorted_journal(probes))
         response = replayed.handle(_get(script_url, "10.1.1.1", 1.0))
         assert (response.status, bytes(response.body)) == (200, b"")

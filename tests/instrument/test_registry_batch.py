@@ -29,11 +29,7 @@ from repro.instrument.keys import (
     RegisteredProbe,
 )
 from repro.proxy.node import ProxyNode
-from repro.trace.recorder import (
-    ProbeRecord,
-    format_probe_line,
-    parse_probe_line,
-)
+from repro.trace.recorder import format_probe_line, parse_probe_line
 from repro.util.rng import RngStream
 
 TTL = 50.0
@@ -245,11 +241,11 @@ class TestRecordTypes:
             BeaconKind.CSS_BEACON, "10.0.0.1", "h.com", "/1.css", "/p.html", 0.0
         )
         assert (probe.key, probe.is_real_key, probe.script) == (None, False, None)
-        record = ProbeRecord(0.0, "css_beacon", "10.0.0.1", "h.com", "/1.css", "/p.html")
-        assert (record.key, record.is_real_key) == (None, False)
 
     @pytest.mark.parametrize(
-        "value", [PROBE, ProbeRecord.from_probe(PROBE)], ids=["probe", "record"]
+        "value",
+        [PROBE, parse_probe_line(format_probe_line(PROBE))],
+        ids=["probe", "record"],
     )
     def test_immutable_hashable_picklable(self, value):
         with pytest.raises(AttributeError):
@@ -263,17 +259,16 @@ class TestRecordTypes:
         assert value._replace(path="/other.jpg") != value
 
     def test_journal_round_trip(self):
-        record = ProbeRecord.from_probe(self.PROBE)
-        assert record.issued_at == 1155000000.123457  # journal resolution
-        assert record.kind == "mouse_image"
-        parsed = parse_probe_line(format_probe_line(record))
-        assert parsed == record and type(parsed) is ProbeRecord
-        assert parsed.to_probe() == self.PROBE._replace(issued_at=record.issued_at)
-        assert ProbeRecord.from_probe(parsed.to_probe()) == record
+        line = format_probe_line(self.PROBE)
+        parsed = parse_probe_line(line)
+        assert type(parsed) is RegisteredProbe
+        assert parsed.issued_at == 1155000000.123457  # journal resolution
+        assert parsed.kind is BeaconKind.MOUSE_IMAGE
+        assert parsed == self.PROBE._replace(issued_at=parsed.issued_at)
+        assert format_probe_line(parsed) == line
 
     def test_journal_round_trip_without_key_or_page(self):
         probe = RegisteredProbe(
             BeaconKind.UA_PROBE, "10.0.0.1", "h.com", "/ua_1/", "", 2.5
         )
-        record = ProbeRecord.from_probe(probe)
-        assert parse_probe_line(format_probe_line(record)).to_probe() == probe
+        assert parse_probe_line(format_probe_line(probe)) == probe

@@ -1,6 +1,6 @@
 """A journalled page is one lane event, and that changes no result.
 
-The replay admits each run of consecutive journal records that share an
+The replay admits each run of consecutive journal lines that share an
 ``(issued_at, client_ip)`` as one event and registers it with one
 ``register_page``.  This file holds that against an oracle that knows
 nothing of pages or lanes: it merges the journal and the access log by
@@ -27,10 +27,9 @@ from hypothesis import strategies as st
 
 from repro.http.message import Method
 from repro.http.uri import Url
-from repro.instrument.keys import BeaconKind
+from repro.instrument.keys import BeaconKind, RegisteredProbe
 from repro.proxy.network import ProxyNetwork
 from repro.trace.clf import TraceRecord
-from repro.trace.recorder import ProbeRecord
 from repro.trace.replay import ReplayConfig, TraceReplayEngine
 from repro.util.rng import RngStream
 from repro.workload.results import (
@@ -56,8 +55,8 @@ def _journal(pages, interleave: bool):
     by_time: dict[float, list] = {}
     for t, ip, entries in pages:
         page = [
-            ProbeRecord(
-                t, kind.value, ip, HOST, path, "/index.html",
+            RegisteredProbe(
+                kind, ip, HOST, path, "/index.html", t,
                 key=f"{len(lines) + i:08x}", is_real_key=real,
             )
             for i, (path, kind, real) in enumerate(entries)
@@ -81,7 +80,7 @@ def _requests(journal, fetch_every: int):
         if index % fetch_every:
             continue
         path = line.path
-        if line.kind == BeaconKind.UA_PROBE.value:
+        if line.kind is BeaconKind.UA_PROBE:
             path += "UA-" + line.client_ip + ".css"
         records.append((line.issued_at + 0.5, line.client_ip, path))
     for ip in sorted({line.client_ip for line in journal}):
@@ -157,7 +156,7 @@ def _oracle(journal, records):
         else:
             network.node_for(item.client_ip).shard_for(
                 item.client_ip
-            ).detection.registry.register(item.to_probe())
+            ).detection.registry.register(item)
     census = SessionCensus()
     census.sessions = network.finalize_sessions()
     apply_session_identities(census.sessions, session_identities(records))

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 
 from repro.http.message import Method
 from repro.http.uri import Url
-from repro.instrument.keys import BeaconKind
+from repro.instrument.js_beacon import BeaconScript
+from repro.instrument.keys import BeaconKind, RegisteredProbe
 from repro.proxy.network import ProxyNetwork
 from repro.proxy.node import NodeShard
 from repro.trace.clf import ParseStats, TraceParseError, TraceRecord
 from repro.trace.recorder import (
-    ProbeRecord,
     format_probe_line,
     parse_probe_line,
     read_probe_journal,
+    sorted_journal,
     write_probe_journal,
 )
 from repro.trace.replay import ReplayConfig, TraceReplayEngine
@@ -39,11 +40,12 @@ _token_chars = st.characters(
 _tokens = st.text(_token_chars, min_size=1, max_size=24)
 _paths = st.builds("/".__add__, st.text(_token_chars, max_size=40))
 
+#: Registrations in their journal form: no script recipe, and an issue
+#: time at the journal's resolution (``sorted_journal`` rounds to it).
 probe_records = st.builds(
-    ProbeRecord,
-    # The journal's resolution: ProbeRecord.from_probe rounds to it.
+    RegisteredProbe,
     issued_at=st.integers(0, 10**15).map(lambda micros: micros / 1e6),
-    kind=st.sampled_from([kind.value for kind in BeaconKind]),
+    kind=st.sampled_from(BeaconKind),
     client_ip=_tokens,
     host=_tokens,
     path=_paths,
@@ -52,6 +54,7 @@ probe_records = st.builds(
         st.none(), st.text("0123456789abcdef", min_size=1, max_size=32)
     ),
     is_real_key=st.booleans(),
+    script=st.none(),
 )
 
 
@@ -96,6 +99,22 @@ def test_line_round_trip(record):
     assert parse_probe_line(format_probe_line(record)) == record
 
 
+_scripts = st.builds(
+    BeaconScript, st.integers(0, 2**32), st.just("h.com"), st.just(("k",)),
+    st.just("f"), st.none(),
+)
+
+
+@given(probe_records, st.floats(0, 1e9), st.one_of(st.none(), _scripts))
+def test_a_registration_reads_back_as_its_journal_form(probe, issued_at, script):
+    """What the lane registers from a line is the live registration at
+    the journal's resolution, less the script recipe the line omits."""
+    probe = probe._replace(issued_at=issued_at, script=script)
+    expected = probe._replace(issued_at=round(probe.issued_at, 6), script=None)
+    assert parse_probe_line(format_probe_line(probe)) == expected
+    assert sorted_journal([probe]) == [expected]
+
+
 @given(st.lists(probe_records, max_size=8))
 def test_reader_round_trip(records):
     lines = [format_probe_line(record) + "\n" for record in records]
@@ -138,8 +157,8 @@ def _parses(line: str) -> bool:
 )
 def test_undecodable_byte_costs_one_line_not_the_journal(tmp_path, opener):
     path = str(tmp_path / "foreign.keys")
-    record = ProbeRecord(
-        1.5, "css_beacon", "10.0.0.1", "h.com", "/a.css", "/index.html"
+    record = RegisteredProbe(
+        BeaconKind.CSS_BEACON, "10.0.0.1", "h.com", "/a.css", "/index.html", 1.5
     )
     good = format_probe_line(record).encode("utf-8")
     with opener(path, "wb") as handle:
@@ -157,8 +176,9 @@ def test_undecodable_byte_costs_one_line_not_the_journal(tmp_path, opener):
 def test_written_journal_reads_back(tmp_path):
     path = str(tmp_path / "t.keys.gz")
     records = [
-        ProbeRecord(float(i), "mouse_image", "10.0.0.1", "h.com",
-                    f"/k{i}.gif", "", key=f"{i:08x}", is_real_key=i == 2)
+        RegisteredProbe(BeaconKind.MOUSE_IMAGE, "10.0.0.1", "h.com",
+                        f"/k{i}.gif", "", float(i), key=f"{i:08x}",
+                        is_real_key=i == 2)
         for i in range(4)
     ]
     assert write_probe_journal(path, records) == 4
@@ -180,8 +200,8 @@ def test_a_nan_line_does_not_stop_a_lanes_sweeps(tmp_path, monkeypatch):
                     Url.parse(f"http://h.com/p{i}.html"), 200, 10, "UA")
         for i in range(120)
     ]
-    good = format_probe_line(ProbeRecord(
-        0.0, "css_beacon", "10.0.0.1", "h.com", "/a.css", "/index.html"
+    good = format_probe_line(RegisteredProbe(
+        BeaconKind.CSS_BEACON, "10.0.0.1", "h.com", "/a.css", "/index.html", 0.0
     ))
 
     def replay(issued: str, strict: bool = False):

@@ -7,12 +7,13 @@ original run's analyzable-session census and set-algebra summary.
 
 from __future__ import annotations
 
+import gzip
+
 import pytest
 
 from repro.proxy.network import ProxyNetwork
-from repro.trace.clf import format_clf_line, read_trace
+from repro.trace.clf import format_clf_line, read_trace, write_trace
 from repro.trace.recorder import (
-    ProbeRecord,
     TraceRecorder,
     format_probe_line,
     parse_probe_line,
@@ -224,8 +225,47 @@ class TestRoundTrip:
 
 
 class TestProbeRecord:
+    """A journal line reads back as the registration a lane inserts —
+    the live one at the journal's resolution, less its script recipe —
+    and a journal read back writes out byte for byte as it was."""
+
     def test_to_probe_round_trip(self, recorded):
-        _, recorder, _, _ = recorded
-        journalled = recorder.sorted_probes()[0]
-        probe = journalled.to_probe()
-        assert ProbeRecord.from_probe(probe) == journalled
+        _, recorder, _, probes_path = recorded
+        live = sorted(recorder.probes, key=lambda p: round(p.issued_at, 6))
+        expected = [
+            p._replace(issued_at=round(p.issued_at, 6), script=None)
+            for p in live
+        ]
+        assert recorder.sorted_probes() == expected
+        assert list(read_probe_journal(probes_path, strict=True)) == expected
+        assert any(p.script is not None for p in live)
+
+    def test_read_then_write_again_is_byte_identical(self, tmp_path, recorded):
+        _, _, trace_path, probes_path = recorded
+        again_trace = str(tmp_path / "again.log.gz")
+        again_probes = str(tmp_path / "again.keys.gz")
+        write_trace(again_trace, read_trace(trace_path, strict=True))
+        write_probe_journal(
+            again_probes, read_probe_journal(probes_path, strict=True)
+        )
+        for first, second in ((trace_path, again_trace), (probes_path, again_probes)):
+            with gzip.open(first, "rb") as a, gzip.open(second, "rb") as b:
+                assert a.read() == b.read()
+
+    def test_registrations_in_memory_replay_as_the_journal(self, recorded):
+        """``recorder.probes`` are the registrations as made (issue times
+        unrounded, script recipes kept); replayed from memory they are
+        put in journal form first, so the replay equals the file's."""
+        _, recorder, trace_path, probes_path = recorded
+        assert recorder.probes != recorder.sorted_probes()
+        config = ReplayConfig(assume_sorted=True, strict=True)
+        from_file, from_memory = (
+            TraceReplayEngine(fresh_replay_network(), config).replay(
+                trace_path, probes=probes
+            )
+            for probes in (probes_path, recorder.probes)
+        )
+        assert from_memory.kind_census() == from_file.kind_census()
+        assert from_memory.summary == from_file.summary
+        assert from_memory.probes_loaded == from_file.probes_loaded
+        assert from_memory.stats == from_file.stats
