@@ -12,7 +12,8 @@
 * :class:`EngineBot` / :class:`BlindFetcherBot` / :class:`MouseForgerBot`
   — the §4.1 counter-measure ladder: run a real engine without a human,
   scrape-and-fetch beacon URLs (caught with probability m/(m+1)), and
-  forge mouse events (defeats the scheme, motivating trusted input paths).
+  forge mouse events (defeats the scheme, motivating trusted input paths);
+  :class:`HandlerGrepBot` reads the real handler's name and evades too.
 """
 
 from repro.agents.robots.click_fraud import ClickFraudBot
@@ -22,7 +23,7 @@ from repro.agents.robots.email_harvester import EmailHarvesterBot
 from repro.agents.robots.hotlink_leech import HotlinkLeechBot
 from repro.agents.robots.offline_browser import OfflineBrowserBot
 from repro.agents.robots.referrer_spammer import ReferrerSpammerBot
-from repro.agents.robots.smart_bot import BlindFetcherBot, EngineBot, MouseForgerBot
+from repro.agents.robots.smart_bot import BlindFetcherBot, EngineBot, HandlerGrepBot, MouseForgerBot
 from repro.agents.robots.vuln_scanner import VulnScannerBot
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "DdosZombie",
     "EmailHarvesterBot",
     "EngineBot",
+    "HandlerGrepBot",
     "HotlinkLeechBot",
     "MouseForgerBot",
     "OfflineBrowserBot",

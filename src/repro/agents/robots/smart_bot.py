@@ -10,6 +10,10 @@
   scripts for URLs and fetches them hoping to look browser-like.  Against
   ``m`` decoys it picks a wrong key with probability ``m/(m+1)`` per
   fetch, the paper's §2.1 guarantee.
+* :class:`HandlerGrepBot` — no JavaScript either, but reads the real
+  handler's name off the page and greps the script for its ``.src``: the
+  decoys do not hold against a reader, so it is called human (a hole in
+  the design, pinned by its test; in no mix).
 * :class:`MouseForgerBot` — the hypothetical "serious hacker" of §4.1 who
   "could implement a bot that could generate mouse or keystroke events":
   it resolves the real handler like a browser and fires it, defeating
@@ -25,7 +29,7 @@ from repro.agents.browser import BrowserAgent, BrowserConfig
 from repro.http.content import ContentKind
 from repro.http.uri import Url, resolve_url
 from repro.html.links import extract_references
-from repro.instrument.js_beacon import extract_all_script_urls
+from repro.instrument.js_beacon import extract_all_script_urls, find_handler_fetch_url
 from repro.util.rng import RngStream
 
 _ENGINE_UA = (
@@ -152,6 +156,54 @@ class BlindFetcherBot(BrowserAgent):
             if not links:
                 return
             current = rng.choice(links)
+
+
+class HandlerGrepBot(BlindFetcherBot):
+    """Resolves the page's mouse handler by reading, not by running it.
+
+    Fetches the entry page and no stylesheet or image, reads the handler
+    expression off its body tag, fetches the page's scripts until one
+    defines ``function NAME()`` — found with the same textual resolver
+    the simulated browsers use — fetches the URL that function assigns
+    to an image's ``.src``, which is the real key, and then up to
+    ``max_pages`` plain pages along visible links.
+    """
+
+    kind = "handler_grep"
+
+    def __init__(self, *args, max_pages: int = 12, **kwargs) -> None:
+        super().__init__(*args, max_pages=max_pages, **kwargs)
+
+    def browse(self) -> BrowseGenerator:
+        entry = Url.parse(self.entry_url)
+        current, referer = self.entry_url, None
+        for page in range(self.max_pages + 1):
+            result = yield FetchAction(
+                current, referer=referer, think_time=self._jitter(0.2, 1.5)
+            )
+            if (
+                result.response.status != 200
+                or result.response.content_kind is not ContentKind.HTML
+            ):
+                return
+            base = Url.parse(result.final_url)
+            refs = extract_references(result.response.text)
+            handler = refs.body_event_handlers.get("onmousemove")
+            if page == 0 and handler is not None:
+                for reference in refs.scripts:
+                    script = yield FetchAction(
+                        str(resolve_url(base, reference)), referer=current,
+                        think_time=self._jitter(0.05, 0.3),
+                    )
+                    target = find_handler_fetch_url(script.response.text, handler)
+                    if target is not None:
+                        yield FetchAction(target, referer=current, think_time=0.1)
+                        break
+            links = [str(resolve_url(base, ref)) for ref in refs.visible_links]
+            links = [u for u in links if Url.parse(u).host == entry.host]
+            if not links:
+                return
+            referer, current = current, self.rng.choice(links)
 
 
 class MouseForgerBot(EngineBot):

@@ -71,18 +71,29 @@ class Url:
 
     @classmethod
     def parse(cls, text: str) -> "Url":
-        """Parse an absolute URL; raises ValueError on anything else."""
+        """Parse an absolute URL; raises ValueError on anything else.
+
+        The pattern proves a host and a ``/`` path, so only the scheme and
+        the port are checked (as the constructor does) and the parts are
+        adopted without the constructor's round trip."""
         match = _URL_RE.match(text.strip())
         if match is None:
             raise ValueError(f"unparseable absolute URL: {text!r}")
         scheme, host, port, path, query, _fragment = match.groups()
-        return cls(
-            scheme.lower(),
-            host.lower(),
-            _normalize_path(path) if path else "/",
-            query or "",
-            int(port) if port else None,
-        )
+        scheme = scheme.lower()
+        if scheme != "http" and scheme != "https":
+            raise ValueError(f"unsupported scheme: {scheme!r}")
+        if port:
+            port = int(port)
+            if not 1 <= port <= 65535:
+                raise ValueError(f"port out of range 1..65535: {port}")
+        url = object.__new__(cls)
+        object.__setattr__(url, "__dict__", {
+            "scheme": scheme, "host": host.lower(),
+            "path": _normalize_path(path) if path else "/",
+            "query": query or "", "port": port or None,
+        })
+        return url
 
     @property
     def origin(self) -> str:

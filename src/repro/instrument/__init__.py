@@ -23,8 +23,7 @@ the per-IP table of outstanding probes ("the server ... records the tuple
 <foo.html, k> in a table indexed by the client's IP address").
 """
 
-from repro.instrument.css_beacon import make_css_beacon
-from repro.instrument.hidden_link import TRAP_IMAGE_NAME, make_hidden_link
+from repro.instrument.hidden_link import TRAP_IMAGE_NAME
 from repro.instrument.js_beacon import (
     BeaconScript,
     build_beacon_script,
@@ -45,7 +44,6 @@ from repro.instrument.rewriter import (
 )
 from repro.instrument.ua_probe import (
     interpret_ua_probe,
-    make_ua_probe_script,
     sanitize_user_agent,
 )
 
@@ -64,8 +62,5 @@ __all__ = [
     "extract_all_script_urls",
     "find_handler_fetch_url",
     "interpret_ua_probe",
-    "make_css_beacon",
-    "make_hidden_link",
-    "make_ua_probe_script",
     "sanitize_user_agent",
 ]

@@ -3,36 +3,13 @@
 "We can dynamically embed an empty CSS file for each HTML page and observe
 if the CSS file gets requested."  The file name is a fresh random number
 per page/client, e.g. ``http://www.example.com/2031464296.css``, so a
-cached or shared fetch can never be mistaken for this client's.
+cached or shared fetch can never be mistaken for this client's.  The
+rewriter draws the number and links the file from the page head.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from repro.html.document import Element
-from repro.util.ids import random_numeric_key
-from repro.util.rng import RngStream
-
-
-@dataclass(frozen=True)
-class CssBeacon:
-    """A minted CSS beacon: the path to register and the <link> to inject."""
-
-    path: str
-
-    def link_element(self, host: str) -> Element:
-        """The ``<link rel=stylesheet>`` element to add to the page head."""
-        return Element(
-            "link",
-            {
-                "rel": "stylesheet",
-                "type": "text/css",
-                "href": f"http://{host}{self.path}",
-            },
-        )
-
-
-def make_css_beacon(rng: RngStream) -> CssBeacon:
-    """Mint a fresh CSS beacon with a random 10-digit name."""
-    return CssBeacon(path=f"/{random_numeric_key(rng, 10)}.css")
+def css_beacon_path(number: int) -> str:
+    """The beacon's path for a drawn ten-digit ``number``."""
+    return f"/{number:010d}.css"

@@ -5,46 +5,16 @@ HTML file that is not visible to human users, and see if the link is
 fetched."  The anchor wraps a transparent 1×1 image; rendering browsers
 fetch the *image* (normal embedded-object behaviour) but no human can see
 or click the *link* — only link-following robots request the trap page.
+The rewriter draws the page's number and appends the anchor to the body.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.html.document import Element
-from repro.util.ids import random_numeric_key
-from repro.util.rng import RngStream
-
 TRAP_IMAGE_NAME = "transp_1x1.jpg"
+#: The transparent image every trap wraps; one path for every page.
+TRAP_IMAGE_PATH = f"/{TRAP_IMAGE_NAME}"
 
 
-@dataclass(frozen=True)
-class HiddenLink:
-    """A minted trap: the hidden page path and the transparent image path."""
-
-    page_path: str
-    image_path: str
-
-    def anchor_element(self, host: str) -> Element:
-        """The invisible ``<a><img></a>`` trap to append to the body."""
-        img = Element(
-            "img",
-            {
-                "src": f"http://{host}{self.image_path}",
-                "width": "1",
-                "height": "1",
-                "border": "0",
-                "alt": "",
-            },
-        )
-        anchor = Element("a", {"href": f"http://{host}{self.page_path}"})
-        anchor.append(img)
-        return anchor
-
-
-def make_hidden_link(rng: RngStream) -> HiddenLink:
-    """Mint a fresh hidden-link trap with a random page name."""
-    return HiddenLink(
-        page_path=f"/hidden_{random_numeric_key(rng, 10)}.html",
-        image_path=f"/{TRAP_IMAGE_NAME}",
-    )
+def trap_page_path(number: int) -> str:
+    """The hidden page's path for a drawn ten-digit ``number``."""
+    return f"/hidden_{number:010d}.html"

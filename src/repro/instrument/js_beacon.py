@@ -31,8 +31,10 @@ the name the handler is served under — ``_0x%06x`` when obfuscating,
 ``f_%06x`` otherwise.  What it returns is the script's *recipe*, plain
 data a probe can carry; no text exists yet.
 
-*The script stream* is seeded with ``rng.child_seed("script")`` (a split
-consumes no draw), and the text is emitted from it when somebody asks —
+*The script stream* is what the page stream splits off as ``"script"``
+(a split consumes no draw; the recipe keeps the page stream's seed and
+the split is made at emission), and the text is emitted from it when
+somebody asks —
 :attr:`BeaconScript.source`, byte-identical on every access.  In order:
 the ``m`` decoy function names ``f_%06x`` (the handler's is ``f_`` plus
 the six digits of its served name); the shuffle of the functions; per
@@ -67,7 +69,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from repro.util.rng import RngStream
+from repro.util.rng import RngStream, child_seed
 
 _HANDLER_EXPR_RE = re.compile(r"return\s+([A-Za-z_$][\w$]*)\s*\(\s*\)")
 _URL_RE = re.compile(r"['\"](https?://[^'\"]+)['\"]")
@@ -87,6 +89,7 @@ class BeaconScript(NamedTuple):
     Plain data — ints, strings and a tuple of strings — so the page's
     ``BEACON_JS`` probe carries it as it is: hashable, picklable to a
     process lane, a couple of hundred bytes where the text is 1.4 KB.
+    ``seed`` is the page stream's, which the script stream is split off;
     ``keys`` holds the real key first; ``handler`` is the name the real
     function has in :attr:`source`; ``junk_statements`` is what
     :func:`build_beacon_script` was given.
@@ -191,23 +194,30 @@ def build_beacon_script(
         that many junk statements are interleaved (``0`` renames only).
     """
     check_script_parameters(decoys, key_bits, junk_statements)
-    bits = rng.getrandbits
-    key_width = key_bits // 4
+    return draw_beacon_script(rng.getrandbits, rng.seed, host, decoys, key_bits, junk_statements)
 
+
+def draw_beacon_script(
+    bits, seed: int, host: str, decoys: int, key_bits: int, junk_statements: int | None
+) -> BeaconScript:
+    """:func:`build_beacon_script` without the check, for parameters an
+    :class:`~repro.instrument.rewriter.InstrumentConfig` has checked; the
+    page stream is given as its ``getrandbits`` and its seed."""
+    key_format = f"0{key_bits // 4}x"
     # Insertion-ordered and duplicate-free: a key drawn twice is drawn again.
     keys: dict[str, None] = {}
     while len(keys) <= decoys:
-        keys[f"{bits(key_bits):0{key_width}x}"] = None
+        keys[format(bits(key_bits), key_format)] = None
     prefix = "f_" if junk_statements is None else "_0x"
-    return BeaconScript(
-        rng.child_seed("script"), host, tuple(keys),
+    return tuple.__new__(BeaconScript, (
+        seed, host, tuple(keys),
         f"{prefix}{bits(24):06x}", junk_statements,
-    )
+    ))
 
 
 def _emit(script: BeaconScript) -> str:
     """The one emitter: a recipe's text, drawn from its script stream."""
-    rng = RngStream(script.seed, "script")
+    rng = RngStream(child_seed(script.seed, "script"), "script")
     bits = rng.getrandbits
     handler = script.handler
     real_url, *decoy_urls = [

@@ -83,9 +83,9 @@ class InstrumentationRegistry:
         self._by_ip: dict[str, OrderedDict[str, RegisteredProbe]] = {}
         # client_ip -> list of UA-probe directory prefixes (newest last).
         self._ua_prefixes: dict[str, OrderedDict[str, RegisteredProbe]] = {}
-        # Observers notified of every registration (the trace recorder
-        # journals them so replays can rebuild this table).
-        self._listeners: list[Callable[[RegisteredProbe], None]] = []
+        # Observers of every registration (the trace recorder journals
+        # them so replays can rebuild this table).
+        self._listeners: list[Callable] = []
 
     @property
     def ttl(self) -> float:
@@ -100,13 +100,14 @@ class InstrumentationRegistry:
     # -- registration -----------------------------------------------------
 
     def add_listener(
-        self, listener: Callable[[RegisteredProbe], None]
+        self, listener: Callable[[Sequence[RegisteredProbe]], None]
     ) -> None:
-        """Subscribe to every future :meth:`register` call."""
+        """Subscribe to every future registration: ``listener`` gets each
+        page's probes in one call (``probes.extend`` keeps them all)."""
         self._listeners.append(listener)
 
     def remove_listener(
-        self, listener: Callable[[RegisteredProbe], None]
+        self, listener: Callable[[Sequence[RegisteredProbe]], None]
     ) -> None:
         """Unsubscribe a listener (no error if absent)."""
         if listener in self._listeners:
@@ -116,8 +117,8 @@ class InstrumentationRegistry:
         """Add the probes of one page, all issued to one client IP.
 
         Equivalent to :meth:`register`-ing them one by one in order —
-        same table, same eviction, each listener called once per probe
-        in probe order — at one table lookup and one trim per page.
+        same table, same eviction, each listener hearing the same probes
+        in the same order — at one lookup, trim and call per page.
         """
         self._insert(probes)
 
@@ -126,7 +127,7 @@ class InstrumentationRegistry:
         self._insert((probe,))
 
     def _insert(self, probes: Sequence[RegisteredProbe]) -> None:
-        """The one insertion routine: notify, insert in order, trim once.
+        """The one insertion routine: insert in order, trim once, notify.
 
         Trimming once is the same as trimming after every insert: either
         way an IP keeps its ``per_ip_cap`` most recently inserted or
@@ -140,19 +141,18 @@ class InstrumentationRegistry:
         if table is None:
             table = self._by_ip[client_ip] = OrderedDict()
         prefixes = self._ua_prefixes.get(client_ip)
-        listeners = self._listeners
+        ua_probe = BeaconKind.UA_PROBE
         for probe in probes:
             if probe.client_ip != client_ip:
                 raise ValueError(
                     "probes inserted together must share one client IP: "
                     f"{probe.client_ip!r} among those of {client_ip!r}"
                 )
-            for listener in listeners:
-                listener(probe)
             path = probe.path
+            if path in table:
+                table.move_to_end(path)
             table[path] = probe
-            table.move_to_end(path)
-            if probe.kind is BeaconKind.UA_PROBE:
+            if probe.kind is ua_probe:
                 if prefixes is None:
                     prefixes = self._ua_prefixes[client_ip] = OrderedDict()
                 prefixes[path] = probe
@@ -163,8 +163,10 @@ class InstrumentationRegistry:
                 del prefixes[path]
         for _ in range(len(table) - self._per_ip_cap):
             evicted_path, evicted = table.popitem(last=False)
-            if evicted.kind is BeaconKind.UA_PROBE and prefixes:
+            if evicted.kind is ua_probe and prefixes:
                 prefixes.pop(evicted_path, None)
+        for listener in self._listeners:
+            listener(probes)
 
     # -- lookup -----------------------------------------------------------
 

@@ -8,20 +8,26 @@ header line Cache-Control: no-cache, no-store").
 
 The work for a page is one pass over two streams.  ``_build_plan``
 derives the *page stream* from ``(client_ip, per-client sequence)`` and
-draws from it, in a fixed order, only what the page and the probe table
-need — the CSS beacon's key; the beacon script's real and decoy keys and
-the name its handler is served under; the script file name; the UA probe;
-the hidden link — then hands the page's probes to the registry in one
-call.  The order is part of the contract, because every key in a recorded
-trace depends on it.  The beacon script's *text* is not made here: its
+draws from it only what the page and the probe table need, in this
+order — each step only when its probe is configured:
+
+1. the CSS beacon: a ten-digit number, ``randrange(10**10)`` — spelt out
+   in :func:`_ten_digits` as the standard library computes it;
+2. the beacon script: the real key, the decoy keys and the name its
+   handler is served under (:func:`repro.instrument.js_beacon.draw_beacon_script`),
+   then the script file's ten-digit number;
+3. the UA probe: a ten-digit number;
+4. the hidden link: a ten-digit number.
+
+The order is part of the contract, because every key in a recorded
+trace depends on it.  The page's probes are one tuple in that order (the
+mouse images real key first, the trap page before its image), registered
+in one call.  The beacon script's *text* is not made here: its
 ``BEACON_JS`` probe carries the recipe
-(:class:`repro.instrument.js_beacon.BeaconScript`, seeded with a split of
-the page stream — the *script stream*), and the text is emitted from it,
-plain or obfuscated and the same every time, when the file is fetched —
-which few clients that are sent a page ever do.  Traces recorded before
-the two streams were parted replay unchanged (a replay rebuilds the table
-from the probe journal); recording one again yields the same CSS and
-mouse keys but different names for everything drawn after them.
+(:class:`repro.instrument.js_beacon.BeaconScript`, from which the
+*script stream* is split off the page stream), and the text is emitted
+from it, plain or obfuscated and the same every time, when the file is
+fetched — which few clients that are sent a page ever do.
 
 The splice has two paths: well-formed pages (a ``</head>``, a
 ``<body ...>`` and a ``</body>``, none inside another — everything the
@@ -37,21 +43,22 @@ the generated script, ...) without involving the origin.
 
 from __future__ import annotations
 
+import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.html.document import Element, Text
 from repro.html.parser import parse_html
 from repro.html.serializer import serialize
 from repro.http.headers import Headers
 from repro.http.message import Response
 from repro.http.uri import Url
-from repro.instrument.css_beacon import make_css_beacon
-from repro.instrument.hidden_link import make_hidden_link
+from repro.instrument.css_beacon import css_beacon_path
+from repro.instrument.hidden_link import TRAP_IMAGE_PATH, trap_page_path
 from repro.instrument.js_beacon import (
     BeaconScript,
-    build_beacon_script,
     check_script_parameters,
+    draw_beacon_script,
 )
 from repro.instrument.keys import (
     BeaconHit,
@@ -59,9 +66,8 @@ from repro.instrument.keys import (
     InstrumentationRegistry,
     RegisteredProbe,
 )
-from repro.instrument.ua_probe import make_ua_probe_script
-from repro.util.ids import random_numeric_key
-from repro.util.rng import RngStream
+from repro.instrument.ua_probe import ua_probe_prefix, ua_probe_script
+from repro.util.rng import RngStream, child_seed
 
 # Minimal valid-enough payloads for probe responses.
 _FAKE_JPEG = b"\xff\xd8\xff\xe0\x00\x10JFIF\x00\x01" + b"\x00" * 64 + b"\xff\xd9"
@@ -74,9 +80,29 @@ _TRAP_PAGE_BODY = (
     b"<html><head><title>index</title></head>"
     b"<body><p>nothing to see</p></body></html>"
 )
+#: What a probe fetch is answered with, by kind (the script is emitted).
+#: "The server can respond with any JPEG image because the picture is not
+#: used."  Every answer but the trap image is marked uncacheable.
+_BEACON_ANSWERS = {
+    BeaconKind.MOUSE_IMAGE: ("image/jpeg", _FAKE_JPEG),
+    BeaconKind.CSS_BEACON: ("text/css", b""),
+    BeaconKind.UA_PROBE: ("text/css", b""),
+    BeaconKind.TRAP_IMAGE: ("image/gif", _TRANSPARENT_GIF),
+    BeaconKind.TRAP_PAGE: ("text/html", _TRAP_PAGE_BODY),
+}
 
 # ``<body`` then whitespace, ``/`` or ``>``: not ``<bodyguard>`` or ``<body-x>``.
 _BODY_TAG_RE = re.compile(r"<body(?=[\s/>])([^>]*)>", re.IGNORECASE)
+
+#: The bound of the ten-digit numbers that name probe files.
+_TEN_DIGITS = 10**10
+#: A ``RegisteredProbe`` from all nine fields at C cost (its own
+#: constructor is Python); the kinds are read once, as enum lookups cost.
+_new_probe = tuple.__new__
+_CSS_BEACON, _BEACON_JS, _MOUSE_IMAGE, _UA_PROBE, _TRAP_PAGE, _TRAP_IMAGE = (
+    BeaconKind.CSS_BEACON, BeaconKind.BEACON_JS, BeaconKind.MOUSE_IMAGE,
+    BeaconKind.UA_PROBE, BeaconKind.TRAP_PAGE, BeaconKind.TRAP_IMAGE,
+)
 
 
 @dataclass(frozen=True)
@@ -101,13 +127,12 @@ class InstrumentConfig:
         )
 
 
-@dataclass
-class InstrumentedPage:
+class InstrumentedPage(NamedTuple):
     """The rewritten page plus everything that was registered for it."""
 
     html: str
     original_html: str
-    probes: list[RegisteredProbe] = field(default_factory=list)
+    probes: tuple[RegisteredProbe, ...] = ()
     beacon_script: BeaconScript | None = None
 
     @property
@@ -116,15 +141,6 @@ class InstrumentedPage:
         return len(self.html.encode("utf-8")) - len(
             self.original_html.encode("utf-8")
         )
-
-
-@dataclass
-class _ProbePlan:
-    """Everything generated for one page before injection."""
-
-    head_fragment: str = ""
-    body_attribute: str | None = None  # onmousemove handler expression
-    tail_fragment: str = ""
 
 
 class PageInstrumenter:
@@ -138,24 +154,11 @@ class PageInstrumenter:
     ) -> None:
         self._registry = registry
         self._rng = rng
-        self._config = config or InstrumentConfig()
-        self._pages_instrumented = 0
+        self._config = config = config or InstrumentConfig()
+        self._junk = config.junk_statements if config.obfuscate else None
         self._ip_seq: dict[str, int] = {}
-
-    @property
-    def config(self) -> InstrumentConfig:
-        """The instrumentation configuration."""
-        return self._config
-
-    @property
-    def registry(self) -> InstrumentationRegistry:
-        """The shared per-IP probe table."""
-        return self._registry
-
-    @property
-    def pages_instrumented(self) -> int:
-        """How many pages this instrumenter has rewritten."""
-        return self._pages_instrumented
+        #: The page stream's generator, reseeded for every page.
+        self._page_stream = random.Random()
 
     def instrument(
         self,
@@ -165,21 +168,20 @@ class PageInstrumenter:
         now: float,
     ) -> InstrumentedPage:
         """Rewrite one page for one client and register its probes."""
-        result = InstrumentedPage(html=html, original_html=html)
-        plan = self._build_plan(result, page_url, client_ip, now)
-        result.html = self._inject(html, plan)
-        self._pages_instrumented += 1
-        return result
+        probes, script, head, handler, tail = self._build_plan(
+            page_url, client_ip, now
+        )
+        self._registry.register_page(probes)
+        return InstrumentedPage(
+            self._inject(html, head, handler, tail), html, probes, script
+        )
 
     # -- probe generation -----------------------------------------------------
 
-    def _build_plan(
-        self,
-        result: InstrumentedPage,
-        page_url: Url,
-        client_ip: str,
-        now: float,
-    ) -> _ProbePlan:
+    def _build_plan(self, page_url: Url, client_ip: str, now: float) -> tuple:
+        """Draw one page's probes, in the order the module docstring
+        fixes: ``(probes, script, head fragment, onmousemove handler or
+        None, tail fragment)``."""
         cfg = self._config
         # Probe randomness is derived per request, not drawn from a
         # shared sequential stream: the split is keyed on (client,
@@ -193,84 +195,76 @@ class PageInstrumenter:
         # fresh per call even for identical (page, timestamp) repeats.
         seq = self._ip_seq.get(client_ip, 0)
         self._ip_seq[client_ip] = seq + 1
-        rng = self._rng.split(f"page|{client_ip}|{seq}")
+        # The stream ``self._rng.split(label)`` would make; nothing of it
+        # outlives the page, so one generator is reseeded.
+        seed = child_seed(self._rng.seed, f"page|{client_ip}|{seq}")
+        self._page_stream.seed(seed)
+        bits = self._page_stream.getrandbits
         host = page_url.host
+        site = f"http://{host}"
         page_path = page_url.path
-        plan = _ProbePlan()
-        head_parts: list[str] = []
-        tail_parts: list[str] = []
-        probes = result.probes
-
-        def issue(
-            kind: BeaconKind,
-            path: str,
-            key: str | None = None,
-            is_real_key: bool = False,
-            script: BeaconScript | None = None,
-        ) -> None:
-            probes.append(
-                RegisteredProbe(
-                    kind, client_ip, host, path, page_path, now,
-                    key, is_real_key, script,
-                )
-            )
+        probes: list[RegisteredProbe] = []
+        head = tail = ""
+        script = handler = None
 
         if cfg.css_beacon:
-            beacon = make_css_beacon(rng)
-            head_parts.append(
-                '<link rel="stylesheet" type="text/css" '
-                f'href="http://{host}{beacon.path}">'
-            )
-            issue(BeaconKind.CSS_BEACON, beacon.path)
+            path = css_beacon_path(_ten_digits(bits))
+            head = f'<link rel="stylesheet" type="text/css" href="{site}{path}">'
+            probes.append(_new_probe(RegisteredProbe, (
+                _CSS_BEACON, client_ip, host, path, page_path, now, None, False, None)))
 
         if cfg.mouse_beacon:
-            script = build_beacon_script(
-                rng, host, decoys=cfg.decoys, key_bits=cfg.key_bits,
-                junk_statements=cfg.junk_statements if cfg.obfuscate else None,
-            )
+            script = draw_beacon_script(bits, seed, host, cfg.decoys, cfg.key_bits, self._junk)
             # The script file is named like a sibling of the page, as in
             # the paper's "./index_0729395150.js".
             directory, _, filename = page_path.rpartition("/")
             stem = filename.rsplit(".", 1)[0] or "index"
-            js_name = f"{stem}_{random_numeric_key(rng, 10)}.js"
-            head_parts.append(
-                f'<script language="javascript" src="./{js_name}"></script>'
-            )
-            plan.body_attribute = script.handler_expression
-            result.beacon_script = script
-
-            issue(
-                BeaconKind.BEACON_JS, f"{directory}/{js_name}", script=script
-            )
-            real_key = script.real_key
-            for key, path in zip(script.keys, script.all_image_paths):
-                issue(BeaconKind.MOUSE_IMAGE, path, key, key == real_key)
+            js_name = f"{stem}_{_ten_digits(bits):010d}.js"
+            head += f'<script language="javascript" src="./{js_name}"></script>'
+            handler = script.handler_expression
+            probes.append(_new_probe(RegisteredProbe, (
+                _BEACON_JS, client_ip, host, f"{directory}/{js_name}", page_path, now,
+                None, False, script)))
+            real_key = script.keys[0]
+            probes += [
+                _new_probe(RegisteredProbe, (
+                    _MOUSE_IMAGE, client_ip, host, f"/{key}.jpg", page_path, now,
+                    key, key == real_key, None))
+                for key in script.keys
+            ]
 
         if cfg.ua_probe:
-            probe = make_ua_probe_script(rng)
-            tail_parts.append(f"<script>{probe.script_source(host)}</script>")
-            issue(BeaconKind.UA_PROBE, probe.prefix_path)
+            prefix = ua_probe_prefix(_ten_digits(bits))
+            tail = f"<script>{ua_probe_script(site + prefix)}</script>"
+            probes.append(_new_probe(RegisteredProbe, (
+                _UA_PROBE, client_ip, host, prefix, page_path, now, None, False, None)))
 
         if cfg.hidden_link:
-            trap = make_hidden_link(rng)
-            tail_parts.append(
-                f'<a href="http://{host}{trap.page_path}">'
-                f'<img src="http://{host}{trap.image_path}" width="1" '
-                'height="1" border="0" alt=""></a>'
+            trap = trap_page_path(_ten_digits(bits))
+            tail += (
+                f'<a href="{site}{trap}"><img src="{site}{TRAP_IMAGE_PATH}" '
+                'width="1" height="1" border="0" alt=""></a>'
             )
-            issue(BeaconKind.TRAP_PAGE, trap.page_path)
-            issue(BeaconKind.TRAP_IMAGE, trap.image_path)
+            probes += (
+                _new_probe(RegisteredProbe, (
+                    _TRAP_PAGE, client_ip, host, trap, page_path, now, None, False, None)),
+                _new_probe(RegisteredProbe, (
+                    _TRAP_IMAGE, client_ip, host, TRAP_IMAGE_PATH, page_path, now,
+                    None, False, None)),
+            )
 
-        self._registry.register_page(probes)
-        plan.head_fragment = "".join(head_parts)
-        plan.tail_fragment = "".join(tail_parts)
-        return plan
+        return tuple(probes), script, head, handler, tail
 
     # -- injection --------------------------------------------------------------
 
-    def _inject(self, html: str, plan: _ProbePlan) -> str:
-        """Splice the plan into a well-formed page, or go through the parser.
+    def _inject(
+        self, html: str, head: str, handler: str | None, tail: str
+    ) -> str:
+        """Splice a page's fragments into a well-formed page, or go
+        through the parser.
 
+        ``head`` goes before ``</head>``, ``tail`` before ``</body>``, and
+        ``handler`` (unless None) becomes the body tag's ``onmousemove``.
         Well-formed is: the first ``</head>``, the first body tag and the
         first ``</body>`` all exist and neither closing tag sits inside
         the body tag (``<body title="</head>">``).  The three are located
@@ -281,21 +275,21 @@ class PageInstrumenter:
         tail_at = html.find("</body>")
         tag = _BODY_TAG_RE.search(html)
         if head_at < 0 or tail_at < 0 or tag is None:
-            return self._inject_tree(html, plan)
+            return self._inject_tree(html, head, handler, tail)
         tag_at, tag_end = tag.span()
         if tag_at < head_at < tag_end or tag_at < tail_at < tag_end:
-            return self._inject_tree(html, plan)
-        if plan.body_attribute is None:
+            return self._inject_tree(html, head, handler, tail)
+        if handler is None:
             new_tag = tag.group()
         else:
-            new_tag = f'<body{tag.group(1)} onmousemove="{plan.body_attribute}">'
+            new_tag = f'<body{tag.group(1)} onmousemove="{handler}">'
         pieces = []
         at = 0
         for start, end, text in sorted(
             (
-                (head_at, head_at, plan.head_fragment),
+                (head_at, head_at, head),
                 (tag_at, tag_end, new_tag),
-                (tail_at, tail_at, plan.tail_fragment),
+                (tail_at, tail_at, tail),
             )
         ):
             pieces += (html[at:start], text)
@@ -304,29 +298,41 @@ class PageInstrumenter:
         return "".join(pieces)
 
     @staticmethod
-    def _inject_tree(html: str, plan: _ProbePlan) -> str:
+    def _inject_tree(
+        html: str, head_fragment: str, handler: str | None, tail_fragment: str
+    ) -> str:
         """Parser-based injection for fragments and malformed pages."""
         root = parse_html(html)
         head = root.find("head")
         body = root.find("body")
         if head is None or body is None:  # parser guarantees both
             raise AssertionError("parse_html must synthesise head and body")
-        if plan.head_fragment:
+        if head_fragment:
             # Fragments parse into a head/body split; collect both halves.
-            fragment = parse_html(plan.head_fragment)
+            fragment = parse_html(head_fragment)
             for node in fragment.find("head").children:
                 head.append(node)
             for node in fragment.find("body").children:
                 head.append(node)
-        if plan.body_attribute is not None:
-            body.set("onmousemove", plan.body_attribute)
-        if plan.tail_fragment:
-            fragment = parse_html(plan.tail_fragment)
+        if handler is not None:
+            body.set("onmousemove", handler)
+        if tail_fragment:
+            fragment = parse_html(tail_fragment)
             for node in fragment.find("head").children:
                 body.append(node)
             for node in fragment.find("body").children:
                 body.append(node)
         return serialize(root)
+
+
+def _ten_digits(bits) -> int:
+    """``randrange(10**10)`` on the stream ``bits`` draws from: 34-bit
+    draws until one is below 10**10, which is how CPython's ``randrange``
+    draws (3.10 to 3.13 alike) without its three Python frames."""
+    number = bits(34)
+    while number >= _TEN_DIGITS:
+        number = bits(34)
+    return number
 
 
 def mark_uncacheable(headers: Headers) -> None:
@@ -336,28 +342,14 @@ def mark_uncacheable(headers: Headers) -> None:
 
 def beacon_response(hit: BeaconHit) -> Response:
     """Serve a matched probe request directly from the proxy."""
-    kind = hit.probe.kind
-    if kind is BeaconKind.BEACON_JS:
-        headers = Headers([("Content-Type", "application/javascript")])
-        mark_uncacheable(headers)
-        script = hit.probe.script
+    probe = hit.probe
+    if probe.kind is BeaconKind.BEACON_JS:
+        script = probe.script
+        content_type = "application/javascript"
         body = script.source.encode("utf-8") if script is not None else b""
-        return Response(status=200, headers=headers, body=body)
-    if kind is BeaconKind.MOUSE_IMAGE:
-        # "The server can respond with any JPEG image because the picture
-        # is not used."
-        headers = Headers([("Content-Type", "image/jpeg")])
+    else:
+        content_type, body = _BEACON_ANSWERS[probe.kind]
+    headers = Headers([("Content-Type", content_type)])
+    if probe.kind is not BeaconKind.TRAP_IMAGE:
         mark_uncacheable(headers)
-        return Response(status=200, headers=headers, body=_FAKE_JPEG)
-    if kind is BeaconKind.CSS_BEACON or kind is BeaconKind.UA_PROBE:
-        headers = Headers([("Content-Type", "text/css")])
-        mark_uncacheable(headers)
-        return Response(status=200, headers=headers, body=b"")
-    if kind is BeaconKind.TRAP_IMAGE:
-        headers = Headers([("Content-Type", "image/gif")])
-        return Response(status=200, headers=headers, body=_TRANSPARENT_GIF)
-    if kind is BeaconKind.TRAP_PAGE:
-        headers = Headers([("Content-Type", "text/html")])
-        mark_uncacheable(headers)
-        return Response(status=200, headers=headers, body=_TRAP_PAGE_BODY)
-    raise ValueError(f"unhandled beacon kind: {kind}")
+    return Response(200, headers, body)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from repro.util.ids import random_numeric_key
-from repro.util.rng import RngStream
 
 _PROBE_RE = re.compile(
     r"href=(https?://[^\s\"'+]+)\"\s*\+\s*getuseragnt\(\)\s*\+\s*\"([^\">]*)"
@@ -40,27 +38,23 @@ def sanitize_user_agent(user_agent: str) -> str:
     return _UA_SAFE_RE.sub("_", lowered)
 
 
-@dataclass(frozen=True)
-class UaProbe:
-    """A minted UA probe: registered prefix and the inline script."""
+def ua_probe_prefix(number: int) -> str:
+    """The directory the echo URL lives in, for a drawn ten-digit ``number``."""
+    return f"/ua_{number:010d}/"
 
-    prefix_path: str
 
-    def script_source(self, host: str) -> str:
-        """The inline JavaScript injected into the page."""
-        return (
-            "function getuseragnt()\n"
-            "{ var agt = navigator.userAgent.toLowerCase();\n"
-            '  agt = agt.replace(/ /g, "");\n'
-            "  return agt;\n"
-            "}\n"
-            'document.write("<link rel=\'stylesheet\' type=\'text/css\' "\n'
-            f'  + "href={self.url_prefix(host)}" + getuseragnt() + ".css>");\n'
-        )
-
-    def url_prefix(self, host: str) -> str:
-        """Absolute URL prefix the echoed UA is appended to."""
-        return f"http://{host}{self.prefix_path}"
+def ua_probe_script(url_prefix: str) -> str:
+    """The inline JavaScript injected into the page; ``url_prefix`` is
+    the absolute URL of the probe's directory."""
+    return (
+        "function getuseragnt()\n"
+        "{ var agt = navigator.userAgent.toLowerCase();\n"
+        '  agt = agt.replace(/ /g, "");\n'
+        "  return agt;\n"
+        "}\n"
+        'document.write("<link rel=\'stylesheet\' type=\'text/css\' "\n'
+        f'  + "href={url_prefix}" + getuseragnt() + ".css>");\n'
+    )
 
 
 @dataclass(frozen=True)
@@ -73,11 +67,6 @@ class UaProbeTemplate:
     def fetch_url(self, true_user_agent: str) -> str:
         """The URL a JavaScript engine with this UA would fetch."""
         return f"{self.url_prefix}{sanitize_user_agent(true_user_agent)}{self.suffix}"
-
-
-def make_ua_probe_script(rng: RngStream) -> UaProbe:
-    """Mint a fresh UA probe with a random directory token."""
-    return UaProbe(prefix_path=f"/ua_{random_numeric_key(rng, 10)}/")
 
 
 def interpret_ua_probe(script_source: str) -> UaProbeTemplate | None:

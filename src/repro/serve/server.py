@@ -331,7 +331,7 @@ class DetectorServer:
         if cfg.ladder is not None:
             for node in self._network.nodes:
                 node.enable_ladder(cfg.ladder)
-        self._network.add_probe_listener(self.probes.append)
+        self._network.add_probe_listener(self.probes.extend)
         if cfg.trace_path is not None:
             self._trace_handle = open_trace_file(cfg.trace_path, "wt")
         self._loop = asyncio.get_running_loop()
@@ -379,7 +379,7 @@ class DetectorServer:
                 await asyncio.wait([c.task for c in open_now])
             await self._server.wait_closed()
             self._server = None
-        self._network.remove_probe_listener(self.probes.append)
+        self._network.remove_probe_listener(self.probes.extend)
         if self._trace_handle is not None:
             self._trace_handle.close()
             self._trace_handle = None

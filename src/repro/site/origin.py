@@ -9,6 +9,9 @@ so replaying a workload reproduces identical status streams:
   responses that Table 2's ``RESPCODE_3XX%`` attribute keys on for humans.
 * Unknown paths (vulnerability probes, stale deep links) answer 404.
 * HEAD requests return status and headers with an empty body.
+
+A site page is rendered once per server (its bytes kept by path, at most
+the site's page count of them); search-result pages on every request.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ class OriginServer:
 
     def __init__(self, website: Website) -> None:
         self._site = website
+        #: path -> a site page's rendered bytes, kept on first service.
+        self._pages: dict[str, bytes] = {}
 
     @property
     def website(self) -> Website:
@@ -60,9 +65,13 @@ class OriginServer:
     # -- internals --------------------------------------------------------
 
     def _lookup(self, request: Request, path: str) -> Response:
-        page = self._site.page(path)
-        if page is not None:
-            return _page_response(page)
+        body = self._pages.get(path)
+        if body is None:
+            page = self._site.page(path)
+            if page is not None:
+                body = self._pages[path] = page.render().encode("utf-8")
+        if body is not None:
+            return _html_response(body)
 
         resource = self._site.resource(path)
         if resource is not None:
@@ -70,7 +79,7 @@ class OriginServer:
 
         if path in self._site.cgi_paths or path.startswith("/cgi-bin/"):
             if path.startswith(_RESULTS_PREFIX):
-                return _page_response(self._results_page(path))
+                return _html_response(self._results_page(path).render().encode("utf-8"))
             if path in self._site.cgi_paths:
                 return self._handle_cgi(request)
             return error_response(404, f"no such CGI: {path}")
@@ -94,7 +103,8 @@ class OriginServer:
                 ]
             )
             return Response(status=302, headers=headers, body=b"")
-        return _page_response(self._results_page(f"r{token % 100000:05d}"))
+        results = self._results_page(f"r{token % 100000:05d}")
+        return _html_response(results.render().encode("utf-8"))
 
     def _results_page(self, token: str) -> PageSpec:
         """A synthetic search-results page linking back into the site."""
@@ -120,12 +130,9 @@ class OriginServer:
         )
 
 
-def _page_response(page: PageSpec) -> Response:
-    body = page.render().encode("utf-8")
+def _html_response(body: bytes) -> Response:
     return Response(
-        status=200,
-        headers=Headers([("Content-Type", "text/html")]),
-        body=body,
+        200, Headers.from_folded([("Content-Type", "text/html")], ["content-type"]), body
     )
 
 

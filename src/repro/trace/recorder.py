@@ -168,12 +168,12 @@ class TraceRecorder:
     def attach(self, network: ProxyNetwork) -> None:
         """Start capturing this network's traffic and registrations."""
         network.add_tap(self.observe)
-        network.add_probe_listener(self.probes.append)
+        network.add_probe_listener(self.probes.extend)
 
     def detach(self, network: ProxyNetwork) -> None:
         """Stop capturing (taps/listeners added by :meth:`attach`)."""
         network.remove_tap(self.observe)
-        network.remove_probe_listener(self.probes.append)
+        network.remove_probe_listener(self.probes.extend)
 
     def observe(self, request: Request, response: Response) -> None:
         """Network tap: one handled request/response pair."""

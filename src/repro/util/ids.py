@@ -21,13 +21,6 @@ def random_hex_key(rng: RngStream, bits: int = 128) -> str:
     return format(rng.getrandbits(bits), f"0{width}x")
 
 
-def random_numeric_key(rng: RngStream, digits: int = 10) -> str:
-    """Return a random fixed-width decimal key (as used in the paper's example URLs)."""
-    if digits <= 0:
-        raise ValueError(f"digits must be positive, got {digits}")
-    return format(rng.randrange(10**digits), f"0{digits}d")
-
-
 class IdGenerator:
     """Sequential ids with a prefix: ``sess-000001``, ``sess-000002``, ..."""
 

@@ -21,8 +21,9 @@ T = TypeVar("T")
 _MASK_64 = (1 << 64) - 1
 
 
-def _derive_seed(seed: int, label: str) -> int:
-    """Derive a child seed from ``seed`` and ``label`` via BLAKE2b."""
+def child_seed(seed: int, label: str) -> int:
+    """The seed of the stream ``label`` splits off a stream seeded with
+    ``seed``, derived via BLAKE2b — for a child to be built later."""
     digest = hashlib.blake2b(
         label.encode("utf-8"),
         digest_size=8,
@@ -68,11 +69,7 @@ class RngStream:
         Splitting does not consume randomness from the parent and does not
         depend on how many draws the parent has made.
         """
-        return RngStream(self.child_seed(label), f"{self._label}/{label}")
-
-    def child_seed(self, label: str) -> int:
-        """The seed of ``split(label)``, for a child to be built later."""
-        return _derive_seed(self._seed, label)
+        return RngStream(child_seed(self._seed, label), f"{self._label}/{label}")
 
     # -- scalar draws ----------------------------------------------------
 

@@ -11,13 +11,18 @@ from repro.agents.robots import (
     DdosZombie,
     EmailHarvesterBot,
     EngineBot,
+    HandlerGrepBot,
     HotlinkLeechBot,
     MouseForgerBot,
     OfflineBrowserBot,
     ReferrerSpammerBot,
     VulnScannerBot,
 )
+from repro.detection.session import DetectionLatency
 from repro.detection.verdict import Label
+from repro.proxy.node import ProxyNode
+from repro.site.generator import SiteConfig, SiteGenerator
+from repro.site.origin import OriginServer
 from repro.util.rng import RngStream
 from repro.workload.session_run import SessionRunner
 
@@ -224,6 +229,54 @@ class TestMouseForger:
         )
         assert state.in_mouse_set
         assert _final_label(state) is Label.HUMAN  # evaded!
+
+
+class TestHandlerGrep:
+    """A client with no JavaScript engine that reads the handler's name.
+
+    Committed outcome: *evades — a bug in the design*.  The page names its
+    real handler in clear and the decoy functions differ only in not being
+    named, so the m/(m+1) guarantee does not hold against a regex: the
+    bot fetches the real key and is called human, while it is in neither
+    S_JS nor S_CSS.  Detection latency: the keyed image is request 5 on
+    every site (the home page, the page's two site scripts, the beacon
+    script, the image), and the verdict is HUMAN from there on.
+    """
+
+    SEEDS = range(10)
+    MOUSE_AT = 5
+
+    @staticmethod
+    def _run_on_site(seed: int):
+        site = SiteGenerator(SiteConfig(n_pages=40)).generate(
+            RngStream(seed, "grep-site")
+        )
+        node = ProxyNode(
+            "node-grep", {site.host: OriginServer(site)}, RngStream(seed, "node")
+        )
+        bot = HandlerGrepBot(
+            "10.6.0.1", "Wget/1.10.2", RngStream(seed, "bot"),
+            f"http://{site.host}{site.home_path}",
+        )
+        record = SessionRunner(node.handle).run(bot)
+        return record, node.detection.tracker.get(bot.client_ip, bot.user_agent)
+
+    def test_evades_on_every_site(self):
+        latencies = []
+        for seed in self.SEEDS:
+            record, state = self._run_on_site(seed)
+            verdict = state.final_verdict()
+            assert verdict.label is Label.HUMAN, seed
+            assert verdict.reason == "correctly keyed mouse event"
+            assert state.in_mouse_set
+            assert not state.in_js_set and not state.in_css_set
+            assert state.wrong_key_fetches == 0
+            assert record.requests > self.MOUSE_AT
+            latency = DetectionLatency.from_state(state)
+            assert latency.css_at is None
+            assert latency.mouse_at == verdict.at_request
+            latencies.append(latency.mouse_at)
+        assert latencies == [self.MOUSE_AT] * len(self.SEEDS)
 
 
 class TestHotlinkLeech:

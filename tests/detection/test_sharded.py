@@ -228,7 +228,7 @@ class TestShardService:
         node = _node(1, rate_limit=limits)
         node.instrument_enabled = True
         heard = []
-        node.add_probe_listener(heard.append)
+        node.add_probe_listener(heard.extend)
         node.shard_detection(4)
         # The node's own config and the probe tables' listeners carry
         # over into the rebuilt shards; nothing else is there to carry.

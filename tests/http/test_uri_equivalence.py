@@ -8,7 +8,9 @@ URL's comparison form instead of parsing it a second time.  The last
 step is licensed by one property: ``str(Url.parse(str(u))) == str(u)``
 for every ``Url`` the module's own constructors can return.  The
 previous ``parse`` and ``_normalize_path`` are kept here — and only
-here — as oracles.
+here — as oracles.  ``parse`` has since stopped going through the
+constructor (it adopts the parts its pattern proved); the old parse,
+which does, is also the oracle for that.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.http.uri import Url, _normalize_path, resolve_url
+from repro.http.uri import _URL_RE, Url, _normalize_path, resolve_url
 
 # -- the oracles --------------------------------------------------------------
 
@@ -118,6 +120,42 @@ def test_parse_agrees_on_arbitrary_text(text):
         assert new in (old, f"unparseable absolute URL: {text!r}")
     else:
         assert new == old
+
+
+def _constructor_parse(text: str) -> Url:
+    """``parse`` as it was before it adopted its parts: the same pattern,
+    then the constructor and every one of its checks."""
+    match = _URL_RE.match(text.strip())
+    if match is None:
+        raise ValueError(f"unparseable absolute URL: {text!r}")
+    scheme, host, port, path, query, _fragment = match.groups()
+    return Url(
+        scheme.lower(),
+        host.lower(),
+        _normalize_path(path) if path else "/",
+        query or "",
+        int(port) if port else None,
+    )
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(_url_texts(), st.text(max_size=40)))
+def test_parse_adopts_what_the_constructor_would_build(text):
+    """``parse`` builds its ``Url`` without the constructor.  It refuses
+    what the constructor round trip refused, with the same message, and
+    what it builds is that round trip's ``Url`` in every way that can be
+    observed: fields (in order), string, equality, hash and pickle."""
+    parsed = _outcome(Url.parse, text)
+    built = _outcome(_constructor_parse, text)
+    assert type(parsed) is type(built)
+    if not isinstance(parsed, Url):
+        assert parsed == built
+        return
+    assert list(vars(parsed).items()) == list(vars(built).items())
+    assert str(parsed) == str(built) and repr(parsed) == repr(built)
+    assert parsed == built and hash(parsed) == hash(built)
+    assert pickle.dumps(parsed) == pickle.dumps(built)
+    assert pickle.loads(pickle.dumps(parsed)) == built
 
 
 @settings(max_examples=600, deadline=None)

@@ -139,7 +139,9 @@ def scenario_digests() -> tuple[str, str]:
         # A small cap, so the final table also pins eviction order.
         registry = InstrumentationRegistry(per_ip_cap=64)
         heard: list[tuple] = []
-        registry.add_listener(lambda probe: heard.append(_probe_fields(probe)))
+        registry.add_listener(
+            lambda page: heard.extend(_probe_fields(p) for p in page)
+        )
         instrumenter = PageInstrumenter(
             registry, RngStream(11 + number, "golden"), config
         )
@@ -169,9 +171,9 @@ def test_tree_pages_take_the_parser_path(monkeypatch):
     taken = []
     inject_tree = PageInstrumenter._inject_tree
 
-    def spy(html, plan):
+    def spy(html, *fragments):
         taken.append(html)
-        return inject_tree(html, plan)
+        return inject_tree(html, *fragments)
 
     monkeypatch.setattr(PageInstrumenter, "_inject_tree", staticmethod(spy))
     instrumenter = PageInstrumenter(InstrumentationRegistry(), RngStream(1))
@@ -271,7 +273,9 @@ def test_page_stream_draws_keys_then_the_handler_and_nothing_else(
     name = f"{clone.getrandbits(24):06x}"
     assert script.keys == tuple(keys)
     assert script.handler == ("f_" if junk is None else "_0x") + name
-    assert script.seed == clone.split("script").seed
+    # The recipe keeps the page stream's seed; the script stream is split
+    # off it when the text is emitted.
+    assert script.seed == clone.seed
     assert rng.getrandbits(64) == clone.getrandbits(64)
 
 

@@ -79,13 +79,14 @@ def _probes(ip, entries, now, serial):
 
 
 class _Heard:
-    """Two listeners per registry: each must hear every probe, in order."""
+    """Two listeners per registry: each must hear every probe, in order
+    (a listener is handed each registration's probes at once)."""
 
     def __init__(self, registry) -> None:
         self.first: list[RegisteredProbe] = []
         self.second: list[RegisteredProbe] = []
-        registry.add_listener(self.first.append)
-        registry.add_listener(self.second.append)
+        registry.add_listener(self.first.extend)
+        registry.add_listener(self.second.extend)
 
 
 @settings(max_examples=200, deadline=None)
@@ -194,8 +195,8 @@ class TestPartitionedRegistry:
         )
         first: list[RegisteredProbe] = []
         second: list[RegisteredProbe] = []
-        node.add_probe_listener(first.append)
-        node.add_probe_listener(second.append)
+        node.add_probe_listener(first.extend)
+        node.add_probe_listener(second.extend)
         ips = [f"10.9.{i}.{i}" for i in range(32)]
         assert len({node.shard_index_for(ip) for ip in ips}) == 4
         registered = []

@@ -27,7 +27,7 @@ from repro.html.links import extract_references
 from repro.html.parser import parse_html
 from repro.http.uri import Url
 from repro.instrument.keys import InstrumentationRegistry
-from repro.instrument.rewriter import PageInstrumenter, _ProbePlan
+from repro.instrument.rewriter import PageInstrumenter
 from repro.util.rng import RngStream
 
 _BODY_TAG_RE = re.compile(r"<body(?=[\s/>])([^>]*)>", re.IGNORECASE)
@@ -35,8 +35,13 @@ _BODY_TAG_RE = re.compile(r"<body(?=[\s/>])([^>]*)>", re.IGNORECASE)
 TREE = object()
 
 
-def reference_inject(html: str, plan: _ProbePlan):
-    """The old ``_inject`` + ``_inject_fast``; ``TREE`` for the parser path."""
+def reference_inject(html: str, plan: tuple):
+    """The old ``_inject`` + ``_inject_fast``; ``TREE`` for the parser path.
+
+    ``plan`` is ``(head fragment, onmousemove handler or None, tail
+    fragment)``, as ``_inject`` takes them.
+    """
+    head_fragment, body_attribute, tail_fragment = plan
     tag = _BODY_TAG_RE.search(html)
     if "</head>" not in html or "</body>" not in html or tag is None:
         return TREE
@@ -45,45 +50,39 @@ def reference_inject(html: str, plan: _ProbePlan):
         for closing in ("</head>", "</body>")
     ):
         return TREE
-    if plan.head_fragment:
-        html = html.replace("</head>", plan.head_fragment + "</head>", 1)
-    if plan.body_attribute is not None:
+    if head_fragment:
+        html = html.replace("</head>", head_fragment + "</head>", 1)
+    if body_attribute is not None:
         html = _BODY_TAG_RE.sub(
-            lambda m: (
-                f'<body{m.group(1)} onmousemove="{plan.body_attribute}">'
-            ),
+            lambda m: f'<body{m.group(1)} onmousemove="{body_attribute}">',
             html,
             count=1,
         )
-    if plan.tail_fragment:
-        html = html.replace("</body>", plan.tail_fragment + "</body>", 1)
+    if tail_fragment:
+        html = html.replace("</body>", tail_fragment + "</body>", 1)
     return html
 
 
-def one_pass_inject(html: str, plan: _ProbePlan):
+def one_pass_inject(html: str, plan: tuple):
     """The splice under test; ``TREE`` where it goes through the parser."""
     instrumenter = PageInstrumenter(InstrumentationRegistry(), RngStream(1))
-    instrumenter._inject_tree = lambda html, plan: TREE
-    return instrumenter._inject(html, plan)
+    instrumenter._inject_tree = lambda html, *plan: TREE
+    return instrumenter._inject(html, *plan)
 
 
 # The shapes a page instrumented with every probe, some and none carries.
 _PLANS = (
-    _ProbePlan(
-        head_fragment=(
-            '<link rel="stylesheet" type="text/css" '
-            'href="http://h.com/0123456789.css">'
-            '<script language="javascript" src="./p_0123456789.js"></script>'
-        ),
-        body_attribute="return _0xabcdef();",
-        tail_fragment=(
-            "<script>document.write('x');</script>"
-            '<a href="http://h.com/hidden_1.html"><img src="/t.jpg"></a>'
-        ),
+    (
+        '<link rel="stylesheet" type="text/css" '
+        'href="http://h.com/0123456789.css">'
+        '<script language="javascript" src="./p_0123456789.js"></script>',
+        "return _0xabcdef();",
+        "<script>document.write('x');</script>"
+        '<a href="http://h.com/hidden_1.html"><img src="/t.jpg"></a>',
     ),
-    _ProbePlan(body_attribute="return f_012345();"),
-    _ProbePlan(head_fragment="<link href='/1.css'>", tail_fragment="<a></a>"),
-    _ProbePlan(),
+    ("", "return f_012345();", ""),
+    ("<link href='/1.css'>", None, "<a></a>"),
+    ("", None, ""),
 )
 
 # Pages are random sequences of these: every tag the splice looks for, in
@@ -150,8 +149,8 @@ def test_custom_element_named_like_body_is_not_the_body_tag():
     taken = []
     instrumenter = PageInstrumenter(InstrumentationRegistry(), RngStream(3))
     inject_tree = instrumenter._inject_tree
-    instrumenter._inject_tree = lambda html, plan: (
-        taken.append(html) or inject_tree(html, plan)
+    instrumenter._inject_tree = lambda html, *plan: (
+        taken.append(html) or inject_tree(html, *plan)
     )
     result = instrumenter.instrument(
         html, Url.parse("http://h.com/p.html"), "1.2.3.4", 0.0

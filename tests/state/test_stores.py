@@ -86,13 +86,13 @@ class TestPartitionedRegistry:
     def test_listeners_fire_once_per_registration(self):
         node = _node(shards=2)
         seen = []
-        node.add_probe_listener(seen.append)
+        node.add_probe_listener(seen.extend)
         node.shard_detection(4)  # the rebuilt tables keep the listener
-        assert node.probe_listeners == (seen.append,)
+        assert node.probe_listeners == (seen.extend,)
         for i, ip in enumerate(_ips(32)):
             _register(node, _probe(ip, f"k{i}"))
         assert len(seen) == 32
-        node.remove_probe_listener(seen.append)
+        node.remove_probe_listener(seen.extend)
         assert node.probe_listeners == ()
         _register(node, _probe("203.0.113.1", "unheard"))
         assert len(seen) == 32

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.util.ids import IdGenerator, random_hex_key, random_numeric_key
+from repro.util.ids import IdGenerator, random_hex_key
 from repro.util.rng import RngStream
 
 
@@ -31,17 +30,6 @@ class TestRandomHexKey:
         assert a == b
 
 
-class TestRandomNumericKey:
-    def test_width_and_digits(self, rng):
-        key = random_numeric_key(rng, 10)
-        assert len(key) == 10
-        assert key.isdigit()
-
-    def test_invalid_digits(self, rng):
-        with pytest.raises(ValueError):
-            random_numeric_key(rng, 0)
-
-
 class TestIdGenerator:
     def test_sequence(self):
         gen = IdGenerator("sess")
@@ -55,14 +43,3 @@ class TestIdGenerator:
     def test_invalid_width(self):
         with pytest.raises(ValueError):
             IdGenerator("x", width=0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**9),
-    digits=st.integers(min_value=1, max_value=20),
-)
-def test_property_numeric_key_width(seed, digits):
-    key = random_numeric_key(RngStream(seed), digits)
-    assert len(key) == digits
-    assert key.isdigit()
