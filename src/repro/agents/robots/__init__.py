@@ -13,7 +13,8 @@
   — the §4.1 counter-measure ladder: run a real engine without a human,
   scrape-and-fetch beacon URLs (caught with probability m/(m+1)), and
   forge mouse events (defeats the scheme, motivating trusted input paths);
-  :class:`HandlerGrepBot` reads the real handler's name and evades too.
+  :class:`HandlerGrepBot` reads the real handler's name and evades too;
+  :class:`UaEchoBot` reads the UA probe and lands in S_JS without JS.
 """
 
 from repro.agents.robots.click_fraud import ClickFraudBot
@@ -24,6 +25,7 @@ from repro.agents.robots.hotlink_leech import HotlinkLeechBot
 from repro.agents.robots.offline_browser import OfflineBrowserBot
 from repro.agents.robots.referrer_spammer import ReferrerSpammerBot
 from repro.agents.robots.smart_bot import BlindFetcherBot, EngineBot, HandlerGrepBot, MouseForgerBot
+from repro.agents.robots.smart_bot import UaEchoBot
 from repro.agents.robots.vuln_scanner import VulnScannerBot
 
 __all__ = [
@@ -38,5 +40,6 @@ __all__ = [
     "MouseForgerBot",
     "OfflineBrowserBot",
     "ReferrerSpammerBot",
+    "UaEchoBot",
     "VulnScannerBot",
 ]

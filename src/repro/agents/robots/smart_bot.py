@@ -14,6 +14,8 @@
   handler's name off the page and greps the script for its ``.src``: the
   decoys do not hold against a reader, so it is called human (a hole in
   the design, pinned by its test; in no mix).
+* :class:`UaEchoBot` — reads the UA probe instead of running it and lands
+  in S_JS (pinned by its test; in no mix).
 * :class:`MouseForgerBot` — the hypothetical "serious hacker" of §4.1 who
   "could implement a bot that could generate mouse or keystroke events":
   it resolves the real handler like a browser and fires it, defeating
@@ -30,6 +32,7 @@ from repro.http.content import ContentKind
 from repro.http.uri import Url, resolve_url
 from repro.html.links import extract_references
 from repro.instrument.js_beacon import extract_all_script_urls, find_handler_fetch_url
+from repro.instrument.ua_probe import interpret_ua_probe
 from repro.util.rng import RngStream
 
 _ENGINE_UA = (
@@ -188,22 +191,44 @@ class HandlerGrepBot(BlindFetcherBot):
                 return
             base = Url.parse(result.final_url)
             refs = extract_references(result.response.text)
-            handler = refs.body_event_handlers.get("onmousemove")
-            if page == 0 and handler is not None:
-                for reference in refs.scripts:
-                    script = yield FetchAction(
-                        str(resolve_url(base, reference)), referer=current,
-                        think_time=self._jitter(0.05, 0.3),
-                    )
-                    target = find_handler_fetch_url(script.response.text, handler)
-                    if target is not None:
-                        yield FetchAction(target, referer=current, think_time=0.1)
-                        break
+            if page == 0:
+                yield from self._read_probe(base, refs, current)
             links = [str(resolve_url(base, ref)) for ref in refs.visible_links]
             links = [u for u in links if Url.parse(u).host == entry.host]
             if not links:
                 return
             referer, current = current, self.rng.choice(links)
+
+    def _read_probe(self, base: Url, refs, page_url: str) -> BrowseGenerator:
+        handler = refs.body_event_handlers.get("onmousemove")
+        if handler is None:
+            return
+        for reference in refs.scripts:
+            script = yield FetchAction(
+                str(resolve_url(base, reference)), referer=page_url,
+                think_time=self._jitter(0.05, 0.3),
+            )
+            target = find_handler_fetch_url(script.response.text, handler)
+            if target is not None:
+                yield FetchAction(target, referer=page_url, think_time=0.1)
+                return
+
+
+class UaEchoBot(HandlerGrepBot):
+    """Walks like :class:`HandlerGrepBot`, but reads the entry page's UA
+    probe with the browsers' :func:`interpret_ua_probe` and fetches the echo
+    URL for its own User-Agent header (no stylesheet, image or script)."""
+
+    kind = "ua_echo"
+
+    def _read_probe(self, base: Url, refs, page_url: str) -> BrowseGenerator:
+        for source in refs.inline_scripts:
+            template = interpret_ua_probe(source)
+            if template is not None:
+                yield FetchAction(
+                    template.fetch_url(self.user_agent), referer=page_url, think_time=0.1
+                )
+                return
 
 
 class MouseForgerBot(EngineBot):

@@ -31,12 +31,13 @@ class Method(Enum):
     POST = "POST"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Request:
     """One HTTP request as seen by the proxy.
 
     ``client_ip`` identifies the TCP source; sessions are keyed by
-    ``(client_ip, User-Agent header)`` per §3.
+    ``(client_ip, User-Agent header)`` per §3.  The constructor adopts
+    its field dict whole; ``headers=None`` is a fresh ``Headers()``.
     """
 
     method: Method
@@ -47,9 +48,13 @@ class Request:
 
     _path_kind: ClassVar[ContentKind | None] = None
 
-    def __post_init__(self) -> None:
-        if not self.client_ip:
+    def __init__(self, method: Method, url: Url, client_ip: str,
+                 headers: Headers | None = None, timestamp: float = 0.0) -> None:
+        if not client_ip:
             raise ValueError("client_ip must be non-empty")
+        object.__setattr__(self, "__dict__", {
+            "method": method, "url": url, "client_ip": client_ip,
+            "headers": Headers() if headers is None else headers, "timestamp": timestamp})
 
     @property
     def user_agent(self) -> str:
@@ -80,14 +85,14 @@ class Request:
         return f"{self.method.value} {self.url}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Response:
     """One HTTP response paired with its request.
 
     ``body`` is bytes-like: ``bytes``, or a read-only ``memoryview`` of
     a buffer many responses share (an origin's static objects).  Read it
     with ``bytes()``, ``str(body, encoding)`` or ``len``; it has no
-    ``decode``.
+    ``decode``.  Built like :class:`Request`.
     """
 
     status: int
@@ -95,8 +100,13 @@ class Response:
     body: bytes | memoryview = b""
     served_from_cache: bool = False
 
-    def __post_init__(self) -> None:
-        status_class(self.status)  # validates the code range
+    def __init__(self, status: int, headers: Headers | None = None,
+                 body: bytes | memoryview = b"", served_from_cache: bool = False) -> None:
+        if status.__class__ is not int or not 100 <= status <= 599:
+            status_class(status)  # takes or refuses the rest, with its message
+        object.__setattr__(self, "__dict__", {
+            "status": status, "headers": Headers() if headers is None else headers,
+            "body": body, "served_from_cache": served_from_cache})
 
     def __getstate__(self) -> dict:
         # A view cannot pickle; its bytes can (``bytes`` of bytes is

@@ -361,11 +361,6 @@ class MetricsRegistry:
             )
         return instrument
 
-    def discard_series(self, name: str) -> None:
-        """Drop every instrument of one metric name (re-wiring support)."""
-        for key in [k for k in self._instruments if k[0] == name]:
-            del self._instruments[key]
-
     def _get(self, cls, name: str, labels: Labels, wall: bool):
         key = (name, labels)
         instrument = self._instruments.get(key)

@@ -60,7 +60,7 @@ class ServeMetrics:
             )
             for stage in SERVE_STAGES
         }
-        self._requests: dict[str, Counter] = {}
+        self._requests: dict[int, Counter] = {}  # by ``status // 100``
         self._parse_errors: dict[int, Counter] = {}
 
     def observe_stage(self, stage: str, seconds: float) -> None:
@@ -69,11 +69,10 @@ class ServeMetrics:
 
     def note_request(self, status: int) -> None:
         """Count one served request by response status class."""
-        klass = f"{status // 100}xx"
-        counter = self._requests.get(klass)
+        counter = self._requests.get(status // 100)
         if counter is None:
-            counter = self._requests[klass] = self.registry.counter(
-                "repro_serve_requests_total", {"class": klass}, wall=True
+            counter = self._requests[status // 100] = self.registry.counter(
+                "repro_serve_requests_total", {"class": f"{status // 100}xx"}, wall=True
             )
         counter.inc()
 

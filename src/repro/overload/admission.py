@@ -100,15 +100,6 @@ class FairnessTracker:
         """Distinct IPs with non-negligible recent admitted weight."""
         return len(self._weights)
 
-    def _scale(self, now: float) -> float:
-        if self._epoch is None:
-            self._epoch = now
-        scale = 2.0 ** ((now - self._epoch) / self.half_life)
-        if scale >= _RENORM_SCALE:
-            self._renormalize(now)
-            scale = 1.0
-        return scale
-
     def _renormalize(self, now: float) -> None:
         factor = 2.0 ** (-(now - self._epoch) / self.half_life)
         cutoff = 2.0**-40
@@ -123,7 +114,12 @@ class FairnessTracker:
 
     def note(self, ip: str, now: float) -> None:
         """Record one admitted request from ``ip``."""
-        scale = self._scale(now)
+        if self._epoch is None:
+            self._epoch = now
+        scale = 2.0 ** ((now - self._epoch) / self.half_life)
+        if scale >= _RENORM_SCALE:
+            self._renormalize(now)
+            scale = 1.0
         self._weights[ip] = self._weights.get(ip, 0.0) + scale
         self._total += scale
 

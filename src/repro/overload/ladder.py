@@ -163,9 +163,11 @@ class ResponseLadder:
     def _count(self, name: str, **extra: str) -> None:
         if self._registry is not None:
             key = (name, *extra.values())
-            if key not in self._counters:
-                self._counters[key] = self._registry.counter(name, {**self._labels, **extra})
-            self._counters[key].inc()
+            counter = self._counters.get(key)
+            if counter is None:
+                counter = self._registry.counter(name, {**self._labels, **extra})
+                self._counters[key] = counter
+            counter.inc()
 
     # -- evidence ------------------------------------------------------------
 
@@ -194,7 +196,7 @@ class ResponseLadder:
         if is_robot:
             record.points += self.config.robot_weight
             record.verdicts += 1
-        self._note_stage(record, ip, timestamp)
+        self._transition(record, ip, self._stage_of(record.points), timestamp)
 
     def note_captcha_result(
         self, ip: str, passed: bool, timestamp: float
@@ -209,7 +211,7 @@ class ResponseLadder:
             record.points = 0.0
         else:
             record.points = max(record.points, self.config.block_points)
-        self._note_stage(record, ip, timestamp)
+        self._transition(record, ip, self._stage_of(record.points), timestamp)
 
     # -- enforcement ---------------------------------------------------------
 
@@ -225,32 +227,34 @@ class ResponseLadder:
         record = self._ips.get(ip)
         if record is None:
             return LadderStage.ALLOW
+        cfg = self.config
         self._decay(record, now)
         stage = self._stage_of(record.points)
         if stage is LadderStage.CAPTCHA:
             record.challenge_streak += 1
-            if record.challenge_streak > self.config.challenge_patience:
+            if record.challenge_streak > cfg.challenge_patience:
                 # The client keeps hammering instead of solving the
                 # challenge: that is evidence in itself.
-                record.points = max(record.points, self.config.block_points)
+                record.points = max(record.points, cfg.block_points)
                 record.anchor = now
                 stage = LadderStage.BLOCK
         else:
             record.challenge_streak = 0
-        self._transition(record, ip, stage, now)
+        # ``_value_``: ``value`` is a descriptor call on 3.11.
+        if stage._value_ != record.stage:
+            self._transition(record, ip, stage, now)
         if stage is LadderStage.THROTTLE:
             record.throttle_seq += 1
-            if record.throttle_seq % self.config.throttle_keep_one_in == 0:
+            if record.throttle_seq % cfg.throttle_keep_one_in == 0:
                 return LadderStage.ALLOW
             record.throttled += 1
-            self._count("repro_ladder_gated_total", stage=stage.value)
-            return LadderStage.THROTTLE
-        if stage is LadderStage.CAPTCHA:
+        elif stage is LadderStage.CAPTCHA:
             record.challenged += 1
         elif stage is LadderStage.BLOCK:
             record.blocked += 1
-        if stage is not LadderStage.ALLOW:
-            self._count("repro_ladder_gated_total", stage=stage.value)
+        else:
+            return stage
+        self._count("repro_ladder_gated_total", stage=stage._value_)
         return stage
 
     # -- internals -----------------------------------------------------------
@@ -270,9 +274,6 @@ class ResponseLadder:
         if points >= cfg.throttle_points:
             return LadderStage.THROTTLE
         return LadderStage.ALLOW
-
-    def _note_stage(self, record: _IpState, ip: str, now: float) -> None:
-        self._transition(record, ip, self._stage_of(record.points), now)
 
     def _transition(
         self, record: _IpState, ip: str, stage: LadderStage, now: float

@@ -325,8 +325,12 @@ class NodeShard:
             self.stats.challenged += 1
         else:
             self.stats.throttled += 1
+        # A copy of a checked refusal: its own headers, the rest shared.
         refusal = _LADDER_REFUSALS[stage]
-        return Response(refusal.status, refusal.headers.copy(), refusal.body)
+        response = object.__new__(Response)
+        state = {**refusal.__dict__, "headers": refusal.headers.copy()}
+        object.__setattr__(response, "__dict__", state)
+        return response
 
     def _run_detection(self, request: Request) -> RequestOutcome:
         started = time.perf_counter()

@@ -56,6 +56,10 @@ _HOP_BY_HOP = frozenset(
 #: trace record rebuilds (they survive in ``raw_headers``).
 _FRAMING_HEADERS = _HOP_BY_HOP | frozenset(("host", "content-length"))
 
+#: Fields the header loop picks up instead of adding to the pipeline
+#: view: the framing fields and ``X-Forwarded-For``.
+_PICKED = _FRAMING_HEADERS | frozenset(("x-forwarded-for",))
+
 #: Response fields ``render_response`` writes itself or never sends.
 _NOT_RENDERED = _HOP_BY_HOP | frozenset(("content-length",))
 
@@ -79,13 +83,8 @@ class Http11Limits:
     max_body_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        for name in (
-            "max_request_line",
-            "max_header_bytes",
-            "max_headers",
-            "max_body_bytes",
-        ):
-            if getattr(self, name) < 1:
+        for name, value in vars(self).items():
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
@@ -106,6 +105,9 @@ class ParsedRequest:
     #: need connection semantics (the pipeline view in ``headers`` has
     #: them stripped).
     raw_headers: Headers = field(default_factory=Headers)
+    #: The first ``X-Forwarded-For`` value, if any.  Unless it is empty
+    #: (it names no one), no such field is in ``headers``.
+    forwarded: str | None = None
 
 
 _DEFAULT_LIMITS = Http11Limits()
@@ -176,67 +178,86 @@ def parse_request(
     method_text, target, version = parts
     if version not in _SUPPORTED_VERSIONS:
         raise HttpParseError(505, f"unsupported HTTP version: {version}")
-    method = _METHODS.get(method_text.upper())
+    method = _METHODS.get(method_text) or _METHODS.get(method_text.upper())
     if method is None:
         raise HttpParseError(501, f"method not implemented: {method_text[:32]}")
 
-    # Entries and their folded names: every field, and the pipeline view.
+    # Entries and their folded names: every field, and the pipeline view;
+    # the framing fields and X-Forwarded-For are picked up on the way.
     raw_entries, raw_folded, entries, folded_names = [], [], [], []
+    host = forwarded = None
+    lengths, connection, chunked = [], [], False
     header_bytes = 0
-    fields_left = limits.max_headers
     max_block = limits.max_header_bytes
-    while True:
-        index += 1
+    too_many = index + 1 + limits.max_headers  # the first field over the limit
+    # Every complete line; ``lines[last]`` is read only if no blank one ends
+    # the head before it.
+    for index in range(index + 1, last):
         line = lines[index]
         if len(line) >= max_block:
             raise HttpParseError(431, "header line too long")
-        if index == last:
-            if not eof:
-                return None
-            if line:
-                raise HttpParseError(400, "connection closed mid-header line")
-            raise HttpParseError(400, "connection closed inside headers")
         line = line.rstrip("\r")
         if not line:
             break
         header_bytes += len(line) + 2
         if header_bytes > max_block:
             raise HttpParseError(431, "header block too large")
-        if not fields_left:
+        if index == too_many:
             raise HttpParseError(431, "too many header fields")
-        fields_left -= 1
         if line[0] in " \t":
             # Obsolete line folding: deliberately refused (RFC 9112 §5.2).
             raise HttpParseError(400, "folded header field")
         name, sep, value = line.partition(":")
         if not sep or not name or name.strip() != name:
             raise HttpParseError(400, f"malformed header field: {line[:120]}")
-        entry = (name, value.strip())
+        value = value.strip()
+        entry = (name, value)
         folded = name.lower()
         raw_entries.append(entry)
         raw_folded.append(folded)
-        if folded not in _FRAMING_HEADERS:
+        if folded not in _PICKED:
             entries.append(entry)
             folded_names.append(folded)
+        elif folded == "host":
+            if host is None:
+                host = value
+        elif folded == "x-forwarded-for":
+            if forwarded is None:
+                forwarded = value
+            if not forwarded:  # an empty first one names no one: all stay
+                entries.append(entry)
+                folded_names.append(folded)
+        elif folded == "connection":
+            connection.append(value)
+        elif folded == "content-length":
+            lengths.append(value)
+        elif folded == "transfer-encoding":
+            chunked = True
+    else:
+        if len(lines[last]) >= max_block:
+            raise HttpParseError(431, "header line too long")
+        if not eof:
+            return None
+        if lines[last]:
+            raise HttpParseError(400, "connection closed mid-header line")
+        raise HttpParseError(400, "connection closed inside headers")
 
-    raw_headers = Headers.from_folded(raw_entries, raw_folded)
-    url = _resolve_target(target, raw_headers, default_host)
-    body_start = sum(map(len, lines[: index + 1])) + index + 1
-    consumed = body_start + _body_length(raw_headers, limits)
+    url = _resolve_target(target, host, default_host)
+    body_start = (len(text) - len(lines[last]) if index + 1 == last
+                  else sum(map(len, lines[: index + 1])) + index + 1)
+    consumed = body_start + (
+        _body_length(chunked, lengths, limits) if chunked or lengths else 0)
     if len(buffer) < consumed:
         if eof:
             raise HttpParseError(400, "truncated request body")
         return None
 
+    raw_headers = Headers.from_folded(raw_entries, raw_folded)
     parsed = ParsedRequest(
-        method=method,
-        url=url,
-        headers=Headers.from_folded(entries, folded_names),
-        version=version,
-        keep_alive=_keep_alive(version, raw_headers),
-        body=bytes(buffer[body_start:consumed]),
-        parse_seconds=time.perf_counter() - started,
-        raw_headers=raw_headers,
+        method, url, Headers.from_folded(entries, folded_names), version,
+        _keep_alive(version, connection) if connection else version != "HTTP/1.0",
+        bytes(buffer[body_start:consumed]) if consumed > body_start else b"",
+        time.perf_counter() - started, raw_headers, forwarded,
     )
     return parsed, consumed
 
@@ -267,10 +288,11 @@ async def read_request(
 
 
 def _resolve_target(
-    target: str, headers: Headers, default_host: str | None
+    target: str, host: str | None, default_host: str | None
 ) -> Url:
+    """``target`` as a URL; ``host`` is the first ``Host`` field's value."""
     if target.startswith("/"):
-        host = headers.get("Host") or default_host
+        host = host or default_host
         if not host:
             raise HttpParseError(
                 400, "origin-form target needs a Host header"
@@ -282,12 +304,12 @@ def _resolve_target(
         raise HttpParseError(400, f"bad request target: {exc}") from None
 
 
-def _body_length(headers: Headers, limits: Http11Limits) -> int:
-    if "Transfer-Encoding" in headers:
+def _body_length(chunked: bool, declared: list[str], limits: Http11Limits) -> int:
+    """From the ``Content-Length`` values and any ``Transfer-Encoding``."""
+    if chunked:
         raise HttpParseError(
             501, "transfer codings are not implemented"
         )
-    declared = headers.get_all("Content-Length")
     if not declared:
         return 0
     # RFC 9112 §6.3: ``1*DIGIT`` and duplicates that agree, or a peer
@@ -306,15 +328,21 @@ def _body_length(headers: Headers, limits: Http11Limits) -> int:
     return length
 
 
-def _keep_alive(version: str, headers: Headers) -> bool:
+def _keep_alive(version: str, connection: list[str]) -> bool:
+    """Persistence from the ``Connection`` values, in order."""
     tokens = {
         token.strip().lower()
-        for value in headers.get_all("Connection")
+        for value in connection
         for token in value.split(",")
     }
     if version == "HTTP/1.0":
         return "keep-alive" in tokens
     return "close" not in tokens
+
+
+#: ``status -> "HTTP/1.1 <code> <reason>\r\n"``, bounded as
+#: :func:`repro.http.message.error_response`'s heads are.
+_STATUS_LINES: dict[int, str] = {}
 
 
 def render_response(
@@ -328,16 +356,19 @@ def render_response(
     for HEAD, per RFC 9110 §9.3.2) and a ``Connection`` header, so the
     peer never needs read-until-close framing.
     """
-    lines = [f"HTTP/1.1 {describe_status(response.status)}"]
+    status = response.status
+    line = _STATUS_LINES.get(status)
+    if line is None:
+        line = _STATUS_LINES[status] = f"HTTP/1.1 {describe_status(status)}\r\n"
+    body = response.body
+    parts = [line]
     for folded, (name, value) in response.headers.folded_items():
         if folded not in _NOT_RENDERED:
-            lines.append(f"{name}: {value}")
-    lines.append(f"Content-Length: {len(response.body)}")
-    lines.append(f"Connection: {'keep-alive' if keep_alive else 'close'}")
-    wire = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-    if not head:
-        wire += response.body
-    return wire
+            parts.append(f"{name}: {value}\r\n")
+    parts.append(f"Content-Length: {len(body)}\r\n"
+                 f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n")
+    wire = "".join(parts).encode("latin-1")
+    return wire if head else wire + body
 
 
 async def _read_line(

@@ -171,7 +171,8 @@ class _Connection(asyncio.Protocol):
         self.expired = False
         self._queued = False
         self._waiter: asyncio.Future | None = None
-        self._writable = True
+        #: False while the transport has paused writing (back-pressure).
+        self.writable = True
 
     # -- transport callbacks ------------------------------------------------
 
@@ -194,7 +195,7 @@ class _Connection(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         self.buffer += data
-        if not self._writable:
+        if not self.writable:
             # The task is behind a stalled response: bound the read-ahead.
             if len(self.buffer) > _READ_AHEAD:
                 self.transport.pause_reading()
@@ -219,10 +220,10 @@ class _Connection(asyncio.Protocol):
         server.metrics.open_connections.set(len(server._connections))
 
     def pause_writing(self) -> None:
-        self._writable = False
+        self.writable = False
 
     def resume_writing(self) -> None:
-        self._writable = True
+        self.writable = True
         self.transport.resume_reading()
         self._wake()
 
@@ -240,7 +241,7 @@ class _Connection(asyncio.Protocol):
     async def drained(self) -> bool:
         """Back-pressure: sleep while the transport's write buffer is
         over its high-water mark.  False if the peer never drained it."""
-        while not self._writable:
+        while not self.writable:
             if self.transport.is_closing():
                 return False
             await self._sleep()
@@ -462,9 +463,7 @@ class DetectorServer:
             while True:
                 try:
                     parsed = await read_request(
-                        connection,
-                        default_host=self._default_host,
-                        limits=cfg.limits,
+                        connection, self._default_host, cfg.limits
                     )
                 except HttpParseError as exc:
                     m.note_parse_error(exc.status)
@@ -497,12 +496,11 @@ class DetectorServer:
                     keep_alive = False
                 m.note_request(response.status)
                 self._write(
-                    connection,
-                    response,
-                    head=parsed.method is Method.HEAD,
-                    keep_alive=keep_alive,
+                    connection, response, parsed.method is Method.HEAD, keep_alive
                 )
-                if not (keep_alive and await connection.drained()):
+                if not keep_alive or not (
+                    connection.writable or await connection.drained()
+                ):
                     break
         finally:
             # Flushes what is buffered; the idle timer bounds the wait.
@@ -516,9 +514,7 @@ class DetectorServer:
         keep_alive: bool = False,
     ) -> None:
         started = time.perf_counter()
-        connection.transport.write(
-            render_response(response, head=head, keep_alive=keep_alive)
-        )
+        connection.transport.write(render_response(response, head, keep_alive))
         self.metrics.observe_stage("write", time.perf_counter() - started)
         connection.deadline = (
             self._loop.time() + self._config.keep_alive_timeout
@@ -530,32 +526,31 @@ class DetectorServer:
         self, parsed: ParsedRequest, connection: _Connection
     ) -> Response:
         """Stamp, admit and handle one request, synchronously."""
-        cfg = self._config
         client_ip = connection.peer_ip
-        forwarded = parsed.headers.get("X-Forwarded-For")
-        if forwarded:
-            if client_ip in cfg.trusted_proxies:
-                # The first hop names the client only if it is one token:
-                # the address is a whitespace-delimited access-log field.
-                hop = forwarded.split(",")[0].split()
-                if len(hop) == 1:
-                    client_ip = hop[0]
-            # Consumed as addressing metadata; the pipeline sees the
-            # same header set a replayed trace record will rebuild.
-            parsed.headers.remove("X-Forwarded-For")
+        forwarded = parsed.forwarded  # already out of the pipeline's view
+        if forwarded and client_ip in self._config.trusted_proxies:
+            # The first hop names the client only if it is one token:
+            # the address is a whitespace-delimited access-log field.
+            hop = forwarded.split(",")[0].split()
+            if len(hop) == 1:
+                client_ip = hop[0]
         request = Request(
-            method=parsed.method,
-            url=parsed.url,
-            client_ip=client_ip,
-            headers=parsed.headers,
-            timestamp=self._stamp(),
+            parsed.method, parsed.url, client_ip, parsed.headers, self._stamp()
         )
 
         if request.url.path.startswith("/__captcha__"):
             return self._captcha(request, parsed.body)
 
         index = connection.lane = self._network.node_index_for(client_ip)
-        if not self._admit(index, client_ip):
+        cfg = self._config
+        pending = self._pending[index]
+        if cfg.policy == "shed":
+            admitted = pending < cfg.max_pending_per_node
+        else:
+            admitted = self._controller is None or self._controller.admit(
+                index, client_ip, (pending + 1) * self._ewma[index]
+            )
+        if not admitted:
             self.metrics.shed.inc()
             response = error_response(
                 503, "overloaded: request shed at admission"
@@ -563,8 +558,17 @@ class DetectorServer:
             response.headers.set("Retry-After", "1")
             return response
 
+        node = self._network.nodes[index]
         started = time.perf_counter()
-        response = self._handle_on_node(self._network.nodes[index], request)
+        response, outcome = node.handle_traced(request)
+        if outcome is not None and cfg.ladder is not None:
+            ladder = node.ladder_for(client_ip)
+            if ladder is not None:
+                ladder.observe_verdict(
+                    client_ip,
+                    -1.0 if outcome.verdict.label is Label.ROBOT else 1.0,
+                    request.timestamp,
+                )
         elapsed = time.perf_counter() - started
         self._ewma[index] += 0.2 * (elapsed - self._ewma[index])
         self.metrics.observe_stage("handle", elapsed)
@@ -574,27 +578,6 @@ class DetectorServer:
         self._log(request, response)
         self.requests_handled += 1
         return response
-
-    def _handle_on_node(self, node, request: Request) -> Response:
-        response, outcome = node.handle_traced(request)
-        if self._config.ladder is not None and outcome is not None:
-            ladder = node.ladder_for(request.client_ip)
-            if ladder is not None:
-                ladder.observe_verdict(
-                    request.client_ip,
-                    -1.0 if outcome.verdict.label is Label.ROBOT else 1.0,
-                    request.timestamp,
-                )
-        return response
-
-    def _admit(self, index: int, client_ip: str) -> bool:
-        cfg = self._config
-        if cfg.policy == "shed":
-            return self._pending[index] < cfg.max_pending_per_node
-        if self._controller is not None:
-            predicted = (self._pending[index] + 1) * self._ewma[index]
-            return self._controller.admit(index, client_ip, predicted)
-        return True
 
     # -- CAPTCHA funnel -----------------------------------------------------
 

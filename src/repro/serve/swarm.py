@@ -105,12 +105,6 @@ class SwarmResult:
             for r in self.reports
         }
 
-    def kind_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for report in self.reports:
-            counts[report.kind] = counts.get(report.kind, 0) + 1
-        return counts
-
 
 def render_request(
     method: Method,

@@ -151,16 +151,12 @@ class TraceRecord(NamedTuple):
         cls, request: Request, response: Response
     ) -> "TraceRecord":
         """Capture one request/response pair flowing through a proxy."""
-        return cls(
-            request.client_ip,
-            request.timestamp,
-            request.method,
-            request.url,
-            response.status,
-            response.size,
-            request.user_agent,
-            request.referer,
-        )
+        headers = request.headers
+        return tuple.__new__(cls, (
+            request.client_ip, request.timestamp, request.method, request.url,
+            response.status, len(response.body),
+            headers.get("User-Agent") or "", headers.get("Referer"), "", "",
+        ))
 
     def to_request(self) -> Request:
         """Rebuild the proxy-side request this line describes."""

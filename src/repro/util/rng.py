@@ -113,12 +113,6 @@ class RngStream:
             raise ValueError(f"median must be positive, got {median}")
         return self._random.lognormvariate(math.log(median), sigma)
 
-    def pareto(self, alpha: float, minimum: float = 1.0) -> float:
-        """Pareto variate with shape ``alpha``, scaled so the minimum is as given."""
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
-        return minimum * (1.0 + self._random.paretovariate(alpha) - 1.0)
-
     def poisson(self, lam: float) -> int:
         """Poisson variate (Knuth for small lambda, normal approx for large)."""
         if lam < 0:

@@ -16,9 +16,11 @@ from repro.agents.robots import (
     MouseForgerBot,
     OfflineBrowserBot,
     ReferrerSpammerBot,
+    UaEchoBot,
     VulnScannerBot,
 )
 from repro.detection.session import DetectionLatency
+from repro.http.content import ContentKind
 from repro.detection.verdict import Label
 from repro.proxy.node import ProxyNode
 from repro.site.generator import SiteConfig, SiteGenerator
@@ -277,6 +279,64 @@ class TestHandlerGrep:
             assert latency.mouse_at == verdict.at_request
             latencies.append(latency.mouse_at)
         assert latencies == [self.MOUSE_AT] * len(self.SEEDS)
+
+
+class TestUaEcho:
+    """A client with no JavaScript engine that reads the UA probe.
+
+    Committed outcome: *lands in S_JS − S_MM*.  The echo URL is the probe's
+    prefix plus the client's own User-Agent, which a regex reads off the
+    inline script, so the fetch puts the client in S_JS at no cost; it
+    echoes the header it sends, so there is no UA mismatch either.  With no
+    CSS fetch and no mouse event it is outside S_H, and its final verdict
+    is ROBOT.  Detection latency: the echo is request 2 on every site (the
+    home page, then the probe); a HUMAN verdict would be "evades — bug".
+    """
+
+    SEEDS = range(10)
+    ECHO_AT = 2
+
+    @staticmethod
+    def _run_on_site(seed: int):
+        site = SiteGenerator(SiteConfig(n_pages=40)).generate(
+            RngStream(seed, "echo-site")
+        )
+        node = ProxyNode(
+            "node-echo", {site.host: OriginServer(site)}, RngStream(seed, "node")
+        )
+        bot = UaEchoBot(
+            "10.6.0.2", "Wget/1.10.2", RngStream(seed, "bot"),
+            f"http://{site.host}{site.home_path}",
+        )
+        sent = []
+
+        def handle(request):
+            sent.append(request)
+            return node.handle(request)
+
+        record = SessionRunner(handle).run(bot)
+        state = node.detection.tracker.get(bot.client_ip, bot.user_agent)
+        return record, state, sent
+
+    def test_lands_in_js_minus_mm_on_every_site(self):
+        for seed in self.SEEDS:
+            record, state, sent = self._run_on_site(seed)
+            echo = sent.pop(self.ECHO_AT - 1)
+            assert echo.url.path.startswith("/ua_")
+            assert echo.url.path.endswith("/wget_1.10.2.css")
+            # The home page and 12 plain pages: no stylesheet, image or script.
+            assert len(sent) == 13
+            assert {r.path_kind for r in sent} <= {ContentKind.HTML, ContentKind.CGI}
+            verdict = state.final_verdict()
+            assert verdict.label is Label.ROBOT, seed
+            assert verdict.reason == "outside S_H"
+            assert state.in_js_set
+            assert not state.in_mouse_set and not state.in_css_set
+            assert not state.ua_mismatched
+            assert state.wrong_key_fetches == 0
+            assert state.js_executed_at == self.ECHO_AT
+            assert record.requests > self.ECHO_AT
+            assert not state.is_human_by_set_algebra
 
 
 class TestHotlinkLeech:

@@ -15,7 +15,13 @@ The framing-header rules are restated here on their own, not imported:
 * a field name with blanks around it is malformed (RFC 9112 §5.1 — no
   whitespace between a field name and its colon);
 * ``Content-Length`` is ``1*DIGIT`` and repeated fields must agree
-  (RFC 9112 §6.3).
+  (RFC 9112 §6.3);
+* the target's host is the first ``Host`` field, and ``Connection``
+  tokens decide persistence;
+* ``X-Forwarded-For`` is handed over as ``forwarded`` — the first
+  field's value — and, when that value is non-empty, every such field
+  leaves the pipeline view (what the server's dispatch once did with
+  ``get`` then ``remove``).
 """
 
 from __future__ import annotations
@@ -31,9 +37,8 @@ from repro.serve.http11 import (
     Http11Limits,
     HttpParseError,
     ParsedRequest,
-    _keep_alive,
-    _resolve_target,
 )
+from repro.http.uri import Url
 
 _DIGITS = re.compile(r"[0-9]+")
 
@@ -60,6 +65,31 @@ def _split_field(line: str) -> tuple[str, str]:
     if not sep or not name or name != name.strip():
         raise HttpParseError(400, f"malformed header field: {line[:120]}")
     return name, value.strip()
+
+
+def _resolve_target(
+    target: str, headers: Headers, default_host: str | None
+) -> Url:
+    if target.startswith("/"):
+        host = headers.get("Host") or default_host
+        if not host:
+            raise HttpParseError(400, "origin-form target needs a Host header")
+        target = f"http://{host}{target}"
+    try:
+        return Url.parse(target)
+    except ValueError as exc:
+        raise HttpParseError(400, f"bad request target: {exc}") from None
+
+
+def _keep_alive(version: str, headers: Headers) -> bool:
+    tokens = {
+        token.strip().lower()
+        for value in headers.get_all("Connection")
+        for token in value.split(",")
+    }
+    if version == "HTTP/1.0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
 
 
 def _body_length(headers: Headers, limits: Http11Limits) -> int:
@@ -156,6 +186,9 @@ def parse_request(
             raise HttpParseError(400, "truncated request body")
         return None
 
+    forwarded = headers.get("X-Forwarded-For")
+    if forwarded:
+        headers.remove("X-Forwarded-For")
     parsed = ParsedRequest(
         method=method,
         url=url,
@@ -165,5 +198,6 @@ def parse_request(
         body=bytes(buffer[body_start:consumed]),
         parse_seconds=time.perf_counter() - started,
         raw_headers=raw_headers,
+        forwarded=forwarded,
     )
     return parsed, consumed

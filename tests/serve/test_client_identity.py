@@ -79,6 +79,54 @@ class TestForwardedFor:
             assert parsed.headers.get("X-Forwarded-For") is None
 
 
+#: ``(peer, X-Forwarded-For values) -> (client IP, header view)`` as the
+#: server answered before the framer handed the header over: the first
+#: value names the client (one token, trusted peer only), and every
+#: X-Forwarded-For field leaves the view unless that first value is empty.
+_WITHOUT = [("User-Agent", "UA")]
+FORWARDED_CASES = {
+    "empty": (
+        "127.0.0.1", [""],
+        "127.0.0.1", [("User-Agent", "UA"), ("X-Forwarded-For", "")],
+    ),
+    "empty then an address": (
+        "127.0.0.1", ["", VICTIM],
+        "127.0.0.1",
+        [("User-Agent", "UA"), ("X-Forwarded-For", ""), ("X-Forwarded-For", VICTIM)],
+    ),
+    "repeated": ("127.0.0.1", [VICTIM, "10.0.0.1"], VICTIM, _WITHOUT),
+    "a list": ("127.0.0.1", [f"{VICTIM}, 10.0.0.1"], VICTIM, _WITHOUT),
+    "two tokens": ("127.0.0.1", ["10.0.0.1 10.0.0.2"], "127.0.0.1", _WITHOUT),
+    "untrusted peer": ("203.0.113.9", [VICTIM], "203.0.113.9", _WITHOUT),
+    "untrusted peer, repeated": (
+        "203.0.113.9", [VICTIM, VICTIM], "203.0.113.9", _WITHOUT,
+    ),
+    "untrusted peer, empty": (
+        "203.0.113.9", [""],
+        "203.0.113.9", [("User-Agent", "UA"), ("X-Forwarded-For", "")],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "peer, values, client_ip, view",
+    FORWARDED_CASES.values(),
+    ids=FORWARDED_CASES.keys(),
+)
+def test_client_and_view_are_what_dispatch_left(peer, values, client_ip, view):
+    server = _server()
+    seen = []
+    server._network.add_tap(lambda request, response: seen.append(request))
+    raw = f"GET / HTTP/1.1\r\nHost: {HOST}\r\nUser-Agent: UA\r\n"
+    raw += "".join(f"X-Forwarded-For: {value}\r\n" for value in values)
+    parsed, _consumed = parse_request(bytearray(f"{raw}\r\n".encode()))
+    _dispatch(server, peer, parsed)
+    (request,) = seen
+    assert request.client_ip == client_ip
+    assert [r.client_ip for r in server.records] == [client_ip]
+    assert list(request.headers) == view
+
+
 class TestServeCounters:
     def test_counters_are_the_exported_series(self):
         async def go():

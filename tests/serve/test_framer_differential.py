@@ -9,6 +9,7 @@ same request and ``consumed`` at every step — or refuse with the same
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,42 +40,44 @@ _REQUEST_LINES = st.sampled_from(
 _LONG_REQUEST_LINES = st.integers(30, 40).map(
     lambda n: "GET /" + "a" * n + " HTTP/1.1"
 )
-_FIELDS = st.sampled_from(
-    [
-        "Host: h.example",
-        "host:h",
-        "Host : evil.example",
-        "User-Agent: UA/1.0",
-        "user-agent:  spaced  ",
-        "Referer: http://h.example/",
-        "Connection: close",
-        "Connection: keep-alive",
-        "Connection: Keep-Alive, Upgrade",
-        "Content-Length: 0",
-        "Content-Length: 2",
-        "Content-Length: 3",
-        "Content-Length: 03",
-        "Content-Length: 99",
-        "Content-Length: 1_0",
-        "Content-Length: +3",
-        "Content-Length: -1",
-        "Content-Length: 3, 3",
-        "Content-Length:",
-        "Content-Length : 3",
-        "Transfer-Encoding: chunked",
-        "X-Forwarded-For: 10.0.0.9",
-        "X-\xc4: \xff\xfe",
-        " folded",
-        "\tfolded",
-        "nocolon",
-        ": no name",
-        "\x0bX-A: 1",
-        "X-A\x0b: 1",
-    ]
-)
+_FIELD_LINES = [
+    "Host: h.example",
+    "host:h",
+    "Host : evil.example",
+    "User-Agent: UA/1.0",
+    "user-agent:  spaced  ",
+    "Referer: http://h.example/",
+    "Connection: close",
+    "Connection: keep-alive",
+    "Connection: Keep-Alive, Upgrade",
+    "Content-Length: 0",
+    "Content-Length: 2",
+    "Content-Length: 3",
+    "Content-Length: 03",
+    "Content-Length: 99",
+    "Content-Length: 1_0",
+    "Content-Length: +3",
+    "Content-Length: -1",
+    "Content-Length: 3, 3",
+    "Content-Length:",
+    "Content-Length : 3",
+    "Transfer-Encoding: chunked",
+    "X-Forwarded-For: 10.0.0.9",
+    "x-forwarded-for: 10.0.0.9, 10.0.0.8",
+    "X-Forwarded-For:",
+    "X-\xc4: \xff\xfe",
+    " folded",
+    "\tfolded",
+    "nocolon",
+    ": no name",
+    "\x0bX-A: 1",
+    "X-A\x0b: 1",
+]
+_FIELDS = st.sampled_from(_FIELD_LINES)
 #: Fields within a few bytes of ``TIGHT.max_header_bytes``.
 _LONG_FIELDS = st.integers(80, 96).map(lambda n: "X-Long: " + "v" * (n - 8))
-_TERMINATORS = st.sampled_from(["\r\n", "\r\n", "\n", "\r\r\n"])
+_TERMINATOR_LIST = ["\r\n", "\n", "\r\r\n"]
+_TERMINATORS = st.sampled_from(["\r\n", *_TERMINATOR_LIST])
 
 
 @st.composite
@@ -123,6 +126,7 @@ def _fields(parsed, consumed):
         parsed.version,
         parsed.keep_alive,
         parsed.body,
+        parsed.forwarded,
         consumed,
     )
 
@@ -184,3 +188,44 @@ class TestAgainstReference:
             assert _steps(parse_request, data, cuts, eof, TIGHT) == _steps(
                 reference_http11.parse_request, data, cuts, eof, TIGHT
             )
+
+
+#: Fields that matter only next to one another: the order of the
+#: X-Forwarded-For fields that stay in the view, and the first ``Host``.
+_FIELD_RUNS = [
+    ("X-Forwarded-For:", "User-Agent: UA/1.0", "X-Forwarded-For: 10.0.0.9"),
+    ("X-Forwarded-For: 10.0.0.9", "User-Agent: UA/1.0", "X-Forwarded-For:"),
+    ("User-Agent: UA/1.0", "X-Forwarded-For:", "X-A: 1", "X-Forwarded-For:"),
+    ("Host: first.example", "Host: second.example"),
+    ("Connection: keep-alive", "Connection: close"),
+    ("Content-Length: 2", "Content-Length: 2"),
+    ("Content-Length: 2", "Content-Length: 3"),
+]
+
+
+class TestEveryField:
+    """Each field and terminator in one well-formed request, on every run.
+
+    The random streams above reach a well-formed request carrying a given
+    field only by chance; here each one is framed whole, cut at every
+    byte, and at EOF, beside the reference.
+    """
+
+    @pytest.mark.parametrize("terminator", _TERMINATOR_LIST, ids=repr)
+    @pytest.mark.parametrize(
+        "fields",
+        [(line,) for line in _FIELD_LINES] + _FIELD_RUNS,
+        ids=repr,
+    )
+    @pytest.mark.parametrize("target", ["/a", "http://h.example/x?q=1"])
+    def test_same_request(self, fields, terminator, target):
+        data = (
+            f"GET {target} HTTP/1.1{terminator}"
+            + "".join(field + terminator for field in fields)
+            + terminator
+        ).encode("latin-1") + b"abc"
+        for cut in range(len(data) + 1):
+            for eof in (False, True):
+                assert _steps(parse_request, data, [cut], eof, None) == _steps(
+                    reference_http11.parse_request, data, [cut], eof, None
+                )

@@ -543,8 +543,9 @@ _TOKEN = st.text(
     min_size=1,
     max_size=12,
 )
+# X-Forwarded-For is handed over as ``forwarded``, not kept in the view.
 _HEADER_NAME = _TOKEN.filter(
-    lambda name: name.lower() not in _FRAMING_HEADERS
+    lambda name: name.lower() not in _FRAMING_HEADERS | {"x-forwarded-for"}
 )
 # Visible Latin-1, no CR/LF, no surrounding blanks (the parser strips them).
 _HEADER_VALUE = st.text(
