@@ -63,13 +63,14 @@ class DetectionService:
         if hit is not None:
             state.observe_hit(hit, index)
         verdict = state.verdict()
-        return RequestOutcome(
+        # At C cost: a NamedTuple's own constructor is Python.
+        return tuple.__new__(RequestOutcome, (
             state, hit, verdict, state.police(request, verdict, self.policy)
-        )
+        ))
 
     def note_response(self, outcome: RequestOutcome, response: Response) -> None:
         """Record the response for the request handled in ``outcome``."""
-        outcome.state.note_response(response, from_beacon=outcome.hit is not None)
+        outcome.state.note_response(response, outcome.hit is not None)
 
     # -- end-of-experiment reductions --------------------------------------
 

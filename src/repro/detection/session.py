@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.detection.verdict import Label, Verdict
+from repro.http.content import ContentKind
 from repro.http.message import Method, Request, Response
 from repro.http.status import StatusClass
 from repro.instrument.keys import BeaconHit, BeaconKind
@@ -58,10 +59,22 @@ _HIDDEN_LINK = "followed hidden link"
 _UA_MISMATCH = "User-Agent header contradicts JavaScript echo"
 _MOUSE = "correctly keyed mouse event"
 
+# The members the per-request updates compare against, read once (on
+# CPython 3.11 an ``Enum.MEMBER`` read is a class lookup); an unpacked
+# enum yields its members in definition order.
+_GET, _HEAD, _POST = Method
+_, _SUCCESS, _REDIRECT, _CLIENT_ERROR, _SERVER_ERROR = StatusClass
+_BEACON_JS, _MOUSE_IMAGE, _CSS_BEACON, _TRAP_PAGE, _, _UA_PROBE = BeaconKind
+_HUMAN, _ROBOT, _UNDECIDED = Label
+_CGI = ContentKind.CGI
 
-@dataclass(frozen=True)
-class SessionKey:
-    """The <IP, User-Agent> pair that identifies a session."""
+
+class SessionKey(NamedTuple):
+    """The <IP, User-Agent> pair that identifies a session.
+
+    A named tuple: equal to, and hashed as, the plain
+    ``(client_ip, user_agent)`` tuple the tracker routes requests by.
+    """
 
     client_ip: str
     user_agent: str
@@ -191,13 +204,14 @@ class SessionState:
         """Record an incoming request; returns its 1-based index."""
         self.request_count += 1
         self.last_request_at = request.timestamp
-        if request.method is Method.HEAD:
+        method = request.method
+        if method is _HEAD:
             self.head_requests += 1
-        elif request.method is Method.POST:
+        elif method is _POST:
             self.post_requests += 1
         else:
             self.get_requests += 1
-        if request.path_kind.value == "cgi":
+        if request.path_kind is _CGI:
             self.cgi_requests += 1
         return self.request_count
 
@@ -211,15 +225,15 @@ class SessionState:
         """
         probe = hit.probe
         kind = probe.kind
-        if kind is BeaconKind.MOUSE_IMAGE:
+        if kind is _MOUSE_IMAGE:
             if not probe.is_real_key:
                 self.wrong_key_fetches += 1
             elif self.mouse_event_at is None:
                 self.mouse_event_at = index
-        elif kind is BeaconKind.CSS_BEACON:
+        elif kind is _CSS_BEACON:
             if self.css_beacon_at is None:
                 self.css_beacon_at = index
-        elif kind is BeaconKind.UA_PROBE:
+        elif kind is _UA_PROBE:
             if self.js_executed_at is None:
                 self.js_executed_at = index
             # An empty echo is no claim, so it cannot contradict one.
@@ -230,23 +244,23 @@ class SessionState:
                 and echoed != sanitize_user_agent(self.key.user_agent)
             ):
                 self.ua_mismatch_at = index
-        elif kind is BeaconKind.BEACON_JS:
+        elif kind is _BEACON_JS:
             if self.beacon_js_at is None:
                 self.beacon_js_at = index
-        elif kind is BeaconKind.TRAP_PAGE:
+        elif kind is _TRAP_PAGE:
             if self.hidden_link_at is None:
                 self.hidden_link_at = index
 
     def note_response(self, response: Response, from_beacon: bool = False) -> None:
         """Record the response paired with the latest request."""
         klass = response.status_class
-        if klass is StatusClass.SUCCESS:
+        if klass is _SUCCESS:
             self.status_2xx += 1
-        elif klass is StatusClass.REDIRECT:
+        elif klass is _REDIRECT:
             self.status_3xx += 1
-        elif klass is StatusClass.CLIENT_ERROR:
+        elif klass is _CLIENT_ERROR:
             self.status_4xx += 1
-        elif klass is StatusClass.SERVER_ERROR:
+        elif klass is _SERVER_ERROR:
             self.status_5xx += 1
         self.bytes_served += response.size
         if from_beacon:
@@ -288,54 +302,46 @@ class SessionState:
         n = self.request_count
         reason = self._robot_evidence()
         if reason is not None:
-            return Verdict(Label.ROBOT, reason, definitive=True, at_request=n)
+            return Verdict(_ROBOT, reason, True, n)
         if self.mouse_event_at is not None:
-            return Verdict(
-                Label.HUMAN, _MOUSE,
-                definitive=True, at_request=self.mouse_event_at,
-            )
+            return Verdict(_HUMAN, _MOUSE, True, self.mouse_event_at)
         if self.captcha_passed_at is not None:
-            return Verdict(
-                Label.HUMAN, "passed CAPTCHA",
-                definitive=True, at_request=self.captcha_passed_at,
-            )
+            return Verdict(_HUMAN, "passed CAPTCHA", True, self.captcha_passed_at)
         if (
             self.js_executed_at is not None
             and n - self.js_executed_at >= JS_NO_MOUSE_GRACE
         ):
             return Verdict(
-                Label.ROBOT, "executed JavaScript but produced no mouse event",
-                at_request=n,
+                _ROBOT, "executed JavaScript but produced no mouse event", False, n
             )
         if self.css_beacon_at is not None:
             return Verdict(
-                Label.HUMAN, "downloaded beacon CSS (standard browser pattern)",
-                at_request=self.css_beacon_at,
+                _HUMAN, "downloaded beacon CSS (standard browser pattern)",
+                False, self.css_beacon_at,
             )
         if n >= MIN_REQUESTS:
             return Verdict(
-                Label.ROBOT, "no browser-like evidence after minimum requests",
-                at_request=n,
+                _ROBOT, "no browser-like evidence after minimum requests", False, n
             )
-        return Verdict(Label.UNDECIDED, "insufficient requests", at_request=n)
+        return Verdict(_UNDECIDED, "insufficient requests", False, n)
 
     def final_verdict(self) -> Verdict:
         """Session-end verdict: the set algebra, hard evidence first."""
         n = self.request_count
         reason = self._robot_evidence()
         if reason is not None:
-            return Verdict(Label.ROBOT, reason, definitive=True, at_request=n)
+            return Verdict(_ROBOT, reason, definitive=True, at_request=n)
         if self.mouse_event_at is not None:
             return Verdict(
-                Label.HUMAN, _MOUSE,
+                _HUMAN, _MOUSE,
                 definitive=True, at_request=self.mouse_event_at,
             )
         if self.is_human_by_set_algebra:
             return Verdict(
-                Label.HUMAN, "in S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM)",
+                _HUMAN, "in S_H = (S_CSS ∪ S_MM) − (S_JS − S_MM)",
                 at_request=n,
             )
-        return Verdict(Label.ROBOT, "outside S_H", at_request=n)
+        return Verdict(_ROBOT, "outside S_H", at_request=n)
 
     # -- §3.2 staging ----------------------------------------------------------
 
@@ -352,8 +358,8 @@ class SessionState:
         if self.block_reason:
             return True
         label = verdict.label
-        if label is not Label.ROBOT:
-            if label is Label.HUMAN:
+        if label is not _ROBOT:
+            if label is _HUMAN:
                 self.cgi_rate = self.get_rate = 0.0
                 self.rates_at = None
             return False
@@ -363,9 +369,9 @@ class SessionState:
             self.cgi_rate *= decay
             self.get_rate *= decay
         self.rates_at = now
-        if request.path_kind.value == "cgi":
+        if request.path_kind is _CGI:
             self.cgi_rate += 1.0
-        if request.method is Method.GET:
+        if request.method is _GET:
             self.get_rate += 1.0
         reason = self._tripped(config)
         if reason is None:

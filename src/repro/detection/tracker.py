@@ -26,7 +26,9 @@ class SessionTracker:
     """
 
     def __init__(self, id_prefix: str = "sess") -> None:
-        self._live: dict[SessionKey, SessionState] = {}
+        #: Keyed by the plain ``(client_ip, user_agent)`` tuple, which a
+        #: :class:`SessionKey` equals and hashes as.
+        self._live: dict[tuple[str, str], SessionState] = {}
         self._ids = IdGenerator(id_prefix)
         self.completed: list[SessionState] = []
         self._total_started = 0
@@ -47,7 +49,7 @@ class SessionTracker:
         Returns ``(state, started)`` where ``started`` is True when this
         request opened a new session.
         """
-        key = SessionKey(request.client_ip, request.user_agent)
+        key = (request.client_ip, request.user_agent)
         state = self._live.get(key)
         started = False
         if state is not None and (
@@ -58,7 +60,7 @@ class SessionTracker:
         if state is None:
             state = SessionState(
                 session_id=self._ids.next(),
-                key=key,
+                key=SessionKey(*key),
                 started_at=request.timestamp,
                 last_request_at=request.timestamp,
             )
@@ -69,7 +71,7 @@ class SessionTracker:
 
     def get(self, client_ip: str, user_agent: str) -> SessionState | None:
         """Look up the live session for a key, if any."""
-        return self._live.get(SessionKey(client_ip, user_agent))
+        return self._live.get((client_ip, user_agent))
 
     def expire_idle(self, now: float) -> list[SessionState]:
         """Retire every session idle for longer than the timeout."""

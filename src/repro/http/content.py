@@ -44,6 +44,9 @@ class ContentKind(Enum):
         return self in (ContentKind.CSS, ContentKind.IMAGE, ContentKind.AUDIO)
 
 
+# Read once: on CPython 3.11 an ``Enum.MEMBER`` read is a class lookup.
+_HTML, _, _, _IMAGE, _AUDIO, _CGI, _FAVICON, _ROBOTS_TXT, _OTHER = ContentKind
+
 _EXTENSION_KINDS: dict[str, ContentKind] = {
     "html": ContentKind.HTML,
     "htm": ContentKind.HTML,
@@ -94,39 +97,38 @@ def classify_path(url: Url) -> ContentKind:
 
     CGI is recognised both by extension (.cgi/.pl) and by the conventional
     ``/cgi-bin/`` prefix or a query string on a script path, matching how
-    the paper's operators counted "CGI request rate".
+    the paper's operators counted "CGI request rate".  The path is
+    lowered once; the extension follows the last dot of its last segment.
     """
     path = url.path.lower()
     if path == "/favicon.ico":
-        return ContentKind.FAVICON
+        return _FAVICON
     if path == "/robots.txt":
-        return ContentKind.ROBOTS_TXT
+        return _ROBOTS_TXT
     if "/cgi-bin/" in path:
-        return ContentKind.CGI
-    ext = url.extension
+        return _CGI
+    name = path.rpartition("/")[2]
+    ext = name.rpartition(".")[2] if "." in name else ""
     kind = _EXTENSION_KINDS.get(ext)
-    if kind is ContentKind.HTML and url.query:
-        return ContentKind.CGI
     if kind is not None:
-        return kind
-    if ext == "" and url.query:
-        return ContentKind.CGI
-    if ext == "":
-        # Directory-style URL: servers answer with HTML indexes.
-        return ContentKind.HTML
-    return ContentKind.OTHER
+        return _CGI if kind is _HTML and url.query else kind
+    if ext:
+        return _OTHER
+    # No extension: a script with a query, else a directory-style URL,
+    # which servers answer with an HTML index.
+    return _CGI if url.query else _HTML
 
 
 def classify_content_type(content_type: str | None) -> ContentKind:
     """Classify a response Content-Type header value."""
     if content_type is None:
-        return ContentKind.OTHER
+        return _OTHER
     mime = content_type.split(";", 1)[0].strip().lower()
     if mime.startswith("image/"):
-        return ContentKind.IMAGE
+        return _IMAGE
     if mime.startswith("audio/"):
-        return ContentKind.AUDIO
-    return _MIME_KINDS.get(mime, ContentKind.OTHER)
+        return _AUDIO
+    return _MIME_KINDS.get(mime, _OTHER)
 
 
 def content_type_for_path(url: Url) -> str:

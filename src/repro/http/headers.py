@@ -1,8 +1,9 @@
 """Case-insensitive, order-preserving HTTP headers.
 
-Only the handful of headers the paper's mechanisms care about get dedicated
-accessors (User-Agent, Referer, Cache-Control, Content-Type), but arbitrary
-headers round-trip so agent models can attach realistic request metadata.
+The fields the detectors read on every request (User-Agent, Referer,
+Content-Type) are looked up by their folded names (:meth:`Headers.get_folded`);
+arbitrary headers round-trip so agent models can attach realistic request
+metadata.
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ class Headers:
 
     def get(self, name: str, default: str | None = None) -> str | None:
         """First value for ``name``, or ``default``."""
-        folded = name.lower()
+        return self.get_folded(name.lower(), default)
+
+    def get_folded(self, folded: str, default: str | None = None) -> str | None:
+        """:meth:`get` for a name already lower-case."""
         if folded in self._folded:
             return self._entries[self._folded.index(folded)][1]
         return default
@@ -94,31 +98,9 @@ class Headers:
         """Shallow copy."""
         return Headers.from_folded(list(self._entries), list(self._folded))
 
-    # -- convenience accessors for the fields the detectors read ----------
-
-    @property
-    def user_agent(self) -> str | None:
-        """The User-Agent value, if present."""
-        return self.get("User-Agent")
-
-    @property
-    def referer(self) -> str | None:
-        """The Referer value, if present."""
-        return self.get("Referer")
-
-    @property
-    def content_type(self) -> str | None:
-        """The Content-Type value, if present."""
-        return self.get("Content-Type")
-
-    @property
-    def cache_control(self) -> str | None:
-        """The Cache-Control value, if present."""
-        return self.get("Cache-Control")
-
     def is_uncacheable(self) -> bool:
         """True when Cache-Control forbids storing (as beacon responses must)."""
-        value = self.cache_control
+        value = self.get_folded("cache-control")
         if value is None:
             return False
         directives = {part.strip().lower() for part in value.split(",")}

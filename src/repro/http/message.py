@@ -59,12 +59,12 @@ class Request:
     @property
     def user_agent(self) -> str:
         """The User-Agent header, empty string when absent."""
-        return self.headers.user_agent or ""
+        return self.headers.get_folded("user-agent") or ""
 
     @property
     def referer(self) -> str | None:
         """The Referer header if present."""
-        return self.headers.referer
+        return self.headers.get_folded("referer")
 
     @property
     def path_kind(self) -> ContentKind:
@@ -121,12 +121,12 @@ class Response:
     @property
     def content_type(self) -> str | None:
         """Content-Type header value, if any."""
-        return self.headers.content_type
+        return self.headers.get_folded("content-type")
 
     @property
     def content_kind(self) -> ContentKind:
         """Object kind per the Content-Type header."""
-        return classify_content_type(self.content_type)
+        return classify_content_type(self.headers.get_folded("content-type"))
 
     @property
     def size(self) -> int:

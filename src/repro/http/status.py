@@ -46,18 +46,22 @@ class StatusClass(Enum):
     SERVER_ERROR = "5xx"
 
 
+# Read once (an ``Enum.MEMBER`` read is a class lookup), in definition order.
+_INFORMATIONAL, _SUCCESS, _REDIRECT, _CLIENT_ERROR, _SERVER_ERROR = StatusClass
+
+
 def status_class(code: int) -> StatusClass:
     """Map a status code to its class; raises on out-of-range codes."""
-    if 100 <= code <= 199:
-        return StatusClass.INFORMATIONAL
     if 200 <= code <= 299:
-        return StatusClass.SUCCESS
+        return _SUCCESS
     if 300 <= code <= 399:
-        return StatusClass.REDIRECT
+        return _REDIRECT
     if 400 <= code <= 499:
-        return StatusClass.CLIENT_ERROR
+        return _CLIENT_ERROR
     if 500 <= code <= 599:
-        return StatusClass.SERVER_ERROR
+        return _SERVER_ERROR
+    if 100 <= code <= 199:
+        return _INFORMATIONAL
     raise ValueError(f"invalid HTTP status code: {code}")
 
 

@@ -185,9 +185,10 @@ class InstrumentationRegistry:
             return BeaconHit(probe=probe)
 
         # UA probes register a directory prefix; the fetched path embeds
-        # the client-echoed User-Agent string as its final segment.
+        # the client-echoed User-Agent string as its final segment.  Most
+        # paths start with none of them: one C-level test says so.
         prefixes = self._ua_prefixes.get(request.client_ip)
-        if prefixes:
+        if prefixes and path.startswith(tuple(prefixes)):
             for prefix, ua_probe in reversed(prefixes.items()):
                 if path.startswith(prefix) and self._alive(ua_probe, now):
                     if request.url.host != ua_probe.host:

@@ -80,6 +80,8 @@ _TRAP_PAGE_BODY = (
     b"<html><head><title>index</title></head>"
     b"<body><p>nothing to see</p></body></html>"
 )
+#: The paper's anti-caching header, as a header entry.
+_NO_STORE = ("Cache-Control", "no-cache, no-store")
 #: What a probe fetch is answered with, by kind (the script is emitted).
 #: "The server can respond with any JPEG image because the picture is not
 #: used."  Every answer but the trap image is marked uncacheable.
@@ -337,19 +339,23 @@ def _ten_digits(bits) -> int:
 
 def mark_uncacheable(headers: Headers) -> None:
     """Apply the paper's anti-caching header to an instrumented response."""
-    headers.set("Cache-Control", "no-cache, no-store")
+    headers.set(*_NO_STORE)
 
 
 def beacon_response(hit: BeaconHit) -> Response:
     """Serve a matched probe request directly from the proxy."""
     probe = hit.probe
-    if probe.kind is BeaconKind.BEACON_JS:
+    kind = probe.kind
+    if kind is _BEACON_JS:
         script = probe.script
         content_type = "application/javascript"
         body = script.source.encode("utf-8") if script is not None else b""
     else:
-        content_type, body = _BEACON_ANSWERS[probe.kind]
-    headers = Headers([("Content-Type", content_type)])
-    if probe.kind is not BeaconKind.TRAP_IMAGE:
-        mark_uncacheable(headers)
+        content_type, body = _BEACON_ANSWERS[kind]
+    if kind is _TRAP_IMAGE:
+        headers = Headers.from_folded([("Content-Type", content_type)], ["content-type"])
+    else:
+        headers = Headers.from_folded(
+            [("Content-Type", content_type), _NO_STORE], ["content-type", "cache-control"]
+        )
     return Response(200, headers, body)

@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.http.content import ContentKind
 from repro.http.message import Method, Request, Response
+
+_GET = Method.GET
+#: Static kinds a proxy may share between clients (never HTML).
+_CACHEABLE_KINDS = frozenset((
+    ContentKind.CSS, ContentKind.JAVASCRIPT, ContentKind.IMAGE,
+    ContentKind.AUDIO, ContentKind.OTHER,
+))
 
 
 @dataclass
@@ -38,8 +46,8 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
+    #: The stored response as every hit serves it (``served_from_cache``).
     response: Response
     stored_at: float
 
@@ -69,7 +77,7 @@ class ProxyCache:
         still lookups; skipping them (the old behaviour) overstated
         ``hit_rate`` on POST-heavy workloads.
         """
-        if request.method is not Method.GET:
+        if request.method is not _GET:
             self.stats.misses += 1
             return None
         key = self._key(request)
@@ -82,20 +90,24 @@ class ProxyCache:
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        cached = entry.response
-        return Response(
-            status=cached.status,
-            headers=cached.headers,
-            body=cached.body,
-            served_from_cache=True,
-        )
+        return entry.response
 
-    def store(self, request: Request, response: Response, now: float) -> bool:
-        """Cache the response if it is cacheable; returns True when stored."""
-        if not self._cacheable(request, response):
+    def store(
+        self, request: Request, response: Response, now: float,
+        kind: ContentKind | None = None,
+    ) -> bool:
+        """Cache the response if it is cacheable; returns True when stored.
+
+        ``kind`` is ``response.content_kind`` when the caller has read it.
+        Every hit shares the one stored response, headers and body
+        included: nothing may edit a served response in place.
+        """
+        if not self._cacheable(request, response, kind):
             return False
         key = self._key(request)
-        self._entries[key] = _Entry(response=response, stored_at=now)
+        self._entries[key] = tuple.__new__(_Entry, (
+            Response(response.status, response.headers, response.body, True), now
+        ))
         self._entries.move_to_end(key)
         self.stats.insertions += 1
         while len(self._entries) > self._capacity:
@@ -124,20 +136,11 @@ class ProxyCache:
         return len(self._entries)
 
     @staticmethod
-    def _cacheable(request: Request, response: Response) -> bool:
-        if request.method is not Method.GET:
-            return False
-        if response.status != 200:
+    def _cacheable(
+        request: Request, response: Response, kind: ContentKind | None
+    ) -> bool:
+        if request.method is not _GET or response.status != 200:
             return False
         if response.headers.is_uncacheable():
             return False
-        kind = response.content_kind
-        if kind is ContentKind.HTML:
-            return False
-        return kind in (
-            ContentKind.CSS,
-            ContentKind.JAVASCRIPT,
-            ContentKind.IMAGE,
-            ContentKind.AUDIO,
-            ContentKind.OTHER,
-        )
+        return (kind or response.content_kind) in _CACHEABLE_KINDS

@@ -48,7 +48,8 @@ class ProxyNetwork:
             )
             for i in range(n_nodes)
         ]
-        self._taps: list[Callable[[Request, Response], None]] = []
+        #: A tuple, replaced on every change: readers iterate it as is.
+        self._taps: tuple[Callable[[Request, Response], None], ...] = ()
 
     def shard_detection(self, n_shards: int) -> None:
         """Rebuild every node as ``n_shards`` shards.
@@ -77,7 +78,7 @@ class ProxyNetwork:
         traffic never passes through :meth:`handle`, so the workers
         must fire the taps themselves.
         """
-        return tuple(self._taps)
+        return self._taps
 
     def add_tap(self, tap: Callable[[Request, Response], None]) -> None:
         """Observe every request/response pair :meth:`handle` processes.
@@ -86,12 +87,13 @@ class ProxyNetwork:
         and beacon responses included) — this is the trace recorder's
         attachment point.
         """
-        self._taps.append(tap)
+        self._taps += (tap,)
 
     def remove_tap(self, tap: Callable[[Request, Response], None]) -> None:
         """Detach a tap (no error if absent)."""
         if tap in self._taps:
-            self._taps.remove(tap)
+            index = self._taps.index(tap)
+            self._taps = self._taps[:index] + self._taps[index + 1 :]
 
     def node_index_for(self, client_ip: str) -> int:
         """Sticky node index by stable hash of the client IP.

@@ -43,7 +43,7 @@ from repro.instrument.rewriter import (
 )
 from repro.captcha.challenge import challenge_redirect
 from repro.obs.registry import WALL_SECONDS_BUCKETS, MetricsRegistry
-from repro.obs.spans import NULL_SPAN, SpanTracer
+from repro.obs.spans import SpanTracer
 from repro.overload.ladder import (
     LADDER_HEADER,
     LadderConfig,
@@ -60,6 +60,7 @@ __all__ = ["NodeStats", "NodeShard", "ProxyNode"]
 
 #: A node's response-cache budget in entries, divided across its shards.
 _CACHE_CAPACITY = 4096
+_ALLOW, _HTML = LadderStage.ALLOW, ContentKind.HTML
 
 
 #: Each gated stage's refusal, built once; every gated request gets a
@@ -221,10 +222,12 @@ class NodeShard:
         """
         self._tracer = tracer
 
-    def _span(self, name: str, now: float):
+    def _staged(self, name: str, now: float, function, *args):
+        """``function(*args)``, inside a ``name`` span when traced."""
         if self._tracer is None:
-            return NULL_SPAN
-        return self._tracer.span(name, now)
+            return function(*args)
+        with self._tracer.span(name, now):
+            return function(*args)
 
     # -- request path -------------------------------------------------------
 
@@ -244,66 +247,56 @@ class NodeShard:
         """
         started = time.perf_counter()
         try:
-            return self._handle_traced(request)
-        finally:
-            self._handle_seconds.observe(time.perf_counter() - started)
+            self.stats.requests += 1
+            now = request.timestamp
 
-    def _handle_traced(
-        self, request: Request
-    ) -> tuple[Response, RequestOutcome | None]:
-        self.stats.requests += 1
-        now = request.timestamp
-
-        if self.limiter is not None:
-            with self._span("ratelimit", now):
-                allowed = self.limiter.allow(request.client_ip, now)
-            if not allowed:
+            if self.limiter is not None and not self._staged(
+                "ratelimit", now, self.limiter.allow, request.client_ip, now
+            ):
                 self.stats.rate_limited += 1
                 return error_response(503, "rate limited"), None
 
-        if self.ladder is not None:
-            with self._span("ladder", now):
-                stage = self.ladder.gate(request.client_ip, now)
-            if stage is not LadderStage.ALLOW:
-                return self._ladder_response(stage), None
+            if self.ladder is not None:
+                stage = self._staged("ladder", now, self.ladder.gate, request.client_ip, now)
+                if stage is not _ALLOW:
+                    return self._ladder_response(stage), None
 
-        outcome = self._run_detection(request)
+            detecting = time.perf_counter()
+            outcome = self._staged("detection", now, self.detection.handle_request, request)
+            self._detection_seconds.observe(time.perf_counter() - detecting)
+            self._detection_requests.inc()
 
-        if outcome.blocked:
-            self.stats.policy_blocked += 1
-            response = error_response(403, "blocked by robot policy")
-            self._account(outcome, response, beacon=False, now=now)
+            if outcome.blocked:
+                self.stats.policy_blocked += 1
+                response = error_response(403, "blocked by robot policy")
+                self._account(outcome, response, False, now)
+                return response, outcome
+
+            if outcome.hit is not None:
+                response = self._staged("beacon", now, beacon_response, outcome.hit)
+                self.stats.beacon_requests += 1
+                self._account(outcome, response, True, now)
+                return response, outcome
+
+            cached = self._staged("cache", now, self.cache.lookup, request, now)
+            if cached is not None:
+                self.stats.cache_hits += 1
+                self._account(outcome, cached, False, now)
+                return cached, outcome
+
+            response, kind = self._staged("forward", now, self._forward, request, now)
+            if (
+                self.instrument_enabled
+                and response.status == 200
+                and kind is _HTML
+                and response.body
+            ):
+                response = self._staged("instrument", now, self._instrument, request, response)
+
+            self._account(outcome, response, False, now)
             return response, outcome
-
-        if outcome.hit is not None:
-            with self._span("beacon", now):
-                response = beacon_response(outcome.hit)
-            self.stats.beacon_requests += 1
-            self._account(outcome, response, beacon=True, now=now)
-            return response, outcome
-
-        with self._span("cache", now):
-            cached = self.cache.lookup(request, now)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            self._account(outcome, cached, beacon=False, now=now)
-            return cached, outcome
-
-        with self._span("forward", now):
-            response = self._forward(request)
-            self.cache.store(request, response, now)
-
-        if (
-            self.instrument_enabled
-            and response.status == 200
-            and response.content_kind is ContentKind.HTML
-            and response.body
-        ):
-            with self._span("instrument", now):
-                response = self._instrument(request, response)
-
-        self._account(outcome, response, beacon=False, now=now)
-        return response, outcome
+        finally:
+            self._handle_seconds.observe(time.perf_counter() - started)
 
     def register_page(self, probes: Sequence[RegisteredProbe]) -> None:
         """Register one journalled page's probes in this shard's table."""
@@ -332,20 +325,18 @@ class NodeShard:
         object.__setattr__(response, "__dict__", state)
         return response
 
-    def _run_detection(self, request: Request) -> RequestOutcome:
-        started = time.perf_counter()
-        with self._span("detection", request.timestamp):
-            outcome = self.detection.handle_request(request)
-        self._detection_seconds.observe(time.perf_counter() - started)
-        self._detection_requests.inc()
-        return outcome
-
-    def _forward(self, request: Request) -> Response:
+    def _forward(self, request: Request, now: float) -> tuple[Response, ContentKind]:
+        """The origin's response, offered to the cache, and its kind
+        (read once, for the cache and the instrument test alike)."""
         origin = self._origins.get(request.url.host)
         self.stats.origin_requests += 1
         if origin is None:
-            return error_response(502, f"no route to {request.url.host}")
-        return origin.handle(request)
+            response = error_response(502, f"no route to {request.url.host}")
+        else:
+            response = origin.handle(request)
+        kind = response.content_kind
+        self.cache.store(request, response, now, kind)
+        return response, kind
 
     def _instrument(self, request: Request, response: Response) -> Response:
         """Rewrite an origin page; count its growth as markup bytes.
@@ -374,8 +365,7 @@ class NodeShard:
         beacon: bool,
         now: float = 0.0,
     ) -> None:
-        with self._span("account", now):
-            self.detection.note_response(outcome, response)
+        self._staged("account", now, self.detection.note_response, outcome, response)
         self.stats.bytes_served += response.size
         if beacon:
             self.stats.beacon_bytes_served += response.size

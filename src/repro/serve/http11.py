@@ -274,15 +274,31 @@ async def read_request(
     until either changes, answering False when the connection is to be
     given up instead.  Returns ``None`` when no further request will
     come; raises :class:`HttpParseError` on anything malformed.
+
+    The framer is stateless, so it is run again only when what arrived
+    since its last ``None`` can change that answer: an LF (a line
+    ended), the end of the stream, the unfinished line reaching a line
+    limit, or any byte once the head is whole (the body).  A head
+    trickled in small chunks is framed in time linear in its length.
     """
+    limits = limits or _DEFAULT_LIMITS
+    seen = line = 0  # the buffer's length at the last None; its last line
+    whole = False
     while True:
-        framed = parse_request(
-            connection.buffer, default_host, limits, connection.eof
-        )
-        if framed is not None:
-            parsed, consumed = framed
-            del connection.buffer[:consumed]
-            return parsed
+        buffer = connection.buffer
+        end = len(buffer)
+        if connection.eof or end > seen and (
+            not seen or whole or buffer.find(b"\n", seen) >= 0
+            or seen - line < limits.max_request_line <= end - line
+            or seen - line < limits.max_header_bytes <= end - line
+        ):
+            framed = parse_request(buffer, default_host, limits, connection.eof)
+            if framed is not None:
+                parsed, consumed = framed
+                del buffer[:consumed]
+                return parsed
+            seen, line = end, buffer.rfind(b"\n") + 1
+            whole = b"\n\n" in buffer or b"\n\r\n" in buffer
         if connection.eof or not await connection.more():
             return None
 

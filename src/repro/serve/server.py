@@ -98,6 +98,7 @@ _CHALLENGE_PAGE = f"""<html><body>
 _READ_AHEAD = 1 << 16
 
 _logger = logging.getLogger(__name__)
+_HEAD = Method.HEAD
 
 
 @dataclass(frozen=True)
@@ -496,7 +497,7 @@ class DetectorServer:
                     keep_alive = False
                 m.note_request(response.status)
                 self._write(
-                    connection, response, parsed.method is Method.HEAD, keep_alive
+                    connection, response, parsed.method is _HEAD, keep_alive
                 )
                 if not keep_alive or not (
                     connection.writable or await connection.drained()

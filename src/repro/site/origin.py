@@ -27,9 +27,10 @@ from repro.site.resources import CONTENT_TYPES, Resource, ResourceKind
 
 _REDIRECT_PERCENT = 35
 _RESULTS_PREFIX = "/cgi-bin/results/"
-#: The one header of a static response, built once per kind.
+_POST, _HEAD = Method.POST, Method.HEAD
+#: The one header entry of a static response, built once per kind.
 _CONTENT_TYPE_ENTRIES = {
-    kind: [("Content-Type", content_type)]
+    kind: ("Content-Type", content_type)
     for kind, content_type in CONTENT_TYPES.items()
 }
 
@@ -51,12 +52,13 @@ class OriginServer:
         """Produce the origin's response to ``request``."""
         if request.url.host != self._site.host:
             return error_response(502, f"unknown origin host {request.url.host}")
-        if request.method is Method.POST:
+        method = request.method
+        if method is _POST:
             return self._handle_cgi(request)
 
         path = request.url.path
         response = self._lookup(request, path)
-        if request.method is Method.HEAD:
+        if method is _HEAD:
             return Response(
                 status=response.status, headers=response.headers, body=b""
             )
@@ -138,9 +140,9 @@ def _html_response(body: bytes) -> Response:
 
 def _resource_response(resource: Resource) -> Response:
     return Response(
-        status=200,
-        headers=Headers(_CONTENT_TYPE_ENTRIES[resource.kind]),
-        body=resource.body,
+        200,
+        Headers.from_folded([_CONTENT_TYPE_ENTRIES[resource.kind]], ["content-type"]),
+        resource.body,
     )
 
 

@@ -155,7 +155,7 @@ class TraceRecord(NamedTuple):
         return tuple.__new__(cls, (
             request.client_ip, request.timestamp, request.method, request.url,
             response.status, len(response.body),
-            headers.get("User-Agent") or "", headers.get("Referer"), "", "",
+            headers.get_folded("user-agent") or "", headers.get_folded("referer"), "", "",
         ))
 
     def to_request(self) -> Request:

@@ -19,9 +19,13 @@ from repro.agents.robots import (
     UaEchoBot,
     VulnScannerBot,
 )
-from repro.detection.session import DetectionLatency
+from repro.detection.session import MIN_REQUESTS, DetectionLatency
 from repro.http.content import ContentKind
 from repro.detection.verdict import Label
+from repro.http.headers import Headers
+from repro.http.message import Method, Request
+from repro.http.uri import Url
+from repro.instrument.keys import BeaconKind
 from repro.proxy.node import ProxyNode
 from repro.site.generator import SiteConfig, SiteGenerator
 from repro.site.origin import OriginServer
@@ -337,6 +341,81 @@ class TestUaEcho:
             assert state.js_executed_at == self.ECHO_AT
             assert record.requests > self.ECHO_AT
             assert not state.is_human_by_set_algebra
+
+
+class TestHarvestedKey:
+    """A keyed mouse URL harvested at IP A, replayed from IP B, and
+    replayed by A itself.
+
+    Committed outcomes.  §2.1 keys the probe table by client IP, so the
+    harvested key is nothing at B: B's fetch is no probe hit, the origin
+    answers it 404, and B — no CSS, no script, no mouse event — is
+    *detected at request 10* (no browser-like evidence), final verdict
+    ROBOT outside S_H.  A key is not single-use: A's second fetch of its
+    own key is served again, byte for byte, and counted as a beacon
+    request, but evidence records first fetches only, so A's session is
+    unchanged (HUMAN, mouse event at request 2).  B ending HUMAN would
+    be "evades — bug" (ROADMAP item 16).
+    """
+
+    SEEDS = range(10)
+    A, B = "10.7.0.1", "10.7.0.2"
+    UA = BROWSER_UA
+
+    def _run_on_site(self, seed: int):
+        site = SiteGenerator(SiteConfig(n_pages=40)).generate(
+            RngStream(seed, "key-site")
+        )
+        node = ProxyNode(
+            "node-key", {site.host: OriginServer(site)}, RngStream(seed, "node")
+        )
+
+        def get(ip, url, t):
+            return node.handle_traced(
+                Request(Method.GET, url, ip, Headers([("User-Agent", self.UA)]), t)
+            )
+
+        get(self.A, Url.parse(f"http://{site.host}{site.home_path}"), 0.0)
+        real = next(
+            p for p in node.shard_for(self.A).detection.registry.outstanding(self.A)
+            if p.kind is BeaconKind.MOUSE_IMAGE and p.is_real_key
+        )
+        key = Url.parse(f"http://{real.host}{real.path}")
+        first, _ = get(self.A, key, 1.0)
+        replayed = [get(self.B, key, 2.0)]
+        plain = [p for p in site.page_paths if p != site.home_path][:12]
+        replayed += [
+            get(self.B, Url.parse(f"http://{site.host}{path}"), 3.0 + i)
+            for i, path in enumerate(plain)
+        ]
+        beacons = node.stats.beacon_requests
+        again, _ = get(self.A, key, 20.0)
+        return node, first, again, beacons, replayed
+
+    def test_a_key_is_worth_nothing_at_another_ip(self):
+        for seed in self.SEEDS:
+            node, _, _, _, replayed = self._run_on_site(seed)
+            (response, outcome), *_ = replayed
+            assert outcome.hit is None and response.status == 404, seed
+            state = node.detection.tracker.get(self.B, self.UA)
+            labels = [outcome.verdict.label for _, outcome in replayed]
+            assert labels.index(Label.ROBOT) + 1 == MIN_REQUESTS == 10
+            final = state.final_verdict()
+            assert (final.label, final.reason) == (Label.ROBOT, "outside S_H")
+            assert not (state.in_mouse_set or state.in_css_set or state.in_js_set)
+            assert state.wrong_key_fetches == 0 and state.status_4xx == 1
+
+    def test_a_key_replayed_by_its_own_ip_changes_nothing(self):
+        for seed in self.SEEDS:
+            node, first, again, beacons, _ = self._run_on_site(seed)
+            assert first.status == again.status == 200
+            assert bytes(again.body) == bytes(first.body)
+            assert node.stats.beacon_requests == beacons + 1, seed
+            state = node.detection.tracker.get(self.A, self.UA)
+            assert (state.mouse_event_at, state.request_count) == (2, 3)
+            verdict = state.verdict()
+            assert verdict.label is Label.HUMAN and verdict.definitive
+            assert verdict.at_request == 2
 
 
 class TestHotlinkLeech:

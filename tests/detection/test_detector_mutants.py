@@ -167,8 +167,8 @@ MUTANTS = [
     Mutant(
         "the trap image counts as following the hidden link",
         SessionState, "observe_hit",
-        "elif kind is BeaconKind.TRAP_PAGE:",
-        "elif kind in (BeaconKind.TRAP_PAGE, BeaconKind.TRAP_IMAGE):",
+        "elif kind is _TRAP_PAGE:",
+        "elif kind in (_TRAP_PAGE, BeaconKind.TRAP_IMAGE):",
         lambda m: m.browse(A, 0.0, "right", [TRAP_IMG]),
         "per-request verdict",
     ),

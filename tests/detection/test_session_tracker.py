@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import detector_spec
 
 from repro.detection.session import SessionKey, SessionState
@@ -166,6 +168,39 @@ class TestTracker:
         tracker.observe(_request(ip="2.2.2.2"))
         tracker.observe(_request(ip="1.1.1.1"))
         assert tracker.total_started == 2
+
+    def test_a_session_key_is_the_routing_tuple(self):
+        tracker = SessionTracker()
+        state, _ = tracker.observe(_request(ip="1.1.1.1", ua="X"))
+        assert type(state.key) is SessionKey
+        assert state.key == ("1.1.1.1", "X")
+        assert tracker.get("1.1.1.1", "X") is state
+        assert tracker.get("1.1.1.1", "Y") is None
+        tracker.finalize_all()
+        assert tracker.live_count == 0
+
+
+class TestSessionKey:
+    def test_equal_to_and_hashed_as_the_plain_tuple(self):
+        key = SessionKey("1.1.1.1", "UA")
+        assert key == ("1.1.1.1", "UA")
+        assert hash(key) == hash(("1.1.1.1", "UA"))
+        assert {("1.1.1.1", "UA"): 1}[key] == 1
+        assert key != SessionKey("1.1.1.1", "UB")
+        assert (key.client_ip, key.user_agent) == ("1.1.1.1", "UA")
+
+    def test_pickles_as_itself(self):
+        key = SessionKey("10.0.0.1", "Mozilla/5.0")
+        again = pickle.loads(pickle.dumps(key))
+        assert again == key and type(again) is SessionKey
+        state = pickle.loads(pickle.dumps(_state()))
+        assert type(state.key) is SessionKey
+
+    def test_str_shortens_long_agents(self):
+        assert str(SessionKey("1.1.1.1", "UA")) == "<1.1.1.1, UA>"
+        agent = "A" * 41
+        assert str(SessionKey("1.1.1.1", agent)) == f"<1.1.1.1, {'A' * 37}...>"
+        assert str(SessionKey("1.1.1.1", "A" * 40)) == f"<1.1.1.1, {'A' * 40}>"
 
 
 def test_section_3_constants_are_the_specs():

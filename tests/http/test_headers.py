@@ -104,7 +104,7 @@ class TestFoldedNames:
         adopted = Headers.from_folded(list(entries), ["user-agent", "x-a"])
         assert adopted == Headers(entries)
         assert list(adopted) == entries
-        assert adopted.user_agent == "UA"
+        assert adopted.get_folded("user-agent") == "UA"
 
     def test_equality_sees_values_and_order(self):
         assert Headers([("A", "1")]) != Headers([("A", "2")])
@@ -114,17 +114,19 @@ class TestFoldedNames:
 
 
 class TestConvenience:
+    # The detectors' fields are read by folded name, with no lower() of
+    # a constant per call.
     def test_user_agent(self):
-        assert Headers([("User-Agent", "UA")]).user_agent == "UA"
-        assert Headers().user_agent is None
+        assert Headers([("User-Agent", "UA")]).get_folded("user-agent") == "UA"
+        assert Headers().get_folded("user-agent") is None
+        assert Headers().get_folded("user-agent", "") == ""
 
     def test_referer(self):
-        assert Headers([("Referer", "r")]).referer == "r"
+        assert Headers([("REFERER", "r")]).get_folded("referer") == "r"
 
     def test_content_type(self):
-        assert Headers([("Content-Type", "text/html")]).content_type == (
-            "text/html"
-        )
+        headers = Headers([("Content-Type", "text/html")])
+        assert headers.get_folded("content-type") == headers.get("CONTENT-TYPE")
 
     @pytest.mark.parametrize(
         "value,expected",

@@ -36,6 +36,30 @@ class TestCache:
         assert hit.served_from_cache
         assert hit.body == b"body"
 
+    def test_every_hit_is_the_stored_response(self):
+        cache = ProxyCache()
+        origin = _response()
+        assert cache.store(_request(), origin, now=0.0)
+        assert not origin.served_from_cache  # the caller's object is untouched
+        first = cache.lookup(_request(), now=1.0)
+        second = cache.lookup(_request(), now=2.0)
+        assert first is second
+        assert first.served_from_cache
+        assert first.status == origin.status == 200
+        assert first.headers is origin.headers
+        assert first.body is origin.body
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.insertions) == (2, 0, 1)
+
+    def test_a_known_kind_gives_the_same_answers(self):
+        from repro.http.content import ContentKind
+
+        for response in (_response(), _response("text/html"), _response(status=404)):
+            with_kind, without = ProxyCache(), ProxyCache()
+            assert with_kind.store(
+                _request(), response, 0.0, response.content_kind
+            ) == without.store(_request(), response, 0.0)
+        assert not ProxyCache().store(_request(), _response(), 0.0, ContentKind.HTML)
+
     def test_miss_before_store(self):
         cache = ProxyCache()
         assert cache.lookup(_request(), now=0.0) is None

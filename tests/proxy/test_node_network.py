@@ -67,6 +67,37 @@ class TestNodeServing:
         assert resp.served_from_cache
         assert node.stats.cache_hits == 1
 
+    def test_a_cache_hit_is_the_stored_response_unedited(
+        self, make_node, small_site, small_origin, monkeypatch
+    ):
+        """Every hit shares one stored response, headers included, so
+        nothing on the request path may edit a served response in place;
+        a miss hands on the origin's own object."""
+        path = next(p for p in small_site.resources if p.endswith(".css"))
+        origin_handle = type(small_origin).handle
+        answered = []
+
+        def handle(origin, request):
+            answered.append(origin_handle(origin, request))
+            return answered[-1]
+
+        monkeypatch.setattr(type(small_origin), "handle", handle)
+        node = make_node()
+        miss = node.handle(_request(small_site, path))
+        assert miss is answered[0] and not miss.served_from_cache
+        entries = list(miss.headers)
+        hits = [
+            node.handle(_request(small_site, path, ip=ip, t=1.0))
+            for ip in ("10.0.0.5", "10.0.0.6", "10.0.0.5")
+        ]
+        assert all(hit is hits[0] for hit in hits)
+        assert hits[0].served_from_cache and hits[0].headers is miss.headers
+        for hit in hits:
+            render_response(hit, head=False, keep_alive=True)
+            render_response(hit, head=True, keep_alive=False)
+        assert list(hits[0].headers) == entries
+        assert node.stats.cache_hits == 3 and len(answered) == 1
+
     def test_pickled_node_serves_identical_bytes(self, make_node, small_site):
         """A node is shipped to lane processes by pickle; its origin's
         static bodies are views of a shared buffer and its cache holds

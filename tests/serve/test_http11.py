@@ -126,7 +126,7 @@ class TestHeaders:
         )
         for view in (parsed.headers, parsed.raw_headers):
             assert view == Headers(list(view))
-        assert parsed.headers.user_agent == "UA"
+        assert parsed.headers.get("User-Agent") == "UA"
         assert parsed.headers.get_all("x-A") == ["1", "2"]
         assert parsed.raw_headers.get("HOST") == "h.example"
 
@@ -533,6 +533,72 @@ class TestSplitAnywhere:
         assert consumed == len(data)
         assert parsed.body == b"abcd"
         assert parsed.parse_seconds > 0
+
+
+class TestTrickledHead:
+    """``read_request`` runs the framer again only when what arrived can
+    change its answer, so a head trickled in small chunks costs one
+    framing per line, not one per chunk."""
+
+    @staticmethod
+    def _trickle(data: bytes, size: int, monkeypatch, **kwargs):
+        """Frame ``data`` fed ``size`` bytes a wake-up: (outcome, framer
+        calls, bytes fed when it answered)."""
+        import repro.serve.http11 as http11
+
+        calls = []
+        framer = http11.parse_request
+
+        def counted(buffer, *args):
+            calls.append(len(buffer))
+            return framer(buffer, *args)
+
+        monkeypatch.setattr(http11, "parse_request", counted)
+        connection = Scripted(
+            data[i : i + size] for i in range(0, len(data), size)
+        )
+        try:
+            result = step(read_request(connection, **kwargs))
+        except HttpParseError as exc:
+            result = exc.status
+        return result, calls, len(connection.buffer)
+
+    def test_a_long_head_is_framed_once_per_line(self, monkeypatch):
+        fields = [b"Host: h.example\r\n"] + [
+            b"X-Field-%02d: %s\r\n" % (i, b"v" * 283) for i in range(93)
+        ]
+        head = b"GET /a HTTP/1.1\r\n" + b"".join(fields)
+        head += b"X-Pad: " + b"p" * (28449 - len(head) - 9) + b"\r\n\r\n"
+        fields.append(b"X-Pad")
+        assert len(head) == 28451 and len(fields) == 95
+        parsed, calls, _ = self._trickle(head, 16, monkeypatch)
+        assert len(parsed.headers) == 94  # Host is picked up, not kept
+        assert len(calls) <= len(fields) + 3
+        whole = parse(head)
+        assert (parsed.url, list(parsed.headers)) == (whole.url, list(whole.headers))
+
+    def test_an_over_long_line_is_refused_as_the_limit_is_crossed(
+        self, monkeypatch
+    ):
+        limit = Http11Limits().max_request_line
+        status, calls, fed = self._trickle(b"GET /" + b"a" * 3 * limit, 16, monkeypatch)
+        assert status == 431
+        assert limit <= fed < limit + 16
+        assert len(calls) == 2  # the first bytes, then the crossing
+
+        head = b"GET /a HTTP/1.1\r\nX-Long: "
+        block = Http11Limits().max_header_bytes
+        status, calls, fed = self._trickle(head + b"v" * 2 * block, 16, monkeypatch)
+        assert status == 431
+        assert block <= fed - len(b"GET /a HTTP/1.1\r\n") < block + 16
+        # The first bytes, the request line's LF, the request-line limit
+        # (passed by this header line), the header-line limit.
+        assert len(calls) == 4
+
+    def test_a_trickled_body_still_completes(self, monkeypatch):
+        data = b"POST /a HTTP/1.1\r\nHost: h\r\nContent-Length: 40\r\n\r\n" + b"b" * 40
+        parsed, _, _ = self._trickle(data, 3, monkeypatch)
+        assert parsed.body == b"b" * 40
 
 
 _REFUSALS = {400, 413, 431, 501, 505}
