@@ -35,6 +35,7 @@ from repro.obs.spans import (
     to_trace_events,
     trace_trees_from_json,
 )
+from repro.overload.admission import ShedPolicy
 from repro.proxy.network import ProxyNetwork
 from repro.site.generator import SiteConfig, SiteGenerator
 from repro.site.origin import OriginServer
@@ -123,7 +124,7 @@ def main() -> None:
             probes,
             executor="process",
             queue_depth=4,
-            shed=True,
+            policy=ShedPolicy.SHED,
         )
         stats = shed_run.stats
         # Admission counts each request, and each journalled page (its

@@ -161,22 +161,12 @@ def _add_lane_options(
         help="per-lane pipe bound in events for --executor process "
              "(0 = unbounded)",
     )
-    parser.add_argument(
-        "--shed", nargs="?", const="shed", default=None,
-        choices=("shed", "adaptive"), metavar="POLICY",
-        help="load-shedding policy, for --executor process (inline "
-             "lanes have no backlog to shed from): 'shed' (the default "
-             f"when the flag is given bare) drops and counts {unit} when "
-             "a lane's pipe is full (needs --queue-depth); 'adaptive' "
-             "sheds at the front door once a lane's predicted queue "
-             "delay exceeds --delay-budget, with hysteresis and per-IP "
-             "fairness",
-    )
-    parser.add_argument(
-        "--delay-budget", type=float, default=1.0, metavar="SECONDS",
-        help="predicted per-lane queue delay in wall seconds that "
-             "triggers adaptive shedding (default 1.0; only with --shed "
-             "adaptive)",
+    _add_admission_options(
+        parser,
+        budget=1.0,
+        policy_help="for --executor process (inline lanes have no "
+        f"backlog to shed from): 'shed' drops and counts {unit} when a "
+        "lane's pipe is full (needs --queue-depth)",
     )
     parser.add_argument(
         "--metrics-out", default=None,
@@ -190,20 +180,49 @@ def _add_lane_options(
     )
 
 
+def _add_admission_options(
+    parser: argparse.ArgumentParser, budget: float, policy_help: str
+) -> None:
+    """The ``--shed POLICY`` / ``--delay-budget`` pair every command has."""
+    parser.add_argument(
+        "--shed", nargs="?", const="shed", default="block",
+        choices=("block", "shed", "adaptive"), metavar="POLICY",
+        help="admission policy (default block: admit everything; a bare "
+             f"--shed means 'shed'), {policy_help}; 'adaptive' sheds "
+             "once a lane's predicted queue delay exceeds "
+             "--delay-budget, with hysteresis and per-IP fairness",
+    )
+    parser.add_argument(
+        "--delay-budget", type=float, default=budget, metavar="SECONDS",
+        help="predicted per-lane queue delay in wall seconds that "
+             f"triggers adaptive shedding (default {budget}; only with "
+             "--shed adaptive)",
+    )
+
+
+def _admission(args) -> dict:
+    """Config keywords for the :func:`_add_admission_options` flags."""
+    from repro.overload.admission import AdaptiveConfig, ShedPolicy
+
+    policy = ShedPolicy(args.shed)
+    return dict(
+        policy=policy,
+        adaptive=(
+            AdaptiveConfig(delay_budget=args.delay_budget)
+            if policy is ShedPolicy.ADAPTIVE
+            else None
+        ),
+    )
+
+
 def _lane_config(args) -> dict:
     """Engine-config keywords for the :func:`_add_lane_options` flags."""
-    adaptive = None
-    if args.shed == "adaptive":
-        from repro.overload.admission import AdaptiveConfig
-
-        adaptive = AdaptiveConfig(delay_budget=args.delay_budget)
     return dict(
         shards=args.shards,
         executor=args.executor or "serial",
         queue_depth=args.queue_depth or None,
-        shed=args.shed == "shed",
-        adaptive=adaptive,
         flight_interval=args.flight_interval or None,
+        **_admission(args),
     )
 
 
@@ -427,14 +446,6 @@ def run_record(argv: list[str]) -> int:
     print(f"analyzable sessions: {result.analyzable_count}")
     for kind, count in sorted(result.kind_census().items()):
         print(f"  {kind:20s} {count}")
-    if result.overload is not None:
-        report = result.overload
-        episodes = sum(lane.entered for lane in report.lanes)
-        print(
-            f"adaptive admission: {report.shed} shed / "
-            f"{report.admitted} admitted over {episodes} overload "
-            f"episode(s)"
-        )
     if args.metrics_out:
         _write_metrics(args.metrics_out, result.metrics, result.flight)
     if args.trace_out:
@@ -726,15 +737,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--probes", default=None,
         help="probe journal to write at shutdown (.gz compresses)",
     )
-    parser.add_argument(
-        "--shed", choices=("block", "shed", "adaptive"), default="block",
-        help="admission policy at the front door (default block: "
-             "admit everything, unread sockets are the queue)",
-    )
-    parser.add_argument(
-        "--delay-budget", type=float, default=0.05,
-        help="adaptive admission: per-lane queue-delay budget in wall "
-             "seconds (default 0.05)",
+    _add_admission_options(
+        parser,
+        budget=0.05,
+        policy_help="at the front door, where unread sockets are the "
+        "queue: 'shed' answers 503 once a node has 64 requests waiting",
     )
     parser.add_argument(
         "--keep-alive-timeout", type=float, default=15.0,
@@ -758,19 +765,13 @@ def run_serve(argv: list[str]) -> int:
     args = build_serve_parser().parse_args(argv)
     try:
         mix_by_name(args.mix)
-        adaptive = None
-        if args.shed == "adaptive":
-            from repro.overload.admission import AdaptiveConfig
-
-            adaptive = AdaptiveConfig(delay_budget=args.delay_budget)
         config = ServeConfig(
             host=args.host,
             port=args.port,
             keep_alive_timeout=args.keep_alive_timeout,
             trace_path=args.trace,
             probes_path=args.probes,
-            policy=args.shed,
-            adaptive=adaptive,
+            **_admission(args),
         )
         experiment = CodeenWeekExperiment(
             CodeenWeekConfig(

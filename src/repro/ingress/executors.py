@@ -21,10 +21,11 @@ down.
   shipping events in pickled chunks over a bounded ``multiprocessing``
   queue and collecting each lane's finished result at close.  Lane
   state lives in the child, so per-event work runs genuinely in
-  parallel, and the bounded pipe is the only backlog there is — what
-  :class:`ShedPolicy` acts on.  Events and lane results must be
-  picklable; lane workers are shipped to the child at start (fork makes
-  that free, spawn pickles them once).
+  parallel, and the bounded pipe is the only backlog there is: a full
+  one blocks the producer (``ShedPolicy.BLOCK``, and behind
+  ``ADAPTIVE`` admission) or refuses the event (``SHED``).  Events and
+  lane results must be picklable; lane workers are shipped to the
+  child at start (fork makes that free, spawn pickles them once).
 """
 
 from __future__ import annotations
@@ -35,36 +36,11 @@ import time
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Protocol, Sequence
 
+from repro.overload.admission import ShedPolicy
+
 EXECUTOR_KINDS = ("serial", "process")
-
-
-class ShedPolicy(Enum):
-    """What admission does when a lane's pipe is full (or predicted slow).
-
-    * ``BLOCK`` — wait for space.  Backpressure propagates to the
-      admission loop, every admitted event is eventually processed, and
-      results are bit-identical at any depth (depth only changes how far
-      the producer can run ahead).
-    * ``SHED`` — refuse the event and count it.  Latency stays bounded
-      under overload at the price of dropped work; the shed count is
-      surfaced in the node/network statistics so a Table-1-style report
-      can never silently lose traffic.  How *many* events shed depends
-      on consumer speed, so a shedding run trades the determinism
-      guarantee for bounded queueing delay — exactly the trade a live
-      deployment makes.
-    * ``ADAPTIVE`` — decided *before* the pipe: the ingress pipeline's
-      :class:`~repro.overload.admission.DelayBudgetController` sheds at
-      the front door when the lane's predicted queue delay exceeds a
-      latency budget (with per-IP fairness), and the pipe itself blocks
-      as the backstop.
-    """
-
-    BLOCK = "block"
-    SHED = "shed"
-    ADAPTIVE = "adaptive"
 
 
 class LaneWorker(Protocol):
@@ -218,8 +194,10 @@ class ProcessLaneExecutor(LaneExecutorBase):
         ]
         self._buffers: list[list] = [[] for _ in workers]
         #: Per lane, the ``enqueued`` count at which each chunk still in
-        #: the pipe began (oldest first).
+        #: the pipe began (oldest first), and the events the child took
+        #: since :meth:`taken` last ran.
         self._chunk_starts: list[deque[int]] = [deque() for _ in workers]
+        self._taken = [0] * len(workers)
         self._processes = [
             context.Process(
                 target=_lane_child_main,
@@ -275,6 +253,11 @@ class ProcessLaneExecutor(LaneExecutorBase):
             for lane, buffer in enumerate(self._buffers)
         ]
 
+    def taken(self) -> list[int]:
+        """Events each lane's child took off its pipe since the last call."""
+        taken, self._taken = self._taken, [0] * self.n_lanes
+        return taken
+
     def _pipe_events(self, lane: int) -> int:
         """Events sent down a lane's pipe that its child has not taken.
 
@@ -288,9 +271,13 @@ class ProcessLaneExecutor(LaneExecutorBase):
             chunks = self._inboxes[lane].qsize()
         except NotImplementedError:  # macOS: sem_getvalue unsupported
             chunks = 0
-        while len(starts) > chunks:
-            starts.popleft()
-        return self._telemetry[lane].enqueued - starts[0] if starts else 0
+        enqueued = self._telemetry[lane].enqueued
+        if len(starts) > chunks:
+            first = starts[0]
+            while len(starts) > chunks:
+                starts.popleft()
+            self._taken[lane] += (starts[0] if starts else enqueued) - first
+        return enqueued - starts[0] if starts else 0
 
     def _put_alive(self, lane: int, obj) -> None:
         """Blocking put that never waits on a corpse.
@@ -392,8 +379,8 @@ def build_executor(
     """Instantiate an executor by name (``serial`` or ``process``)."""
     if policy is ShedPolicy.ADAPTIVE:
         # Adaptive shedding is decided at the front door (the pipeline's
-        # DelayBudgetController); what survives admission must not be
-        # dropped again, so the lane queues run as a blocking backstop.
+        # Admission); what survives admission must not be dropped
+        # again, so the lane queues run as a blocking backstop.
         policy = ShedPolicy.BLOCK
     if kind == "serial":
         return SerialLaneExecutor(workers)

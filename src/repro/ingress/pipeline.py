@@ -10,10 +10,11 @@ that
    clients get, then the node's own IP→shard router
    (:meth:`~repro.proxy.node.ProxyNode.shard_index_for`), so all of a
    client's sessions, probes and rate-limit state live in one lane;
-2. hands it to that lane's executor — ``serial`` runs the lane inline,
-   ``process`` ships it down a bounded pipe to the lane's own
-   interpreter (backpressure by default, counted load-shedding on
-   request); and
+2. admits it (:class:`~repro.overload.admission.Admission`, the same
+   one the live server uses) and hands it to that lane's executor —
+   ``serial`` runs the lane inline, ``process`` ships it down a bounded
+   pipe to the lane's own interpreter (backpressure by default, counted
+   or delay-budget load-shedding on request); and
 3. has each lane consumed strictly in admission order.
 
 Because lanes are total partitions of mutable state and each lane is
@@ -36,11 +37,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from repro.ingress.executors import (
-    EXECUTOR_KINDS,
-    ShedPolicy,
-    build_executor,
-)
+from repro.ingress.executors import EXECUTOR_KINDS, build_executor
 from repro.ingress.workers import LaneResult
 from repro.detection.session import DetectionLatency, SessionState
 from repro.detection.sharded import merge_sessions
@@ -56,8 +53,9 @@ from repro.obs.registry import (
 from repro.obs.spans import SpanConfig, SpanTree, merge_traces
 from repro.overload.admission import (
     AdaptiveConfig,
-    DelayBudgetController,
+    Admission,
     OverloadReport,
+    ShedPolicy,
 )
 from repro.overload.ladder import LadderConfig, merge_ladder_states
 from repro.proxy.network import ProxyNetwork
@@ -69,9 +67,11 @@ class IngressConfig:
     """Admission and dispatch parameters.
 
     ``queue_depth`` bounds each process lane's pipe in events (None =
-    unbounded) and ``policy`` (:class:`ShedPolicy`) says what a full one
-    does to admission: backpressure by default, counted shedding — which
-    therefore needs the process executor — on request.
+    unbounded) and ``policy`` (:class:`ShedPolicy`) says what admission
+    does about a backlog: backpressure by default; counted shedding of
+    full pipes, or delay-budget shedding tuned by ``adaptive``, on
+    request — both need the process executor, the only one that
+    queues.
     ``chunk_size`` is the process executor's IPC batch size —
     invisible to results.  ``scorer_model`` enables per-lane
     micro-batched ensemble scoring
@@ -119,6 +119,7 @@ class IngressConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.housekeeping_interval < 0:
             raise ValueError("housekeeping_interval must be non-negative")
+        object.__setattr__(self, "policy", ShedPolicy(self.policy))
         if self.policy is ShedPolicy.SHED and self.queue_depth is None:
             # An unbounded queue never refuses a put, so SHED would be
             # a silent no-op: the run *looks* shed-protected while
@@ -130,9 +131,9 @@ class IngressConfig:
             )
         if self.policy is not ShedPolicy.BLOCK and self.executor == "serial":
             # The serial executor handles events inline: no put is ever
-            # refused and the predicted delay is pinned at zero, so
-            # neither SHED nor ADAPTIVE could ever shed — the same
-            # silent no-op shape as SHED on an unbounded queue.
+            # refused and no backlog ever builds, so neither SHED nor
+            # ADAPTIVE could ever shed — the same silent no-op shape as
+            # SHED on an unbounded queue.
             raise ValueError(
                 f"ShedPolicy.{self.policy.name} needs the process "
                 "executor: serial lanes run inline, so there is no "
@@ -151,19 +152,6 @@ class IngressConfig:
                 "the graduated response ladder is driven by micro-batch "
                 "checkpoint verdicts: set scorer_model to enable it"
             )
-
-
-def shed_policy(
-    shed: bool, adaptive: AdaptiveConfig | None
-) -> ShedPolicy:
-    """The policy an engine config's ``shed`` / ``adaptive`` pair names."""
-    if shed and adaptive is not None:
-        raise ValueError(
-            "shed and adaptive are mutually exclusive shedding policies"
-        )
-    if adaptive is not None:
-        return ShedPolicy.ADAPTIVE
-    return ShedPolicy.SHED if shed else ShedPolicy.BLOCK
 
 
 @dataclass
@@ -252,22 +240,19 @@ class IngressPipeline:
         #: Admission-side registry: queue/shed accounting the lanes
         #: cannot see (they live behind the queues being measured).
         self.metrics = MetricsRegistry()
-        #: Front-door delay-budget controller (ADAPTIVE policy only);
-        #: the executor itself runs BLOCK as the backstop, so whatever
-        #: the controller admits is never dropped again.
-        self._adaptive = (
-            DelayBudgetController(
-                config.adaptive, expected, metrics=self.metrics
-            )
-            if config.policy is ShedPolicy.ADAPTIVE
-            else None
+        #: Front-door admission.  A full SHED pipe refuses by itself, so
+        #: there is no cap here; under ADAPTIVE the executor runs BLOCK
+        #: as the backstop, so whatever is admitted is never dropped.
+        self._admission = Admission(
+            config.policy, expected, adaptive=config.adaptive,
+            metrics=self.metrics,
         )
-        # Live queue-delay prediction state: per-lane drain-rate EWMAs
-        # fed from (enqueued - depth) deltas on the wall clock.
-        self._delay_updated: float | None = None
-        self._delay_delivered: dict[int, int] = {}
-        self._drain_rates: dict[int, float] = {}
-        self._predicted_delays: dict[int, float] = {}
+        #: Each lane's backlog at the last sample of the pipes, and that
+        #: sample's wall time — None on inline lanes, which never queue.
+        self._backlogs = [0] * expected
+        self._sampled_at = (
+            time.monotonic() if config.executor == "process" else None
+        )
         self._flight = (
             FlightRecorder(
                 config.flight_interval,
@@ -307,81 +292,65 @@ class IngressPipeline:
         if self._closed:
             raise RuntimeError("submit() on a closed ingress pipeline")
         lane = self.lane_for(client_ip)
-        if self._adaptive is not None and not force:
-            admitted = self._adaptive.admit(
-                lane, client_ip, self._predicted_delays.get(lane, 0.0)
-            )
-            if not admitted:
-                return False
+        if not force and not self._admission.admit(
+            lane, client_ip, self._backlogs[lane]
+        ):
+            return False
         return self._executor.submit(lane, event, force=force)
 
-    #: Wall seconds between live queue-delay re-estimates (tick() is
+    #: Wall seconds between samples of the lanes' pipes (tick() is
     #: per-arrival; sampling queue depths that often would be noise).
-    _DELAY_INTERVAL = 0.05
-    #: Predicted delays are capped: a stalled lane reports this, never
-    #: infinity (the canonical JSON exporters reject non-finite floats).
-    _DELAY_CAP = 3600.0
-    _DELAY_ALPHA = 0.2
+    _SAMPLE_INTERVAL = 0.05
 
     def tick(self, timestamp: float) -> None:
         """Advance admission-side observability to an event time.
 
         Drivers call this once per arrival (before submitting it): the
         flight recorder lands queue-depth and shed trajectories on the
-        same virtual-time grid the lanes sample on, and the live
-        queue-delay estimate (:meth:`queue_delays`) refreshes on a
+        same virtual-time grid the lanes sample on, and on process lanes
+        the admission's service estimate refreshes from the pipes on a
         wall-clock rate limit.
         """
         if self._flight is not None:
             self._flight.tick(timestamp)
-        now = time.monotonic()
-        if (
-            self._delay_updated is None
-            or now - self._delay_updated >= self._DELAY_INTERVAL
-        ):
-            self._update_queue_delays(now)
+        if self._sampled_at is not None:
+            now = time.monotonic()
+            if now - self._sampled_at >= self._SAMPLE_INTERVAL:
+                self._sample_lanes(now)
 
     def queue_delays(self) -> dict[int, float]:
         """Predicted per-lane queueing delay in wall seconds, by lane.
 
-        ``depth / drain-rate-EWMA`` per lane — the admission-side
-        latency signal queue-delay-aware shedding (the ROADMAP's
-        graduated-response ladder) reads.  Empty until the first
-        :meth:`tick`; a backlogged lane whose drain rate has collapsed
-        reports the cap, never infinity.
+        The admission's estimate for each lane's backlog at the last
+        sample — the signal ADAPTIVE admission reads.  All zero on
+        inline lanes, which never queue.
         """
-        return dict(self._predicted_delays)
+        predict = self._admission.predict
+        return {
+            lane: predict(lane, backlog)
+            for lane, backlog in enumerate(self._backlogs)
+        }
 
-    def _update_queue_delays(self, now: float) -> None:
+    def _sample_lanes(self, now: float) -> None:
+        # Seconds per delivered event: the wall time since the last
+        # sample over the events each busy lane (one that had a backlog
+        # or took any) took off its pipe.
+        elapsed = now - self._sampled_at
+        self._sampled_at = now
         depths = self._executor.lane_depths()
-        elapsed = (
-            None
-            if self._delay_updated is None
-            else now - self._delay_updated
-        )
-        self._delay_updated = now
-        for counters in self._executor.telemetry_now():
-            lane = counters.lane
-            depth = depths[lane]
-            delivered = max(0, counters.enqueued - depth)
-            previous = self._delay_delivered.get(lane)
-            self._delay_delivered[lane] = delivered
-            if elapsed is not None and elapsed > 0 and previous is not None:
-                rate = (delivered - previous) / elapsed
-                ewma = self._drain_rates.get(lane)
-                self._drain_rates[lane] = (
-                    rate
-                    if ewma is None
-                    else ewma + self._DELAY_ALPHA * (rate - ewma)
-                )
-            rate = self._drain_rates.get(lane, 0.0)
-            if depth == 0:
-                predicted = 0.0
-            elif rate <= 0.0:
-                predicted = self._DELAY_CAP
-            else:
-                predicted = min(self._DELAY_CAP, depth / rate)
-            self._set_predicted(lane, predicted)
+        for lane, taken in enumerate(self._executor.taken()):
+            if taken or self._backlogs[lane]:
+                self._admission.served(lane, elapsed, taken)
+        self._publish_backlogs(depths)
+
+    def _publish_backlogs(self, depths: list[int]) -> None:
+        self._backlogs = depths
+        for lane, predicted in self.queue_delays().items():
+            self.metrics.gauge(
+                "repro_ingress_queue_delay_predicted_seconds",
+                {"lane": str(lane)},
+                wall=True,
+            ).set(predicted)
 
     def _collect_admission(self) -> None:
         # Transport chunking must not show up in frames: flushed, the
@@ -394,13 +363,11 @@ class IngressPipeline:
             self.metrics.gauge(
                 "repro_ingress_queue_depth", {"lane": str(lane)}, wall=True
             ).set(depth)
-        # A lane that fully drained since the last tick() must not keep
-        # reporting its last (pre-drain) delay prediction: a stale
-        # non-zero series would tell the adaptive controller — and any
-        # flight-recorder frame — that an empty lane is still slow.
-        for lane, predicted in list(self._predicted_delays.items()):
-            if predicted and depths[lane] == 0:
-                self._set_predicted(lane, 0.0)
+        # A frame shows the prediction for the backlog it shows: a lane
+        # that drained since the last sample reads zero, not its stale
+        # pre-drain delay.
+        if self._sampled_at is not None:
+            self._publish_backlogs(depths)
 
     def _publish_admission(self, telemetry) -> list[int]:
         """Set the per-lane admission series from delivery counters.
@@ -409,9 +376,10 @@ class IngressPipeline:
         with whatever a flight frame already collected.  Returns each
         lane's total shed count (queue-full plus delay-budget).
         """
+        controller = self._admission.controller
         adaptive_shed = (
-            self._adaptive.lane_shed_counts()
-            if self._adaptive is not None
+            controller.lane_shed_counts()
+            if controller is not None
             else [0] * self._executor.n_lanes
         )
         shed = []
@@ -437,14 +405,6 @@ class IngressPipeline:
                 agg="max",
             ).set_max(counters.high_watermark)
         return shed
-
-    def _set_predicted(self, lane: int, predicted: float) -> None:
-        self._predicted_delays[lane] = predicted
-        self.metrics.gauge(
-            "repro_ingress_queue_delay_predicted_seconds",
-            {"lane": str(lane)},
-            wall=True,
-        ).set(predicted)
 
     def close(self) -> IngressResult:
         """Drain every lane, collect lane results, merge deterministically."""
@@ -494,14 +454,12 @@ class IngressPipeline:
         result.shed = result.stats.shed
         result.first_timestamp = min(firsts) if firsts else 0.0
         result.last_timestamp = max(lasts) if lasts else 0.0
-        # Every queue is drained at close: clear any still-published
-        # delay prediction so the final snapshot cannot carry a stale
-        # non-zero series for an empty lane.
-        for lane, predicted in list(self._predicted_delays.items()):
-            if predicted:
-                self._set_predicted(lane, 0.0)
-        if self._adaptive is not None:
-            result.overload = self._adaptive.report()
+        # Every queue is drained at close: the final snapshot predicts
+        # no delay for any lane.
+        if self._sampled_at is not None:
+            self._publish_backlogs([0] * len(lane_results))
+        if self._admission.controller is not None:
+            result.overload = self._admission.controller.report()
         ladder_states = [
             lane.ladder for lane in lane_results if lane.ladder is not None
         ]

@@ -45,13 +45,7 @@ from repro.obs.registry import (
     WALL_SECONDS_BUCKETS,
     MetricsSnapshot,
 )
-from repro.obs.spans import (
-    QueueDelayEstimator,
-    SpanConfig,
-    SpanTracer,
-    SpanTree,
-    TailSampler,
-)
+from repro.obs.spans import SpanConfig, SpanTracer, SpanTree, TailSampler
 from repro.overload.ladder import LADDER_HEADER, LadderConfig
 from repro.proxy.node import NodeShard, NodeStats
 from repro.util.rng import RngStream
@@ -143,14 +137,6 @@ class _LaneWorker:
             self._lane_labels,
             wall=True,
         )
-        #: Live EWMA of this lane's queue delay, mirrored onto gauges so
-        #: snapshots / flight frames carry it.
-        self.delay_estimator = QueueDelayEstimator()
-        self._delay_wall_gauge = shard.metrics.gauge(
-            "repro_ingress_queue_delay_ewma_seconds",
-            self._lane_labels,
-            wall=True,
-        )
         #: Wall seconds the most recent admitted event sat queued (0 on
         #: the serial executor, which never queues).
         self._last_wait = 0.0
@@ -175,8 +161,6 @@ class _LaneWorker:
         """Record wall-clock time an admitted event sat in the lane queue."""
         self._queue_wait_wall.observe(seconds)
         self._last_wait = seconds
-        self.delay_estimator.observe_wall(seconds)
-        self._delay_wall_gauge.set(self.delay_estimator.wall_seconds)
 
     def _finalize(self, end: float, close_batcher=None) -> None:
         """Finalize the lane's detection state.
@@ -249,10 +233,6 @@ class ReplayLaneWorker(_LaneWorker):
         self._queue_wait_event = shard.metrics.histogram(
             "repro_ingress_queue_wait_event_seconds",
             EVENT_SECONDS_BUCKETS,
-            self._lane_labels,
-        )
-        self._delay_event_gauge = shard.metrics.gauge(
-            "repro_ingress_queue_delay_ewma_event_seconds",
             self._lane_labels,
         )
         self._lane_clock: float | None = None
@@ -357,8 +337,6 @@ class ReplayLaneWorker(_LaneWorker):
         if self._lane_clock is not None:
             skew = max(0.0, self._lane_clock - timestamp)
             self._queue_wait_event.observe(skew)
-            self.delay_estimator.observe_event(skew)
-            self._delay_event_gauge.set(self.delay_estimator.event_seconds)
         if self._lane_clock is None or timestamp > self._lane_clock:
             self._lane_clock = timestamp
         return skew

@@ -15,8 +15,8 @@ fact.
 :mod:`repro.obs.spans` adds the causal layer on top: per-request span
 trees in both clock domains, tail-based exemplar sampling
 (:class:`TailSampler`), a Chrome trace-event exporter
-(:func:`to_trace_events`), critical-path profiling
-(:func:`profile_stages`) and the live :class:`QueueDelayEstimator`.
+(:func:`to_trace_events`) and critical-path profiling
+(:func:`profile_stages`).
 
 Two metric domains, one registry:
 
@@ -54,7 +54,6 @@ from repro.obs.registry import (
 from repro.obs.spans import (
     NULL_SPAN,
     ProfileReport,
-    QueueDelayEstimator,
     Span,
     SpanConfig,
     SpanTracer,
@@ -79,7 +78,6 @@ __all__ = [
     "MetricsSnapshot",
     "NULL_SPAN",
     "ProfileReport",
-    "QueueDelayEstimator",
     "SIZE_BUCKETS",
     "Span",
     "SpanConfig",

@@ -51,7 +51,6 @@ __all__ = [
     "NULL_SPAN",
     "WALL_CATEGORIES",
     "ProfileReport",
-    "QueueDelayEstimator",
     "Span",
     "SpanConfig",
     "SpanTracer",
@@ -483,52 +482,6 @@ def merge_traces(
     merged = [tree for group in groups for tree in group]
     merged.sort(key=lambda t: t.order_key)
     return merged
-
-
-# -- queue-delay estimation -------------------------------------------------
-
-
-class QueueDelayEstimator:
-    """EWMA of one lane's queue delay, in both clock domains.
-
-    ``observe_wall`` feeds measured wall-clock waits (how long an
-    admitted event sat in the lane queue); ``observe_event`` feeds the
-    virtual-time skew (how far behind its lane's event clock an event
-    was when the worker reached it — a pure function of the admitted
-    stream, so the event-domain estimate is deterministic).  This is
-    the latency signal queue-delay-aware admission (the ROADMAP's
-    graduated-response ladder) will read.
-    """
-
-    __slots__ = ("alpha", "wall_seconds", "event_seconds",
-                 "wall_samples", "event_samples")
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.wall_seconds = 0.0
-        self.event_seconds = 0.0
-        self.wall_samples = 0
-        self.event_samples = 0
-
-    def observe_wall(self, seconds: float) -> None:
-        """Fold one wall-clock queue-wait sample into the EWMA."""
-        self.wall_samples += 1
-        if self.wall_samples == 1:
-            self.wall_seconds = seconds
-        else:
-            self.wall_seconds += self.alpha * (seconds - self.wall_seconds)
-
-    def observe_event(self, seconds: float) -> None:
-        """Fold one virtual-time queue-skew sample into the EWMA."""
-        self.event_samples += 1
-        if self.event_samples == 1:
-            self.event_seconds = seconds
-        else:
-            self.event_seconds += self.alpha * (
-                seconds - self.event_seconds
-            )
 
 
 # -- Chrome trace-event export ----------------------------------------------

@@ -3,11 +3,14 @@ graduated ``throttle -> CAPTCHA -> block`` response ladder.
 
 Two controllers live here, one per clock domain:
 
-* :class:`~repro.overload.admission.DelayBudgetController` runs at the
-  ingress front door in *wall* time.  It sheds work when a lane's
-  predicted queue delay exceeds a latency budget, weighting the drops
-  by each client IP's recent admitted share so a flash crowd of
-  distinct users degrades gracefully while a flooding IP absorbs them.
+* :class:`~repro.overload.admission.Admission` runs at both front doors
+  (the live server and the ingress pipeline) in *wall* time.  Under
+  ``ShedPolicy.ADAPTIVE`` its
+  :class:`~repro.overload.admission.DelayBudgetController` sheds work
+  when a lane's predicted queue delay exceeds a latency budget,
+  weighting the drops by each client IP's recent admitted share so a
+  flash crowd of distinct users degrades gracefully while a flooding IP
+  absorbs them.
 * :class:`~repro.overload.ladder.ResponseLadder` runs inside the lane
   in *event* time.  Micro-batch checkpoint verdicts escalate a per-IP
   state machine through throttle, CAPTCHA, and block rungs; decay and
@@ -18,9 +21,11 @@ Two controllers live here, one per clock domain:
 
 from repro.overload.admission import (
     AdaptiveConfig,
+    Admission,
     DelayBudgetController,
     FairnessTracker,
     OverloadReport,
+    ShedPolicy,
 )
 from repro.overload.ladder import (
     LadderConfig,
@@ -31,11 +36,13 @@ from repro.overload.ladder import (
 
 __all__ = [
     "AdaptiveConfig",
+    "Admission",
     "DelayBudgetController",
     "FairnessTracker",
     "LadderConfig",
     "LadderStage",
     "OverloadReport",
     "ResponseLadder",
+    "ShedPolicy",
     "merge_ladder_states",
 ]

@@ -1,10 +1,12 @@
-"""Delay-budget admission control with per-IP fairness.
+"""Front-door admission: the one place a request is admitted or shed.
 
-``ShedPolicy.ADAPTIVE`` replaces the binary full-queue drop with a
-controller that watches the per-lane *predicted* queue delay (depth
-divided by the drain-rate EWMA, PR 8's gauge) and sheds at the front
-door once that prediction exceeds a latency budget.  Three refinements
-keep the degradation graceful:
+:class:`Admission` serves both front doors — the live server (one lane
+per node) and the ingress pipeline (one lane per node shard) — and is
+the only code that predicts a lane's queue delay: the backlog times an
+EWMA of the wall seconds the lane spends per served event.  Under
+``ShedPolicy.ADAPTIVE`` that prediction goes to a
+:class:`DelayBudgetController`, which sheds once it exceeds a latency
+budget.  Three refinements keep the degradation graceful:
 
 * **hysteresis** — shedding starts above ``delay_budget`` but only
   stops below ``delay_budget * resume_ratio``, so the controller does
@@ -18,30 +20,59 @@ keep the degradation graceful:
   duty-cycle backstop sheds all but one request in ``duty_cycle``
   until the prediction falls back under budget.
 
-This controller runs in the admission loop against wall-clock
-signals, so — exactly like ``ShedPolicy.SHED`` — which individual
-events it sheds is timing-dependent and **not** part of the
-determinism contract.  What it guarantees instead is accounting
-(admitted + shed always balances the arrival totals) and the bounded
-predicted delay the tests pin.
+Admission runs against wall-clock signals, so — for ``SHED`` and
+``ADAPTIVE`` alike — which individual events it sheds is
+timing-dependent and **not** part of the determinism contract.  What it
+guarantees instead is accounting (admitted + shed always balances the
+arrival totals) and the bounded predicted delay the tests pin.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from enum import Enum
 
 __all__ = [
+    "DELAY_CAP",
     "AdaptiveConfig",
+    "Admission",
     "DelayBudgetController",
     "FairnessTracker",
     "LaneOverload",
     "OverloadReport",
+    "ShedPolicy",
 ]
+
+#: Every lane's seconds-per-served-event estimate starts at a 5 ms
+#: event and moves a fifth of the way to each new sample.
+_SERVICE_SEED = 0.005
+_SERVICE_ALPHA = 0.2
+#: Predicted delays are capped: a stalled lane reports this, never
+#: infinity (the canonical JSON exporters reject non-finite floats).
+DELAY_CAP = 3600.0
 
 #: Renormalise the inflated fairness weights before the common scale
 #: factor (2 ** (elapsed / half_life)) can overflow a float.
 _RENORM_SCALE = 2.0**500
+
+
+class ShedPolicy(Enum):
+    """What admission does with an arrival a lane may be too slow for.
+
+    * ``BLOCK`` — admit it: backpressure, and results bit-identical at
+      any queue depth.
+    * ``SHED`` — refuse and count it once the lane's backlog passes its
+      cap (a process pipe's cap is the pipe: a full one refuses whole
+      chunks itself).  The count is surfaced in the statistics, so a
+      Table-1-style report never silently loses traffic.
+    * ``ADAPTIVE`` — refuse it while the controller sheds; whatever it
+      admits is never dropped again.
+    """
+
+    BLOCK = "block"
+    SHED = "shed"
+    ADAPTIVE = "adaptive"
 
 
 @dataclass(frozen=True)
@@ -185,9 +216,9 @@ class OverloadReport:
 
 
 class DelayBudgetController:
-    """Front-door admission for ``ShedPolicy.ADAPTIVE``.
+    """The ``ShedPolicy.ADAPTIVE`` decision, given a predicted delay.
 
-    Lives in the submitting process; one fairness tracker and one
+    Lives in the admitting process; one fairness tracker and one
     hysteresis state per lane (client IPs are lane-sticky, so per-lane
     shares are exactly the shares among that lane's clients).
     """
@@ -305,3 +336,64 @@ class DelayBudgetController:
             shed_by_ip=dict(self._shed_by_ip),
             reasons=dict(self._reasons),
         )
+
+
+class Admission:
+    """Admit or shed each arrival for one front door's lanes.
+
+    ``cap`` is the ``SHED`` backlog limit (None: the lane's own queue
+    refuses when full); ``adaptive`` tunes the ``ADAPTIVE`` controller
+    (defaulted when None).  Callers feed :meth:`served` with the wall
+    seconds their lanes spend serving events and pass each arrival's
+    backlog — the events it waits behind — to :meth:`admit`.
+    """
+
+    def __init__(
+        self,
+        policy: ShedPolicy,
+        lanes: int,
+        cap: int | None = None,
+        adaptive: AdaptiveConfig | None = None,
+        metrics=None,
+    ) -> None:
+        self.policy = policy
+        self._cap = cap
+        #: Per lane: EWMA wall seconds per served event, and seconds
+        #: served toward events not delivered yet.
+        self._service = [_SERVICE_SEED] * lanes
+        self._owed = [0.0] * lanes
+        #: The ``ADAPTIVE`` controller (None under the other policies).
+        self.controller = (
+            DelayBudgetController(
+                adaptive or AdaptiveConfig(), lanes, metrics=metrics
+            )
+            if policy is ShedPolicy.ADAPTIVE
+            else None
+        )
+
+    def admit(self, lane: int, ip: str, backlog: int) -> bool:
+        """True to admit an arrival from ``ip`` behind ``backlog`` events."""
+        policy = self.policy
+        if policy is ShedPolicy.BLOCK:
+            return True
+        if policy is ShedPolicy.SHED:
+            return self._cap is None or backlog <= self._cap
+        return self.controller.admit(lane, ip, self.predict(lane, backlog))
+
+    def served(self, lane: int, seconds: float, events: int = 1) -> None:
+        """Fold ``seconds`` of ``lane`` service that delivered ``events``.
+
+        ``events=0`` means the lane was busy but has delivered nothing
+        yet: the seconds count toward the next delivery.
+        """
+        seconds += self._owed[lane]
+        if not events:
+            self._owed[lane] = seconds
+            return
+        self._owed[lane] = 0.0
+        service = self._service
+        service[lane] += _SERVICE_ALPHA * (seconds / events - service[lane])
+
+    def predict(self, lane: int, backlog: int) -> float:
+        """Predicted wall seconds to serve ``backlog`` events on ``lane``."""
+        return min(DELAY_CAP, backlog * self._service[lane])

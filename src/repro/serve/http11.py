@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.http.headers import Headers
 from repro.http.message import Method, Response
@@ -51,9 +51,9 @@ _HOP_BY_HOP = frozenset(
 )
 
 #: Stripped from the pipeline-facing request view: hop-by-hop fields
-#: plus message-framing metadata already folded into the parsed target
-#: and body.  The pipeline then sees the same header set a replayed
-#: trace record rebuilds (they survive in ``raw_headers``).
+#: plus message-framing metadata already folded into the parsed target,
+#: body and keep-alive decision.  The pipeline then sees the same header
+#: set a replayed trace record rebuilds.
 _FRAMING_HEADERS = _HOP_BY_HOP | frozenset(("host", "content-length"))
 
 #: Fields the header loop picks up instead of adding to the pipeline
@@ -101,10 +101,6 @@ class ParsedRequest:
     #: Wall seconds of the ``parse_request`` pass that framed it
     #: (excludes every wait for bytes).
     parse_seconds: float = 0.0
-    #: Raw header entries including hop-by-hop fields, for callers that
-    #: need connection semantics (the pipeline view in ``headers`` has
-    #: them stripped).
-    raw_headers: Headers = field(default_factory=Headers)
     #: The first ``X-Forwarded-For`` value, if any.  Unless it is empty
     #: (it names no one), no such field is in ``headers``.
     forwarded: str | None = None
@@ -182,9 +178,9 @@ def parse_request(
     if method is None:
         raise HttpParseError(501, f"method not implemented: {method_text[:32]}")
 
-    # Entries and their folded names: every field, and the pipeline view;
-    # the framing fields and X-Forwarded-For are picked up on the way.
-    raw_entries, raw_folded, entries, folded_names = [], [], [], []
+    # The pipeline view's entries and their folded names; the framing
+    # fields and X-Forwarded-For are picked up on the way.
+    entries, folded_names = [], []
     host = forwarded = None
     lengths, connection, chunked = [], [], False
     header_bytes = 0
@@ -213,8 +209,6 @@ def parse_request(
         value = value.strip()
         entry = (name, value)
         folded = name.lower()
-        raw_entries.append(entry)
-        raw_folded.append(folded)
         if folded not in _PICKED:
             entries.append(entry)
             folded_names.append(folded)
@@ -252,12 +246,11 @@ def parse_request(
             raise HttpParseError(400, "truncated request body")
         return None
 
-    raw_headers = Headers.from_folded(raw_entries, raw_folded)
     parsed = ParsedRequest(
         method, url, Headers.from_folded(entries, folded_names), version,
         _keep_alive(version, connection) if connection else version != "HTTP/1.0",
         bytes(buffer[body_start:consumed]) if consumed > body_start else b"",
-        time.perf_counter() - started, raw_headers, forwarded,
+        time.perf_counter() - started, forwarded,
     )
     return parsed, consumed
 

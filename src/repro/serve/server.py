@@ -23,10 +23,13 @@ node: admission sheds, handler failures and the server-local CAPTCHA
 endpoints are counted in metrics but stay out of the log (the same
 out-of-band funnel the record CLI documents).
 
-Admission: nothing ever waits *inside* a node, so the backlog ``shed``
-and ``adaptive`` act on is what waits in front of the loop: connections
-whose bytes have arrived (one ``select`` can return many) and whose
-request has not been dispatched yet.
+Admission is the pipeline's own :class:`~repro.overload.admission.Admission`,
+one lane per node.  Nothing ever waits *inside* a node, so the backlog
+``SHED`` and ``ADAPTIVE`` act on is what waits in front of the loop:
+connections whose bytes have arrived (one ``select`` can return many)
+and whose request has not been dispatched yet, plus the request being
+admitted.  Each request's handle time feeds the lane's service
+estimate.
 
 Client identity: every socket shows the peer address, and that address
 is the client unless the peer is one of ``ServeConfig.trusted_proxies``
@@ -55,6 +58,7 @@ from repro.http.message import (
     html_response,
 )
 from repro.obs.sockets import ServeMetrics
+from repro.overload.admission import AdaptiveConfig, Admission, ShedPolicy
 from repro.serve.http11 import (
     Http11Limits,
     HttpParseError,
@@ -72,7 +76,6 @@ from repro.trace.recorder import sorted_journal, write_probe_journal
 
 if TYPE_CHECKING:
     from repro.instrument.keys import RegisteredProbe
-    from repro.overload.admission import AdaptiveConfig
     from repro.overload.ladder import LadderConfig
     from repro.proxy.network import ProxyNetwork
 
@@ -119,13 +122,14 @@ class ServeConfig:
     trace_path: str | None = None
     #: Probe journal written at close; None skips it.
     probes_path: str | None = None
-    #: Admission policy: "block" admits everything (the queue is the
-    #: kernel's: unread sockets), "shed" refuses (503) once a node's
-    #: backlog hits ``max_pending_per_node``, "adaptive" runs the
-    #: delay-budget controller per node lane.
-    policy: str = "block"
+    #: Admission policy (a :class:`ShedPolicy` or its value): BLOCK
+    #: admits everything (the queue is the kernel's: unread sockets),
+    #: SHED refuses (503) once a node's backlog passes
+    #: ``max_pending_per_node``, ADAPTIVE runs the delay-budget
+    #: controller per node lane, tuned by ``adaptive``.
+    policy: ShedPolicy = ShedPolicy.BLOCK
     max_pending_per_node: int = 64
-    adaptive: "AdaptiveConfig | None" = None
+    adaptive: AdaptiveConfig | None = None
     #: Enable the graduated response ladder on every node, escalated
     #: from live detection verdicts; the CAPTCHA endpoints feed
     #: exonerations/condemnations back per client IP.
@@ -135,11 +139,9 @@ class ServeConfig:
     limits: Http11Limits = field(default_factory=Http11Limits)
 
     def __post_init__(self) -> None:
-        if self.policy not in ("block", "shed", "adaptive"):
-            raise ValueError(
-                f"policy must be block/shed/adaptive, got {self.policy!r}"
-            )
-        if self.adaptive is not None and self.policy != "adaptive":
+        object.__setattr__(self, "policy", ShedPolicy(self.policy))
+        adaptive = self.policy is ShedPolicy.ADAPTIVE
+        if self.adaptive is not None and not adaptive:
             raise ValueError(
                 "adaptive admission tuning requires policy='adaptive'"
             )
@@ -296,21 +298,13 @@ class DetectorServer:
         self._connections: set[_Connection] = set()
         #: Per node: connections woken by bytes, not yet dispatched.
         self._pending = [0] * len(network.nodes)
-        #: EWMA of per-node handle seconds, seeding the adaptive
-        #: controller's predicted queue delay.
-        self._ewma = [0.005] * len(network.nodes)
-        self._controller = None
-        if self._config.policy == "adaptive":
-            from repro.overload.admission import (
-                AdaptiveConfig,
-                DelayBudgetController,
-            )
-
-            self._controller = DelayBudgetController(
-                self._config.adaptive or AdaptiveConfig(),
-                lanes=len(network.nodes),
-                metrics=self.metrics.registry,
-            )
+        self._admission = Admission(
+            self._config.policy,
+            len(network.nodes),
+            cap=self._config.max_pending_per_node,
+            adaptive=self._config.adaptive,
+            metrics=self.metrics.registry,
+        )
         self._epoch = time.monotonic()
         self._last_us = 0
         self._trace_handle = None
@@ -543,15 +537,8 @@ class DetectorServer:
             return self._captcha(request, parsed.body)
 
         index = connection.lane = self._network.node_index_for(client_ip)
-        cfg = self._config
-        pending = self._pending[index]
-        if cfg.policy == "shed":
-            admitted = pending < cfg.max_pending_per_node
-        else:
-            admitted = self._controller is None or self._controller.admit(
-                index, client_ip, (pending + 1) * self._ewma[index]
-            )
-        if not admitted:
+        admission = self._admission
+        if not admission.admit(index, client_ip, self._pending[index] + 1):
             self.metrics.shed.inc()
             response = error_response(
                 503, "overloaded: request shed at admission"
@@ -562,7 +549,7 @@ class DetectorServer:
         node = self._network.nodes[index]
         started = time.perf_counter()
         response, outcome = node.handle_traced(request)
-        if outcome is not None and cfg.ladder is not None:
+        if outcome is not None and self._config.ladder is not None:
             ladder = node.ladder_for(client_ip)
             if ladder is not None:
                 ladder.observe_verdict(
@@ -571,7 +558,7 @@ class DetectorServer:
                     request.timestamp,
                 )
         elapsed = time.perf_counter() - started
-        self._ewma[index] += 0.2 * (elapsed - self._ewma[index])
+        admission.served(index, elapsed)
         self.metrics.observe_stage("handle", elapsed)
 
         for tap in self._network.taps:

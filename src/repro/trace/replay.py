@@ -52,6 +52,7 @@ from repro.ml.batch import BatchVerdict
 from repro.obs.flight import FlightFrame
 from repro.obs.registry import MetricsSnapshot
 from repro.obs.spans import SpanConfig, SpanTree
+from repro.overload.admission import ShedPolicy
 from repro.proxy.network import ProxyNetwork
 from repro.proxy.node import NodeStats
 from repro.trace.clf import ParseStats, TraceRecord, read_trace
@@ -87,9 +88,9 @@ class ReplayConfig:
     handles each inline, ``process`` ships them to one child process per
     lane over a pipe bounded at ``queue_depth`` events (None =
     unbounded).  Results are bit-identical across executors, depths and
-    shard counts unless ``shed`` / ``adaptive`` opt into load shedding,
-    which needs the ``process`` executor — inline lanes have no backlog
-    to shed from.  ``scorer_model`` additionally micro-batches §4.2
+    shard counts unless ``policy`` opts into load shedding (SHED, or
+    ADAPTIVE tuned by ``adaptive``), which needs the ``process``
+    executor — inline lanes have no backlog to shed from.  ``scorer_model`` additionally micro-batches §4.2
     ensemble scoring per lane
     (:class:`~repro.ingress.batcher.MicroBatcher`).
     Which combinations make sense is :class:`IngressConfig`'s call: one
@@ -103,12 +104,11 @@ class ReplayConfig:
     shards: int = 0
     executor: str = "serial"
     queue_depth: int | None = None
-    #: Binary full-queue shedding (``ShedPolicy.SHED``).
-    shed: bool = False
-    #: Delay-budget admission (``ShedPolicy.ADAPTIVE``): shed at the
-    #: front door when the lane's predicted queue delay exceeds the
-    #: budget, with hysteresis and per-IP fairness.  Mutually exclusive
-    #: with ``shed``.
+    #: Admission policy: BLOCK, full-queue SHED, or ADAPTIVE — shed at
+    #: the front door when the lane's predicted queue delay exceeds the
+    #: budget, with hysteresis and per-IP fairness.
+    policy: ShedPolicy = ShedPolicy.BLOCK
+    #: ADAPTIVE tuning (defaulted when None); only with that policy.
     adaptive: "AdaptiveConfig | None" = None
     #: Graduated response ladder (throttle -> CAPTCHA -> block) driven
     #: live from micro-batch checkpoint verdicts; needs ``scorer_model``.
@@ -130,12 +130,12 @@ class ReplayConfig:
         """The admission-and-dispatch half of these parameters."""
         # Deferred import: repro.trace's package init imports this
         # module, and the ingress package imports trace machinery.
-        from repro.ingress.pipeline import IngressConfig, shed_policy
+        from repro.ingress.pipeline import IngressConfig
 
         return IngressConfig(
             executor=self.executor,
             queue_depth=self.queue_depth,
-            policy=shed_policy(self.shed, self.adaptive),
+            policy=self.policy,
             housekeeping_interval=self.housekeeping_interval,
             scorer_model=self.scorer_model,
             flight_interval=self.flight_interval,

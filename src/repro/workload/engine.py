@@ -27,6 +27,7 @@ from repro.agents.population import PopulationMix
 from repro.captcha.service import CaptchaConfig, CaptchaService
 from repro.ml.dataset import Dataset
 from repro.obs.spans import SpanConfig
+from repro.overload.admission import ShedPolicy
 from repro.proxy.network import ProxyNetwork
 from repro.trace.arrival import ArrivalProfile, UniformArrival
 from repro.util.rng import RngStream
@@ -65,7 +66,7 @@ class WorkloadConfig:
     inline, ``"pipelined"`` on ``executor`` — ``serial`` (inline again)
     or ``process``, one child process per lane behind a pipe bounded at
     ``queue_depth`` events (None = unbounded).  Census, summary and
-    verdicts are identical either way; ``shed`` / ``adaptive`` need
+    verdicts are identical either way; a shedding ``policy`` needs
     pipelined process lanes, the only ones with a backlog.  Which
     combinations make sense is :class:`IngressConfig`'s call: one is
     built (and so checked) at construction.
@@ -83,11 +84,12 @@ class WorkloadConfig:
     shards: int = 0
     executor: str = "serial"
     queue_depth: int | None = None
-    #: Shed (and count) whole sessions instead of blocking when a lane's
-    #: pipe is full.  Needs a bounded queue on process lanes.
-    shed: bool = False
-    #: Delay-budget admission with per-IP fairness
-    #: (``ShedPolicy.ADAPTIVE``); an :class:`AdaptiveConfig` or None.
+    #: Admission policy: BLOCK, SHED (drop and count whole sessions
+    #: when a lane's bounded pipe is full) or ADAPTIVE (delay-budget
+    #: admission with per-IP fairness).
+    policy: ShedPolicy = ShedPolicy.BLOCK
+    #: ADAPTIVE tuning, an :class:`AdaptiveConfig` (defaulted when
+    #: None); only with that policy.
     adaptive: object | None = None
     #: Virtual-time flight-recorder sampling interval (None = off).
     flight_interval: float | None = None
@@ -118,12 +120,12 @@ class WorkloadConfig:
         """The admission-and-dispatch half of these parameters."""
         # Deferred import: the ingress package reaches back into
         # workload machinery (session records, the scheduler).
-        from repro.ingress.pipeline import IngressConfig, shed_policy
+        from repro.ingress.pipeline import IngressConfig
 
         config = IngressConfig(
             executor=self.executor,
             queue_depth=self.queue_depth,
-            policy=shed_policy(self.shed, self.adaptive),
+            policy=self.policy,
             adaptive=self.adaptive,
             housekeeping_interval=self.housekeeping_interval,
             flight_interval=self.flight_interval,

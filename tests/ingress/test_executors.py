@@ -9,6 +9,7 @@ vanish.
 from __future__ import annotations
 
 import multiprocessing
+import time
 
 import pytest
 
@@ -180,6 +181,28 @@ class TestLaneDepth:
             worker.gate.set()
             executor.close()
         assert executor.lane_depths() == [0]
+
+    def test_taken_counts_what_the_child_took_since_the_last_call(self):
+        # The admission's service estimate divides a sample's wall time
+        # by these counts.
+        worker = GatedWorker()
+        executor = ProcessLaneExecutor([worker], chunk_size=4)
+        executor.submit(0, "head", force=True)
+        assert worker.started.wait(timeout=5.0)  # child holds "head"
+        for index in range(8):  # two full chunks, left in the pipe
+            executor.submit(0, index)
+        try:
+            assert executor.lane_depths() == [8]
+            assert executor.taken() == [1]
+            assert executor.taken() == [0]
+        finally:
+            worker.gate.set()
+        deadline = time.monotonic() + 10.0
+        while executor.lane_depths() != [0] and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert executor.taken() == [8]
+        results, _ = executor.close()
+        assert results == [["head", *range(8)]]
 
 
 class TestFailurePropagation:

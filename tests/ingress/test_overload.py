@@ -157,12 +157,14 @@ class TestConfigValidation:
 
     def test_replay_config_rejects_shed_without_depth(self):
         with pytest.raises(ValueError, match="never shed"):
-            ReplayConfig(executor="process", shed=True, queue_depth=None)
+            ReplayConfig(
+                executor="process", policy=ShedPolicy.SHED, queue_depth=None
+            )
 
     def test_workload_config_rejects_shed_without_depth(self):
         with pytest.raises(ValueError, match="never shed"):
             WorkloadConfig(
-                mode="pipelined", executor="process", shed=True
+                mode="pipelined", executor="process", policy=ShedPolicy.SHED
             )
 
     def test_shed_needs_the_process_executor(self):
@@ -175,10 +177,12 @@ class TestConfigValidation:
                 executor="serial", policy=ShedPolicy.SHED, queue_depth=1
             )
         with pytest.raises(ValueError, match="process executor"):
-            ReplayConfig(shed=True, queue_depth=1)
+            ReplayConfig(policy=ShedPolicy.SHED, queue_depth=1)
         with pytest.raises(ValueError, match="process executor"):
             # Default mode keeps the lanes inline whatever ``executor``.
-            WorkloadConfig(executor="process", shed=True, queue_depth=8)
+            WorkloadConfig(
+                executor="process", policy=ShedPolicy.SHED, queue_depth=8
+            )
         # Bounding the (never used) queue of inline lanes stays legal:
         # BLOCK on serial is exactly what it looks like.
         assert ReplayConfig(
@@ -192,13 +196,13 @@ class TestConfigValidation:
             IngressConfig(
                 executor="serial", policy=ShedPolicy.ADAPTIVE
             )
-        with pytest.raises(ValueError):
-            ReplayConfig(executor="serial", adaptive=AdaptiveConfig())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="serial"):
+            ReplayConfig(executor="serial", policy=ShedPolicy.ADAPTIVE)
+        with pytest.raises(ValueError, match="serial"):
             WorkloadConfig(
                 mode="pipelined",
                 executor="serial",
-                adaptive=AdaptiveConfig(),
+                policy=ShedPolicy.ADAPTIVE,
             )
 
     def test_adaptive_tuning_requires_adaptive_policy(self):
@@ -210,19 +214,19 @@ class TestConfigValidation:
             )
 
     def test_adaptive_and_shed_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ADAPTIVE"):
             ReplayConfig(
                 executor="process",
                 queue_depth=8,
-                shed=True,
+                policy=ShedPolicy.SHED,
                 adaptive=AdaptiveConfig(),
             )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ADAPTIVE"):
             WorkloadConfig(
                 mode="pipelined",
                 executor="process",
                 queue_depth=8,
-                shed=True,
+                policy=ShedPolicy.SHED,
                 adaptive=AdaptiveConfig(),
             )
 
@@ -367,7 +371,7 @@ class TestAdmissionConservation:
             ddos_trace,
             executor=executor,
             queue_depth=depth,
-            shed=policy == "shed",
+            policy=ShedPolicy(policy),
             adaptive=AdaptiveConfig() if policy == "adaptive" else None,
         )
         stats = result.stats
@@ -402,6 +406,7 @@ class TestAdmissionConservation:
             ddos_trace,
             executor="process",
             queue_depth=4096,
+            policy=ShedPolicy.ADAPTIVE,
             adaptive=AdaptiveConfig(delay_budget=30.0),
         )
         assert result.overload.shed == 0
@@ -671,10 +676,12 @@ class TestPredictionFreshness:
         pipeline = self._pipeline(flight_interval=10.0)
         try:
             pipeline.tick(0.0)
-            # Regression shape: the estimator published a backlog, the
-            # lane then fully drained between ticks, and no re-estimate
-            # happened before the next frame.
-            pipeline._set_predicted(0, 7.5)
+            # Regression shape: a sample published a backlog (1,500
+            # events at the seeded 5 ms each), the lane then fully
+            # drained between ticks, and no re-sample happened before
+            # the next frame.
+            pipeline._publish_backlogs([1500])
+            assert pipeline.queue_delays()[0] == pytest.approx(7.5)
             pipeline.tick(25.0)
             frame = pipeline._flight.frames[-1]
             assert (
@@ -686,8 +693,42 @@ class TestPredictionFreshness:
 
     def test_final_snapshot_never_reports_a_stale_delay(self):
         pipeline = self._pipeline()
-        pipeline._set_predicted(0, 7.5)
+        pipeline._publish_backlogs([1500])
         result = pipeline.close()
         assert (
             result.metrics.get(self.GAUGE, {"lane": "0"}).value == 0.0
         )
+
+
+class TestSerialTick:
+    """Inline lanes never queue: tick() has no delay to estimate."""
+
+    def test_serial_tick_reads_no_clock_and_predicts_nothing(
+        self, monkeypatch
+    ):
+        network = ProxyNetwork(
+            origins={},
+            rng=RngStream(0, "replay"),
+            n_nodes=2,
+            instrument_enabled=False,
+        )
+        pipeline = IngressPipeline(
+            network,
+            [_SnailWorker(lane, 0.0) for lane in range(2)],
+            IngressConfig(executor="serial"),
+        )
+
+        def no_clock():
+            raise AssertionError("a serial tick read the clock")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "monotonic", no_clock)
+            for index in range(64):
+                pipeline.tick(float(index))
+                assert pipeline.submit(("event", index), f"10.0.0.{index}")
+        result = pipeline.close()
+        assert result.handled == 64
+        assert not result.metrics.series(
+            "repro_ingress_queue_delay_predicted_seconds"
+        )
+        assert set(pipeline.queue_delays().values()) == {0.0}

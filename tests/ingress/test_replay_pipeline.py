@@ -25,6 +25,7 @@ from repro.ingress.pipeline import (
     replay_workers,
 )
 from repro.ml.adaboost import AdaBoostModel
+from repro.overload.admission import ShedPolicy
 from repro.ml.stump import DecisionStump
 from repro.proxy.network import ProxyNetwork
 from repro.trace.recorder import TraceRecorder
@@ -443,7 +444,8 @@ class TestLoadShedding:
     def test_shed_is_counted_never_silent(self, recorded):
         records, probes = recorded
         result = _replay(
-            recorded, executor="process", queue_depth=1, shed=True
+            recorded, executor="process", queue_depth=1,
+            policy=ShedPolicy.SHED,
         )
         stats = result.stats
         # Every arrival — a request or a journalled page — is accounted

@@ -149,16 +149,14 @@ class TestWallDomain:
 
     def test_queue_delay_gauges_exported(self, recorded):
         result = _replay(recorded, executor="process", queue_depth=16)
-        wall = result.metrics.series(
-            "repro_ingress_queue_delay_ewma_seconds"
-        )
+        wall = result.metrics.series("repro_ingress_queue_wait_seconds")
         event = result.metrics.series(
-            "repro_ingress_queue_delay_ewma_event_seconds"
+            "repro_ingress_queue_wait_event_seconds"
         )
         assert len(wall) == 2 and len(event) == 2
         # Sorted per-lane streams never run behind their own event
-        # clock: the deterministic estimate is exactly zero.
-        assert all(p.value == 0.0 for p in event)
+        # clock: every event-domain wait is exactly zero.
+        assert all(p.count and p.sum == 0.0 for p in event)
         predicted = result.metrics.series(
             "repro_ingress_queue_delay_predicted_seconds"
         )
@@ -171,14 +169,14 @@ class TestWallDomain:
         ]
         values = [
             sorted(
-                (p.key, p.value)
+                (p.key, p.counts, p.sum, p.count)
                 for p in run.metrics.series(
-                    "repro_ingress_queue_delay_ewma_event_seconds"
+                    "repro_ingress_queue_wait_event_seconds"
                 )
             )
             for run in runs
         ]
-        assert values[0] == values[1]
+        assert values[0] and values[0] == values[1]
 
 
 class TestSamplerBudgetsInPipeline:

@@ -14,7 +14,6 @@ import pytest
 from repro.obs.spans import (
     TRACE_EVENT_SCHEMA,
     ProfileReport,
-    QueueDelayEstimator,
     Span,
     SpanConfig,
     SpanTracer,
@@ -221,43 +220,6 @@ class TestTailSampler:
         assert [(t.lane, t.seq) for t in merged] == [
             (0, 1), (1, 0), (1, 2),
         ]
-
-
-class TestQueueDelayEstimator:
-    def test_first_sample_seeds_then_ewma(self):
-        est = QueueDelayEstimator(alpha=0.5)
-        est.observe_wall(2.0)
-        assert est.wall_seconds == pytest.approx(2.0)
-        est.observe_wall(4.0)
-        assert est.wall_seconds == pytest.approx(3.0)
-        est.observe_wall(4.0)
-        assert est.wall_seconds == pytest.approx(3.5)
-
-    def test_converges_after_a_burst(self):
-        est = QueueDelayEstimator(alpha=0.2)
-        for _ in range(50):
-            est.observe_event(0.0)
-        assert est.event_seconds == pytest.approx(0.0)
-        # A burst drives the estimate up...
-        for _ in range(50):
-            est.observe_event(5.0)
-        assert est.event_seconds == pytest.approx(5.0, abs=1e-3)
-        # ...and drains back down once the queue empties.
-        for _ in range(50):
-            est.observe_event(0.0)
-        assert est.event_seconds == pytest.approx(0.0, abs=1e-3)
-
-    def test_domains_are_independent(self):
-        est = QueueDelayEstimator()
-        est.observe_wall(1.0)
-        assert est.event_seconds == 0.0
-        assert est.event_samples == 0
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            QueueDelayEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            QueueDelayEstimator(alpha=1.5)
 
 
 def _sample_traces() -> list[SpanTree]:

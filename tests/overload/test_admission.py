@@ -1,14 +1,21 @@
-"""Unit tests for delay-budget admission and per-IP fairness."""
+"""Unit tests for front-door admission, delay-budget control and per-IP
+fairness."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+import repro.overload.admission as admission_module
 from repro.obs.registry import MetricsRegistry
 from repro.overload.admission import (
+    DELAY_CAP,
     AdaptiveConfig,
+    Admission,
     DelayBudgetController,
     FairnessTracker,
+    ShedPolicy,
 )
 
 FLOODER = "10.9.9.9"
@@ -234,3 +241,93 @@ class TestAccounting:
             for p in snap.deterministic().points
             if p.name.startswith("repro_ingress_adaptive")
         ]
+
+
+class TestOneAdmission:
+    """The server and the pipeline feed one estimator two ways: a
+    request's handle seconds each, or one sample's wall seconds over the
+    events it saw delivered."""
+
+    @staticmethod
+    def _steps():
+        """``(backlog, seconds served per event, events in the sample)``:
+        a ramp into overload, a plateau, a drain."""
+        steps = []
+        for index in range(300):
+            backlog = index // 3 if index < 150 else max(0, 300 - index)
+            seconds = 0.002 + 0.001 * (index % 7)
+            steps.append((backlog, seconds, 1 + index % 4))
+        return steps
+
+    def _drive(self, monkeypatch, feed):
+        # The controller's fairness decays on the wall clock: give both
+        # runs the same one.
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(
+            admission_module,
+            "time",
+            SimpleNamespace(monotonic=lambda: next(ticks) * 0.001),
+        )
+        admission = Admission(
+            ShedPolicy.ADAPTIVE,
+            1,
+            adaptive=AdaptiveConfig(delay_budget=0.2, ramp_requests=8),
+        )
+        seen = []
+        for index, (backlog, seconds, events) in enumerate(self._steps()):
+            ip = "10.9.9.9" if index % 2 else f"10.0.0.{index % 5}"
+            seen.append(
+                (
+                    admission.admit(0, ip, backlog),
+                    admission.predict(0, backlog),
+                )
+            )
+            feed(admission, seconds, events)
+        return seen, admission.controller.report()
+
+    def test_server_and_pipeline_feeds_decide_alike(self, monkeypatch):
+        def server(admission, seconds, _events):
+            admission.served(0, seconds)
+
+        def pipeline(admission, seconds, events):
+            # Part of the sample's wall time lands on a sample that saw
+            # nothing delivered yet; it counts toward the next one.
+            admission.served(0, seconds * events / 3, 0)
+            admission.served(0, seconds * events * 2 / 3, events)
+
+        served, served_report = self._drive(monkeypatch, server)
+        sampled, sampled_report = self._drive(monkeypatch, pipeline)
+        assert [d for d, _ in served] == [d for d, _ in sampled]
+        assert [p for _, p in served] == pytest.approx(
+            [p for _, p in sampled], rel=1e-12
+        )
+        assert served_report == sampled_report
+        # The run was overloaded and then was not: both decisions occur.
+        assert {decision for decision, _ in served} == {True, False}
+
+    def test_block_admits_and_shed_refuses_past_the_cap(self):
+        block = Admission(ShedPolicy.BLOCK, 1, cap=1)
+        assert block.admit(0, LEGIT, 10**6)
+        shed = Admission(ShedPolicy.SHED, 2, cap=2)
+        assert [shed.admit(1, LEGIT, n) for n in (1, 2, 3)] == [
+            True, True, False,
+        ]
+        # A process pipe is its own cap: it refuses whole chunks itself.
+        assert Admission(ShedPolicy.SHED, 1).admit(0, LEGIT, 10**6)
+        assert block.controller is None and shed.controller is None
+
+    def test_prediction_is_backlog_times_service_and_capped(self):
+        admission = Admission(ShedPolicy.BLOCK, 2)
+        assert admission.predict(0, 0) == 0.0
+        assert admission.predict(0, 10) == pytest.approx(0.05)  # the seed
+        admission.served(0, 1.0, 10)
+        assert admission.predict(0, 10) == pytest.approx(
+            10 * (0.005 + 0.2 * (0.1 - 0.005))
+        )
+        assert admission.predict(1, 10) == pytest.approx(0.05)
+        admission.served(1, 1e9)
+        assert admission.predict(1, 10) == DELAY_CAP
+
+    def test_adaptive_defaults_its_tuning(self):
+        admission = Admission(ShedPolicy.ADAPTIVE, 1)
+        assert admission.controller.config == AdaptiveConfig()

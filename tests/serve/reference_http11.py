@@ -150,7 +150,7 @@ def parse_request(
             501, f"method not implemented: {method_text[:32]}"
         ) from None
 
-    raw_headers = Headers()
+    all_headers = Headers()
     headers = Headers()
     header_bytes = 0
     fields_left = limits.max_headers
@@ -174,13 +174,13 @@ def parse_request(
         if header_line[0] in " \t":
             raise HttpParseError(400, "folded header field")
         name, value = _split_field(header_line)
-        raw_headers.add(name, value)
+        all_headers.add(name, value)
         if name.lower() not in _FRAMING_HEADERS:
             headers.add(name, value)
 
-    url = _resolve_target(target, raw_headers, default_host)
+    url = _resolve_target(target, all_headers, default_host)
     body_start = end + 1
-    consumed = body_start + _body_length(raw_headers, limits)
+    consumed = body_start + _body_length(all_headers, limits)
     if len(buffer) < consumed:
         if eof:
             raise HttpParseError(400, "truncated request body")
@@ -194,10 +194,9 @@ def parse_request(
         url=url,
         headers=headers,
         version=version,
-        keep_alive=_keep_alive(version, raw_headers),
+        keep_alive=_keep_alive(version, all_headers),
         body=bytes(buffer[body_start:consumed]),
         parse_seconds=time.perf_counter() - started,
-        raw_headers=raw_headers,
         forwarded=forwarded,
     )
     return parsed, consumed

@@ -365,7 +365,7 @@ class TestAdmissionUnderBurst:
                 delay_budget=0.008, ramp_requests=1, duty_cycle=2
             ),
         )
-        assert server._controller.report().lanes[0].entered >= 1
+        assert server._admission.controller.report().lanes[0].entered >= 1
         assert 503 in [status for status, _ in replies]
         assert len(server.records) + server.shed_count == self.CLIENTS
 

@@ -121,8 +121,6 @@ def _fields(parsed, consumed):
         parsed.url,
         list(parsed.headers),
         parsed.headers,
-        list(parsed.raw_headers),
-        parsed.raw_headers,
         parsed.version,
         parsed.keep_alive,
         parsed.body,

@@ -77,6 +77,18 @@ lanes here), are gone.  Only that series left the deterministic
 snapshot; every verdict margin, flush and other series is identical.
 ``ce3c1288…`` is what this file computes at the parent (ed86f03) with
 that one series filtered out of ``result.metrics.deterministic()``.
+
+It changed on purpose again when admission became the only predictor of
+a lane's queue delay: each lane's EWMA of its event-time queue skew,
+which nothing read, is gone, and with it the deterministic gauge
+``repro_ingress_queue_delay_ewma_event_seconds{lane}`` (0.0 on every
+lane here, a sorted trace never runs behind its lane clock).  The skew
+itself is still observed, in the
+``repro_ingress_queue_wait_event_seconds{lane}`` histogram.  Census,
+summary, stats, latencies, every verdict margin and every other series
+are identical.  ``bf5dcf07…`` is what this file computes at the parent
+(0288af2) with that one series filtered out of
+``result.metrics.deterministic()``.
 """
 
 from __future__ import annotations
@@ -92,7 +104,7 @@ from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
 from repro.workload.mixes import SMOKE
 
-GOLDEN = "ce3c12882922db6593649b800da3e0ecfb8868bb49f27ce29901ddb80d4d669f"
+GOLDEN = "bf5dcf07e955e40f37b99e9149deb472010709325d1e78f23208f72615024d59"
 
 
 def _observables(result: ReplayResult) -> list[str]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.overload.admission import ShedPolicy
 from repro.proxy.network import ProxyNetwork
 from repro.util.rng import RngStream
 from repro.workload.engine import WorkloadConfig, WorkloadEngine
@@ -168,9 +169,10 @@ class TestPipelinedMode:
         config = WorkloadConfig(shards=4, spans=SpanConfig(), queue_depth=8)
         assert config.ingress().executor == "serial"
         with pytest.raises(ValueError, match="process executor"):
-            WorkloadConfig(shed=True, queue_depth=8)
+            WorkloadConfig(policy=ShedPolicy.SHED, queue_depth=8)
         assert WorkloadConfig(
-            mode="pipelined", executor="process", shed=True, queue_depth=8
+            mode="pipelined", executor="process", policy=ShedPolicy.SHED,
+            queue_depth=8,
         ).ingress().executor == "process"
         assert WorkloadConfig(executor="process").ingress().executor == "serial"
 
