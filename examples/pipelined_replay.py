@@ -15,8 +15,8 @@ Demonstrates the ingress subsystem end to end:
    *counted* in the network stats, never silently dropped;
 4. replay with **span tracing** on: every admitted event carries a trace
    context through admission -> queue wait -> handle -> detection ->
-   batch flush, a tail sampler keeps exemplar traces under a bounded
-   budget, and the export is Chrome trace-event JSON you can drop into
+   batch flush, each lane's tracer keeps exemplar traces under one
+   bounded budget, and the export is Chrome trace-event JSON you can drop into
    https://ui.perfetto.dev — plus the same per-stage critical-path
    table ``repro profile`` prints.
 
@@ -30,7 +30,6 @@ import tempfile
 from itertools import groupby
 
 from repro.obs.spans import (
-    SpanConfig,
     profile_stages,
     to_trace_events,
     trace_trees_from_json,
@@ -151,15 +150,15 @@ def main() -> None:
         )
 
         # Span tracing: the same replay with causal traces attached.
-        # ``SpanConfig.uniform(8)`` keeps at most 8 exemplar traces per
-        # category per lane (16 for robot verdicts) — budget-bounded no
-        # matter how long the trace is.
+        # ``spans=8`` keeps at most 8 exemplar traces per category per
+        # lane (16 for robot verdicts) — budget-bounded no matter how
+        # long the trace is.
         traced = replay(
             trace,
             probes,
             executor="process",
             queue_depth=256,
-            spans=SpanConfig.uniform(8),
+            spans=8,
         )
         span_path = os.path.join(tmp, "spans.json")
         with open(span_path, "w", encoding="utf-8") as handle:
@@ -186,7 +185,7 @@ def main() -> None:
                     probes,
                     executor=executor,
                     queue_depth=256,
-                    spans=SpanConfig.uniform(8),
+                    spans=8,
                 ).spans,
                 clock="virtual",
             )

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 
 from repro.analysis.report import generate_report
@@ -226,6 +227,10 @@ def _lane_config(args) -> dict:
     )
 
 
+#: Per-lane trace budget when ``--trace-out`` has no ``--trace-sample``.
+_TRACE_SAMPLE = 16
+
+
 def _add_trace_out_options(parser: argparse.ArgumentParser) -> None:
     """The shared ``--trace-out`` / ``--trace-sample`` / ``--trace-clock``."""
     parser.add_argument(
@@ -235,9 +240,9 @@ def _add_trace_out_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trace-sample", type=int, default=None, metavar="N",
-        help="per-category trace budget for --trace-out: keep N "
-             "exemplar traces each for head/slow/error/shed and 2N for "
-             "robot verdicts (default 16)",
+        help="per-lane trace budget for --trace-out: keep N "
+             "exemplar traces each for head/slow/error and 2N for "
+             f"robot verdicts (default {_TRACE_SAMPLE})",
     )
     parser.add_argument(
         "--trace-clock", choices=("wall", "virtual"), default="wall",
@@ -354,23 +359,21 @@ def build_profile_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _span_config(args):
-    """Build the tail-sampling config the ``--trace-*`` flags describe.
+def _span_budget(args) -> int | None:
+    """The per-lane trace budget the ``--trace-*`` flags describe.
 
     Returns ``None`` when tracing is off; raises ``ValueError`` on
     inconsistent flags so each command prints its own prefix.
     """
-    from repro.obs.spans import SpanConfig
-
     if args.trace_out is None:
         if args.trace_sample is not None:
             raise ValueError("--trace-sample needs --trace-out")
         return None
-    if args.trace_sample is not None:
-        if args.trace_sample < 1:
-            raise ValueError("--trace-sample must be >= 1")
-        return SpanConfig.uniform(args.trace_sample)
-    return SpanConfig()
+    if args.trace_sample is None:
+        return _TRACE_SAMPLE
+    if args.trace_sample < 1:
+        raise ValueError("--trace-sample must be >= 1")
+    return args.trace_sample
 
 
 def _write_trace(path: str, traces, clock: str) -> None:
@@ -400,7 +403,7 @@ def run_record(argv: list[str]) -> int:
     try:
         mix = mix_by_name(args.mix)
         duration = parse_duration(args.duration)
-        spans = _span_config(args)
+        spans = _span_budget(args)
         experiment = CodeenWeekExperiment(
             CodeenWeekConfig(
                 n_sessions=args.sessions, n_nodes=args.nodes,
@@ -520,7 +523,7 @@ def run_replay(argv: list[str]) -> int:
             n_nodes=args.nodes,
             instrument_enabled=False,
         )
-        spans = _span_config(args)
+        spans = _span_budget(args)
         ladder = None
         if args.ladder:
             from repro.overload.ladder import LadderConfig
@@ -856,7 +859,27 @@ def _experiment_workload(result):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the CLI; returns a process exit code."""
+    """Run the CLI; returns a process exit code.
+
+    A reader that closes standard output early (``repro list | head
+    -1``) ends the run with exit 1 and nothing on standard error.
+    """
+    try:
+        try:
+            return _run(argv)
+        finally:
+            # Also on argparse's SystemExit (``--help``): a failing
+            # flush replaces it and lands below.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: later writes, the interpreter's
+        # shutdown flush among them, go to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str] | None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv and argv[0] in _TRACE_COMMANDS:
         runner = {

@@ -50,7 +50,7 @@ from repro.obs.registry import (
     MetricsSnapshot,
     merge_snapshots,
 )
-from repro.obs.spans import SpanConfig, SpanTree, merge_traces
+from repro.obs.spans import SpanTree
 from repro.overload.admission import (
     AdaptiveConfig,
     Admission,
@@ -89,11 +89,11 @@ class IngressConfig:
     #: :meth:`IngressPipeline.tick` — snapshots its metrics registry on
     #: this shared event-time grid.
     flight_interval: float | None = None
-    #: Tail-sampling budgets for causal span tracing (None = tracing
+    #: Per-lane trace budget for causal span tracing (None = tracing
     #: off, the zero-cost default).  Each lane worker owns a
     #: :class:`~repro.obs.spans.SpanTracer` and its retained trees ride
     #: the lane result back, merged in lane order.
-    spans: SpanConfig | None = None
+    spans: int | None = None
     #: Delay-budget admission tuning; required (and defaulted) when
     #: ``policy`` is ``ShedPolicy.ADAPTIVE``, rejected otherwise.
     adaptive: AdaptiveConfig | None = None
@@ -473,8 +473,9 @@ class IngressPipeline:
         result.metrics = merge_snapshots(
             [self.metrics.snapshot(), *lane_snapshots]
         )
-        result.spans = merge_traces(
-            lane.spans for lane in lane_results
+        result.spans = sorted(
+            (tree for lane in lane_results for tree in lane.spans),
+            key=lambda tree: tree.order_key,
         )
         if self._flight is not None or any(
             lane.flight for lane in lane_results

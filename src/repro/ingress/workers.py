@@ -45,7 +45,7 @@ from repro.obs.registry import (
     WALL_SECONDS_BUCKETS,
     MetricsSnapshot,
 )
-from repro.obs.spans import SpanConfig, SpanTracer, SpanTree, TailSampler
+from repro.obs.spans import SpanTracer, SpanTree
 from repro.overload.ladder import LADDER_HEADER, LadderConfig
 from repro.proxy.node import NodeShard, NodeStats
 from repro.util.rng import RngStream
@@ -88,12 +88,10 @@ class LaneResult:
 def _request_flags(response, outcome) -> tuple[str, ...]:
     """Retention flags for one handled exchange's trace."""
     flags: list[str] = []
-    ladder_stage = response.headers.get(LADDER_HEADER)
-    if ladder_stage is not None:
+    if response.headers.get(LADDER_HEADER) is not None:
         # Ladder enforcements never reach detection (outcome is None);
         # the response header is the span's attribution instead.
         flags.append("robot")
-        flags.append(f"ladder:{ladder_stage}")
     if outcome is not None and (
         outcome.blocked or outcome.verdict.label is Label.ROBOT
     ):
@@ -125,7 +123,7 @@ class _LaneWorker:
         shard: NodeShard,
         taps,
         flight_interval: float | None,
-        spans: SpanConfig | None,
+        spans: int | None,
     ) -> None:
         self.lane = lane
         self.shard = shard
@@ -141,7 +139,7 @@ class _LaneWorker:
         #: the serial executor, which never queues).
         self._last_wait = 0.0
         self._tracer = (
-            SpanTracer(lane, TailSampler(spans))
+            SpanTracer(lane, spans)
             if spans is not None
             else None
         )
@@ -208,7 +206,7 @@ class ReplayLaneWorker(_LaneWorker):
         scorer_model: AdaBoostModel | None = None,
         taps=(),
         flight_interval: float | None = None,
-        spans: SpanConfig | None = None,
+        spans: int | None = None,
         ladder: LadderConfig | None = None,
     ) -> None:
         super().__init__(lane, shard, taps, flight_interval, spans)
@@ -381,7 +379,7 @@ class WorkloadLaneWorker(_LaneWorker):
         captcha_rng: RngStream,
         taps=(),
         flight_interval: float | None = None,
-        spans: SpanConfig | None = None,
+        spans: int | None = None,
     ) -> None:
         # Sessions are buffered and driven at finish, so only the wall
         # domain of the queue wait (admission, not event skew) is

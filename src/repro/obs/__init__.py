@@ -13,8 +13,8 @@ queue-depth spikes, batch-latency blowups — reconstructable after the
 fact.
 
 :mod:`repro.obs.spans` adds the causal layer on top: per-request span
-trees in both clock domains, tail-based exemplar sampling
-(:class:`TailSampler`), a Chrome trace-event exporter
+trees in both clock domains, built and sampled under one per-lane
+budget by :class:`SpanTracer`, a Chrome trace-event exporter
 (:func:`to_trace_events`) and critical-path profiling
 (:func:`profile_stages`).
 
@@ -52,15 +52,11 @@ from repro.obs.registry import (
     merge_snapshots,
 )
 from repro.obs.spans import (
-    NULL_SPAN,
     ProfileReport,
     Span,
-    SpanConfig,
     SpanTracer,
     SpanTree,
     StageStats,
-    TailSampler,
-    merge_traces,
     profile_stages,
     to_trace_events,
     trace_trees_from_json,
@@ -76,19 +72,15 @@ __all__ = [
     "MetricPoint",
     "MetricsRegistry",
     "MetricsSnapshot",
-    "NULL_SPAN",
     "ProfileReport",
     "SIZE_BUCKETS",
     "Span",
-    "SpanConfig",
     "SpanTracer",
     "SpanTree",
     "StageStats",
-    "TailSampler",
     "WALL_SECONDS_BUCKETS",
     "merge_flight",
     "merge_snapshots",
-    "merge_traces",
     "profile_stages",
     "render_table",
     "snapshot_from_json",

@@ -1,11 +1,11 @@
-"""Causal per-session tracing: span trees, tail sampling, profiling.
+"""Causal per-session tracing: span trees, bounded retention, profiling.
 
 Where :mod:`repro.obs.registry` answers "how much / how often", this
 module answers "where did *this* request's time go".  Every admitted
 event can carry a trace: a tree of named spans covering the full path —
-admission, lane-queue wait, node-shard dispatch, detection update,
-micro-batch flush, vectorized scoring, verdict/CAPTCHA policy — in
-**both clock domains**:
+lane-queue wait, node-shard dispatch, detection update, micro-batch
+flush, vectorized scoring, verdict/CAPTCHA policy — in **both clock
+domains**:
 
 * **virtual** (event time): span boundaries derived purely from event
   timestamps and the admitted per-lane order.  The virtual view of a
@@ -19,19 +19,18 @@ micro-batch flush, vectorized scoring, verdict/CAPTCHA policy — in
   the child interpreter), so wall times are only comparable *within*
   a trace, never across lanes.
 
-Recording every trace at replay scale would swamp memory, so retention
-is **tail-based**: a :class:`TailSampler` keeps exemplar traces per
-category under fixed per-lane budgets.  Categories split into the same
-two domains as metrics:
+Recording every trace at replay scale would swamp memory, so each
+lane's :class:`SpanTracer` keeps exemplar traces per category under one
+budget N.  Categories split into the same two domains as metrics:
 
-* deterministic — ``head`` (the first N traces a lane admits),
-  ``robot`` (the request ended under a robot verdict or policy block),
-  ``error`` (5xx response), ``finish`` (the lane's end-of-run flush /
-  finalize trace).  Which traces these budgets retain is a pure
-  function of the admitted stream.
-* wall — ``slow`` (the top K by wall duration) and ``shed`` (admission
-  refused the event).  Inherently timing-dependent, so they are
-  excluded from the deterministic export view.
+* deterministic — ``head`` (the first N unflagged traces a lane
+  admits), ``robot`` (the first 2N requests that ended under a robot
+  verdict or policy block), ``error`` (the first N 5xx responses),
+  ``finish`` (every lane's end-of-run flush / finalize trace).  Which
+  traces these keep is a pure function of the admitted stream.
+* wall — ``slow`` (the N slowest by root wall duration).  Inherently
+  timing-dependent, so it is excluded from the deterministic export
+  view.
 
 Everything here is picklable: tracers ride lane workers into process
 children, and retained trees ride :class:`~repro.ingress.workers.LaneResult`
@@ -42,22 +41,18 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 __all__ = [
     "DETERMINISTIC_CATEGORIES",
-    "NULL_SPAN",
-    "WALL_CATEGORIES",
     "ProfileReport",
     "Span",
-    "SpanConfig",
     "SpanTracer",
     "SpanTree",
     "StageStats",
-    "TailSampler",
-    "merge_traces",
     "profile_stages",
     "to_trace_events",
     "trace_trees_from_json",
@@ -68,42 +63,7 @@ DETERMINISTIC_CATEGORIES: tuple[str, ...] = (
     "head", "robot", "error", "finish",
 )
 
-#: Retention categories that depend on wall-clock behaviour.
-WALL_CATEGORIES: tuple[str, ...] = ("slow", "shed")
-
 TRACE_EVENT_SCHEMA = "repro.spans/v1"
-
-
-@dataclass(frozen=True)
-class SpanConfig:
-    """Per-lane tail-sampling budgets (traces retained per category).
-
-    ``head`` keeps the first N traces the lane sees (deterministic
-    exemplars of steady-state behaviour); ``robot``/``error`` keep the
-    first N traces flagged by verdict/response; ``slow`` keeps the top
-    K by root wall duration; ``shed`` keeps the first N admission
-    refusals.  ``finish`` traces (one per lane) are always retained.
-    A budget of 0 disables that category.
-    """
-
-    head: int = 16
-    slow: int = 16
-    robot: int = 32
-    error: int = 16
-    shed: int = 16
-
-    def __post_init__(self) -> None:
-        for name in ("head", "slow", "robot", "error", "shed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} budget must be non-negative")
-
-    @classmethod
-    def uniform(cls, budget: int) -> "SpanConfig":
-        """One budget for every category (the ``--trace-sample`` knob)."""
-        return cls(
-            head=budget, slow=budget, robot=2 * budget,
-            error=budget, shed=budget,
-        )
 
 
 @dataclass(slots=True)
@@ -141,7 +101,7 @@ class SpanTree:
 
     ``spans`` is in creation order (``spans[0]`` is the root), which is
     also a valid topological order — parents precede children.
-    ``categories`` is filled by the sampler with the tags the trace was
+    ``categories`` is filled by the tracer with the tags the trace was
     retained under.
     """
 
@@ -161,102 +121,6 @@ class SpanTree:
         """Deterministic merge order: (lane, per-lane sequence)."""
         return (self.lane, self.seq)
 
-    def deterministic_categories(self) -> tuple[str, ...]:
-        """The retention tags that are pure functions of the stream."""
-        return tuple(
-            c for c in self.categories if c in DETERMINISTIC_CATEGORIES
-        )
-
-
-class TailSampler:
-    """Bounded tail-based retention of completed traces.
-
-    Every completed trace is *offered* with a set of flags; the sampler
-    keeps it when any category it qualifies for still has budget.
-    Deterministic categories admit in offer order (pure function of the
-    lane's event stream); ``slow`` keeps the top-K by root wall
-    duration via a min-heap and may evict earlier keeps.
-    """
-
-    def __init__(self, config: SpanConfig | None = None) -> None:
-        self.config = config or SpanConfig()
-        self._offered = 0
-        self._counts = {"head": 0, "robot": 0, "error": 0, "shed": 0}
-        #: Traces kept under >= 1 deterministic (or shed) category.
-        self._kept: list[SpanTree] = []
-        #: (wall_duration, -offer_index, tree) min-heap of slow keeps.
-        self._slow: list[tuple[float, int, SpanTree]] = []
-        self._slow_seq = 0
-
-    @property
-    def offered(self) -> int:
-        """How many traces were offered (kept or not)."""
-        return self._offered
-
-    def offer(self, tree: SpanTree, flags: Iterable[str] = ()) -> bool:
-        """Consider one completed trace for retention.
-
-        ``flags`` name the categories the trace *qualifies* for beyond
-        the implicit ``head``/``slow``; returns True when retained.
-        """
-        self._offered = self._offered + 1
-        flagset = set(flags)
-        cfg = self.config
-        categories: list[str] = []
-        if "finish" in flagset:
-            categories.append("finish")
-        for category in ("robot", "error", "shed"):
-            if (
-                category in flagset
-                and self._counts[category] < getattr(cfg, category, 0)
-            ):
-                self._counts[category] += 1
-                categories.append(category)
-        if not flagset and self._counts["head"] < cfg.head:
-            self._counts["head"] += 1
-            categories.append("head")
-        kept = False
-        if categories:
-            tree.categories = tuple(sorted(categories))
-            self._kept.append(tree)
-            kept = True
-        # Slow ranking applies to every non-shed trace with a measured
-        # root; a tree can be retained under both a deterministic tag
-        # and ``slow`` (deduplicated at collection).
-        if cfg.slow and "shed" not in flagset:
-            duration = tree.root.wall_duration
-            self._slow_seq += 1
-            entry = (duration, -self._slow_seq, tree)
-            if len(self._slow) < cfg.slow:
-                heapq.heappush(self._slow, entry)
-                kept = True
-            elif duration > self._slow[0][0]:
-                heapq.heapreplace(self._slow, entry)
-                kept = True
-        return kept
-
-    def traces(self) -> list[SpanTree]:
-        """Retained traces with final category tags, in (lane, seq) order."""
-        slow_ids = {id(tree) for _, _, tree in self._slow}
-        collected: dict[int, SpanTree] = {id(t): t for t in self._kept}
-        for _, _, tree in self._slow:
-            collected.setdefault(id(tree), tree)
-        for tree in collected.values():
-            tags = set(tree.categories)
-            tags.discard("slow")
-            if id(tree) in slow_ids:
-                tags.add("slow")
-            tree.categories = tuple(sorted(tags))
-        return sorted(collected.values(), key=lambda t: t.order_key)
-
-    def __len__(self) -> int:
-        slow_only = sum(
-            1
-            for _, _, tree in self._slow
-            if not any(t is tree for t in self._kept)
-        )
-        return len(self._kept) + slow_only
-
 
 class _NullSpan:
     """No-op context manager: the disabled-tracing fast path."""
@@ -271,9 +135,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-#: Shared no-op span for callers guarding on "is tracing attached?".
-NULL_SPAN = _NULL_SPAN
 
 
 class _SpanHandle:
@@ -293,14 +154,16 @@ class _SpanHandle:
 
 
 class SpanTracer:
-    """Builds one lane's span trees; hands completed traces to a sampler.
+    """Builds one lane's span trees and keeps a bounded sample of them.
 
     The tracer keeps a stack of open spans; :meth:`begin` opens a root,
     :meth:`span` nests under the innermost open span, :meth:`end`
-    completes the trace and offers it to the sampler together with any
-    flags accumulated via :meth:`flag` (how deep pipeline stages — the
-    detection verdict, say — tag the trace without threading context
-    objects through every call).
+    completes the trace and decides whether to keep it.  With a
+    ``budget`` of N it keeps the first N unflagged traces (``head``),
+    the first N ``error`` and first 2N ``robot`` traces, every
+    ``finish`` trace, and the N slowest by root wall duration
+    (``slow``: a min-heap that may evict an earlier keep).  All but
+    ``slow`` admit in end order, a pure function of the lane's stream.
 
     Trace ids are ``"{lane}:{seq}"`` with ``seq`` counting begun traces
     per lane — deterministic, because each lane consumes its events in
@@ -310,19 +173,27 @@ class SpanTracer:
 
     def __init__(
         self,
-        lane: int = 0,
-        sampler: TailSampler | None = None,
+        lane: int,
+        budget: int,
         wall_clock: Callable[[], float] = time.perf_counter,
     ) -> None:
+        if budget < 0:
+            raise ValueError("span budget must be non-negative")
         self.lane = lane
-        # Explicit None check: an empty sampler is falsy (len() == 0)
-        # and must NOT be swapped for a default-config one.
-        self.sampler = TailSampler() if sampler is None else sampler
+        self.budget = budget
         self._wall_clock = wall_clock
         self._seq = 0
         self._spans: list[Span] = []
         self._stack: list[Span] = []
-        self._flags: set[str] = set()
+        #: Traces each category may still keep (``finish``: all).
+        self._room = {
+            "head": budget, "robot": 2 * budget, "error": budget,
+            "finish": math.inf,
+        }
+        #: Traces kept under >= 1 deterministic category.
+        self._kept: list[SpanTree] = []
+        #: (wall_duration, -seq, tree) min-heap of slow keeps.
+        self._slow: list[tuple[float, int, SpanTree]] = []
 
     @property
     def active(self) -> bool:
@@ -355,7 +226,6 @@ class SpanTracer:
         )
         self._spans = [root]
         self._stack = [root]
-        self._flags.clear()
         self._seq += 1
         return root
 
@@ -412,11 +282,6 @@ class SpanTracer:
             )
         )
 
-    def flag(self, category: str) -> None:
-        """Tag the open trace for a retention category (robot, error)."""
-        if self._stack:
-            self._flags.add(category)
-
     def _close_span(self, span: Span) -> None:
         if not self._stack or self._stack[-1] is not span:
             raise RuntimeError(
@@ -427,10 +292,15 @@ class SpanTracer:
 
     def end(
         self,
-        flags: Iterable[str] = (),
+        flags: Sequence[str] = (),
         virtual_end: float | None = None,
     ) -> SpanTree | None:
-        """Complete the open trace and offer it to the sampler."""
+        """Complete the open trace and decide whether to keep it.
+
+        ``flags`` name the categories the trace qualifies for beyond
+        the implicit ``head``/``slow`` (``robot``, ``error``,
+        ``finish``).
+        """
         # Stamp the wall end before any bookkeeping: everything below
         # is post-measurement and costs no attributed time.
         wall_end = self._wall_clock()
@@ -458,14 +328,36 @@ class SpanTracer:
             spans=self._spans,
         )
         self._spans = []
-        all_flags = self._flags | set(flags)
-        self._flags.clear()
-        self.sampler.offer(tree, all_flags)
+        categories = []
+        room = self._room
+        for category in flags or ("head",):
+            if room[category] > 0:
+                room[category] -= 1
+                categories.append(category)
+        if categories:
+            tree.categories = tuple(sorted(categories))
+            self._kept.append(tree)
+        if self.budget:
+            entry = (root.wall_duration, -seq, tree)
+            if len(self._slow) < self.budget:
+                heapq.heappush(self._slow, entry)
+            elif entry[0] > self._slow[0][0]:
+                heapq.heapreplace(self._slow, entry)
         return tree
 
     def traces(self) -> list[SpanTree]:
-        """The sampler's retained traces (finalized tags, sorted)."""
-        return self.sampler.traces()
+        """Retained traces with final category tags, in (lane, seq) order."""
+        slow_ids = {id(tree) for _, _, tree in self._slow}
+        collected = {id(tree): tree for tree in self._kept}
+        for _, _, tree in self._slow:
+            collected.setdefault(id(tree), tree)
+        for tree in collected.values():
+            tags = set(tree.categories)
+            tags.discard("slow")
+            if id(tree) in slow_ids:
+                tags.add("slow")
+            tree.categories = tuple(sorted(tags))
+        return sorted(collected.values(), key=lambda t: t.order_key)
 
     # -- pickling -----------------------------------------------------------
 
@@ -473,15 +365,6 @@ class SpanTracer:
         if self._stack:
             raise RuntimeError("cannot pickle a tracer mid-trace")
         return self.__dict__.copy()
-
-
-def merge_traces(
-    groups: Iterable[Sequence[SpanTree]],
-) -> list[SpanTree]:
-    """Merge per-lane retained traces into one deterministic list."""
-    merged = [tree for group in groups for tree in group]
-    merged.sort(key=lambda t: t.order_key)
-    return merged
 
 
 # -- Chrome trace-event export ----------------------------------------------
@@ -511,41 +394,43 @@ def to_trace_events(
     """
     if clock not in ("wall", "virtual"):
         raise ValueError(f"clock must be wall or virtual, got {clock!r}")
-    if clock == "virtual":
-        chosen = [
-            replace_categories(tree, tree.deterministic_categories())
-            for tree in traces
-            if tree.deterministic_categories()
-        ]
-    else:
-        chosen = list(traces)
-    chosen.sort(key=lambda t: t.order_key)
+    # (tree, the categories it is exported under), in (lane, seq) order.
+    chosen: list[tuple[SpanTree, tuple[str, ...]]] = []
+    for tree in sorted(traces, key=lambda t: t.order_key):
+        if clock == "wall":
+            chosen.append((tree, tree.categories))
+            continue
+        categories = tuple(
+            c for c in tree.categories if c in DETERMINISTIC_CATEGORIES
+        )
+        if categories:
+            chosen.append((tree, categories))
 
     # Per-lane origin: the earliest wall reading in the lane — spans,
     # not just roots, because recorded children (queue waits) may be
     # back-dated past their root's start.
     wall_origin: dict[int, float] = {}
     if clock == "wall":
-        for tree in chosen:
+        for tree, _ in chosen:
             for span in tree.spans:
                 origin = wall_origin.get(tree.lane)
                 if origin is None or span.wall_start < origin:
                     wall_origin[tree.lane] = span.wall_start
 
     events: list[dict] = []
-    lanes = sorted({tree.lane for tree in chosen})
+    lanes = sorted({tree.lane for tree, _ in chosen})
     for lane in lanes:
         events.append(
             {
-                "args": {"name": _lane_label(lane)},
+                "args": {"name": f"lane {lane}"},
                 "name": "thread_name",
                 "ph": "M",
                 "pid": 1,
                 "tid": lane,
             }
         )
-    for tree in chosen:
-        category = ",".join(tree.categories) or "trace"
+    for tree, categories in chosen:
+        category = ",".join(categories) or "trace"
         for span in tree.spans:
             if clock == "virtual":
                 ts = _virtual_micros(span.virtual_start)
@@ -581,23 +466,6 @@ def to_trace_events(
     return json.dumps(
         document, sort_keys=True, separators=(",", ":"), allow_nan=False
     )
-
-
-def replace_categories(
-    tree: SpanTree, categories: tuple[str, ...]
-) -> SpanTree:
-    """A shallow copy of ``tree`` carrying only ``categories``."""
-    return SpanTree(
-        trace_id=tree.trace_id,
-        lane=tree.lane,
-        seq=tree.seq,
-        spans=tree.spans,
-        categories=categories,
-    )
-
-
-def _lane_label(lane: int) -> str:
-    return "admission" if lane < 0 else f"lane {lane}"
 
 
 def trace_trees_from_json(text: str) -> tuple[list[SpanTree], str]:

@@ -185,12 +185,6 @@ class NodeShard:
             labels,
             wall=True,
         )
-        self._detection_seconds = self.metrics.histogram(
-            "repro_detection_seconds",
-            WALL_SECONDS_BUCKETS,
-            labels,
-            wall=True,
-        )
         self._detection_requests = self.metrics.counter(
             "repro_detection_requests_total", labels
         )
@@ -261,9 +255,7 @@ class NodeShard:
                 if stage is not _ALLOW:
                     return self._ladder_response(stage), None
 
-            detecting = time.perf_counter()
             outcome = self._staged("detection", now, self.detection.handle_request, request)
-            self._detection_seconds.observe(time.perf_counter() - detecting)
             self._detection_requests.inc()
 
             if outcome.blocked:

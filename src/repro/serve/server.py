@@ -72,7 +72,7 @@ from repro.trace.clf import (
     open_trace_file,
     write_trace,
 )
-from repro.trace.recorder import sorted_journal, write_probe_journal
+from repro.trace.recorder import TraceRecorder, write_probe_journal
 
 if TYPE_CHECKING:
     from repro.instrument.keys import RegisteredProbe
@@ -309,12 +309,14 @@ class DetectorServer:
         self._last_us = 0
         self._trace_handle = None
         self._housekeeper: asyncio.TimerHandle | None = None
+        #: Capture without a network tap: :meth:`_log` fills its
+        #: records (the server fires the network's taps itself).
+        self._recorder = TraceRecorder()
         #: Every exchange that reached a node, in completion order
         #: (the live log holds the same lines, streamed).
-        self.records: list[TraceRecord] = []
+        self.records: list[TraceRecord] = self._recorder.records
         #: Probes as registered; journal records are made on demand.
-        self.probes: list[RegisteredProbe] = []
-        self._identities: dict[tuple[str, str], tuple[str, str]] = {}
+        self.probes: list[RegisteredProbe] = self._recorder.probes
         self.requests_handled = 0
 
     # -- lifecycle ----------------------------------------------------------
@@ -376,16 +378,17 @@ class DetectorServer:
             await self._server.wait_closed()
             self._server = None
         self._network.remove_probe_listener(self.probes.extend)
+        recorder = self._recorder
         if self._trace_handle is not None:
             self._trace_handle.close()
             self._trace_handle = None
-            if self._identities and self._config.trace_path is not None:
+            if recorder.identities and self._config.trace_path is not None:
                 # The live stream was written before identities were
                 # known; rewrite it sorted and annotated at shutdown.
-                write_trace(self._config.trace_path, self.sorted_records())
+                write_trace(self._config.trace_path, recorder.sorted_records())
         if self._config.probes_path is not None:
             write_probe_journal(
-                self._config.probes_path, self.sorted_probes()
+                self._config.probes_path, recorder.sorted_probes()
             )
 
     # -- results ------------------------------------------------------------
@@ -410,25 +413,7 @@ class DetectorServer:
         writing the synthetic ground truth into the CLF ``ident`` /
         ``authuser`` fields exactly like a recorded workload would.
         """
-        self._identities.update(identities)
-
-    def sorted_records(self) -> list[TraceRecord]:
-        """Captured exchanges in timestamp order (stamps are unique),
-        annotated with any learned ground truth."""
-        records = []
-        for record in self.records:
-            identity = self._identities.get(
-                (record.client_ip, record.user_agent)
-            )
-            if identity is not None:
-                record = record.with_ground_truth(*identity)
-            records.append(record)
-        records.sort(key=lambda r: r.timestamp)
-        return records
-
-    def sorted_probes(self) -> list[RegisteredProbe]:
-        """The registrations as journalled, in issue order."""
-        return sorted_journal(self.probes)
+        self._recorder.identities.update(identities)
 
     def finalize_sessions(self):
         """Finalize the network's sessions (call after traffic stops).
@@ -440,7 +425,7 @@ class DetectorServer:
         from repro.workload.results import apply_session_identities
 
         sessions = self._network.finalize_sessions()
-        apply_session_identities(sessions, self._identities)
+        apply_session_identities(sessions, self._recorder.identities)
         return sessions
 
     def session_summary(self):

@@ -161,7 +161,9 @@ class TraceRecorder:
         self.records: list[TraceRecord] = []
         #: Probes as registered; their journal form is made on demand.
         self.probes: list[RegisteredProbe] = []
-        self._identities: dict[tuple[str, str], tuple[str, str]] = {}
+        #: ``(client_ip, user_agent) -> (kind, label)``, applied by
+        #: :meth:`sorted_records`.
+        self.identities: dict[tuple[str, str], tuple[str, str]] = {}
 
     # -- capture ----------------------------------------------------------
 
@@ -191,7 +193,7 @@ class TraceRecorder:
         compared against the original run.
         """
         for record in session_records:
-            self._identities[(record.client_ip, record.user_agent)] = (
+            self.identities[(record.client_ip, record.user_agent)] = (
                 record.agent_kind,
                 record.true_label,
             )
@@ -204,7 +206,7 @@ class TraceRecorder:
         """
         annotated = []
         for record in self.records:
-            identity = self._identities.get(
+            identity = self.identities.get(
                 (record.client_ip, record.user_agent)
             )
             if identity is not None:

@@ -51,7 +51,7 @@ from repro.instrument.keys import RegisteredProbe
 from repro.ml.batch import BatchVerdict
 from repro.obs.flight import FlightFrame
 from repro.obs.registry import MetricsSnapshot
-from repro.obs.spans import SpanConfig, SpanTree
+from repro.obs.spans import SpanTree
 from repro.overload.admission import ShedPolicy
 from repro.proxy.network import ProxyNetwork
 from repro.proxy.node import NodeStats
@@ -117,9 +117,9 @@ class ReplayConfig:
     #: Virtual-time flight-recorder sampling interval (None = off):
     #: every lane and the admission side sample on one absolute grid.
     flight_interval: float | None = None
-    #: Tail-sampling budgets for causal span tracing (None = off); one
+    #: Per-lane trace budget for causal span tracing (None = off); one
     #: tracer per lane.
-    spans: SpanConfig | None = None
+    spans: int | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 0:

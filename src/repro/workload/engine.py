@@ -26,7 +26,6 @@ from repro.agents.base import SessionBudget
 from repro.agents.population import PopulationMix
 from repro.captcha.service import CaptchaConfig, CaptchaService
 from repro.ml.dataset import Dataset
-from repro.obs.spans import SpanConfig
 from repro.overload.admission import ShedPolicy
 from repro.proxy.network import ProxyNetwork
 from repro.trace.arrival import ArrivalProfile, UniformArrival
@@ -93,9 +92,9 @@ class WorkloadConfig:
     adaptive: object | None = None
     #: Virtual-time flight-recorder sampling interval (None = off).
     flight_interval: float | None = None
-    #: Tail-sampling budgets for causal span tracing (None = off); one
+    #: Per-lane trace budget for causal span tracing (None = off); one
     #: tracer per lane.
-    spans: SpanConfig | None = None
+    spans: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_sessions < 1:

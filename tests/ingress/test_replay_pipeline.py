@@ -412,7 +412,7 @@ class TestMetricsDeterminism:
         assert snap.get("repro_ingress_queue_wait_event_seconds",
                         {"lane": "0"}).count > 0
         assert sum(
-            p.count for p in snap.series("repro_detection_seconds")
+            p.count for p in snap.series("repro_proxy_handle_seconds")
         ) > 0
         assert snap.total("repro_batch_flush_total") > 0
         assert sum(

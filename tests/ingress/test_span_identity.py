@@ -17,7 +17,6 @@ import json
 import pytest
 
 from repro.obs.spans import (
-    SpanConfig,
     profile_stages,
     to_trace_events,
     trace_trees_from_json,
@@ -67,7 +66,7 @@ def _replay(recorded, **config_kwargs):
     engine = TraceReplayEngine(
         network,
         ReplayConfig(
-            assume_sorted=True, spans=SpanConfig(), **config_kwargs
+            assume_sorted=True, spans=16, **config_kwargs
         ),
     )
     return engine.replay(list(records), probes=list(probes))
@@ -122,6 +121,12 @@ class TestVirtualTraceIdentity:
         }
         assert {"request", "queue_wait", "handle", "detection",
                 "finish", "finalize"} <= names
+
+    def test_lane_traces_merge_in_lane_then_seq_order(self, recorded):
+        result = _replay(recorded, executor="process", queue_depth=16)
+        keys = [tree.order_key for tree in result.spans]
+        assert keys == sorted(keys)
+        assert {lane for lane, _ in keys} == {0, 1}
 
     def test_finish_traces_one_per_lane(self, recorded):
         result = _replay(recorded, executor="serial")
@@ -181,7 +186,7 @@ class TestWallDomain:
 
 class TestSamplerBudgetsInPipeline:
     def test_budget_bounds_hold_per_lane(self, recorded):
-        budget = SpanConfig.uniform(2)
+        budget = 2
         records, probes = recorded
         network = ProxyNetwork(
             origins={},

@@ -1,4 +1,4 @@
-"""Causal tracing: tracer mechanics, tail sampling, export, profiling.
+"""Causal tracing: tracer mechanics, retention, export, profiling.
 
 Wall clocks are injected everywhere, so every assertion below is exact
 — no sleeps, no tolerance bands.
@@ -15,11 +15,8 @@ from repro.obs.spans import (
     TRACE_EVENT_SCHEMA,
     ProfileReport,
     Span,
-    SpanConfig,
     SpanTracer,
     SpanTree,
-    TailSampler,
-    merge_traces,
     profile_stages,
     to_trace_events,
     trace_trees_from_json,
@@ -40,9 +37,9 @@ class FakeClock:
         return self.now
 
 
-def make_tracer(lane: int = 0, config: SpanConfig | None = None):
+def make_tracer(lane: int = 0, budget: int = 16):
     clock = FakeClock()
-    tracer = SpanTracer(lane, TailSampler(config), wall_clock=clock)
+    tracer = SpanTracer(lane, budget, wall_clock=clock)
     return tracer, clock
 
 
@@ -97,7 +94,7 @@ class TestSpanTracer:
             pass
         tracer.record("orphan", 0.0, 1.0)
         assert tracer.end() is None
-        assert len(tracer.sampler.traces()) == 0
+        assert tracer.traces() == []
 
     def test_misuse_raises(self):
         tracer, _ = make_tracer()
@@ -109,14 +106,6 @@ class TestSpanTracer:
             with pytest.raises(RuntimeError, match="child spans"):
                 tracer.end()
         tracer.end()
-
-    def test_flag_tags_the_open_trace(self):
-        tracer, _ = make_tracer(config=SpanConfig(head=0))
-        tracer.begin("request", 0.0)
-        tracer.flag("robot")
-        tracer.end()
-        [tree] = tracer.sampler.traces()
-        assert "robot" in tree.categories
 
     def test_pickles_between_traces_but_not_mid_trace(self):
         tracer, _ = make_tracer()
@@ -139,97 +128,78 @@ class TestSpanTracer:
         assert pickle.loads(pickle.dumps(traces)) == traces
 
 
+def offer(tracer: SpanTracer, clock: FakeClock, duration=0.0, flags=()):
+    """End one root-only trace whose root took ``duration`` wall seconds."""
+    tracer.begin("request", 0.0)
+    clock.advance(duration)
+    return tracer.end(flags=flags)
+
+
 class TestTailSampler:
-    @staticmethod
-    def _tree(seq: int, duration: float = 0.0, lane: int = 0) -> SpanTree:
-        root = Span(
-            name="request", span_id=0, parent_id=None,
-            virtual_start=float(seq), virtual_end=float(seq),
-            wall_start=0.0, wall_end=duration,
-        )
-        return SpanTree(
-            trace_id=f"{lane}:{seq}", lane=lane, seq=seq, spans=[root]
-        )
+    """Retention decided at trace end, under one per-lane budget."""
 
     def test_budgets_bound_every_category(self):
-        cfg = SpanConfig(head=2, slow=0, robot=1, error=1, shed=1)
-        sampler = TailSampler(cfg)
-        for seq in range(6):
-            sampler.offer(self._tree(seq))
-        for seq in range(6, 12):
-            sampler.offer(self._tree(seq), flags=("robot",))
-        for seq in range(12, 18):
-            sampler.offer(self._tree(seq), flags=("error",))
-        for seq in range(18, 24):
-            sampler.offer(self._tree(seq), flags=("shed",))
-        kept = sampler.traces()
-        assert sampler.offered == 24
+        tracer, clock = make_tracer(budget=1)
+        for flags in [()] * 6 + [("robot",)] * 6 + [("error",)] * 6:
+            offer(tracer, clock, flags=flags)
+        kept = tracer.traces()
         by_cat: dict[str, int] = {}
         for tree in kept:
             for cat in tree.categories:
                 by_cat[cat] = by_cat.get(cat, 0) + 1
-        assert by_cat == {"head": 2, "robot": 1, "error": 1, "shed": 1}
-        # First-offered wins within each deterministic category.
-        assert [t.seq for t in kept] == [0, 1, 6, 12, 18]
+        # N per class, 2N for robots; with equal durations the first
+        # trace also holds the one slow place.
+        assert by_cat == {"head": 1, "robot": 2, "error": 1, "slow": 1}
+        # First-ended wins within each deterministic category.
+        assert [t.seq for t in kept] == [0, 6, 7, 12]
 
     def test_finish_always_retained(self):
-        sampler = TailSampler(SpanConfig(head=0, slow=0))
-        for seq in range(5):
-            sampler.offer(self._tree(seq), flags=("finish",))
-        assert [t.categories for t in sampler.traces()] == [
+        tracer, clock = make_tracer(budget=0)
+        for _ in range(5):
+            offer(tracer, clock, flags=("finish",))
+        assert [t.categories for t in tracer.traces()] == [
             ("finish",)
         ] * 5
 
     def test_slow_keeps_top_k_by_root_wall_duration(self):
-        sampler = TailSampler(SpanConfig(head=0, slow=2))
-        durations = [0.030, 0.010, 0.050, 0.020, 0.040]
-        for seq, duration in enumerate(durations):
-            sampler.offer(self._tree(seq, duration=duration))
-        kept = sampler.traces()
-        assert [t.seq for t in kept] == [2, 4]
-        assert all(t.categories == ("slow",) for t in kept)
-
-    def test_shed_traces_never_rank_as_slow(self):
-        sampler = TailSampler(SpanConfig(head=0, slow=4, shed=0))
-        sampler.offer(self._tree(0, duration=9.0), flags=("shed",))
-        sampler.offer(self._tree(1, duration=0.001))
-        assert [t.seq for t in sampler.traces()] == [1]
+        tracer, clock = make_tracer(budget=2)
+        for duration in [0.030, 0.010, 0.050, 0.020, 0.040]:
+            offer(tracer, clock, duration=duration)
+        kept = tracer.traces()
+        assert [t.seq for t in kept] == [0, 1, 2, 4]
+        # Trace 0 ranked slow until 2 and 4 evicted it; head keeps it.
+        assert [t.categories for t in kept] == [
+            ("head",), ("head",), ("slow",), ("slow",),
+        ]
 
     def test_dual_retention_deduplicates(self):
-        sampler = TailSampler(SpanConfig(head=0, slow=1, robot=1))
-        sampler.offer(self._tree(0, duration=1.0), flags=("robot",))
-        kept = sampler.traces()
+        tracer, clock = make_tracer(budget=1)
+        offer(tracer, clock, duration=1.0, flags=("robot",))
+        kept = tracer.traces()
         assert len(kept) == 1
         assert kept[0].categories == ("robot", "slow")
-        assert len(sampler) == 1
 
     def test_bounded_under_load(self):
-        cfg = SpanConfig.uniform(4)
-        sampler = TailSampler(cfg)
+        tracer, clock = make_tracer(budget=4)
         for seq in range(1000):
             flags = ("robot",) if seq % 3 == 0 else ()
-            sampler.offer(self._tree(seq, duration=seq * 1e-6), flags)
+            offer(tracer, clock, duration=seq * 1e-6, flags=flags)
         # head + slow + robot budgets, minus any dual retention.
-        assert len(sampler.traces()) <= 4 + 4 + 8
-        assert sampler.offered == 1000
+        assert len(tracer.traces()) <= 4 + 4 + 8
 
-    def test_merge_traces_orders_by_lane_then_seq(self):
-        a = [self._tree(0, lane=1), self._tree(2, lane=1)]
-        b = [self._tree(1, lane=0)]
-        merged = merge_traces([a, b])
-        assert [(t.lane, t.seq) for t in merged] == [
-            (0, 1), (1, 0), (1, 2),
-        ]
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SpanTracer(0, -1)
 
 
 def _sample_traces() -> list[SpanTree]:
     """Two lanes, three traces, virtual and wall data, mixed flags."""
-    groups: list[list[SpanTree]] = []
+    traces: list[SpanTree] = []
     plans = {0: [(), ("robot",)], 1: [()]}
     for lane, flag_runs in plans.items():
         clock = FakeClock()
         clock.advance(lane + 1.0)
-        tracer = SpanTracer(lane, TailSampler(), wall_clock=clock)
+        tracer = SpanTracer(lane, 16, wall_clock=clock)
         for seq, flags in enumerate(flag_runs):
             ts = 10.0 * (seq + 1)
             tracer.begin("request", ts)
@@ -240,8 +210,8 @@ def _sample_traces() -> list[SpanTree]:
                 with tracer.span("detection", ts):
                     clock.advance(0.030)
             tracer.end(flags=flags)
-        groups.append(tracer.traces())
-    return merge_traces(groups)
+        traces.extend(tracer.traces())
+    return traces
 
 
 class TestTraceEventExport:

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis.report import generate_report
 from repro.cli import build_parser, main
 
@@ -32,6 +38,44 @@ class TestCli:
         out = capsys.readouterr().out
         assert "table1" in out
         assert "figure4" in out
+
+    def test_list_into_closed_pipe(self):
+        # A reader that has already gone: every write to stdout fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__)),
+        }
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "list"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr.decode()
+        assert done.stderr == b""
+        assert done.returncode == 1
+
+    def test_help_into_reader_gone_before_flush(self, monkeypatch, tmp_path):
+        # argparse writes --help and exits; the reader leaves before the
+        # flush, which then fails instead of the SystemExit.
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class GoneReader(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", GoneReader())
+        try:
+            assert main(["replay", "--help"]) == 1
+        finally:
+            os.close(fd)
 
     def test_run_table1(self, capsys):
         assert main(["table1", "--sessions", "120", "--seed", "61"]) == 0
@@ -216,7 +260,7 @@ class TestMetricsCommands:
         assert sum(
             p.count for p in snap.series("repro_ingress_queue_wait_seconds")
         ) > 0
-        shard_timers = snap.series("repro_detection_seconds")
+        shard_timers = snap.series("repro_proxy_handle_seconds")
         assert {dict(p.labels)["shard"] for p in shard_timers} == {"00", "01"}
         assert sum(p.count for p in shard_timers) > 0
         assert sum(
@@ -236,9 +280,9 @@ class TestMetricsCommands:
     def test_stats_formats(self, metrics_file, capsys, fmt):
         assert main(["stats", metrics_file, "--format", fmt]) == 0
         out = capsys.readouterr().out
-        assert "repro_detection_seconds" in out
+        assert "repro_proxy_handle_seconds" in out
         if fmt == "prometheus":
-            assert "# TYPE repro_detection_seconds histogram" in out
+            assert "# TYPE repro_proxy_handle_seconds histogram" in out
             assert 'le="+Inf"' in out
 
     def test_stats_deterministic_filter(self, metrics_file, capsys):
@@ -356,7 +400,7 @@ class TestExperimentMetricsOut:
         from repro.obs.export import snapshot_from_json
 
         snap, flight = snapshot_from_json(open(out, encoding="utf-8").read())
-        assert snap.series("repro_detection_seconds")
+        assert snap.series("repro_proxy_handle_seconds")
         assert flight  # --flight-interval reached the workload engine
 
     def test_flight_interval_rejected_when_runner_lacks_it(self, capsys):

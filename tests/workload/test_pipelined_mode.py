@@ -164,9 +164,7 @@ class TestPipelinedMode:
         # they need what IngressConfig needs.  Shedding needs process
         # lanes, so the default mode — inline whatever ``executor``
         # names — refuses it.
-        from repro.obs.spans import SpanConfig
-
-        config = WorkloadConfig(shards=4, spans=SpanConfig(), queue_depth=8)
+        config = WorkloadConfig(shards=4, spans=16, queue_depth=8)
         assert config.ingress().executor == "serial"
         with pytest.raises(ValueError, match="process executor"):
             WorkloadConfig(policy=ShedPolicy.SHED, queue_depth=8)
